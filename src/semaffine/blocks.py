@@ -86,9 +86,7 @@ class DecoderBlockParams:
 
 def linear_forward(p: LinearParams, x: Tensor) -> Tensor:
     """x (n, in) -> x @ weight.T + bias."""
-    if x.data.ndim != 2 or x.shape[1] != p.in_dim:
-        raise ShapeError(f"linear: input {x.shape} does not match weight {p.weight.shape}")
-    return T.matmul(x, T.transpose(p.weight)) + p.bias
+    return T.linear(x, p.weight, p.bias)
 
 
 def mlp_forward(layers: Sequence[LinearParams], x: Tensor) -> Tensor:
@@ -115,24 +113,16 @@ def multi_head_attention(
 ):
     """Scaled dot-product attention: per head softmax(Q K^T / sqrt(d_k)) V,
     heads concatenated and output-projected back to the query dimension."""
-    if kv_in.shape[0] == 0:
-        raise ContractError("multi_head_attention: empty key/value set")
-    inv_sqrt_dk = 1.0 / math.sqrt(p.d_k)
-    head_outs = []
-    weights = []
-    for h in range(p.heads):
-        q = linear_forward(p.q_proj[h], q_in)
-        k = linear_forward(p.k_proj[h], kv_in)
-        v = linear_forward(p.v_proj[h], kv_in)
-        scores = T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_dk)
-        attn = T.softmax(scores, axis=1)
-        if return_weights:
-            weights.append(attn.data.copy())
-        head_outs.append(T.matmul(attn, v))
-    out = linear_forward(p.out_proj, T.concat_cols(head_outs))
+    head_outs = T.attention(q_in, kv_in, _pairs(p.q_proj), _pairs(p.k_proj), _pairs(p.v_proj),
+                            return_weights=return_weights)
     if return_weights:
-        return out, weights
-    return out
+        head_outs, weights = head_outs
+        return linear_forward(p.out_proj, head_outs), weights
+    return linear_forward(p.out_proj, head_outs)
+
+
+def _pairs(layers: Sequence[LinearParams]) -> list[tuple[Tensor, Tensor]]:
+    return [(layer.weight, layer.bias) for layer in layers]
 
 
 def _feed_forward(ff1: LinearParams, ff2: LinearParams, x: Tensor) -> Tensor:

@@ -60,7 +60,10 @@ def load_checkpoint(path):
     if pos < 0:
         raise ParseError("missing payload marker")
     header_end = raw.index(b"\n", pos + 1)
-    header_lines = raw[:header_end].decode("utf-8").splitlines()
+    try:
+        header_lines = raw[:header_end].decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"invalid UTF-8 in the manifest at byte {e.start}") from e
     payload = raw[header_end + 1:]
 
     step = None

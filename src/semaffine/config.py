@@ -6,9 +6,7 @@ keys are errors. The same key set round-trips through checkpoint snapshots.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 from .harness import TrainConfig
 from .model import ModelConfig
 from .scenes import SceneSpec
@@ -88,7 +86,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+    return parse_config_text(read_utf8(path), source=str(path))
 
 
 def _apply(values: dict[str, str], keymap: dict, target):

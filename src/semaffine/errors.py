@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation-type errors exit with 1,
 numeric/runtime failures with 2.
 """
 
+from pathlib import Path
+
 
 class SemaffineError(Exception):
     """Base class for all package errors."""
@@ -33,3 +35,13 @@ class ParseError(SemaffineError, ValueError):
 
 class NumericError(SemaffineError, RuntimeError):
     """Non-finite values detected during computation."""
+
+
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; undecodable bytes raise ParseError."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise ParseError(f"{path}: invalid UTF-8 at byte {e.start}", line=line) from e

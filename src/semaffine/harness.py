@@ -144,9 +144,11 @@ def sgd_step(
             raise ContractError(f"sgd_step: non-finite gradient for {name}")
         v = state.velocities.get(name)
         if v is None:
-            v = np.zeros_like(p.data)
-        v = cfg.momentum * v + grad + cfg.weight_decay * p.data
-        state.velocities[name] = v
+            v = state.velocities[name] = np.zeros_like(p.data)
+        # in place, in the order (momentum * v + grad) + wd * param
+        v *= cfg.momentum
+        v += grad
+        v += cfg.weight_decay * p.data
         if factor not in lrs:
             lrs[factor] = learning_rate(cfg, t, total_steps, factor)
         p.data -= lrs[factor] * v

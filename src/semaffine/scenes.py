@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, read_utf8
 
 MAGIC = "semaffine-scene v1"
 
@@ -71,6 +71,10 @@ class LabeledCloud:
             raise ContractError(f"cloud coords must be (n, 3), got {self.coords.shape}")
         if self.coords.shape[0] == 0:
             raise ContractError("empty cloud")
+        finite = np.isfinite(self.coords).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ContractError(f"cloud coords must be finite; point {i} is {self.coords[i].tolist()}")
         if self.labels.shape != (self.coords.shape[0],):
             raise ContractError("coords/labels length mismatch")
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
@@ -247,7 +251,7 @@ def write_scene(cloud: LabeledCloud, path) -> None:
 
 
 def read_scene(path) -> LabeledCloud:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     lines = text.splitlines()
     if not lines or lines[0].strip() != MAGIC:
         raise ParseError(f"bad magic, expected {MAGIC!r}", line=1)
@@ -297,7 +301,7 @@ def write_manifest(entries: list[tuple[str, str]], path) -> None:
 
 def read_manifest(path) -> list[tuple[str, str]]:
     entries = []
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -11,6 +11,10 @@ Design constraints:
 - row-major data; the only implicit broadcast is (n, d) op (d,), used for
   bias/gain rows. Everything else must match shapes exactly.
 - forward values are saved eagerly by the closures; no checkpointing.
+- a linear layer and a whole multi-head attention are one node each
+  (``linear``, ``attention``): operands are a few to a few dozen rows, so
+  the cost is per-node dispatch, not arithmetic.
+- a backward computes a gradient only for operands that require grad.
 
 A tensor graph is single-threaded during one forward/backward pass; distinct
 graphs (one per scene/worker) share no mutable state.
@@ -19,7 +23,7 @@ graphs (one per scene/worker) share no mutable state.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,11 +122,15 @@ def _result(data, parents, op, backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
+def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False):
+    """Add ``g`` into ``t.grad``. Multi-operand ops call it only for operands
+    that require grad; single-operand ops have a backward only when theirs does.
+
+    A fresh ``g`` becomes ``t.grad`` as it is; ``shared`` marks one that is
+    (a view of) another node's gradient, which is copied first.
+    """
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = g.copy() if shared else g
     else:
         t.grad += g
 
@@ -148,8 +156,13 @@ def add(a, b) -> Tensor:
     row_broadcast = _check_binary(a, b, "add")
 
     def backward_fn(g):
-        _accumulate(a, g)
-        _accumulate(b, g.sum(axis=0) if row_broadcast else g)
+        if a.requires_grad:
+            _accumulate(a, g, shared=True)
+        if b.requires_grad:
+            if row_broadcast:
+                _accumulate(b, g.sum(axis=0))
+            else:
+                _accumulate(b, g, shared=True)
 
     return _result(a.data + b.data, (a, b), "add", backward_fn)
 
@@ -159,8 +172,10 @@ def sub(a, b) -> Tensor:
     row_broadcast = _check_binary(a, b, "sub")
 
     def backward_fn(g):
-        _accumulate(a, g)
-        _accumulate(b, -(g.sum(axis=0) if row_broadcast else g))
+        if a.requires_grad:
+            _accumulate(a, g, shared=True)
+        if b.requires_grad:
+            _accumulate(b, -(g.sum(axis=0) if row_broadcast else g))
 
     return _result(a.data - b.data, (a, b), "sub", backward_fn)
 
@@ -171,8 +186,10 @@ def mul(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def backward_fn(g):
-        _accumulate(a, g * b_data)
-        _accumulate(b, (g * a_data).sum(axis=0) if row_broadcast else g * a_data)
+        if a.requires_grad:
+            _accumulate(a, g * b_data)
+        if b.requires_grad:
+            _accumulate(b, (g * a_data).sum(axis=0) if row_broadcast else g * a_data)
 
     return _result(a_data * b_data, (a, b), "mul", backward_fn)
 
@@ -199,8 +216,10 @@ def matmul(a, b) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def backward_fn(g):
-        _accumulate(a, g @ b_data.T)
-        _accumulate(b, a_data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b_data.T)
+        if b.requires_grad:
+            _accumulate(b, a_data.T @ g)
 
     return _result(a_data @ b_data, (a, b), "matmul", backward_fn)
 
@@ -211,9 +230,109 @@ def transpose(a) -> Tensor:
         raise ShapeError(f"transpose: expects a 2-d operand, got {a.shape}")
 
     def backward_fn(g):
-        _accumulate(a, g.T)
+        _accumulate(a, g.T, shared=True)
 
     return _result(a.data.T.copy(), (a,), "transpose", backward_fn)
+
+
+def linear(x, w, b) -> Tensor:
+    """x (n, in) @ w (out, in).T + b (out,), as one node."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    x_data, w_data = x.data, w.data
+    if (x_data.ndim != 2 or w_data.ndim != 2 or x_data.shape[1] != w_data.shape[1]
+            or b.data.shape != w_data.shape[:1]):
+        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape} and bias {b.shape}")
+
+    def backward_fn(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w_data)
+        if w.requires_grad:
+            _accumulate(w, g.T @ x_data)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+
+    return _result(x_data @ w_data.T + b.data, (x, w, b), "linear", backward_fn)
+
+
+def _stack_heads(proj: Sequence[tuple[Tensor, Tensor]], heads: int, d_k: int, x: Tensor, what: str):
+    """Per-head (weight (d_k, in), bias (d_k,)) pairs -> stacked (heads*d_k, in) and (heads*d_k,)."""
+    if len(proj) != heads or any(w.shape != (d_k, x.shape[1]) or b.shape != (d_k,) for w, b in proj):
+        raise ShapeError(f"attention: {what} projections {[(w.shape, b.shape) for w, b in proj]} do not "
+                         f"fit {heads} heads of width {d_k} over input {x.shape}")
+    return np.concatenate([w.data for w, _ in proj]), np.concatenate([b.data for _, b in proj])
+
+
+def attention(q_in, kv_in, q_proj, k_proj, v_proj, return_weights: bool = False):
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q_proj``/``k_proj``/``v_proj`` hold one (weight (d_k, in), bias (d_k,))
+    pair per head. Head h attends softmax(q_h k_h^T / sqrt(d_k)) v_h with
+    q_h = q_in @ W_q[h].T + b_q[h] and k_h, v_h projected from ``kv_in``
+    alike; the result is the head outputs side by side, (n, heads * d_k).
+    The heads are stacked from the live leaves on every call and run as
+    (heads, n, d_k) arrays. With ``return_weights`` also returns a copy of
+    each head's (n, m) attention matrix.
+
+    Backward uses the analytic softmax backward dS = P * (dP - rowsum(dP * P))
+    and scatters the stacked weight and bias gradients back to the per-head
+    leaves.
+    """
+    q_in, kv_in = _as_tensor(q_in), _as_tensor(kv_in)
+    if q_in.data.ndim != 2 or kv_in.data.ndim != 2:
+        raise ShapeError(f"attention: expects 2-d inputs, got {q_in.shape} and {kv_in.shape}")
+    if kv_in.shape[0] == 0:
+        raise ContractError("attention: empty key/value set")
+    if not q_proj:
+        raise ContractError("attention: no heads")
+    heads, d_k = len(q_proj), q_proj[0][0].shape[0]
+    wq, bq = _stack_heads(q_proj, heads, d_k, q_in, "query")
+    wk, bk = _stack_heads(k_proj, heads, d_k, kv_in, "key")
+    wv, bv = _stack_heads(v_proj, heads, d_k, kv_in, "value")
+    n, m = q_in.shape[0], kv_in.shape[0]
+    inv_sqrt_dk = 1.0 / np.sqrt(d_k)
+
+    def split(a, rows):  # (rows, heads*d_k) -> (heads, rows, d_k)
+        return a.reshape(rows, heads, d_k).transpose(1, 0, 2)
+
+    def merge(a, rows):  # (heads, rows, d_k) -> (rows, heads*d_k)
+        return a.transpose(1, 0, 2).reshape(rows, heads * d_k)
+
+    q = split(q_in.data @ wq.T + bq, n)
+    k = split(kv_in.data @ wk.T + bk, m)
+    v = split(kv_in.data @ wv.T + bv, m)
+    scores = (q @ k.transpose(0, 2, 1)) * inv_sqrt_dk
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    probs = e / e.sum(axis=2, keepdims=True)  # (heads, n, m)
+    leaves = [t for proj in (q_proj, k_proj, v_proj) for pair in proj for t in pair]
+
+    def scatter(proj, g_stacked, x_data):
+        g_w = g_stacked.T @ x_data
+        g_b = g_stacked.sum(axis=0)
+        for h, (w, b) in enumerate(proj):
+            if w.requires_grad:
+                _accumulate(w, g_w[h * d_k:(h + 1) * d_k])
+            if b.requires_grad:
+                _accumulate(b, g_b[h * d_k:(h + 1) * d_k])
+
+    def backward_fn(g):
+        g_o = split(g, n)
+        g_p = g_o @ v.transpose(0, 2, 1)
+        g_s = probs * (g_p - (g_p * probs).sum(axis=2, keepdims=True)) * inv_sqrt_dk
+        g_q = merge(g_s @ k, n)
+        g_k = merge(g_s.transpose(0, 2, 1) @ q, m)
+        g_v = merge(probs.transpose(0, 2, 1) @ g_o, m)
+        if q_in.requires_grad:
+            _accumulate(q_in, g_q @ wq)
+        if kv_in.requires_grad:
+            _accumulate(kv_in, g_k @ wk + g_v @ wv)
+        scatter(q_proj, g_q, q_in.data)
+        scatter(k_proj, g_k, kv_in.data)
+        scatter(v_proj, g_v, kv_in.data)
+
+    out = _result(merge(probs @ v, n), (q_in, kv_in, *leaves), "attention", backward_fn)
+    if return_weights:
+        return out, [probs[h].copy() for h in range(heads)]
+    return out
 
 
 # -- elementwise nonlinearities -------------------------------------------
@@ -257,28 +376,6 @@ def exp(a) -> Tensor:
         _accumulate(a, g * out_data)
 
     return _result(out_data, (a,), "exp", backward_fn)
-
-
-_ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul}
-_ELEMENTWISE_UNARY = {"relu": relu, "softplus": softplus, "exp": exp}
-
-
-def elementwise(op: str, *operands) -> Tensor:
-    """Dispatch an entrywise op by name: add/sub/mul take two tensors,
-    relu/softplus/exp take one, scale takes (tensor, constant)."""
-    if op in _ELEMENTWISE_BINARY:
-        if len(operands) != 2:
-            raise ContractError(f"elementwise {op!r} takes 2 operands, got {len(operands)}")
-        return _ELEMENTWISE_BINARY[op](*operands)
-    if op in _ELEMENTWISE_UNARY:
-        if len(operands) != 1:
-            raise ContractError(f"elementwise {op!r} takes 1 operand, got {len(operands)}")
-        return _ELEMENTWISE_UNARY[op](*operands)
-    if op == "scale":
-        if len(operands) != 2:
-            raise ContractError(f"elementwise 'scale' takes (tensor, constant), got {len(operands)} operands")
-        return scale(operands[0], operands[1])
-    raise ContractError(f"unknown elementwise op {op!r}")
 
 
 # -- softmax family --------------------------------------------------------
@@ -363,38 +460,6 @@ def mean_all(a) -> Tensor:
     return _result(a.data.mean(), (a,), "mean", backward_fn)
 
 
-def slice_cols(a, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.ndim != 2 or not (0 <= start <= stop <= a.shape[1]):
-        raise ShapeError(f"slice_cols[{start}:{stop}] invalid for shape {a.shape}")
-    in_shape = a.shape
-
-    def backward_fn(g):
-        full = np.zeros(in_shape)
-        full[:, start:stop] = g
-        _accumulate(a, full)
-
-    return _result(a.data[:, start:stop].copy(), (a,), "slice_cols", backward_fn)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ContractError("concat_cols: no operands")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError(f"concat_cols: row counts disagree ({[p.shape for p in parts]})")
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def backward_fn(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[:, lo:hi])
-
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts), "concat_cols", backward_fn)
-
-
 def gather_rows(a, index: np.ndarray) -> Tensor:
     """out[j] = a[index[j]]; gradient scatter-adds back onto the source rows."""
     a = _as_tensor(a)
@@ -455,23 +520,16 @@ def pick(a, index: np.ndarray) -> Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order over grad-requiring ancestors; parents precede children."""
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    """Grad-requiring ancestors of ``root`` (itself included) in creation
+    order. Ids increase in creation order, so parents precede children."""
+    seen = {root.node_id: root}
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
-    return order
+        for p in stack.pop().parents:
+            if p.requires_grad and p.node_id not in seen:
+                seen[p.node_id] = p
+                stack.append(p)
+    return [seen[i] for i in sorted(seen)]
 
 
 def backward(loss: Tensor):

@@ -35,6 +35,20 @@ def _tensor_checks(rng):
     yield "tensor", "channel_normalize", lambda: _mix(T.channel_normalize(a, 1e-5)), [("a", a)], 1e-5
     yield "tensor", "scale_transpose", lambda: _mix(T.scale(T.transpose(a), 1.7)), [("a", a)], 1e-5
 
+    # the fused ops draw from their own stream so the later checks keep their inputs
+    fused = np.random.default_rng(7)
+    w = Tensor(fused.standard_normal((5, 4)), requires_grad=True)
+    bias = Tensor(fused.standard_normal(5), requires_grad=True)
+    yield "tensor", "linear", lambda: _mix(T.linear(a, w, bias)), [("x", a), ("w", w), ("b", bias)], 1e-5
+
+    proj = {kind: [(Tensor(fused.standard_normal((2, 4)), requires_grad=True),
+                    Tensor(fused.standard_normal(2), requires_grad=True)) for _ in range(2)]
+            for kind in "qkv"}
+    named = [(f"{kind}{h}.{part}", t) for kind, heads in proj.items()
+             for h, pair in enumerate(heads) for part, t in zip(("w", "b"), pair)]
+    yield "tensor", "attention", lambda: _mix(T.attention(a, c, proj["q"], proj["k"], proj["v"])), \
+        [("q_in", a), ("kv_in", c)] + named, 1e-5
+
 
 def _block_checks(rng):
     lin = B.init_linear(rng, 4, 3)

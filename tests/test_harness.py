@@ -11,11 +11,12 @@ from semaffine.checkpoint import load_checkpoint, restore_parameters, save_check
 from semaffine.config import (
     configs_from_snapshot,
     model_config_from,
+    parse_config_file,
     parse_config_text,
     snapshot,
     train_config_from,
 )
-from semaffine.errors import ConfigError, ContractError
+from semaffine.errors import ConfigError, ContractError, ParseError
 from semaffine.gradcheck import finite_diff_check
 from semaffine.tensor import Tensor
 
@@ -244,6 +245,13 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             restore_parameters(bad, entries)
 
+    def test_invalid_utf8_manifest_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._params(np.random.default_rng(8)), {"seed": 3}, step=0)
+        path.write_bytes(path.read_bytes().replace(b"cfg.seed=3", b"cfg.seed=\xff"))
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_checkpoint(path)
+
 
 class TestConfigFile:
     def test_parse_and_build(self):
@@ -266,6 +274,12 @@ class TestConfigFile:
     def test_unknown_key_is_error(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("learning_rate = 0.1")
+
+    def test_invalid_utf8_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_bytes(b"classes = 4\nepochs = \xb3\n")
+        with pytest.raises(ParseError, match="line 2.*UTF-8"):
+            parse_config_file(path)
 
     def test_duplicate_key_is_error(self):
         with pytest.raises(ConfigError, match="duplicate"):

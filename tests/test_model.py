@@ -264,3 +264,31 @@ class TestEndToEndGradients:
             loss, params.named_parameters(), h=1e-6, tol=1e-4, max_entries=6, seed=0)
         failed = [p for p in report.params if not p.ok]
         assert report.passed, "\n".join(report.lines()[:40]) + f"\n({len(failed)} groups failed)"
+
+
+class TestTapeSize:
+    def test_default_scene_node_budget_and_dead_gradients(self):
+        from semaffine.harness import total_loss
+        from semaffine.train import prepare_scene
+
+        cfg = M.ModelConfig()
+        params = M.build_model(cfg, seed=0)
+        scene = prepare_scene(generate_scene(SceneSpec(), seed=0), cfg)
+        first = Tensor(0.0).node_id
+        loss = total_loss(M.model_forward(params, scene.cloud, hier=scene.hier),
+                          scene.cloud.labels, scene.shadows)
+        created = Tensor(0.0).node_id - first - 1
+        # one node per linear layer and per multi-head attention
+        assert created <= 300, created
+        loss.backward()
+
+        graph, stack = {loss.node_id: loss}, [loss]
+        while stack:
+            for p in stack.pop().parents:
+                if p.node_id not in graph:
+                    graph[p.node_id] = p
+                    stack.append(p)
+        constants = [t for t in graph.values() if not t.requires_grad]
+        assert constants  # coordinates and BCE targets
+        assert all(t.grad is None for t in constants)
+        assert all(t.grad is not None for t in graph.values() if t.requires_grad)

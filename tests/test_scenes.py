@@ -113,6 +113,21 @@ class TestSceneIO:
         with pytest.raises(ParseError, match="line 3"):
             S.read_scene(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"{S.MAGIC}\nn=2 classes=4 seed=0\n0 0 0 1\n0 {value} 0 2\n")
+        with pytest.raises(ContractError, match="point 1"):
+            S.read_scene(path)
+        with pytest.raises(ContractError, match="finite"):
+            S.LabeledCloud(coords=[[0.0, float(value), 0.0]], labels=[0], n_classes=4)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(f"{S.MAGIC}\nn=1 classes=4 seed=0\n".encode() + b"0 0 0 1 \xe9\n")
+        with pytest.raises(ParseError, match="line 3.*UTF-8"):
+            S.read_scene(path)
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
@@ -125,4 +140,10 @@ class TestManifest:
         path = tmp_path / "manifest.txt"
         path.write_text("scenes/a.txt\ttest\n")
         with pytest.raises(ParseError):
+            S.read_manifest(path)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_bytes(b"scenes/\xff.txt\ttrain\n")
+        with pytest.raises(ParseError, match="line 1.*UTF-8"):
             S.read_manifest(path)

@@ -47,23 +47,23 @@ class TestMatmul:
 
 class TestElementwise:
     def test_relu_sign_cases(self):
-        out = T.elementwise("relu", Tensor([-1.0, 0.0, 2.0]))
+        out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_softplus_at_zero(self):
-        out = T.elementwise("softplus", Tensor([0.0]))
+        out = T.softplus(Tensor([0.0]))
         np.testing.assert_allclose(out.data, [math.log(2.0)], atol=1e-12)
 
     def test_add_matches_entrywise_loop(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((3, 4))
-        out = T.elementwise("add", Tensor(a), Tensor(b))
+        out = T.add(Tensor(a), Tensor(b))
         expect = np.array([[a[i, j] + b[i, j] for j in range(4)] for i in range(3)])
         np.testing.assert_array_equal(out.data, expect)
 
     def test_scale_by_constant(self):
-        out = T.elementwise("scale", Tensor([1.0, -2.0]), 2.5)
+        out = T.scale(Tensor([1.0, -2.0]), 2.5)
         np.testing.assert_array_equal(out.data, [2.5, -5.0])
 
     def test_bias_row_broadcast(self):
@@ -75,10 +75,6 @@ class TestElementwise:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ContractError):
-            T.elementwise("median", Tensor([1.0]))
 
 
 class TestSoftmax:
@@ -188,10 +184,133 @@ class TestIndexingOps:
         out = T.pick(a, np.array([2, 0]))
         np.testing.assert_array_equal(out.data, [2.0, 3.0])
 
-    def test_slice_concat_roundtrip(self):
+
+def _heads(rng, heads, d_k, in_dim):
+    return [(Tensor(rng.standard_normal((d_k, in_dim)), requires_grad=True),
+             Tensor(rng.standard_normal(d_k), requires_grad=True)) for _ in range(heads)]
+
+
+def unfused_attention_loss(q_in, kv_in, q_proj, k_proj, v_proj, mix):
+    """sum(attention(...) * mix) from per-head transpose/matmul/add/softmax
+    nodes, each head against its own column block of ``mix``; also returns
+    each head's attention matrix."""
+    d_k = q_proj[0][0].shape[0]
+    inv_sqrt_dk = 1.0 / math.sqrt(d_k)
+    total, weights = None, []
+    for h, ((wq, bq), (wk, bk), (wv, bv)) in enumerate(zip(q_proj, k_proj, v_proj)):
+        q = T.matmul(q_in, T.transpose(wq)) + bq
+        k = T.matmul(kv_in, T.transpose(wk)) + bk
+        v = T.matmul(kv_in, T.transpose(wv)) + bv
+        attn = T.softmax(T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_dk), axis=1)
+        weights.append(attn.data)
+        part = T.sum_all(T.mul(T.matmul(attn, v), Tensor(mix[:, h * d_k:(h + 1) * d_k])))
+        total = part if total is None else total + part
+    return total, weights
+
+
+def _grads(tensors):
+    out = [t.grad for t in tensors]
+    for t in tensors:
+        t.zero_grad()
+    return out
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_linear_matches_unfused(self, x_grad):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.standard_normal((5, 3)), requires_grad=x_grad)
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        mix = Tensor(rng.standard_normal((5, 4)))
+
+        fused = T.linear(x, w, b)
+        T.sum_all(T.mul(fused, mix)).backward()
+        got = _grads([x, w, b])
+        unfused = T.matmul(x, T.transpose(w)) + b
+        T.sum_all(T.mul(unfused, mix)).backward()
+        expect = _grads([x, w, b])
+
+        assert fused.op == "linear" and fused.parents == (x, w, b)
+        np.testing.assert_allclose(fused.data, unfused.data, rtol=0, atol=1e-12)
+        for g, e in zip(got, expect):
+            if e is None:
+                assert g is None
+            else:
+                np.testing.assert_allclose(g, e, rtol=0, atol=1e-12)
+        assert (got[0] is not None) == x_grad
+
+    def test_linear_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("q_grad,kv_grad,shared", [
+        (True, True, False), (False, False, False), (True, False, False), (False, True, False),
+        (True, True, True),
+    ])
+    def test_attention_matches_unfused(self, q_grad, kv_grad, shared):
+        rng = np.random.default_rng(21)
+        heads, d_k, q_dim, kv_dim = 3, 2, 6, 6 if shared else 5
+        q_in = Tensor(rng.standard_normal((4, q_dim)), requires_grad=q_grad)
+        kv_in = q_in if shared else Tensor(rng.standard_normal((7, kv_dim)), requires_grad=kv_grad)
+        q_proj, k_proj, v_proj = (_heads(rng, heads, d_k, q_dim), _heads(rng, heads, d_k, kv_dim),
+                                  _heads(rng, heads, d_k, kv_dim))
+        mix = rng.standard_normal((4, heads * d_k))
+        operands = [q_in, kv_in] + [t for proj in (q_proj, k_proj, v_proj) for pair in proj for t in pair]
+
+        out, weights = T.attention(q_in, kv_in, q_proj, k_proj, v_proj, return_weights=True)
+        fused_loss = T.sum_all(T.mul(out, Tensor(mix)))
+        fused_loss.backward()
+        got = _grads(operands)
+        unfused_loss, expect_weights = unfused_attention_loss(q_in, kv_in, q_proj, k_proj, v_proj, mix)
+        unfused_loss.backward()
+        expect = _grads(operands)
+
+        assert out.op == "attention" and out.shape == (4, heads * d_k)
+        np.testing.assert_allclose(fused_loss.data, unfused_loss.data, rtol=0, atol=1e-12)
+        assert len(weights) == heads
+        for w, e in zip(weights, expect_weights):
+            np.testing.assert_allclose(w, e, rtol=0, atol=1e-12)
+        for t, g, e in zip(operands, got, expect):
+            if not t.requires_grad:
+                assert g is None and e is None
+            else:
+                np.testing.assert_allclose(g, e, rtol=0, atol=1e-12)
+
+    def test_attention_weights_are_copies(self):
+        rng = np.random.default_rng(22)
+        q_in = Tensor(rng.standard_normal((2, 4)))
+        proj = _heads(rng, 2, 2, 4)
+        out, weights = T.attention(q_in, q_in, proj, proj, proj, return_weights=True)
+        before = out.data.copy()
+        weights[0][...] = 0.0
+        T.sum_all(out).backward()
+        np.testing.assert_array_equal(out.data, before)
+        assert np.isfinite(proj[0][0].grad).all()
+
+    def test_attention_head_columns_roundtrip(self):
+        # column block h of the fused output is head h run on its own, so
+        # slicing the blocks and concatenating them back gives the output
         rng = np.random.default_rng(6)
-        a = rng.standard_normal((3, 6))
-        t = Tensor(a)
-        parts = [T.slice_cols(t, 0, 2), T.slice_cols(t, 2, 6)]
-        out = T.concat_cols(parts)
-        np.testing.assert_array_equal(out.data, a)
+        q_in, kv_in = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((5, 4)))
+        q_proj, k_proj, v_proj = (_heads(rng, 2, 3, 4) for _ in range(3))
+        out = T.attention(q_in, kv_in, q_proj, k_proj, v_proj).data
+        parts = [T.attention(q_in, kv_in, [q_proj[h]], [k_proj[h]], [v_proj[h]]).data for h in range(2)]
+        for h, part in enumerate(parts):
+            np.testing.assert_allclose(out[:, 3 * h:3 * (h + 1)], part, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.concatenate(parts, axis=1), out, rtol=0, atol=1e-12)
+
+    def test_attention_rejects_bad_inputs(self):
+        rng = np.random.default_rng(23)
+        proj = _heads(rng, 2, 2, 4)
+        q_in = Tensor(np.zeros((2, 4)))
+        with pytest.raises(ContractError):
+            T.attention(q_in, Tensor(np.zeros((0, 4))), proj, proj, proj)
+        with pytest.raises(ShapeError):
+            T.attention(Tensor(np.zeros((2, 3))), q_in, proj, proj, proj)
+        with pytest.raises(ShapeError):
+            T.attention(q_in, Tensor(np.zeros((3, 5))), proj, proj, proj)
+        with pytest.raises(ShapeError):
+            T.attention(q_in, q_in, proj, proj[:1], proj)

@@ -153,6 +153,23 @@ class TestCli:
         assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),
                      "--data", str(tmp_path / "none.txt")]) == 1
 
+    def test_bad_input_files_exit_code(self, tmp_path, capsys):
+        manifest = small_corpus(tmp_path, n_train=1, n_val=0, points=8)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("levels = 3\nlevel_dims = 6,8,10\nd_h = 8\nd_m = 8\nheads = 2\n"
+                       "encoder_depth = 1\ndecoder_depth = 4\nepochs = 1\n")
+        argv = ["train", "--config", str(cfg), "--data", str(manifest), "--out", str(tmp_path / "m.ckpt")]
+        scene = tmp_path / "scene_0.txt"
+        lines = scene.read_text().splitlines()
+        lines[2] = "nan 0 0 " + lines[2].split()[3]
+        scene.write_text("\n".join(lines) + "\n")
+        assert main(argv) == 1
+        assert "finite" in capsys.readouterr().err
+
+        manifest.write_bytes(b"scene_\xe9.txt\ttrain\n")
+        assert main(argv) == 1
+        assert "UTF-8" in capsys.readouterr().err
+
     def test_gradcheck_module_filter(self, capsys):
         assert main(["gradcheck", "--module", "losses"]) == 0
         out = capsys.readouterr().out
