@@ -43,24 +43,24 @@ class LayerNormParams:
 
 @dataclass
 class AttentionParams:
-    """Per-head q/k/v projections plus a shared output projection.
+    """Stacked q/k/v projections plus a shared output projection.
 
-    Queries may live in a different dimension than the key/value source;
-    heads * d_k must equal the query-side model dimension.
+    Row block h of each q/k/v projection is head h's, d_k = q_proj.out_dim //
+    heads rows. Queries may live in a different dimension than the key/value
+    source; the heads' total width must equal the query-side model dimension.
     """
 
     heads: int
-    d_k: int
-    q_proj: list[LinearParams]  # each (d_k, q_dim)
-    k_proj: list[LinearParams]  # each (d_k, kv_dim)
-    v_proj: list[LinearParams]  # each (d_k, kv_dim)
+    q_proj: LinearParams  # (heads * d_k, q_dim)
+    k_proj: LinearParams  # (heads * d_k, kv_dim)
+    v_proj: LinearParams  # (heads * d_k, kv_dim)
     out_proj: LinearParams  # (q_dim, heads * d_k)
 
     def __post_init__(self):
-        if self.heads * self.d_k != self.out_proj.in_dim:
+        if self.q_proj.out_dim % self.heads or self.q_proj.out_dim != self.out_proj.in_dim:
             raise ShapeError(
-                f"attention: heads*d_k = {self.heads * self.d_k} does not match "
-                f"output projection input {self.out_proj.in_dim}"
+                f"attention: {self.q_proj.out_dim} projected query columns do not split into "
+                f"{self.heads} heads feeding output projection input {self.out_proj.in_dim}"
             )
 
 
@@ -105,24 +105,12 @@ def layer_norm(p: LayerNormParams, x: Tensor, eps: float = LAYER_NORM_EPS) -> Te
     return T.mul(T.channel_normalize(x, eps), p.gain) + p.bias
 
 
-def multi_head_attention(
-    p: AttentionParams,
-    q_in: Tensor,
-    kv_in: Tensor,
-    return_weights: bool = False,
-):
+def multi_head_attention(p: AttentionParams, q_in: Tensor, kv_in: Tensor) -> Tensor:
     """Scaled dot-product attention: per head softmax(Q K^T / sqrt(d_k)) V,
     heads concatenated and output-projected back to the query dimension."""
-    head_outs = T.attention(q_in, kv_in, _pairs(p.q_proj), _pairs(p.k_proj), _pairs(p.v_proj),
-                            return_weights=return_weights)
-    if return_weights:
-        head_outs, weights = head_outs
-        return linear_forward(p.out_proj, head_outs), weights
-    return linear_forward(p.out_proj, head_outs)
-
-
-def _pairs(layers: Sequence[LinearParams]) -> list[tuple[Tensor, Tensor]]:
-    return [(layer.weight, layer.bias) for layer in layers]
+    q, k, v = p.q_proj, p.k_proj, p.v_proj
+    heads_out = T.attention(q_in, kv_in, q.weight, q.bias, k.weight, k.bias, v.weight, v.bias, p.heads)
+    return linear_forward(p.out_proj, heads_out)
 
 
 def _feed_forward(ff1: LinearParams, ff2: LinearParams, x: Tensor) -> Tensor:
@@ -178,13 +166,23 @@ def init_attention(rng: np.random.Generator, heads: int, model_dim: int, kv_dim:
     if kv_dim is None:
         kv_dim = model_dim
     d_k = model_dim // heads
+
+    def stacked(in_dim: int) -> LinearParams:
+        # the draws of init_linear(rng, d_k, in_dim) for one head after another;
+        # seeded models, and the benchmark's reference losses, depend on this order
+        draws = [(uniform_fan_in(rng, (d_k, in_dim), in_dim), uniform_fan_in(rng, (d_k,), in_dim))
+                 for _ in range(heads)]
+        return LinearParams(
+            weight=Tensor(np.concatenate([w for w, _ in draws]), requires_grad=True),
+            bias=Tensor(np.concatenate([b for _, b in draws]), requires_grad=True),
+        )
+
     return AttentionParams(
         heads=heads,
-        d_k=d_k,
-        q_proj=[init_linear(rng, d_k, model_dim) for _ in range(heads)],
-        k_proj=[init_linear(rng, d_k, kv_dim) for _ in range(heads)],
-        v_proj=[init_linear(rng, d_k, kv_dim) for _ in range(heads)],
-        out_proj=init_linear(rng, model_dim, heads * d_k),
+        q_proj=stacked(model_dim),
+        k_proj=stacked(kv_dim),
+        v_proj=stacked(kv_dim),
+        out_proj=init_linear(rng, model_dim, model_dim),
     )
 
 

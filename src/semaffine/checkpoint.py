@@ -3,18 +3,22 @@ little-endian float64 payload in one file.
 
 Layout:
 
-    semaffine-checkpoint v1
+    semaffine-checkpoint v2
     step=<int>
     cfg.<key>=<value>           (model + training config snapshot)
     param <name> <d0,d1,..> <byte offset>
     payload <byte count>
     <raw little-endian float64 bytes>
 
-Save -> load -> save reproduces the file byte for byte.
+Save -> load -> save reproduces the file byte for byte. v2 stores each
+attention's q/k/v projections as one stacked (heads*d_k, in) tensor per
+projection (``...q_proj.weight``); v1 stored one tensor per head
+(``...q_proj.0.weight``) and is rejected.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +26,8 @@ import numpy as np
 from .errors import ContractError, ParseError
 from .tensor import Tensor
 
-MAGIC = b"semaffine-checkpoint v1"
+MAGIC = b"semaffine-checkpoint v2"
+V1_MAGIC = b"semaffine-checkpoint v1"
 
 
 def _format_value(v) -> str:
@@ -50,16 +55,28 @@ def save_checkpoint(path, params: list[tuple[str, Tensor]], config: dict, step: 
     Path(path).write_bytes(header + b"".join(blobs))
 
 
+def _count(text: str, line_no: int, line: str) -> int:
+    """A non-negative decimal manifest integer; anything else is a ParseError."""
+    if not text.isdecimal():
+        raise ParseError(f"expected a non-negative integer in manifest line {line!r}", line=line_no)
+    return int(text)
+
+
 def load_checkpoint(path):
     """Returns (config dict[str, str], step, entries list[(name, shape, array)])."""
     raw = Path(path).read_bytes()
+    if raw.startswith(V1_MAGIC):
+        raise ParseError(f"{V1_MAGIC.decode()!r} file: per-head attention checkpoints are no longer "
+                         f"readable, expected {MAGIC.decode()!r}", line=1)
     if not raw.startswith(MAGIC):
         raise ParseError(f"bad magic, expected {MAGIC.decode()!r}", line=1)
     marker = b"\npayload "
     pos = raw.find(marker)
     if pos < 0:
         raise ParseError("missing payload marker")
-    header_end = raw.index(b"\n", pos + 1)
+    header_end = raw.find(b"\n", pos + 1)
+    if header_end < 0:
+        raise ParseError("file ends in the payload line", line=raw.count(b"\n", 0, pos) + 2)
     try:
         header_lines = raw[:header_end].decode("utf-8").splitlines()
     except UnicodeDecodeError as e:
@@ -72,19 +89,19 @@ def load_checkpoint(path):
     declared = None
     for i, line in enumerate(header_lines[1:], start=2):
         if line.startswith("step="):
-            step = int(line[len("step="):])
+            step = _count(line[len("step="):], i, line)
         elif line.startswith("cfg."):
             key, _, value = line[len("cfg."):].partition("=")
             config[key] = value
         elif line.startswith("param "):
-            try:
-                _, name, shape_s, offset_s = line.split(" ")
-                shape = tuple(int(d) for d in shape_s.split(",") if d)
-                entries.append((name, shape, int(offset_s)))
-            except ValueError as e:
-                raise ParseError(f"malformed param line: {line!r}", line=i) from e
+            fields = line.split(" ")
+            if len(fields) != 4:
+                raise ParseError(f"malformed param line: {line!r}", line=i)
+            _, name, shape_s, offset_s = fields
+            shape = tuple(_count(d, i, line) for d in shape_s.split(",") if d)
+            entries.append((name, shape, _count(offset_s, i, line)))
         elif line.startswith("payload "):
-            declared = int(line[len("payload "):])
+            declared = _count(line[len("payload "):], i, line)
         else:
             raise ParseError(f"unrecognized manifest line: {line!r}", line=i)
     if step is None or declared is None:
@@ -94,8 +111,7 @@ def load_checkpoint(path):
 
     out = []
     for name, shape, offset in entries:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(payload):
             raise ContractError(f"parameter {name} overruns payload")
         arr = np.frombuffer(payload[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()

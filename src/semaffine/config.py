@@ -50,7 +50,6 @@ TRAIN_KEYS = {
     "warmup_fraction": ("warmup_fraction", float),
     "w_final": ("w_final", float),
     "w_mid": ("w_mid", float),
-    "w_final_aux": ("w_final_aux", float),
     "seed": ("seed", int),
 }
 

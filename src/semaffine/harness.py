@@ -35,7 +35,6 @@ class TrainConfig:
     warmup_fraction: float = 0.05
     w_final: float = 1.0
     w_mid: float = 1.0
-    w_final_aux: float = 0.1  # reserved weight for a second final-level branch; unused here
     seed: int = 0
 
     def validate(self):
@@ -164,9 +163,6 @@ class Metrics:
     miou: float
     accuracy: float
     confusion: np.ndarray  # (N, N), rows = ground truth
-
-    def present_classes(self) -> np.ndarray:
-        return np.flatnonzero(~np.isnan(self.iou))
 
 
 def confusion_matrix(preds, labels, n_classes: int) -> np.ndarray:

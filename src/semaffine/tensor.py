@@ -23,7 +23,6 @@ graphs (one per scene/worker) share no mutable state.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 import numpy as np
 
@@ -254,40 +253,33 @@ def linear(x, w, b) -> Tensor:
     return _result(x_data @ w_data.T + b.data, (x, w, b), "linear", backward_fn)
 
 
-def _stack_heads(proj: Sequence[tuple[Tensor, Tensor]], heads: int, d_k: int, x: Tensor, what: str):
-    """Per-head (weight (d_k, in), bias (d_k,)) pairs -> stacked (heads*d_k, in) and (heads*d_k,)."""
-    if len(proj) != heads or any(w.shape != (d_k, x.shape[1]) or b.shape != (d_k,) for w, b in proj):
-        raise ShapeError(f"attention: {what} projections {[(w.shape, b.shape) for w, b in proj]} do not "
-                         f"fit {heads} heads of width {d_k} over input {x.shape}")
-    return np.concatenate([w.data for w, _ in proj]), np.concatenate([b.data for _, b in proj])
-
-
-def attention(q_in, kv_in, q_proj, k_proj, v_proj, return_weights: bool = False):
+def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
-    ``q_proj``/``k_proj``/``v_proj`` hold one (weight (d_k, in), bias (d_k,))
-    pair per head. Head h attends softmax(q_h k_h^T / sqrt(d_k)) v_h with
-    q_h = q_in @ W_q[h].T + b_q[h] and k_h, v_h projected from ``kv_in``
-    alike; the result is the head outputs side by side, (n, heads * d_k).
-    The heads are stacked from the live leaves on every call and run as
-    (heads, n, d_k) arrays. With ``return_weights`` also returns a copy of
-    each head's (n, m) attention matrix.
+    ``wq`` (heads*d_k, q_dim) and ``bq`` (heads*d_k,) are the query
+    projections of all heads stacked by rows, row block h being head h's;
+    ``wk``/``bk`` and ``wv``/``bv`` project ``kv_in`` alike. Head h attends
+    softmax(q_h k_h^T / sqrt(d_k)) v_h with q_h = q_in @ wq[h].T + bq[h]; the
+    result is the head outputs side by side, (n, heads*d_k). The heads run as
+    (heads, n, d_k) arrays.
 
-    Backward uses the analytic softmax backward dS = P * (dP - rowsum(dP * P))
-    and scatters the stacked weight and bias gradients back to the per-head
-    leaves.
+    Backward uses the analytic softmax backward dS = P * (dP - rowsum(dP * P)).
     """
     q_in, kv_in = _as_tensor(q_in), _as_tensor(kv_in)
+    wq, bq, wk, bk, wv, bv = (_as_tensor(t) for t in (wq, bq, wk, bk, wv, bv))
     if q_in.data.ndim != 2 or kv_in.data.ndim != 2:
         raise ShapeError(f"attention: expects 2-d inputs, got {q_in.shape} and {kv_in.shape}")
     if kv_in.shape[0] == 0:
         raise ContractError("attention: empty key/value set")
-    if not q_proj:
-        raise ContractError("attention: no heads")
-    heads, d_k = len(q_proj), q_proj[0][0].shape[0]
-    wq, bq = _stack_heads(q_proj, heads, d_k, q_in, "query")
-    wk, bk = _stack_heads(k_proj, heads, d_k, kv_in, "key")
-    wv, bv = _stack_heads(v_proj, heads, d_k, kv_in, "value")
+    if heads < 1:
+        raise ContractError(f"attention: {heads} heads")
+    d_k = wq.shape[0] // heads if wq.data.ndim == 2 else 0
+    width, kv_dim = heads * d_k, kv_in.shape[1]
+    expect = ((wq, (width, q_in.shape[1])), (wk, (width, kv_dim)), (wv, (width, kv_dim)),
+              (bq, (width,)), (bk, (width,)), (bv, (width,)))
+    if d_k == 0 or any(t.shape != shape for t, shape in expect):
+        raise ShapeError(f"attention: projections {[t.shape for t, _ in expect]} do not fit {heads} heads "
+                         f"over inputs {q_in.shape} and {kv_in.shape}")
     n, m = q_in.shape[0], kv_in.shape[0]
     inv_sqrt_dk = 1.0 / np.sqrt(d_k)
 
@@ -295,24 +287,14 @@ def attention(q_in, kv_in, q_proj, k_proj, v_proj, return_weights: bool = False)
         return a.reshape(rows, heads, d_k).transpose(1, 0, 2)
 
     def merge(a, rows):  # (heads, rows, d_k) -> (rows, heads*d_k)
-        return a.transpose(1, 0, 2).reshape(rows, heads * d_k)
+        return a.transpose(1, 0, 2).reshape(rows, width)
 
-    q = split(q_in.data @ wq.T + bq, n)
-    k = split(kv_in.data @ wk.T + bk, m)
-    v = split(kv_in.data @ wv.T + bv, m)
+    q = split(q_in.data @ wq.data.T + bq.data, n)
+    k = split(kv_in.data @ wk.data.T + bk.data, m)
+    v = split(kv_in.data @ wv.data.T + bv.data, m)
     scores = (q @ k.transpose(0, 2, 1)) * inv_sqrt_dk
     e = np.exp(scores - scores.max(axis=2, keepdims=True))
     probs = e / e.sum(axis=2, keepdims=True)  # (heads, n, m)
-    leaves = [t for proj in (q_proj, k_proj, v_proj) for pair in proj for t in pair]
-
-    def scatter(proj, g_stacked, x_data):
-        g_w = g_stacked.T @ x_data
-        g_b = g_stacked.sum(axis=0)
-        for h, (w, b) in enumerate(proj):
-            if w.requires_grad:
-                _accumulate(w, g_w[h * d_k:(h + 1) * d_k])
-            if b.requires_grad:
-                _accumulate(b, g_b[h * d_k:(h + 1) * d_k])
 
     def backward_fn(g):
         g_o = split(g, n)
@@ -322,17 +304,16 @@ def attention(q_in, kv_in, q_proj, k_proj, v_proj, return_weights: bool = False)
         g_k = merge(g_s.transpose(0, 2, 1) @ q, m)
         g_v = merge(probs.transpose(0, 2, 1) @ g_o, m)
         if q_in.requires_grad:
-            _accumulate(q_in, g_q @ wq)
+            _accumulate(q_in, g_q @ wq.data)
         if kv_in.requires_grad:
-            _accumulate(kv_in, g_k @ wk + g_v @ wv)
-        scatter(q_proj, g_q, q_in.data)
-        scatter(k_proj, g_k, kv_in.data)
-        scatter(v_proj, g_v, kv_in.data)
+            _accumulate(kv_in, g_k @ wk.data + g_v @ wv.data)
+        for w, b, g_proj, x in ((wq, bq, g_q, q_in), (wk, bk, g_k, kv_in), (wv, bv, g_v, kv_in)):
+            if w.requires_grad:
+                _accumulate(w, g_proj.T @ x.data)
+            if b.requires_grad:
+                _accumulate(b, g_proj.sum(axis=0))
 
-    out = _result(merge(probs @ v, n), (q_in, kv_in, *leaves), "attention", backward_fn)
-    if return_weights:
-        return out, [probs[h].copy() for h in range(heads)]
-    return out
+    return _result(merge(probs @ v, n), (q_in, kv_in, wq, bq, wk, bk, wv, bv), "attention", backward_fn)
 
 
 # -- elementwise nonlinearities -------------------------------------------

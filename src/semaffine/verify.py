@@ -41,13 +41,11 @@ def _tensor_checks(rng):
     bias = Tensor(fused.standard_normal(5), requires_grad=True)
     yield "tensor", "linear", lambda: _mix(T.linear(a, w, bias)), [("x", a), ("w", w), ("b", bias)], 1e-5
 
-    proj = {kind: [(Tensor(fused.standard_normal((2, 4)), requires_grad=True),
-                    Tensor(fused.standard_normal(2), requires_grad=True)) for _ in range(2)]
-            for kind in "qkv"}
-    named = [(f"{kind}{h}.{part}", t) for kind, heads in proj.items()
-             for h, pair in enumerate(heads) for part, t in zip(("w", "b"), pair)]
-    yield "tensor", "attention", lambda: _mix(T.attention(a, c, proj["q"], proj["k"], proj["v"])), \
-        [("q_in", a), ("kv_in", c)] + named, 1e-5
+    # two heads of width 2, q/k/v each stacked as (4, 4) weight and (4,) bias
+    proj = [(f"{kind}.{part}", Tensor(fused.standard_normal(shape), requires_grad=True))
+            for kind in "qkv" for part, shape in (("w", (4, 4)), ("b", 4))]
+    yield "tensor", "attention", lambda: _mix(T.attention(a, c, *(t for _, t in proj), heads=2)), \
+        [("q_in", a), ("kv_in", c)] + proj, 1e-5
 
 
 def _block_checks(rng):

@@ -93,10 +93,11 @@ class TestCriterion3AttentionOracle:
             # direct dense evaluation per head
             parts = []
             for h in range(heads):
-                q = q_in @ p.q_proj[h].weight.data.T + p.q_proj[h].bias.data
-                k = kv @ p.k_proj[h].weight.data.T + p.k_proj[h].bias.data
-                v = kv @ p.v_proj[h].weight.data.T + p.v_proj[h].bias.data
-                scores = q @ k.T / math.sqrt(p.d_k)
+                rows = slice(h * d_k, (h + 1) * d_k)  # row block h of each stacked projection
+                q = q_in @ p.q_proj.weight.data[rows].T + p.q_proj.bias.data[rows]
+                k = kv @ p.k_proj.weight.data[rows].T + p.k_proj.bias.data[rows]
+                v = kv @ p.v_proj.weight.data[rows].T + p.v_proj.bias.data[rows]
+                scores = q @ k.T / math.sqrt(d_k)
                 e = np.exp(scores - scores.max(axis=1, keepdims=True))
                 parts.append((e / e.sum(axis=1, keepdims=True)) @ v)
             expect = np.concatenate(parts, axis=1) @ p.out_proj.weight.data.T + p.out_proj.bias.data

@@ -23,14 +23,21 @@ def linear_oracle(weight, bias, x):
     return out
 
 
+def head_projection(proj, h, d_k, x):
+    """x projected by row block h of a stacked projection: head h's columns."""
+    rows = slice(h * d_k, (h + 1) * d_k)
+    return x @ proj.weight.data[rows].T + proj.bias.data[rows]
+
+
 def attention_oracle(p, q_in, kv_in):
     """Direct dense evaluation, one head at a time."""
+    d_k = p.q_proj.out_dim // p.heads
     heads = []
     for h in range(p.heads):
-        q = q_in @ p.q_proj[h].weight.data.T + p.q_proj[h].bias.data
-        k = kv_in @ p.k_proj[h].weight.data.T + p.k_proj[h].bias.data
-        v = kv_in @ p.v_proj[h].weight.data.T + p.v_proj[h].bias.data
-        scores = q @ k.T / np.sqrt(p.d_k)
+        q = head_projection(p.q_proj, h, d_k, q_in)
+        k = head_projection(p.k_proj, h, d_k, kv_in)
+        v = head_projection(p.v_proj, h, d_k, kv_in)
+        scores = q @ k.T / np.sqrt(d_k)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         attn = e / e.sum(axis=1, keepdims=True)
         heads.append(attn @ v)
@@ -110,20 +117,41 @@ class TestMultiHeadAttention:
         p = B.init_attention(rng, heads=2, model_dim=4)
         q_in = rng.standard_normal((3, 4))
         kv = rng.standard_normal((1, 4))
-        v_rows = [kv @ p.v_proj[h].weight.data.T + p.v_proj[h].bias.data for h in range(2)]
+        v_rows = [head_projection(p.v_proj, h, 2, kv) for h in range(2)]
         expect = np.concatenate([np.tile(v, (3, 1)) for v in v_rows], axis=1)
         expect = expect @ p.out_proj.weight.data.T + p.out_proj.bias.data
         out = B.multi_head_attention(p, Tensor(q_in), Tensor(kv))
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
     def test_identical_keys_give_uniform_mean(self):
+        # a zero key projection makes every key the bias row, so each query
+        # weights all five values 1/5 and each head outputs their mean
         rng = np.random.default_rng(8)
         p = B.init_attention(rng, heads=2, model_dim=4)
+        p.k_proj.weight.data[...] = 0.0
         q_in = rng.standard_normal((2, 4))
-        kv = np.tile(rng.standard_normal(4), (5, 1))
-        out, weights = B.multi_head_attention(p, Tensor(q_in), Tensor(kv), return_weights=True)
-        for w in weights:
-            np.testing.assert_allclose(w, np.full((2, 5), 0.2), atol=1e-12)
+        kv = rng.standard_normal((5, 4))
+        means = [head_projection(p.v_proj, h, 2, kv).mean(axis=0) for h in range(2)]
+        expect = np.tile(np.concatenate(means), (2, 1)) @ p.out_proj.weight.data.T + p.out_proj.bias.data
+        out = B.multi_head_attention(p, Tensor(q_in), Tensor(kv))
+        np.testing.assert_allclose(out.data, expect, atol=1e-12)
+
+    def test_init_stacks_per_head_draws_in_rng_order(self):
+        # seeded models and their canaries depend on this order: one
+        # init_linear draw per head for q, then k, then v, then out_proj
+        rng = np.random.default_rng(24)
+        p = B.init_attention(rng, heads=3, model_dim=6, kv_dim=5)
+        ref = np.random.default_rng(24)
+        for proj, in_dim in ((p.q_proj, 6), (p.k_proj, 5), (p.v_proj, 5)):
+            parts = [B.init_linear(ref, 2, in_dim) for _ in range(3)]
+            for field in ("weight", "bias"):
+                stacked = np.concatenate([getattr(part, field).data for part in parts])
+                assert getattr(proj, field).data.tobytes() == stacked.tobytes()
+                assert getattr(proj, field).requires_grad
+        out = B.init_linear(ref, 6, 6)
+        assert p.out_proj.weight.data.tobytes() == out.weight.data.tobytes()
+        assert p.out_proj.bias.data.tobytes() == out.bias.data.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_random_matches_dense_oracle(self):
         rng = np.random.default_rng(9)
@@ -134,13 +162,16 @@ class TestMultiHeadAttention:
         np.testing.assert_allclose(out.data, attention_oracle(p, q_in, kv), atol=1e-10)
 
     def test_score_rows_sum_to_one(self):
+        # shifting every value row by c shifts each head output by
+        # c * (row sum of its attention weights), i.e. by c itself
         rng = np.random.default_rng(10)
         p = B.init_attention(rng, heads=4, model_dim=8)
-        _, weights = B.multi_head_attention(
-            p, Tensor(rng.standard_normal((5, 8))), Tensor(rng.standard_normal((7, 8))),
-            return_weights=True)
-        for w in weights:
-            np.testing.assert_allclose(w.sum(axis=1), np.ones(5), atol=1e-12)
+        q_in, kv = Tensor(rng.standard_normal((5, 8))), Tensor(rng.standard_normal((7, 8)))
+        before = B.multi_head_attention(p, q_in, kv).data
+        shift = rng.standard_normal(8)
+        p.v_proj.bias.data += shift
+        after = B.multi_head_attention(p, q_in, kv).data
+        np.testing.assert_allclose(after - before, np.tile(shift @ p.out_proj.weight.data.T, (5, 1)), atol=1e-12)
 
     def test_memory_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -232,8 +263,7 @@ class TestDecoderBlock:
         # scripted composition: cross-attention collapses to the value row
         q = layer_norm_oracle(p.ln1, queries + attention_oracle(p.self_attn, queries, queries))
         cross = attention_oracle(p.cross_attn, q, memory)
-        v_rows = [memory @ p.cross_attn.v_proj[h].weight.data.T + p.cross_attn.v_proj[h].bias.data
-                  for h in range(2)]
+        v_rows = [head_projection(p.cross_attn.v_proj, h, 2, memory) for h in range(2)]
         concat = np.concatenate([np.tile(v, (3, 1)) for v in v_rows], axis=1)
         expect_cross = concat @ p.cross_attn.out_proj.weight.data.T + p.cross_attn.out_proj.bias.data
         np.testing.assert_allclose(cross, expect_cross, atol=1e-12)
@@ -284,7 +314,7 @@ class TestNamedParameters:
         p = B.init_encoder_block(np.random.default_rng(23), heads=2, model_dim=4)
         names = [n for n, _ in B.named_parameters(p, "enc.")]
         assert len(names) == len(set(names))
-        # heads*3 qkv linears + out proj + 2 LN + 2 FF linears, 2 tensors each
-        assert len(names) == (2 * 3 + 1 + 2 + 2) * 2
-        assert "enc.self_attn.q_proj.0.weight" in names
+        # stacked q/k/v + out proj + 2 LN + 2 FF linears, 2 tensors each
+        assert len(names) == (3 + 1 + 2 + 2) * 2
+        assert "enc.self_attn.q_proj.weight" in names
         assert "enc.ln2.bias" in names

@@ -7,7 +7,7 @@ import pytest
 
 from semaffine import harness as Hx
 from semaffine import tensor as T
-from semaffine.checkpoint import load_checkpoint, restore_parameters, save_checkpoint
+from semaffine.checkpoint import MAGIC, load_checkpoint, restore_parameters, save_checkpoint
 from semaffine.config import (
     configs_from_snapshot,
     model_config_from,
@@ -245,6 +245,26 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             restore_parameters(bad, entries)
 
+    @pytest.mark.parametrize("edit,line", [
+        (lambda raw: raw.replace(b"step=0", b"step=x"), 2),
+        (lambda raw: raw.replace(b"payload 80", b"payload x"), 7),
+        (lambda raw: raw[:raw.index(b"payload 80") + len(b"payload 80")], 7),
+        (lambda raw: raw.replace(b"3,2 0\n", b"3,2 -8\n"), 4),
+    ], ids=["step", "payload", "cut-after-payload-line", "negative-offset"])
+    def test_malformed_manifest_is_parse_error(self, tmp_path, edit, line):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._params(np.random.default_rng(9)), {"seed": 3}, step=0)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            load_checkpoint(path)
+
+    def test_v1_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._params(np.random.default_rng(10)), {"seed": 3}, step=0)
+        path.write_bytes(path.read_bytes().replace(MAGIC, b"semaffine-checkpoint v1", 1))
+        with pytest.raises(ParseError, match="line 1:.*v1.*per-head attention"):
+            load_checkpoint(path)
+
     def test_invalid_utf8_manifest_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, self._params(np.random.default_rng(8)), {"seed": 3}, step=0)
@@ -272,8 +292,9 @@ class TestConfigFile:
         assert train_cfg.base_lr == 0.01 and train_cfg.epochs == 3
 
     def test_unknown_key_is_error(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text("learning_rate = 0.1")
+        for text in ("learning_rate = 0.1", "w_final_aux = 0.1"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config_text(text)
 
     def test_invalid_utf8_file_is_parse_error(self, tmp_path):
         path = tmp_path / "train.cfg"

@@ -273,6 +273,8 @@ class TestTapeSize:
 
         cfg = M.ModelConfig()
         params = M.build_model(cfg, seed=0)
+        # one weight and one bias per q/k/v projection of each attention
+        assert len(params.named_parameters()) == 317
         scene = prepare_scene(generate_scene(SceneSpec(), seed=0), cfg)
         first = Tensor(0.0).node_id
         loss = total_loss(M.model_forward(params, scene.cloud, hier=scene.hier),

@@ -186,26 +186,30 @@ class TestIndexingOps:
 
 
 def _heads(rng, heads, d_k, in_dim):
-    return [(Tensor(rng.standard_normal((d_k, in_dim)), requires_grad=True),
-             Tensor(rng.standard_normal(d_k), requires_grad=True)) for _ in range(heads)]
+    """One projection of ``heads`` heads stacked by rows: (weight, bias)."""
+    return (Tensor(rng.standard_normal((heads * d_k, in_dim)), requires_grad=True),
+            Tensor(rng.standard_normal(heads * d_k), requires_grad=True))
 
 
-def unfused_attention_loss(q_in, kv_in, q_proj, k_proj, v_proj, mix):
+def unfused_attention_loss(q_in, kv_in, projs, heads, mix):
     """sum(attention(...) * mix) from per-head transpose/matmul/add/softmax
-    nodes, each head against its own column block of ``mix``; also returns
-    each head's attention matrix."""
-    d_k = q_proj[0][0].shape[0]
+    nodes, each head against its own column block of ``mix``. Head h runs on
+    copies of row block h of each stacked (weight, bias) in ``projs`` (q, k, v)
+    as leaves of its own; returns the loss and those leaves, [proj][h]."""
+    d_k = projs[0][0].shape[0] // heads
     inv_sqrt_dk = 1.0 / math.sqrt(d_k)
-    total, weights = None, []
-    for h, ((wq, bq), (wk, bk), (wv, bv)) in enumerate(zip(q_proj, k_proj, v_proj)):
+    blocks = [[tuple(Tensor(t.data[h * d_k:(h + 1) * d_k].copy(), requires_grad=True) for t in proj)
+               for h in range(heads)] for proj in projs]
+    total = None
+    for h in range(heads):
+        (wq, bq), (wk, bk), (wv, bv) = (blocks[i][h] for i in range(3))
         q = T.matmul(q_in, T.transpose(wq)) + bq
         k = T.matmul(kv_in, T.transpose(wk)) + bk
         v = T.matmul(kv_in, T.transpose(wv)) + bv
         attn = T.softmax(T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_dk), axis=1)
-        weights.append(attn.data)
         part = T.sum_all(T.mul(T.matmul(attn, v), Tensor(mix[:, h * d_k:(h + 1) * d_k])))
         total = part if total is None else total + part
-    return total, weights
+    return total, blocks
 
 
 def _grads(tensors):
@@ -255,62 +259,59 @@ class TestFusedOps:
         heads, d_k, q_dim, kv_dim = 3, 2, 6, 6 if shared else 5
         q_in = Tensor(rng.standard_normal((4, q_dim)), requires_grad=q_grad)
         kv_in = q_in if shared else Tensor(rng.standard_normal((7, kv_dim)), requires_grad=kv_grad)
-        q_proj, k_proj, v_proj = (_heads(rng, heads, d_k, q_dim), _heads(rng, heads, d_k, kv_dim),
-                                  _heads(rng, heads, d_k, kv_dim))
+        projs = (_heads(rng, heads, d_k, q_dim), _heads(rng, heads, d_k, kv_dim),
+                 _heads(rng, heads, d_k, kv_dim))
         mix = rng.standard_normal((4, heads * d_k))
-        operands = [q_in, kv_in] + [t for proj in (q_proj, k_proj, v_proj) for pair in proj for t in pair]
+        stacked = [t for proj in projs for t in proj]
 
-        out, weights = T.attention(q_in, kv_in, q_proj, k_proj, v_proj, return_weights=True)
+        out = T.attention(q_in, kv_in, *stacked, heads=heads)
         fused_loss = T.sum_all(T.mul(out, Tensor(mix)))
         fused_loss.backward()
-        got = _grads(operands)
-        unfused_loss, expect_weights = unfused_attention_loss(q_in, kv_in, q_proj, k_proj, v_proj, mix)
+        got = _grads([q_in, kv_in] + stacked)
+        unfused_loss, blocks = unfused_attention_loss(q_in, kv_in, projs, heads, mix)
         unfused_loss.backward()
-        expect = _grads(operands)
+        expect = _grads([q_in, kv_in])
+        expect += [np.concatenate([blocks[i][h][j].grad for h in range(heads)])
+                   for i in range(3) for j in range(2)]
 
         assert out.op == "attention" and out.shape == (4, heads * d_k)
+        assert out.parents == (q_in, kv_in, *stacked)
         np.testing.assert_allclose(fused_loss.data, unfused_loss.data, rtol=0, atol=1e-12)
-        assert len(weights) == heads
-        for w, e in zip(weights, expect_weights):
-            np.testing.assert_allclose(w, e, rtol=0, atol=1e-12)
-        for t, g, e in zip(operands, got, expect):
+        for t, g, e in zip([q_in, kv_in] + stacked, got, expect):
             if not t.requires_grad:
                 assert g is None and e is None
             else:
                 np.testing.assert_allclose(g, e, rtol=0, atol=1e-12)
-
-    def test_attention_weights_are_copies(self):
-        rng = np.random.default_rng(22)
-        q_in = Tensor(rng.standard_normal((2, 4)))
-        proj = _heads(rng, 2, 2, 4)
-        out, weights = T.attention(q_in, q_in, proj, proj, proj, return_weights=True)
-        before = out.data.copy()
-        weights[0][...] = 0.0
-        T.sum_all(out).backward()
-        np.testing.assert_array_equal(out.data, before)
-        assert np.isfinite(proj[0][0].grad).all()
 
     def test_attention_head_columns_roundtrip(self):
         # column block h of the fused output is head h run on its own, so
         # slicing the blocks and concatenating them back gives the output
         rng = np.random.default_rng(6)
         q_in, kv_in = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((5, 4)))
-        q_proj, k_proj, v_proj = (_heads(rng, 2, 3, 4) for _ in range(3))
-        out = T.attention(q_in, kv_in, q_proj, k_proj, v_proj).data
-        parts = [T.attention(q_in, kv_in, [q_proj[h]], [k_proj[h]], [v_proj[h]]).data for h in range(2)]
+        stacked = [t for _ in range(3) for t in _heads(rng, 2, 3, 4)]
+        out = T.attention(q_in, kv_in, *stacked, heads=2).data
+        parts = [T.attention(q_in, kv_in, *(t.data[3 * h:3 * (h + 1)] for t in stacked), heads=1).data
+                 for h in range(2)]
         for h, part in enumerate(parts):
             np.testing.assert_allclose(out[:, 3 * h:3 * (h + 1)], part, rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.concatenate(parts, axis=1), out, rtol=0, atol=1e-12)
 
     def test_attention_rejects_bad_inputs(self):
         rng = np.random.default_rng(23)
-        proj = _heads(rng, 2, 2, 4)
+        w, b = _heads(rng, 2, 2, 4)
+        proj = (w, b, w, b, w, b)
         q_in = Tensor(np.zeros((2, 4)))
         with pytest.raises(ContractError):
-            T.attention(q_in, Tensor(np.zeros((0, 4))), proj, proj, proj)
+            T.attention(q_in, Tensor(np.zeros((0, 4))), *proj, heads=2)
+        with pytest.raises(ContractError):
+            T.attention(q_in, q_in, *proj, heads=0)
         with pytest.raises(ShapeError):
-            T.attention(Tensor(np.zeros((2, 3))), q_in, proj, proj, proj)
+            T.attention(Tensor(np.zeros((2, 3))), q_in, *proj, heads=2)
         with pytest.raises(ShapeError):
-            T.attention(q_in, Tensor(np.zeros((3, 5))), proj, proj, proj)
+            T.attention(q_in, Tensor(np.zeros((3, 5))), *proj, heads=2)
+        with pytest.raises(ShapeError):  # 4 stacked rows do not split into 3 heads
+            T.attention(q_in, q_in, *proj, heads=3)
         with pytest.raises(ShapeError):
-            T.attention(q_in, q_in, proj, proj[:1], proj)
+            T.attention(q_in, q_in, w, b, Tensor(w.data[:2]), b, w, b, heads=2)
+        with pytest.raises(ShapeError):
+            T.attention(q_in, q_in, w, b, w, Tensor(b.data[:2]), w, b, heads=2)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from semaffine.ablate import parse_variants
+from semaffine.checkpoint import MAGIC, save_checkpoint
 from semaffine.cli import main
 from semaffine.errors import ConfigError, ContractError
 from semaffine.harness import TrainConfig
-from semaffine.model import ModelConfig
+from semaffine.model import ModelConfig, build_model
 from semaffine.scenes import SceneSpec, generate_scene, write_manifest, write_scene
 from semaffine.train import eval_run, load_corpus, prepare_scene, train_model, train_run
 
@@ -144,10 +145,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mIoU" in out
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("not_a_key = 3\n")
-        assert main(["train", "--config", str(bad), "--data", "x", "--out", "y"]) == 1
+        for text in ("not_a_key = 3\n", "w_final_aux = 0.1\n"):
+            bad.write_text(text)
+            assert main(["train", "--config", str(bad), "--data", "x", "--out", "y"]) == 1
+            assert "unknown key" in capsys.readouterr().err
+
+    def test_bad_checkpoint_exit_code(self, tmp_path, capsys):
+        manifest = small_corpus(tmp_path, n_train=0, n_val=1, points=8)
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, build_model(small_model_cfg()).named_parameters(), {}, step=3)
+        raw = ckpt.read_bytes()
+        marker = raw.index(b"\npayload ")
+        payload_line = raw[marker:raw.index(b"\n", marker + 1)]
+        edits = [
+            raw.replace(b"step=3", b"step=x"),
+            raw.replace(payload_line, b"\npayload x"),
+            raw[:raw.index(payload_line) + len(payload_line)],
+            raw.replace(b"param backbone.enc0.0.bias 6 ", b"param backbone.enc0.0.bias 6 -"),
+            raw.replace(MAGIC, b"semaffine-checkpoint v1"),
+        ]
+        for bad in edits:
+            assert bad != raw
+            ckpt.write_bytes(bad)
+            assert main(["eval", "--ckpt", str(ckpt), "--data", str(manifest)]) == 1
+            assert capsys.readouterr().err.startswith("error: line ")
 
     def test_missing_data_exit_code(self, tmp_path):
         assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),
