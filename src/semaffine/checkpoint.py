@@ -43,16 +43,18 @@ def save_checkpoint(path, params: list[tuple[str, Tensor]], config: dict, step: 
     for key in sorted(config):
         lines.append(f"cfg.{key}={_format_value(config[key])}")
     offset = 0
-    blobs = []
+    arrays = []
     for name, t in params:
         shape = ",".join(str(d) for d in t.shape)
         lines.append(f"param {name} {shape} {offset}")
-        blob = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-        blobs.append(blob)
-        offset += len(blob)
+        arr = np.ascontiguousarray(t.data, dtype="<f8")
+        arrays.append(arr)
+        offset += arr.nbytes
     lines.append(f"payload {offset}")
-    header = ("\n".join(lines) + "\n").encode("utf-8")
-    Path(path).write_bytes(header + b"".join(blobs))
+    with open(path, "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
+        for arr in arrays:
+            f.write(memoryview(arr))
 
 
 def _count(text: str, line_no: int, line: str) -> int:
@@ -81,7 +83,7 @@ def load_checkpoint(path):
         header_lines = raw[:header_end].decode("utf-8").splitlines()
     except UnicodeDecodeError as e:
         raise ParseError(f"invalid UTF-8 in the manifest at byte {e.start}") from e
-    payload = raw[header_end + 1:]
+    payload = memoryview(raw)[header_end + 1:]
 
     step = None
     config: dict[str, str] = {}
@@ -111,10 +113,10 @@ def load_checkpoint(path):
 
     out = []
     for name, shape, offset in entries:
-        nbytes = math.prod(shape) * 8
-        if offset + nbytes > len(payload):
+        count = math.prod(shape)
+        if offset + 8 * count > len(payload):
             raise ContractError(f"parameter {name} overruns payload")
-        arr = np.frombuffer(payload[offset:offset + nbytes], dtype="<f8").reshape(shape).copy()
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         out.append((name, shape, arr))
     return config, step, out
 

@@ -19,6 +19,8 @@ from . import tensor as T
 from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
+MAX_CELL = 2.0 ** 62  # bound on |coord / edge|: int64 voxel keys with a factor-2 margin
+
 
 @dataclass
 class Hierarchy:
@@ -39,6 +41,26 @@ class Hierarchy:
             raise ContractError(f"level {level} out of range for {self.levels}-level hierarchy")
 
 
+def _voxel_cells(coords: np.ndarray, edge: float) -> np.ndarray:
+    """Each point's cell index, with cells keyed by floor(coord / edge) and
+    numbered in lexicographic key order (x, then y, then z)."""
+    scaled = coords / edge
+    on_grid = (np.abs(scaled) < MAX_CELL).all(axis=1)  # also False for NaN
+    if not on_grid.all():
+        i = int(np.argmin(on_grid))
+        raise ContractError(f"build_hierarchy: point {i} {coords[i].tolist()} is off the voxel grid of edge "
+                            f"{edge} (|coord / edge| must stay below 2**62)")
+    keys = np.floor(scaled).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])  # lexsort's last key is the primary one
+    sorted_keys = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[0] = True
+    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=starts[1:])
+    parent = np.empty(len(keys), dtype=np.int64)
+    parent[order] = np.cumsum(starts) - 1
+    return parent
+
+
 def build_hierarchy(coords, base_voxel: float, levels: int) -> Hierarchy:
     coords = np.asarray(coords.data if isinstance(coords, Tensor) else coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 3:
@@ -54,13 +76,10 @@ def build_hierarchy(coords, base_voxel: float, levels: int) -> Hierarchy:
     parent_maps = []
     for i in range(levels - 1):
         edge = base_voxel * (2.0 ** i)
-        keys = np.floor(level_coords[i] / edge).astype(np.int64)
-        # unique rows come back lexicographically sorted; inverse is the parent map
-        _, parent, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-        parent = parent.reshape(-1)
-        n_parents = counts.shape[0]
-        centroids = np.zeros((n_parents, 3))
-        np.add.at(centroids, parent, level_coords[i])
+        parent = _voxel_cells(level_coords[i], edge)
+        counts = np.bincount(parent)
+        # bincount adds each cell's members in point order, a sequential sum whatever the sort
+        centroids = np.column_stack([np.bincount(parent, weights=col) for col in level_coords[i].T])
         centroids /= counts[:, None]
         parent_maps.append(parent)
         level_coords.append(centroids)
@@ -114,9 +133,11 @@ def shadow_labels(h: Hierarchy, level0: np.ndarray) -> MultiHotLabels:
         raise ShapeError(f"shadow_labels: labels {level0.shape} do not match level 0 size {h.sizes[0]}")
     if not ((level0.sum(axis=1) == 1).all() and ((level0 == 0) | (level0 == 1)).all()):
         raise ContractError("shadow_labels: level-0 rows must be one-hot")
+    n_classes = level0.shape[1]
     out = [level0]
     for level in range(h.levels - 1):
-        acc = np.zeros((h.sizes[level + 1], level0.shape[1]), dtype=np.int64)
-        np.add.at(acc, h.parents[level], out[level])
-        out.append(np.minimum(acc, 1).astype(np.uint8))
+        rows, classes = np.nonzero(out[level])
+        n = h.sizes[level + 1]
+        hits = np.bincount(h.parents[level][rows] * n_classes + classes, minlength=n * n_classes)
+        out.append((hits.reshape(n, n_classes) > 0).astype(np.uint8))
     return MultiHotLabels(levels=out)

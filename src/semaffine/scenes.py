@@ -10,7 +10,9 @@ On-disk format (text, line-oriented, UTF-8):
 
     semaffine-scene v1
     n=<points> classes=<N> seed=<seed>
-    x y z label        (one point per line, 17-significant-digit reals)
+    x y z label        (exactly n lines, one point each, 17-significant-digit reals)
+
+Only blank lines may follow the n point lines.
 
 A corpus manifest lists one scene path per line with a train|val split tag.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,7 @@ import numpy as np
 from .errors import ContractError, ParseError, read_utf8
 
 MAGIC = "semaffine-scene v1"
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 # class ids: templates are fixed, one class per template
 CLASS_FLOOR = 0
@@ -244,10 +248,11 @@ def generate_scene(spec: SceneSpec, seed: int) -> LabeledCloud:
 
 
 def write_scene(cloud: LabeledCloud, path) -> None:
-    lines = [MAGIC, f"n={cloud.n_points} classes={cloud.n_classes} seed={cloud.seed}"]
-    for (x, y, z), label in zip(cloud.coords, cloud.labels):
-        lines.append(f"{x:.17g} {y:.17g} {z:.17g} {label}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = f"{MAGIC}\nn={cloud.n_points} classes={cloud.n_classes} seed={cloud.seed}\n"
+    x, y, z = cloud.coords.T.tolist()
+    fields = tuple(chain.from_iterable(zip(x, y, z, cloud.labels.tolist())))
+    body = ("%.17g %.17g %.17g %d\n" * cloud.n_points) % fields
+    Path(path).write_text(header + body, encoding="utf-8")
 
 
 def read_scene(path) -> LabeledCloud:
@@ -271,22 +276,29 @@ def read_scene(path) -> LabeledCloud:
         raise ParseError(f"bad header: {e}", line=2) from e
     if n <= 0:
         raise ContractError(f"scene declares n={n}; empty clouds are rejected")
+    if n_classes > INT64_MAX:
+        raise ParseError(f"classes={n_classes} does not fit int64 labels", line=2)
     if len(lines) - 2 < n:
         raise ParseError(f"expected {n} point lines, found {len(lines) - 2}", line=len(lines))
-    coords = np.empty((n, 3))
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        row = lines[2 + i].split()
+    xyz: list[float] = []
+    labels: list[int] = []
+    for i in range(2, 2 + n):
+        row = lines[i].split()
         if len(row) != 4:
-            raise ParseError(f"expected 'x y z label', got {lines[2 + i]!r}", line=3 + i)
+            raise ParseError(f"expected 'x y z label', got {lines[i]!r}", line=1 + i)
         try:
-            coords[i] = [float(row[0]), float(row[1]), float(row[2])]
-            labels[i] = int(row[3])
+            xyz += (float(row[0]), float(row[1]), float(row[2]))
+            label = int(row[3])  # a Python int until the range check, so it cannot overflow
         except ValueError as e:
-            raise ParseError(str(e), line=3 + i) from e
-        if not 0 <= labels[i] < n_classes:
-            raise ParseError(f"label {labels[i]} out of range [0, {n_classes})", line=3 + i)
-    return LabeledCloud(coords=coords, labels=labels, n_classes=n_classes, seed=seed)
+            raise ParseError(str(e), line=1 + i) from e
+        if not 0 <= label < n_classes:
+            raise ParseError(f"label {label} out of range [0, {n_classes})", line=1 + i)
+        labels.append(label)
+    for i in range(2 + n, len(lines)):
+        if lines[i].strip():
+            raise ParseError(f"unexpected line after the {n} declared points: {lines[i]!r}", line=1 + i)
+    coords = np.array(xyz, dtype=np.float64).reshape(n, 3)
+    return LabeledCloud(coords=coords, labels=np.array(labels, dtype=np.int64), n_classes=n_classes, seed=seed)
 
 
 def write_manifest(entries: list[tuple[str, str]], path) -> None:

@@ -38,6 +38,46 @@ def descendant_union_oracle(h, level0, target_level):
     return out
 
 
+def unique_add_at_oracle(coords, base_voxel, levels):
+    """Row-wise np.unique grouping with np.add.at centroids, level by level."""
+    level_coords, parents = [coords], []
+    for i in range(levels - 1):
+        keys = np.floor(level_coords[i] / (base_voxel * 2.0 ** i)).astype(np.int64)
+        _, parent, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        parent = parent.reshape(-1)
+        centroids = np.zeros((counts.shape[0], 3))
+        np.add.at(centroids, parent, level_coords[i])
+        centroids /= counts[:, None]
+        parents.append(parent)
+        level_coords.append(centroids)
+    return level_coords, parents
+
+
+def add_at_shadow_oracle(h, level0):
+    """Parent rows as min(1, np.add.at sum of child rows)."""
+    out = [level0]
+    for level in range(h.levels - 1):
+        acc = np.zeros((h.sizes[level + 1], level0.shape[1]), dtype=np.int64)
+        np.add.at(acc, h.parents[level], out[level])
+        out.append(np.minimum(acc, 1).astype(np.uint8))
+    return out
+
+
+def random_clouds(seed, count):
+    """Clouds with negative coordinates, exact duplicates, grid-snapped points
+    and single points, at several scales."""
+    rng = np.random.default_rng(seed)
+    yield np.array([[-0.3, 2.5, -7.0]])
+    for trial in range(count):
+        n = int(rng.integers(1, 300))
+        coords = rng.uniform(-4, 4, (n, 3)) * rng.choice([1e-3, 1.0, 50.0])
+        if trial % 3 == 0:
+            coords = np.round(coords, 1)
+        if trial % 2 == 0:
+            coords = np.concatenate([coords, coords[rng.integers(0, n, n // 2 + 1)]])
+        yield coords
+
+
 class TestBuildHierarchy:
     def test_two_points_one_voxel(self):
         coords = np.array([[0.1, 0.1, 0.1], [0.3, 0.2, 0.1]])
@@ -72,6 +112,30 @@ class TestBuildHierarchy:
             assert set(parent.tolist()) == set(range(h.sizes[i + 1]))  # every parent has a child
         assert h.sizes == sorted(h.sizes, reverse=True)
         assert h.sizes[-1] >= 1
+
+    def test_bit_identical_to_unique_add_at_oracle(self):
+        rng = np.random.default_rng(11)
+        for coords in random_clouds(10, 150):
+            base_voxel, levels = float(rng.uniform(0.05, 2.0)), int(rng.integers(2, 5))
+            h = H.build_hierarchy(coords, base_voxel, levels)
+            want_coords, want_parents = unique_add_at_oracle(coords, base_voxel, levels)
+            for got, want in zip(h.parents, want_parents, strict=True):
+                assert np.array_equal(got, want)
+            for got, want in zip(h.coords, want_coords, strict=True):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("huge", [1e300, -1e300, 5e18, float("nan")])
+    def test_coordinates_off_the_voxel_grid_rejected(self, huge):
+        # +-1e300 and 5e18 used to overflow int64 keys and share one voxel
+        coords = np.array([[0.0, 0.0, 0.0], [1.0, huge, 0.0]])
+        with pytest.raises(ContractError, match="point 1.*off the voxel grid"):
+            H.build_hierarchy(coords, base_voxel=1.0, levels=3)
+
+    def test_grid_bound_scales_with_voxel_edge(self):
+        coords = np.array([[0.0, 0.0, 0.0], [4e18, 0.0, 0.0]])
+        assert H.build_hierarchy(coords, base_voxel=1.0, levels=3).sizes == [2, 2, 2]
+        with pytest.raises(ContractError):
+            H.build_hierarchy(coords, base_voxel=0.5, levels=3)
 
     def test_empty_cloud_rejected(self):
         with pytest.raises(ContractError):
@@ -219,6 +283,16 @@ class TestShadowLabels:
             assert (parent_bits >= child_bits).all()  # parent keeps every child class
             assert (ml.levels[level + 1].sum(axis=1) >= 1).all()
             assert (ml.levels[level + 1].sum(axis=1) <= 4).all()
+
+    def test_equal_to_add_at_oracle(self):
+        rng = np.random.default_rng(12)
+        for coords in random_clouds(13, 100):
+            n_classes = int(rng.integers(1, 7))
+            h = H.build_hierarchy(coords, float(rng.uniform(0.05, 2.0)), 4)
+            level0 = H.one_hot(rng.integers(0, n_classes, coords.shape[0]), n_classes)
+            got = H.shadow_labels(h, level0).levels
+            for g, want in zip(got, add_at_shadow_oracle(h, level0), strict=True):
+                assert g.dtype == np.uint8 and np.array_equal(g, want)
 
     def test_rejects_non_onehot(self):
         coords = np.array([[0.0, 0, 0], [2.0, 0, 0]])

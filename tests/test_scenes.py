@@ -1,5 +1,7 @@
 """Scene generator determinism/statistics and format round trips."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,14 @@ class TestGenerateScene:
             S.generate_scene(S.SceneSpec(objects_per_scene=1), seed=0)
 
 
+def per_row_scene_text(cloud):
+    """The scene file written one row at a time with numpy-scalar f-strings."""
+    lines = [S.MAGIC, f"n={cloud.n_points} classes={cloud.n_classes} seed={cloud.seed}"]
+    for (x, y, z), label in zip(cloud.coords, cloud.labels):
+        lines.append(f"{x:.17g} {y:.17g} {z:.17g} {label}")
+    return "\n".join(lines) + "\n"
+
+
 class TestSceneIO:
     def test_round_trip_bitwise(self, tmp_path):
         cloud = S.generate_scene(S.SceneSpec(points_per_object=32), seed=7)
@@ -94,6 +104,55 @@ class TestSceneIO:
         path.write_text(f"{S.MAGIC}\nn=2 classes=4 seed=0\n0 0 0 1\n0 0 0 4\n")
         with pytest.raises(ParseError, match="line 4"):
             S.read_scene(path)
+
+    def test_write_matches_per_row_formatter(self, tmp_path):
+        special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e-300, -1e300, 1e300,
+                   1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1.0 / 3.0, -123456.789]
+        rng = np.random.default_rng(0)
+        coords = np.concatenate([np.array(special * 3).reshape(-1, 3), rng.normal(0, 10, (20, 3))])
+        labels = np.arange(coords.shape[0]) % 4
+        cloud = S.LabeledCloud(coords=coords, labels=labels, n_classes=4, seed=-5)
+        clouds = [cloud, S.generate_scene(S.SceneSpec(points_per_object=16), seed=4)]
+        for i, c in enumerate(clouds):
+            path = tmp_path / f"scene{i}.txt"
+            S.write_scene(c, path)
+            assert path.read_text(encoding="utf-8") == per_row_scene_text(c)
+            back = S.read_scene(path)
+            assert back.coords.tobytes() == c.coords.tobytes()
+            assert back.labels.tobytes() == c.labels.tobytes()
+
+    def test_golden_scene_file(self, tmp_path):
+        path = tmp_path / "golden.txt"
+        S.write_scene(S.generate_scene(S.SceneSpec(), seed=7200000), path)
+        data = path.read_bytes()
+        assert (len(data), zlib.crc32(data)) == (149019, 2434645794)
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999"])
+    def test_label_outside_int64_names_row(self, tmp_path, label):
+        path = tmp_path / "huge_label.txt"
+        path.write_text(f"{S.MAGIC}\nn=2 classes=4 seed=0\n0 0 0 1\n0 0 0 {label}\n")
+        with pytest.raises(ParseError, match=f"line 4: label {label} out of range"):
+            S.read_scene(path)
+
+    def test_classes_outside_int64_rejected(self, tmp_path):
+        path = tmp_path / "huge_classes.txt"
+        path.write_text(f"{S.MAGIC}\nn=1 classes=99999999999999999999 seed=0\n0 0 0 99999999999999999998\n")
+        with pytest.raises(ParseError, match="line 2"):
+            S.read_scene(path)
+
+    def test_lines_after_declared_points_rejected(self, tmp_path):
+        path = tmp_path / "trailing.txt"
+        path.write_text(f"{S.MAGIC}\nn=1 classes=4 seed=0\n0 0 0 1\njunk\n0 0 0 2\n")
+        with pytest.raises(ParseError, match="line 4"):
+            S.read_scene(path)
+        path.write_text(f"{S.MAGIC}\nn=1 classes=4 seed=0\n0 0 0 1\n\n  \n0 0 0 2\n")
+        with pytest.raises(ParseError, match="line 6"):
+            S.read_scene(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "blank_tail.txt"
+        path.write_text(f"{S.MAGIC}\nn=1 classes=4 seed=0\n0 0 0 1\n\n \t\n")
+        assert S.read_scene(path).n_points == 1
 
     def test_empty_cloud_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

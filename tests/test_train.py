@@ -22,6 +22,10 @@ def small_model_cfg(**overrides):
     return ModelConfig(**base)
 
 
+TINY_TRAIN_CFG = ("levels = 3\nlevel_dims = 6,8,10\nd_h = 8\nd_m = 8\nheads = 2\n"
+                  "encoder_depth = 1\ndecoder_depth = 4\nepochs = 1\n")
+
+
 def small_corpus(tmp_path, n_train=2, n_val=1, points=24):
     spec = SceneSpec(points_per_object=points)
     entries = []
@@ -179,8 +183,7 @@ class TestCli:
     def test_bad_input_files_exit_code(self, tmp_path, capsys):
         manifest = small_corpus(tmp_path, n_train=1, n_val=0, points=8)
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("levels = 3\nlevel_dims = 6,8,10\nd_h = 8\nd_m = 8\nheads = 2\n"
-                       "encoder_depth = 1\ndecoder_depth = 4\nepochs = 1\n")
+        cfg.write_text(TINY_TRAIN_CFG)
         argv = ["train", "--config", str(cfg), "--data", str(manifest), "--out", str(tmp_path / "m.ckpt")]
         scene = tmp_path / "scene_0.txt"
         lines = scene.read_text().splitlines()
@@ -192,6 +195,21 @@ class TestCli:
         manifest.write_bytes(b"scene_\xe9.txt\ttrain\n")
         assert main(argv) == 1
         assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:2] + ["0 0 0 99999999999999999999"] + lines[3:], "line 3: label"),
+        (lambda lines: lines + ["junk", "more junk"], "after the"),
+        (lambda lines: lines[:2] + ["1e300 0 0 1"] + lines[3:], "off the voxel grid"),
+    ], ids=["label-outside-int64", "trailing-lines", "huge-coordinate"])
+    def test_boundary_scene_inputs_exit_code(self, tmp_path, capsys, edit, message):
+        manifest = small_corpus(tmp_path, n_train=1, n_val=0, points=8)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TINY_TRAIN_CFG)
+        scene = tmp_path / "scene_0.txt"
+        scene.write_text("\n".join(edit(scene.read_text().splitlines())) + "\n")
+        assert main(["train", "--config", str(cfg), "--data", str(manifest), "--out", str(tmp_path / "m.ckpt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_gradcheck_module_filter(self, capsys):
         assert main(["gradcheck", "--module", "losses"]) == 0
