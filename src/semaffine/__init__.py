@@ -6,7 +6,6 @@ from .affine import (
     AffineParams,
     ClassMasks,
     ConfidenceMatrix,
-    adain_transform,
     combine_affine,
     mask_confidences,
     predict_affine_params,
@@ -26,7 +25,7 @@ from .harness import Metrics, TrainConfig, compute_miou, cross_entropy_loss, mid
 from .hierarchy import Hierarchy, MultiHotLabels, build_hierarchy, pool_features, shadow_labels, unpool_features
 from .model import ForwardOutput, ModelConfig, build_model, model_forward
 from .scenes import LabeledCloud, SceneSpec, generate_scene, read_scene, write_scene
-from .tensor import Tensor, backward, channel_normalize, matmul, softmax
+from .tensor import Tensor, backward, layer_norm, matmul, softmax
 from .train import eval_run, train_run
 
 __version__ = "0.1.0"

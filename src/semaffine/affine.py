@@ -10,7 +10,10 @@ feature row:
 Points with similar class distributions are pulled toward similar scales and
 offsets; points with different distributions are pushed apart. Scales are
 kept nonnegative by a softplus on the regression head, so S stays
-nonnegative for any confidence simplex.
+nonnegative for any confidence simplex. The transform is one
+``tensor.layer_norm`` node with the (n, d) blends as gain and bias; the
+class-agnostic AdaIN and bn controls are the same op with one learned (d,)
+row for every point.
 
 Confidence rows come from dot products between per-class mask vectors and
 per-point features; a per-point softmax turns the raw scores into the
@@ -94,15 +97,5 @@ def semantic_affine_transform(
     eps: float = 1e-5,
 ) -> Tensor:
     """Replace each feature row with S_j * normalize(f_j) + B_j."""
-    if f.shape[1] != p.scales.shape[1]:
-        raise ShapeError(f"semantic_affine_transform: features {f.shape} vs affine dim {p.scales.shape[1]}")
     s, b = combine_affine(conf, p)
-    return T.mul(s, T.channel_normalize(f, eps)) + b
-
-
-def adain_transform(f: Tensor, scale: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Class-agnostic control: one shared (scale, bias) row for every point."""
-    if scale.shape != (f.shape[1],) or bias.shape != (f.shape[1],):
-        raise ShapeError(
-            f"adain_transform: scale {scale.shape} / bias {bias.shape} do not match feature dim {f.shape[1]}")
-    return T.mul(T.channel_normalize(f, eps), scale) + bias
+    return T.layer_norm(f, s, b, eps)

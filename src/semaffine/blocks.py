@@ -102,7 +102,7 @@ def mlp_forward(layers: Sequence[LinearParams], x: Tensor) -> Tensor:
 
 
 def layer_norm(p: LayerNormParams, x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
-    return T.mul(T.channel_normalize(x, eps), p.gain) + p.bias
+    return T.layer_norm(x, p.gain, p.bias, eps)
 
 
 def multi_head_attention(p: AttentionParams, q_in: Tensor, kv_in: Tensor) -> Tensor:

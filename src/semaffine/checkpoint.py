@@ -10,7 +10,8 @@ Layout:
     payload <byte count>
     <raw little-endian float64 bytes>
 
-Save -> load -> save reproduces the file byte for byte. v2 stores each
+Save -> load -> save reproduces the file byte for byte. Loading rejects a
+parameter with a NaN or infinite entry. v2 stores each
 attention's q/k/v projections as one stacked (heads*d_k, in) tensor per
 projection (``...q_proj.weight``); v1 stored one tensor per head
 (``...q_proj.0.weight``) and is rejected.
@@ -101,7 +102,7 @@ def load_checkpoint(path):
                 raise ParseError(f"malformed param line: {line!r}", line=i)
             _, name, shape_s, offset_s = fields
             shape = tuple(_count(d, i, line) for d in shape_s.split(",") if d)
-            entries.append((name, shape, _count(offset_s, i, line)))
+            entries.append((name, shape, _count(offset_s, i, line), i))
         elif line.startswith("payload "):
             declared = _count(line[len("payload "):], i, line)
         else:
@@ -112,11 +113,13 @@ def load_checkpoint(path):
         raise ContractError(f"payload size mismatch: declared {declared}, found {len(payload)}")
 
     out = []
-    for name, shape, offset in entries:
+    for name, shape, offset, line_no in entries:
         count = math.prod(shape)
         if offset + 8 * count > len(payload):
             raise ContractError(f"parameter {name} overruns payload")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ParseError(f"parameter {name} has non-finite values", line=line_no)
         out.append((name, shape, arr))
     return config, step, out
 

@@ -37,7 +37,6 @@ from .affine import (
     predict_affine_params,
     predict_masks,
     semantic_affine_transform,
-    adain_transform,
 )
 from .blocks import (
     DecoderBlockParams,
@@ -361,13 +360,13 @@ def model_forward(
                 h_u = h_layers[cfg.layer_for_stage(i) - 1]
                 affine = predict_affine_params(h_u, params.scale_heads[i], params.bias_heads[i])
                 transformed = semantic_affine_transform(feats, conf, affine, cfg.norm_eps)
-            elif cfg.affine == "adain":
+            elif cfg.affine == "adain":  # one shared (scale, bias) row for every point
                 site = params.sites[level]
-                transformed = adain_transform(
+                transformed = T.layer_norm(
                     feats, T.softplus(site.adain_pre_scale), site.adain_bias, cfg.norm_eps)
             else:  # bn: plain normalization with a learned class-agnostic pair
                 site = params.sites[level]
-                transformed = T.mul(T.channel_normalize(feats, cfg.norm_eps), site.norm_gain) + site.norm_bias
+                transformed = T.layer_norm(feats, site.norm_gain, site.norm_bias, cfg.norm_eps)
             mids.append(MidLevelOutput(level=level, conf=conf, affine=affine))
             if record:
                 trace[f"mid{level}.logits"] = conf.logits.data.copy()

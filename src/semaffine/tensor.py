@@ -11,9 +11,12 @@ Design constraints:
 - row-major data; the only implicit broadcast is (n, d) op (d,), used for
   bias/gain rows. Everything else must match shapes exactly.
 - forward values are saved eagerly by the closures; no checkpointing.
-- a linear layer and a whole multi-head attention are one node each
-  (``linear``, ``attention``): operands are a few to a few dozen rows, so
-  the cost is per-node dispatch, not arithmetic.
+- three fused ops: a linear layer, a whole multi-head attention and a
+  normalize-then-modulate ``layer_norm`` are one node each (``linear``,
+  ``attention``, ``layer_norm``): operands are a few to a few dozen rows, so
+  the cost is per-node dispatch, not arithmetic. Transformer norms, the
+  AdaIN and bn controls (a learned (d,) row) and the semantic-affine
+  transform (an (n, d) per-point blend) are all ``layer_norm``.
 - a backward computes a gradient only for operands that require grad.
 
 A tensor graph is single-threaded during one forward/backward pass; distinct
@@ -76,39 +79,6 @@ class Tensor:
         if isinstance(other, Tensor):
             return mul(self, other)
         return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def relu(self):
-        return relu(self)
-
-    def softplus(self):
-        return softplus(self)
-
-    def exp(self):
-        return exp(self)
-
-    def softmax(self, axis=-1):
-        return softmax(self, axis)
-
-    def log_softmax(self, axis=-1):
-        return log_softmax(self, axis)
-
-    def transpose(self):
-        return transpose(self)
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
 
     def backward(self):
         backward(self)
@@ -321,12 +291,12 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0
+    live = ~(a.data <= 0)  # NaN stays live, so NaN in gives NaN out
 
     def backward_fn(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * live)
 
-    return _result(np.where(mask, a.data, 0.0), (a,), "relu", backward_fn)
+    return _result(np.where(live, a.data, 0.0), (a,), "relu", backward_fn)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -347,16 +317,6 @@ def softplus(a) -> Tensor:
         _accumulate(a, g * _sigmoid(x))
 
     return _result(np.logaddexp(0.0, x), (a,), "softplus", backward_fn)
-
-
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g * out_data)
-
-    return _result(out_data, (a,), "exp", backward_fn)
 
 
 # -- softmax family --------------------------------------------------------
@@ -395,26 +355,40 @@ def log_softmax(a, axis=-1) -> Tensor:
     return _result(out_data, (a,), "log_softmax", backward_fn)
 
 
-def channel_normalize(a, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean and (population) unit variance.
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """normalize(x) * gain + bias as one node.
 
-    The denominator is sqrt(var + eps), so constant rows map to zeros.
+    Each row of x (n, d) goes to zero mean and (population) unit variance,
+    with denominator sqrt(var + eps), so constant rows map to zeros (then to
+    ``bias``). ``gain`` and ``bias`` are each a (d,) row shared by all points
+    or an (n, d) per-point array.
     """
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"channel_normalize: expects (n, d) input, got {a.shape}")
-    x = a.data
-    mu = x.mean(axis=1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm: expects (n, d) input, got {x.shape}")
+    if gain.shape not in (x.shape, x.shape[1:]) or bias.shape not in (x.shape, x.shape[1:]):
+        raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} fit neither "
+                         f"({x.shape[1]},) nor input {x.shape}")
+    gain_row, bias_row = gain.data.ndim == 1, bias.data.ndim == 1
+    data = x.data
+    mu = data.mean(axis=1, keepdims=True)
+    var = ((data - mu) ** 2).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    y = (x - mu) * inv
+    y = (data - mu) * inv
+    gain_data = gain.data
 
     def backward_fn(g):
-        gm = g.mean(axis=1, keepdims=True)
-        gy = (g * y).mean(axis=1, keepdims=True)
-        _accumulate(a, inv * (g - gm - y * gy))
+        if bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0) if bias_row else g, shared=not bias_row)
+        if gain.requires_grad:
+            _accumulate(gain, (g * y).sum(axis=0) if gain_row else g * y)
+        if x.requires_grad:
+            g_y = g * gain_data
+            g_mean = g_y.mean(axis=1, keepdims=True)
+            gy_mean = (g_y * y).mean(axis=1, keepdims=True)
+            _accumulate(x, inv * (g_y - g_mean - y * gy_mean))
 
-    return _result(y, (a,), "channel_normalize", backward_fn)
+    return _result(y * gain_data + bias.data, (x, gain, bias), "layer_norm", backward_fn)
 
 
 # -- reductions and indexing ----------------------------------------------

@@ -74,8 +74,10 @@ def evaluate_scenes(params: ModelParams, scenes: list[PreparedScene]) -> Metrics
     n = params.cfg.n_classes
     pooled = np.zeros((n, n), dtype=np.int64)
     for scene in scenes:
-        out = model_forward(params, scene.cloud, hier=scene.hier)
-        preds = out.final_logits.data.argmax(axis=1)
+        logits = model_forward(params, scene.cloud, hier=scene.hier).final_logits.data
+        if not np.isfinite(logits).all():
+            raise NumericError(f"non-finite logits on the scene with seed {scene.cloud.seed}")
+        preds = logits.argmax(axis=1)
         pooled += confusion_matrix(preds, scene.cloud.labels, n)
     return metrics_from_confusion(pooled)
 

@@ -29,10 +29,9 @@ def _tensor_checks(rng):
     yield "tensor", "matmul", lambda: _mix(T.matmul(a, b)), [("a", a), ("b", b)], 1e-5
     yield "tensor", "add_sub_mul", lambda: _mix(T.mul(T.add(a, c), T.sub(a, c))), [("a", a), ("c", c)], 1e-5
     yield "tensor", "relu", lambda: _mix(T.relu(x)), [("x", x)], 1e-5
-    yield "tensor", "softplus_exp", lambda: _mix(T.exp(T.softplus(x))), [("x", x)], 1e-5
+    yield "tensor", "softplus", lambda: _mix(T.softplus(x)), [("x", x)], 1e-5
     yield "tensor", "softmax", lambda: _mix(T.softmax(a, 1)), [("a", a)], 1e-5
     yield "tensor", "log_softmax", lambda: _mix(T.log_softmax(a, 1)), [("a", a)], 1e-5
-    yield "tensor", "channel_normalize", lambda: _mix(T.channel_normalize(a, 1e-5)), [("a", a)], 1e-5
     yield "tensor", "scale_transpose", lambda: _mix(T.scale(T.transpose(a), 1.7)), [("a", a)], 1e-5
 
     # the fused ops draw from their own stream so the later checks keep their inputs
@@ -46,6 +45,15 @@ def _tensor_checks(rng):
             for kind in "qkv" for part, shape in (("w", (4, 4)), ("b", 4))]
     yield "tensor", "attention", lambda: _mix(T.attention(a, c, *(t for _, t in proj), heads=2)), \
         [("q_in", a), ("kv_in", c)] + proj, 1e-5
+
+    # (d,) gain/bias rows as in the Transformer, AdaIN and bn norms; (n, d)
+    # per-point gain/bias as in the semantic-affine transform
+    rows = [Tensor(fused.standard_normal(4), requires_grad=True) for _ in range(2)]
+    points = [Tensor(fused.standard_normal((3, 4)), requires_grad=True) for _ in range(2)]
+    yield "tensor", "layer_norm", \
+        lambda: T.add(_mix(T.layer_norm(a, *rows, 1e-5)), _mix(T.layer_norm(c, *points, 1e-5), seed=1)), \
+        [("x_rows", a), ("gain_row", rows[0]), ("bias_row", rows[1]),
+         ("x_points", c), ("gain_points", points[0]), ("bias_points", points[1])], 1e-5
 
 
 def _block_checks(rng):

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or let the suite print
-through captured output). The directional ablation (criterion 6) is the long
-pole; everything else finishes in well under its stated budget.
+through captured output). Every criterion here finishes in well under its
+stated budget. Criterion 6, the directional ablation, is pending and has no
+test yet (ROADMAP item 3).
 """
 
 import math
@@ -13,7 +14,6 @@ import pytest
 
 from semaffine import blocks as B
 from semaffine import tensor as T
-from semaffine.ablate import run_ablation
 from semaffine.affine import (
     AffineParams,
     ConfidenceMatrix,

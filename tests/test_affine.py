@@ -275,10 +275,12 @@ class TestSemanticAffineTransform:
 
 
 class TestAdainTransform:
+    """The AdaIN control: ``layer_norm`` with one learned (scale, bias) row for every point."""
+
     def test_identity_pair(self):
         rng = np.random.default_rng(17)
         f = rng.standard_normal((4, 3))
-        out = A.adain_transform(Tensor(f), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        out = T.layer_norm(Tensor(f), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data, normalize_oracle(f), atol=1e-12)
 
     def test_equals_semantic_transform_with_identical_class_rows(self):
@@ -290,7 +292,7 @@ class TestAdainTransform:
         conf = A.ConfidenceMatrix(logits=Tensor(probs), probs=Tensor(probs))
         p = A.AffineParams(Tensor(np.tile(s_star, (3, 1))), Tensor(np.tile(b_star, (3, 1))))
         sa = A.semantic_affine_transform(Tensor(f), conf, p)
-        ada = A.adain_transform(Tensor(f), Tensor(s_star), Tensor(b_star))
+        ada = T.layer_norm(Tensor(f), Tensor(s_star), Tensor(b_star))
         np.testing.assert_allclose(sa.data, ada.data, atol=1e-12)
 
     def test_random_matches_scale_add_oracle(self):
@@ -298,7 +300,14 @@ class TestAdainTransform:
         f = rng.standard_normal((5, 3))
         scale = rng.standard_normal(3)
         bias = rng.standard_normal(3)
-        out = A.adain_transform(Tensor(f), Tensor(scale), Tensor(bias))
+        out = T.layer_norm(Tensor(f), Tensor(scale), Tensor(bias))
         f_hat = normalize_oracle(f)
         expect = np.array([[scale[l] * f_hat[j, l] + bias[l] for l in range(3)] for j in range(5)])
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
+
+    def test_semantic_transform_rejects_misfit_affine_dim(self):
+        probs = np.full((2, 3), 1 / 3)
+        conf = A.ConfidenceMatrix(logits=Tensor(probs), probs=Tensor(probs))
+        p = A.AffineParams(Tensor(np.ones((3, 5))), Tensor(np.zeros((3, 5))))
+        with pytest.raises(ShapeError):
+            A.semantic_affine_transform(Tensor(np.zeros((2, 4))), conf, p)

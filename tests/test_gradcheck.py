@@ -54,10 +54,10 @@ class TestFiniteDiffCheck:
         x = Tensor([1e308], requires_grad=True)
 
         def f():
-            with np.errstate(over="ignore"):
-                return T.sum_all(T.exp(T.mul(x, x)))
+            return T.sum_all(T.mul(x, x))
 
-        report = finite_diff_check(f, [("x", x)])
+        with np.errstate(over="ignore"):  # x * x and its gradient 2x overflow
+            report = finite_diff_check(f, [("x", x)])
         assert not report.passed
         assert "non-finite" in report.params[0].note
 
@@ -101,7 +101,7 @@ class TestPerOpGradients:
         report = finite_diff_check(f, [("a", a), ("b", b)])
         assert report.passed, report.lines()
 
-    @pytest.mark.parametrize("op", ["relu", "softplus", "exp"])
+    @pytest.mark.parametrize("op", ["relu", "softplus"])
     def test_unary_ops(self, op):
         rng = np.random.default_rng(12)
         # keep relu preactivations away from the kink
@@ -125,14 +125,20 @@ class TestPerOpGradients:
         report = finite_diff_check(f, [("x", x)])
         assert report.passed, report.lines()
 
-    def test_channel_normalize(self):
+    def test_layer_norm(self):
+        # (d,) gain/bias rows on one input, (n, d) per-point gain/bias on another
         rng = np.random.default_rng(14)
         x = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
+        rows = [Tensor(rng.standard_normal(7), requires_grad=True) for _ in range(2)]
+        points = [Tensor(rng.standard_normal((5, 7)), requires_grad=True) for _ in range(2)]
 
         def f():
-            return _mix_loss(T.channel_normalize(x, eps=1e-5))
+            return T.add(_mix_loss(T.layer_norm(x, *rows, eps=1e-5)),
+                         _mix_loss(T.layer_norm(x, *points, eps=1e-5), seed=1))
 
-        report = finite_diff_check(f, [("x", x)])
+        named = [("x", x), ("gain_row", rows[0]), ("bias_row", rows[1]),
+                 ("gain_points", points[0]), ("bias_points", points[1])]
+        report = finite_diff_check(f, named)
         assert report.passed, report.lines()
 
     def test_row_broadcast_bias_and_gain(self):

@@ -250,7 +250,9 @@ class TestCheckpoint:
         (lambda raw: raw.replace(b"payload 80", b"payload x"), 7),
         (lambda raw: raw[:raw.index(b"payload 80") + len(b"payload 80")], 7),
         (lambda raw: raw.replace(b"3,2 0\n", b"3,2 -8\n"), 4),
-    ], ids=["step", "payload", "cut-after-payload-line", "negative-offset"])
+        (lambda raw: raw[:-8] + np.array(np.nan, "<f8").tobytes(), 6),  # the payload ends with entry b
+        (lambda raw: raw[:-8] + np.array(-np.inf, "<f8").tobytes(), 6),
+    ], ids=["step", "payload", "cut-after-payload-line", "negative-offset", "nan-entry", "inf-entry"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, edit, line):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, self._params(np.random.default_rng(9)), {"seed": 3}, step=0)

@@ -1,6 +1,8 @@
 """Model assembly: shape contracts, composition oracles, symmetry collapses,
 configuration lattice diffing, determinism, and an end-to-end gradient check."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -175,7 +177,7 @@ class TestModelForward:
             np.testing.assert_allclose(mid.conf.probs.data, 1.0, atol=1e-15)
             # blend of a single class row is exactly that row
             np.testing.assert_allclose(
-                (mid.conf.probs @ Tensor(mid.affine.scales.data)).data,
+                T.matmul(mid.conf.probs, Tensor(mid.affine.scales.data)).data,
                 mid.affine.scales.data[np.zeros(mid.conf.probs.shape[0], dtype=int)],
                 atol=1e-15)
 
@@ -266,7 +268,51 @@ class TestEndToEndGradients:
         assert report.passed, "\n".join(report.lines()[:40]) + f"\n({len(failed)} groups failed)"
 
 
+def op_tally(root, after=-1):
+    """Op counts of the nodes that ``backward(root)`` visits (grad-requiring,
+    reached through grad-requiring parents) with node id above ``after``."""
+    seen, stack = {root.node_id: root}, [root]
+    while stack:
+        for p in stack.pop().parents:
+            if p.requires_grad and p.node_id not in seen:
+                seen[p.node_id] = p
+                stack.append(p)
+    return dict(Counter(t.op for i, t in seen.items() if i > after))
+
+
 class TestTapeSize:
+    """Pins of the tape's op tally: a change that grows the tape updates them here."""
+
+    def test_block_op_tallies(self):
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+        enc = B.init_encoder_block(rng, heads=2, model_dim=8)
+        first = Tensor(0.0).node_id
+        assert op_tally(B.encoder_block(enc, x), first) == {
+            "attention": 1, "linear": 3, "add": 2, "layer_norm": 2, "relu": 1}
+        dec = B.init_decoder_block(rng, heads=2, model_dim=8, kv_dim=8)
+        first = Tensor(0.0).node_id
+        assert op_tally(B.decoder_block(dec, x, x), first) == {
+            "attention": 2, "linear": 4, "add": 3, "layer_norm": 3, "relu": 1}
+
+    def test_default_scene_loss_graph_tally(self):
+        from semaffine.harness import total_loss
+        from semaffine.train import prepare_scene
+
+        cfg = M.ModelConfig()
+        params = M.build_model(cfg, seed=0)
+        scene = prepare_scene(generate_scene(SceneSpec(), seed=0), cfg)
+        loss = total_loss(M.model_forward(params, scene.cloud, hier=scene.hier),
+                          scene.cloud.labels, scene.shadows)
+        tally = op_tally(loss)
+        # 23 Transformer-block norms and 3 semantic-affine transforms, one node each
+        assert tally == {
+            "leaf": 297, "linear": 83, "relu": 41, "add": 30, "layer_norm": 26, "attention": 14,
+            "matmul": 10, "softplus": 6, "mean": 4, "transpose": 4, "gather_rows": 3, "mul": 3,
+            "pool_rows_mean": 3, "scale": 3, "softmax": 3, "sub": 3, "log_softmax": 1, "pick": 1,
+        }
+        assert sum(tally.values()) == 535
+
     def test_default_scene_node_budget_and_dead_gradients(self):
         from semaffine.harness import total_loss
         from semaffine.train import prepare_scene

@@ -50,6 +50,14 @@ class TestElementwise:
         out = T.relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
+    def test_relu_propagates_nan(self):
+        x = np.array([np.nan, -np.inf, -2.0, -0.0, 0.0, 5e-324, 3.0, np.inf, np.nan])
+        out = T.relu(Tensor(x)).data
+        assert np.isnan(out[[0, -1]]).all()
+        # finite and infinite outputs keep the bits of np.where(x > 0, x, 0.0): -0.0 maps to +0.0
+        finite = ~np.isnan(x)
+        assert out[finite].tobytes() == np.where(x > 0, x, 0.0)[finite].tobytes()
+
     def test_softplus_at_zero(self):
         out = T.softplus(Tensor([0.0]))
         np.testing.assert_allclose(out.data, [math.log(2.0)], atol=1e-12)
@@ -101,25 +109,87 @@ class TestSoftmax:
         assert ((out.data > 0) & (out.data < 1)).all()
 
 
+def unit_norm(x, eps):
+    """layer_norm with a unit gain row and a zero bias row: the bare row normalization."""
+    d = x.shape[1]
+    return T.layer_norm(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d)), eps)
+
+
+def layer_norm_oracle(x, gain, bias, eps):
+    """Loop version of normalize(x) * gain + bias; gain and bias are (d,) or (n, d)."""
+    n, d = x.shape
+    gain = np.broadcast_to(gain, (n, d))
+    bias = np.broadcast_to(bias, (n, d))
+    out = np.zeros((n, d))
+    for j in range(n):
+        mean = sum(x[j]) / d
+        var = sum((v - mean) ** 2 for v in x[j]) / d
+        for l in range(d):
+            out[j, l] = (x[j, l] - mean) / math.sqrt(var + eps) * gain[j, l] + bias[j, l]
+    return out
+
+
 class TestChannelNormalize:
+    """The normalization inside ``layer_norm``, seen through a unit gain and zero bias."""
+
     def test_two_entry_row(self):
-        out = T.channel_normalize(Tensor([[1.0, 3.0]]), eps=0.0)
+        out = unit_norm(np.array([[1.0, 3.0]]), eps=0.0)
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-12)
 
     def test_constant_row_guard(self):
-        out = T.channel_normalize(Tensor([[5.0, 5.0, 5.0]]), eps=1e-5)
+        out = unit_norm(np.array([[5.0, 5.0, 5.0]]), eps=1e-5)
         np.testing.assert_array_equal(out.data, [[0.0, 0.0, 0.0]])
 
     def test_random_row_moments(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 32)) * 4.0 + 1.0
-        out = T.channel_normalize(Tensor(x), eps=1e-5).data
+        out = unit_norm(x, eps=1e-5).data
         # recompute moments independently
         for row in out:
             mean = sum(row) / len(row)
             var = sum((v - mean) ** 2 for v in row) / len(row)
             assert abs(mean) <= 1e-12
             assert abs(math.sqrt(var) - 1.0) <= 1e-6
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("gain_shape,bias_shape", [
+        ((5,), (5,)), ((4, 5), (4, 5)), ((5,), (4, 5)), ((4, 5), (5,)),
+    ])
+    def test_matches_loop_oracle(self, gain_shape, bias_shape):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((4, 5)) * 3.0 - 1.0
+        gain, bias = rng.standard_normal(gain_shape), rng.standard_normal(bias_shape)
+        out = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), 1e-5)
+        np.testing.assert_allclose(out.data, layer_norm_oracle(x, gain, bias, 1e-5), rtol=0, atol=1e-12)
+
+    def test_oracle_cases_with_gain_and_bias(self):
+        # the two-entry row with eps=0 and the constant row, then modulated
+        out = T.layer_norm(Tensor([[1.0, 3.0]]), Tensor([2.0, 0.5]), Tensor([[0.25, -1.0]]), 0.0)
+        np.testing.assert_allclose(out.data, [[-1.75, -0.5]], atol=1e-12)
+        out = T.layer_norm(Tensor([[5.0, 5.0, 5.0]]), Tensor([[2.0, 3.0, 4.0]]), Tensor([1.0, 2.0, 3.0]), 1e-5)
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
+
+    def test_one_node_and_gradients_only_where_required(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        gain, bias = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        out = T.layer_norm(x, gain, bias, 1e-5)
+        assert out.op == "layer_norm" and out.parents == (x, gain, bias)
+        T.sum_all(T.mul(out, Tensor(rng.standard_normal((3, 4))))).backward()
+        assert x.grad.shape == (3, 4) and bias.grad.shape == (3, 4) and gain.grad is None
+
+    @pytest.mark.parametrize("x_shape,gain_shape,bias_shape", [
+        ((3, 4), (5,), (4,)),  # gain row of the wrong width
+        ((3, 4), (4,), (3,)),  # bias row of the wrong width
+        ((3, 4), (2, 4), (4,)),  # per-point gain with the wrong row count
+        ((3, 4), (4,), (3, 5)),  # per-point bias with the wrong width
+        ((3, 4), (1, 3, 4), (4,)),
+        ((4,), (4,), (4,)),  # input is not (n, d)
+    ])
+    def test_misfit_shapes_rejected(self, x_shape, gain_shape, bias_shape):
+        with pytest.raises(ShapeError, match="layer_norm"):
+            T.layer_norm(Tensor(np.zeros(x_shape)), Tensor(np.ones(gain_shape)), Tensor(np.zeros(bias_shape)))
 
 
 class TestBackward:

@@ -6,11 +6,12 @@ import pytest
 from semaffine.ablate import parse_variants
 from semaffine.checkpoint import MAGIC, save_checkpoint
 from semaffine.cli import main
-from semaffine.errors import ConfigError, ContractError
+from semaffine.config import snapshot
+from semaffine.errors import ConfigError, ContractError, NumericError
 from semaffine.harness import TrainConfig
 from semaffine.model import ModelConfig, build_model
 from semaffine.scenes import SceneSpec, generate_scene, write_manifest, write_scene
-from semaffine.train import eval_run, load_corpus, prepare_scene, train_model, train_run
+from semaffine.train import eval_run, evaluate_scenes, load_corpus, prepare_scene, train_model, train_run
 
 
 def small_model_cfg(**overrides):
@@ -107,6 +108,15 @@ class TestEvalRun:
         np.testing.assert_allclose(pooled.miou, (0.5 + 0.5 + 1.0) / 3, atol=1e-12)
         assert abs(pooled.miou - per_scene) > 1e-6
 
+    def test_non_finite_logits_raise_numeric_error(self, tmp_path):
+        cfg = small_model_cfg()
+        params = build_model(cfg)
+        scenes = [prepare_scene(generate_scene(SceneSpec(points_per_object=8), seed=0), cfg)]
+        evaluate_scenes(params, scenes)
+        dict(params.named_parameters())["backbone.enc0.0.weight"].data[0, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite logits"):
+            evaluate_scenes(params, scenes)
+
     def test_empty_split_rejected(self, tmp_path):
         manifest = small_corpus(tmp_path, n_train=2, n_val=0)
         ckpt = tmp_path / "m.ckpt"
@@ -175,6 +185,39 @@ class TestCli:
             ckpt.write_bytes(bad)
             assert main(["eval", "--ckpt", str(ckpt), "--data", str(manifest)]) == 1
             assert capsys.readouterr().err.startswith("error: line ")
+
+    @staticmethod
+    def _eval_edited_checkpoint(tmp_path, edit):
+        """Exit code of ``eval`` on a small model's checkpoint after ``edit(named parameters)``."""
+        manifest = small_corpus(tmp_path, n_train=0, n_val=1, points=8)
+        model_cfg, train_cfg = small_model_cfg(), TrainConfig()
+        named = build_model(model_cfg, seed=train_cfg.seed).named_parameters()
+        edit(dict(named))
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, named, snapshot(model_cfg, train_cfg), step=0)
+        return main(["eval", "--ckpt", str(ckpt), "--data", str(manifest)])
+
+    def test_non_finite_checkpoint_exit_code(self, tmp_path, capsys):
+        assert self._eval_edited_checkpoint(tmp_path, lambda p: None) == 0
+        capsys.readouterr()
+
+        def nan_weight(params):
+            params["backbone.enc0.0.weight"].data[...] = np.nan
+
+        assert self._eval_edited_checkpoint(tmp_path, nan_weight) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "backbone.enc0.0.weight has non-finite values" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_logits_exit_code(self, tmp_path, capsys):
+        def huge_weights(params):  # finite, but their product overflows
+            params["backbone.enc0.0.weight"].data[...] = 1e200
+            params["backbone.enc0.1.weight"].data[...] = 1e200
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self._eval_edited_checkpoint(tmp_path, huge_weights) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite logits") and "Traceback" not in err
 
     def test_missing_data_exit_code(self, tmp_path):
         assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),
