@@ -16,9 +16,10 @@ class-agnostic AdaIN and bn controls are the same op with one learned (d,)
 row for every point.
 
 Confidence rows come from dot products between per-class mask vectors and
-per-point features; a per-point softmax turns the raw scores into the
-required distribution (raw logits are retained for the multi-hot
-mid-level loss, which needs sigmoid semantics instead).
+per-point features projected into mask space, one ``tensor.mask_logits``
+node; a per-point softmax turns the raw scores into the required
+distribution (raw logits are retained for the multi-hot mid-level loss,
+which needs sigmoid semantics instead).
 """
 
 from __future__ import annotations
@@ -54,12 +55,9 @@ def predict_masks(h_final: Tensor, head: Sequence[LinearParams]) -> ClassMasks:
     return ClassMasks(masks=mlp_forward(head, h_final))
 
 
-def mask_confidences(m: ClassMasks, f: Tensor) -> ConfidenceMatrix:
-    """logits[j, k] = m_k . f_j; probs = per-point softmax over classes."""
-    if f.data.ndim != 2 or f.shape[1] != m.masks.shape[1]:
-        raise ShapeError(f"mask_confidences: features {f.shape} do not match masks {m.masks.shape}")
-    logits = T.matmul(f, T.transpose(m.masks))
-    return ConfidenceMatrix(logits=logits, probs=T.softmax(logits, axis=1))
+def mask_confidences(m: ClassMasks, f: Tensor, proj: LinearParams) -> ConfidenceMatrix:
+    """logits[j, k] = m_k . proj(f_j); probs = per-point softmax over classes."""
+    return confidences_from_logits(T.mask_logits(f, m.masks, proj.weight, proj.bias))
 
 
 def confidences_from_logits(logits: Tensor) -> ConfidenceMatrix:

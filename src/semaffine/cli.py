@@ -152,7 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow shows as a non-finite loss or logit, which the explicit
+        # checks report as a numeric failure; numpy's warnings would only
+        # print source lines ahead of that message
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2

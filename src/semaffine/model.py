@@ -172,10 +172,6 @@ class ModelParams:
             out.extend(named_parameters(self.bias_heads[i], f"affine_heads.bias{i}."))
         return out
 
-    def zero_grad(self):
-        for _, t in self.named_parameters():
-            t.zero_grad()
-
 
 def _component_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(name.encode())])
@@ -320,11 +316,20 @@ def decode_queries(params: ModelParams, memory: Tensor):
     return h_layers, h_layers[-1]
 
 
-def _site_logits(params: ModelParams, level: int, feats: Tensor, masks: ClassMasks) -> ConfidenceMatrix:
+def _site_confidences(params: ModelParams, level: int, feats: Tensor, masks: ClassMasks) -> ConfidenceMatrix:
+    """A mid site's class scores and their per-point softmax rows."""
     site = params.sites[level]
     if params.cfg.classifier == "mask":
-        return mask_confidences(masks, linear_forward(site.mask_proj, feats))
+        return mask_confidences(masks, feats, site.mask_proj)
     return confidences_from_logits(linear_forward(site.fc, feats))
+
+
+def _site_logits(params: ModelParams, level: int, feats: Tensor, masks: ClassMasks) -> Tensor:
+    """The final site's class scores alone: nothing reads a softmax of them."""
+    site = params.sites[level]
+    if params.cfg.classifier == "mask":
+        return T.mask_logits(feats, masks.masks, site.mask_proj.weight, site.mask_proj.bias)
+    return linear_forward(site.fc, feats)
 
 
 def model_forward(
@@ -354,7 +359,7 @@ def model_forward(
     mids = []
     for i, level in enumerate(cfg.mid_levels, start=1):
         try:
-            conf = _site_logits(params, level, feats, masks)
+            conf = _site_confidences(params, level, feats, masks)
             affine = None
             if cfg.affine == "sa":
                 h_u = h_layers[cfg.layer_for_stage(i) - 1]
@@ -376,7 +381,7 @@ def model_forward(
         except SemaffineError as e:
             raise type(e)(f"decoder stage {i} (hierarchy level {level}): {e}") from e
 
-    final = _site_logits(params, 0, feats, masks)
+    final_logits = _site_logits(params, 0, feats, masks)
     if record:
-        trace["final_logits"] = final.logits.data.copy()
-    return ForwardOutput(final_logits=final.logits, mids=mids, masks=masks, hierarchy=hier, trace=trace)
+        trace["final_logits"] = final_logits.data.copy()
+    return ForwardOutput(final_logits=final_logits, mids=mids, masks=masks, hierarchy=hier, trace=trace)

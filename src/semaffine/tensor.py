@@ -11,12 +11,17 @@ Design constraints:
 - row-major data; the only implicit broadcast is (n, d) op (d,), used for
   bias/gain rows. Everything else must match shapes exactly.
 - forward values are saved eagerly by the closures; no checkpointing.
-- three fused ops: a linear layer, a whole multi-head attention and a
-  normalize-then-modulate ``layer_norm`` are one node each (``linear``,
-  ``attention``, ``layer_norm``): operands are a few to a few dozen rows, so
-  the cost is per-node dispatch, not arithmetic. Transformer norms, the
-  AdaIN and bn controls (a learned (d,) row) and the semantic-affine
-  transform (an (n, d) per-point blend) are all ``layer_norm``.
+- four fused ops: a linear layer, a whole multi-head attention, a
+  normalize-then-modulate ``layer_norm`` and a projected mask classifier are
+  one node each (``linear``, ``attention``, ``layer_norm``, ``mask_logits``).
+  Most operands are a few to a few dozen rows, where the cost is per-node
+  dispatch; ``mask_logits`` also folds the mask projection into the N class
+  masks, so the thousands of finest-level points are never projected.
+  Transformer norms, the AdaIN and bn controls (a learned (d,) row) and the
+  semantic-affine transform (an (n, d) per-point blend) are all
+  ``layer_norm``.
+- scatter-adds of rows onto groups (``pool_rows_mean``, the ``gather_rows``
+  backward) are one ``np.bincount`` segment sum, not ``np.add.at``.
 - a backward computes a gradient only for operands that require grad.
 
 A tensor graph is single-threaded during one forward/backward pass; distinct
@@ -193,17 +198,6 @@ def matmul(a, b) -> Tensor:
     return _result(a_data @ b_data, (a, b), "matmul", backward_fn)
 
 
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expects a 2-d operand, got {a.shape}")
-
-    def backward_fn(g):
-        _accumulate(a, g.T, shared=True)
-
-    return _result(a.data.T.copy(), (a,), "transpose", backward_fn)
-
-
 def linear(x, w, b) -> Tensor:
     """x (n, in) @ w (out, in).T + b (out,), as one node."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
@@ -220,7 +214,43 @@ def linear(x, w, b) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g.sum(axis=0))
 
-    return _result(x_data @ w_data.T + b.data, (x, w, b), "linear", backward_fn)
+    out = x_data @ w_data.T
+    out += b.data  # in place: no second (n, out) array
+    return _result(out, (x, w, b), "linear", backward_fn)
+
+
+def mask_logits(f, masks, w, b) -> Tensor:
+    """(f (n, in) @ w (d_m, in).T + b (d_m,)) @ masks (N, d_m).T, as one node.
+
+    The projection is folded into the masks: forward is f @ A.T + c with
+    A = masks @ w and c = masks @ b, so the n points are dotted with N rows
+    instead of being projected to d_m first.
+    """
+    f, masks, w, b = (_as_tensor(t) for t in (f, masks, w, b))
+    f_data, m_data, w_data, b_data = f.data, masks.data, w.data, b.data
+    if (f_data.ndim != 2 or m_data.ndim != 2 or w_data.ndim != 2 or f_data.shape[1] != w_data.shape[1]
+            or b_data.shape != w_data.shape[:1] or m_data.shape[1] != w_data.shape[0]):
+        raise ShapeError(f"mask_logits: features {f.shape} do not fit projection {w.shape} + {b.shape} "
+                         f"and masks {masks.shape}")
+    a = m_data @ w_data  # (N, in)
+
+    def backward_fn(g):
+        if f.requires_grad:
+            _accumulate(f, g @ a)
+        if masks.requires_grad or w.requires_grad:
+            g_a = g.T @ f_data
+        if masks.requires_grad or b.requires_grad:
+            g_c = g.sum(axis=0)
+        if masks.requires_grad:
+            _accumulate(masks, g_a @ w_data.T + np.outer(g_c, b_data))
+        if w.requires_grad:
+            _accumulate(w, m_data.T @ g_a)
+        if b.requires_grad:
+            _accumulate(b, m_data.T @ g_c)
+
+    out = f_data @ a.T
+    out += m_data @ b_data
+    return _result(out, (f, masks, w, b), "mask_logits", backward_fn)
 
 
 def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int) -> Tensor:
@@ -355,6 +385,11 @@ def log_softmax(a, axis=-1) -> Tensor:
     return _result(out_data, (a,), "log_softmax", backward_fn)
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=1, keepdims=True), bit for bit, without numpy's Python-level wrapper."""
+    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """normalize(x) * gain + bias as one node.
 
@@ -370,11 +405,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} fit neither "
                          f"({x.shape[1]},) nor input {x.shape}")
     gain_row, bias_row = gain.data.ndim == 1, bias.data.ndim == 1
-    data = x.data
-    mu = data.mean(axis=1, keepdims=True)
-    var = ((data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (data - mu) * inv
+    centered = x.data - _row_mean(x.data)
+    inv = 1.0 / np.sqrt(_row_mean(centered ** 2) + eps)
+    y = centered * inv
     gain_data = gain.data
 
     def backward_fn(g):
@@ -384,14 +417,25 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             _accumulate(gain, (g * y).sum(axis=0) if gain_row else g * y)
         if x.requires_grad:
             g_y = g * gain_data
-            g_mean = g_y.mean(axis=1, keepdims=True)
-            gy_mean = (g_y * y).mean(axis=1, keepdims=True)
-            _accumulate(x, inv * (g_y - g_mean - y * gy_mean))
+            _accumulate(x, inv * (g_y - _row_mean(g_y) - y * _row_mean(g_y * y)))
 
     return _result(y * gain_data + bias.data, (x, gain, bias), "layer_norm", backward_fn)
 
 
 # -- reductions and indexing ----------------------------------------------
+
+
+def _segment_sum(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """out (n, d) with out[index[j]] += rows[j] for every row j, in row order.
+
+    One ``np.bincount`` over the keys index[j] * d + column; it adds in input
+    order, as ``np.add.at(out, index, rows)`` does, so the sums are the same
+    bits. (``np.bincount`` of no keys gives integer zeros, hence the cast.)
+    """
+    d = rows.shape[1]
+    keys = (index[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(keys, weights=rows.ravel(), minlength=n * d)
+    return sums.astype(np.float64, copy=False).reshape(n, d)
 
 
 def sum_all(a) -> Tensor:
@@ -426,9 +470,7 @@ def gather_rows(a, index: np.ndarray) -> Tensor:
     in_shape = a.shape
 
     def backward_fn(g):
-        full = np.zeros(in_shape)
-        np.add.at(full, index, g)
-        _accumulate(a, full)
+        _accumulate(a, _segment_sum(g, index, in_shape[0]))
 
     return _result(a.data[index], (a,), "gather_rows", backward_fn)
 
@@ -442,8 +484,7 @@ def pool_rows_mean(a, parent: np.ndarray, n_parents: int) -> Tensor:
     counts = np.bincount(parent, minlength=n_parents).astype(np.float64)
     if (counts == 0).any():
         raise ContractError("pool_rows_mean: some parents have no children")
-    sums = np.zeros((n_parents, a.shape[1]))
-    np.add.at(sums, parent, a.data)
+    sums = _segment_sum(a.data, parent, n_parents)
     inv_counts = 1.0 / counts
 
     def backward_fn(g):

@@ -121,7 +121,8 @@ def train_model(
         epoch_lr = learning_rate(train_cfg, t, total_steps)
         for s in range(steps_per_epoch):
             batch = order[s * train_cfg.batch_size:(s + 1) * train_cfg.batch_size]
-            params.zero_grad()
+            for _, p in named:
+                p.zero_grad()
             batch_loss = 0.0
             for idx in batch:
                 scene = train_scenes[idx]

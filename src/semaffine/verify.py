@@ -32,7 +32,7 @@ def _tensor_checks(rng):
     yield "tensor", "softplus", lambda: _mix(T.softplus(x)), [("x", x)], 1e-5
     yield "tensor", "softmax", lambda: _mix(T.softmax(a, 1)), [("a", a)], 1e-5
     yield "tensor", "log_softmax", lambda: _mix(T.log_softmax(a, 1)), [("a", a)], 1e-5
-    yield "tensor", "scale_transpose", lambda: _mix(T.scale(T.transpose(a), 1.7)), [("a", a)], 1e-5
+    yield "tensor", "scale", lambda: _mix(T.scale(a, 1.7)), [("a", a)], 1e-5
 
     # the fused ops draw from their own stream so the later checks keep their inputs
     fused = np.random.default_rng(7)
@@ -54,6 +54,11 @@ def _tensor_checks(rng):
         lambda: T.add(_mix(T.layer_norm(a, *rows, 1e-5)), _mix(T.layer_norm(c, *points, 1e-5), seed=1)), \
         [("x_rows", a), ("gain_row", rows[0]), ("bias_row", rows[1]),
          ("x_points", c), ("gain_points", points[0]), ("bias_points", points[1])], 1e-5
+
+    # two class masks in a 3-wide mask space, projected from 4 features
+    masks, w_m, b_m = (Tensor(fused.standard_normal(shape), requires_grad=True) for shape in ((2, 3), (3, 4), 3))
+    yield "tensor", "mask_logits", lambda: _mix(T.mask_logits(a, masks, w_m, b_m)), \
+        [("f", a), ("masks", masks), ("w", w_m), ("b", b_m)], 1e-5
 
 
 def _block_checks(rng):
@@ -108,7 +113,7 @@ def _affine_checks(rng):
 
     def loss():
         masks = predict_masks(h_u, mask_head)
-        conf = mask_confidences(masks, B.linear_forward(proj, f))
+        conf = mask_confidences(masks, f, proj)
         affine = predict_affine_params(h_u, scale_head, bias_head)
         return _mix(semantic_affine_transform(f, conf, affine))
 

@@ -139,14 +139,15 @@ class TestCriterion5SymmetryCollapse:
         h_layers, h_final = decode_queries(params, memory)
         masks = predict_masks(h_final, params.mask_head)
         feats = Tensor(rng.standard_normal((11, 8)))
-        conf = mask_confidences(masks, feats)
+        identity = B.LinearParams(Tensor(np.eye(8)), Tensor(np.zeros(8)))
+        conf = mask_confidences(masks, feats, identity)
         uniform_err = float(np.abs(conf.probs.data - 1.0 / cfg.n_classes).max())
 
         affine = predict_affine_params(h_layers[2], params.scale_heads[1], params.bias_heads[1])
         row_spread = max(float(np.abs(affine.scales.data - affine.scales.data[0]).max()),
                          float(np.abs(affine.biases.data - affine.biases.data[0]).max()))
         f_mid = Tensor(rng.standard_normal((9, cfg.level_dims[3])))
-        conf_mid = mask_confidences(masks, Tensor(rng.standard_normal((9, 8))))
+        conf_mid = mask_confidences(masks, Tensor(rng.standard_normal((9, 8))), identity)
         out = semantic_affine_transform(f_mid, conf_mid, affine)
         mu = f_mid.data.mean(axis=1, keepdims=True)
         sig = np.sqrt(((f_mid.data - mu) ** 2).mean(axis=1, keepdims=True) + 1e-5)

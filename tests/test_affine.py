@@ -14,6 +14,11 @@ from semaffine.gradcheck import finite_diff_check
 from semaffine.tensor import Tensor
 
 
+def identity_proj(d):
+    """A mask projection that passes d-wide features through unchanged."""
+    return B.LinearParams(Tensor(np.eye(d)), Tensor(np.zeros(d)))
+
+
 def normalize_oracle(x, eps=1e-5):
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
@@ -61,14 +66,14 @@ class TestMaskConfidences:
         rng = np.random.default_rng(3)
         mask_row = rng.standard_normal(4)
         masks = A.ClassMasks(Tensor(np.tile(mask_row, (5, 1))))
-        conf = A.mask_confidences(masks, Tensor(rng.standard_normal((7, 4))))
+        conf = A.mask_confidences(masks, Tensor(rng.standard_normal((7, 4))), identity_proj(4))
         np.testing.assert_allclose(conf.probs.data, np.full((7, 5), 0.2), atol=1e-12)
 
     def test_orthonormal_masks_peak_on_matching_class(self):
         n_classes = 4
         masks = A.ClassMasks(Tensor(np.eye(n_classes)))
         f = Tensor(10.0 * np.eye(n_classes)[2:3])
-        conf = A.mask_confidences(masks, f)
+        conf = A.mask_confidences(masks, f, identity_proj(n_classes))
         assert conf.probs.data[0].argmax() == 2
         expect = math.exp(10) / (math.exp(10) + (n_classes - 1))
         np.testing.assert_allclose(conf.probs.data[0, 2], expect, atol=1e-12)
@@ -76,13 +81,13 @@ class TestMaskConfidences:
     def test_two_class_analytic_softmax(self):
         masks = A.ClassMasks(Tensor(np.array([[0.0, 0.0], [0.0, 1.0]])))
         f = Tensor(np.array([[5.0, math.log(2.0)]]))  # logits [0, ln 2]
-        conf = A.mask_confidences(masks, f)
+        conf = A.mask_confidences(masks, f, identity_proj(2))
         np.testing.assert_allclose(conf.probs.data, [[1 / 3, 2 / 3]], atol=1e-12)
 
     def test_rows_lie_on_simplex(self):
         rng = np.random.default_rng(4)
         masks = A.ClassMasks(Tensor(rng.standard_normal((6, 8))))
-        conf = A.mask_confidences(masks, Tensor(rng.standard_normal((20, 8)) * 3))
+        conf = A.mask_confidences(masks, Tensor(rng.standard_normal((20, 8)) * 3), identity_proj(8))
         sums = conf.probs.data.sum(axis=1)
         np.testing.assert_allclose(sums, np.ones(20), atol=1e-9)
         assert (conf.probs.data >= 0).all() and (conf.probs.data <= 1).all()
@@ -90,7 +95,7 @@ class TestMaskConfidences:
     def test_shape_mismatch(self):
         masks = A.ClassMasks(Tensor(np.zeros((3, 4))))
         with pytest.raises(ShapeError):
-            A.mask_confidences(masks, Tensor(np.zeros((5, 6))))
+            A.mask_confidences(masks, Tensor(np.zeros((5, 6))), identity_proj(6))
 
 
 class TestPredictAffineParams:
@@ -224,9 +229,9 @@ class TestSemanticAffineTransform:
         rng = np.random.default_rng(14)
         masks = A.ClassMasks(Tensor(rng.standard_normal((5, 6))))
         f = Tensor(rng.standard_normal((30, 6)))
-        base = A.mask_confidences(masks, f).probs.data.argmax(axis=1)
+        base = A.mask_confidences(masks, f, identity_proj(6)).probs.data.argmax(axis=1)
         scaled = A.ClassMasks(Tensor(masks.masks.data * 7.3))
-        after = A.mask_confidences(scaled, f).probs.data.argmax(axis=1)
+        after = A.mask_confidences(scaled, f, identity_proj(6)).probs.data.argmax(axis=1)
         np.testing.assert_array_equal(base, after)
 
     def test_separation_at_parameter_level(self):
@@ -259,7 +264,7 @@ class TestSemanticAffineTransform:
 
         def loss():
             masks = A.predict_masks(h_u, mask_head)
-            conf = A.mask_confidences(masks, B.linear_forward(proj, f))
+            conf = A.mask_confidences(masks, f, proj)
             params = A.predict_affine_params(h_u, scale_head, bias_head)
             return T.sum_all(T.mul(A.semantic_affine_transform(f, conf, params), mix))
 

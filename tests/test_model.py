@@ -305,13 +305,14 @@ class TestTapeSize:
         loss = total_loss(M.model_forward(params, scene.cloud, hier=scene.hier),
                           scene.cloud.labels, scene.shadows)
         tally = op_tally(loss)
-        # 23 Transformer-block norms and 3 semantic-affine transforms, one node each
+        # 23 Transformer-block norms and 3 semantic-affine transforms, one node each;
+        # one mask_logits node per site (3 mid, 1 final) with its projection folded in
         assert tally == {
-            "leaf": 297, "linear": 83, "relu": 41, "add": 30, "layer_norm": 26, "attention": 14,
-            "matmul": 10, "softplus": 6, "mean": 4, "transpose": 4, "gather_rows": 3, "mul": 3,
+            "leaf": 297, "linear": 79, "relu": 41, "add": 30, "layer_norm": 26, "attention": 14,
+            "matmul": 6, "softplus": 6, "mask_logits": 4, "mean": 4, "gather_rows": 3, "mul": 3,
             "pool_rows_mean": 3, "scale": 3, "softmax": 3, "sub": 3, "log_softmax": 1, "pick": 1,
         }
-        assert sum(tally.values()) == 535
+        assert sum(tally.values()) == 527
 
     def test_default_scene_node_budget_and_dead_gradients(self):
         from semaffine.harness import total_loss

@@ -238,8 +238,14 @@ class TestIndexingOps:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((5, 3))
         idx = np.array([4, 0, 0, 2])
-        out = T.gather_rows(Tensor(a), idx)
+        src = Tensor(a, requires_grad=True)
+        out = T.gather_rows(src, idx)
         np.testing.assert_array_equal(out.data, a[idx])
+        g = rng.standard_normal((4, 3))
+        T.sum_all(T.mul(out, Tensor(g))).backward()
+        expect = np.zeros((5, 3))
+        np.add.at(expect, idx, g)  # row 0 is gathered twice, rows 1 and 3 never
+        np.testing.assert_array_equal(src.grad, expect)
 
     def test_pool_rows_mean_matches_loop(self):
         rng = np.random.default_rng(5)
@@ -248,6 +254,22 @@ class TestIndexingOps:
         out = T.pool_rows_mean(Tensor(a), parent, 3)
         expect = np.stack([a[parent == p].mean(axis=0) for p in range(3)])
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("index, n, d", [
+        ([3, 0, 3, 1, 0, 3], 5, 4),  # duplicates, unsorted, empty groups 2 and 4
+        ([2], 3, 3),  # one row
+        ([1, 1, 0], 2, 0),  # zero columns
+        ([], 3, 2),  # no rows
+    ], ids=["duplicates-unsorted", "one-row", "zero-columns", "no-rows"])
+    def test_segment_sum_matches_add_at(self, index, n, d):
+        rng = np.random.default_rng(9)
+        index = np.array(index, dtype=np.int64)
+        rows = rng.standard_normal((index.size, d)) * 10.0 ** rng.integers(-8, 9, (index.size, d))
+        expect = np.zeros((n, d))
+        np.add.at(expect, index, rows)
+        got = T._segment_sum(rows, index, n)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, expect)
 
     def test_pick(self):
         a = Tensor(np.arange(6.0).reshape(2, 3))
@@ -262,21 +284,25 @@ def _heads(rng, heads, d_k, in_dim):
 
 
 def unfused_attention_loss(q_in, kv_in, projs, heads, mix):
-    """sum(attention(...) * mix) from per-head transpose/matmul/add/softmax
-    nodes, each head against its own column block of ``mix``. Head h runs on
-    copies of row block h of each stacked (weight, bias) in ``projs`` (q, k, v)
-    as leaves of its own; returns the loss and those leaves, [proj][h]."""
+    """sum(attention(...) * mix) from per-head matmul/add/softmax nodes, each
+    head against its own column block of ``mix``; the scores q @ k.T are a
+    zero-bias ``linear``. Head h runs on copies of row block h of each stacked
+    (weight, bias) in ``projs`` (q, k, v) as leaves of its own, the weight
+    copies transposed to (in, d_k); returns the loss and those leaves,
+    [proj][h]."""
     d_k = projs[0][0].shape[0] // heads
     inv_sqrt_dk = 1.0 / math.sqrt(d_k)
-    blocks = [[tuple(Tensor(t.data[h * d_k:(h + 1) * d_k].copy(), requires_grad=True) for t in proj)
-               for h in range(heads)] for proj in projs]
+    blocks = [[(Tensor(w.data[h * d_k:(h + 1) * d_k].T.copy(), requires_grad=True),
+                Tensor(b.data[h * d_k:(h + 1) * d_k].copy(), requires_grad=True))
+               for h in range(heads)] for w, b in projs]
     total = None
     for h in range(heads):
-        (wq, bq), (wk, bk), (wv, bv) = (blocks[i][h] for i in range(3))
-        q = T.matmul(q_in, T.transpose(wq)) + bq
-        k = T.matmul(kv_in, T.transpose(wk)) + bk
-        v = T.matmul(kv_in, T.transpose(wv)) + bv
-        attn = T.softmax(T.scale(T.matmul(q, T.transpose(k)), inv_sqrt_dk), axis=1)
+        (wq_t, bq), (wk_t, bk), (wv_t, bv) = (blocks[i][h] for i in range(3))
+        q = T.matmul(q_in, wq_t) + bq
+        k = T.matmul(kv_in, wk_t) + bk
+        v = T.matmul(kv_in, wv_t) + bv
+        scores = T.linear(q, k, Tensor(np.zeros(kv_in.shape[0])))
+        attn = T.softmax(T.scale(scores, inv_sqrt_dk), axis=1)
         part = T.sum_all(T.mul(T.matmul(attn, v), Tensor(mix[:, h * d_k:(h + 1) * d_k])))
         total = part if total is None else total + part
     return total, blocks
@@ -301,9 +327,11 @@ class TestFusedOps:
         fused = T.linear(x, w, b)
         T.sum_all(T.mul(fused, mix)).backward()
         got = _grads([x, w, b])
-        unfused = T.matmul(x, T.transpose(w)) + b
+        w_t = Tensor(w.data.T.copy(), requires_grad=True)
+        unfused = T.matmul(x, w_t) + b
         T.sum_all(T.mul(unfused, mix)).backward()
-        expect = _grads([x, w, b])
+        expect = _grads([x, w_t, b])
+        expect[1] = expect[1].T
 
         assert fused.op == "linear" and fused.parents == (x, w, b)
         np.testing.assert_allclose(fused.data, unfused.data, rtol=0, atol=1e-12)
@@ -341,8 +369,9 @@ class TestFusedOps:
         unfused_loss, blocks = unfused_attention_loss(q_in, kv_in, projs, heads, mix)
         unfused_loss.backward()
         expect = _grads([q_in, kv_in])
-        expect += [np.concatenate([blocks[i][h][j].grad for h in range(heads)])
-                   for i in range(3) for j in range(2)]
+        for i in range(3):  # weight copies were transposed, bias copies not
+            expect.append(np.concatenate([blocks[i][h][0].grad.T for h in range(heads)]))
+            expect.append(np.concatenate([blocks[i][h][1].grad for h in range(heads)]))
 
         assert out.op == "attention" and out.shape == (4, heads * d_k)
         assert out.parents == (q_in, kv_in, *stacked)
@@ -385,3 +414,45 @@ class TestFusedOps:
             T.attention(q_in, q_in, w, b, Tensor(w.data[:2]), b, w, b, heads=2)
         with pytest.raises(ShapeError):
             T.attention(q_in, q_in, w, b, w, Tensor(b.data[:2]), w, b, heads=2)
+
+    @pytest.mark.parametrize("f_grad, params_grad", [(True, True), (False, True), (True, False)])
+    def test_mask_logits_matches_unfused(self, f_grad, params_grad):
+        rng = np.random.default_rng(24)
+        f = Tensor(rng.standard_normal((9, 5)), requires_grad=f_grad)
+        masks, w, b = (Tensor(rng.standard_normal(shape), requires_grad=params_grad)
+                       for shape in ((3, 4), (4, 5), 4))
+        mix = Tensor(rng.standard_normal((9, 3)))
+
+        fused = T.mask_logits(f, masks, w, b)
+        T.sum_all(T.mul(fused, mix)).backward()
+        got = _grads([f, masks, w, b])
+        masks_t = Tensor(masks.data.T.copy(), requires_grad=params_grad)
+        unfused = T.matmul(T.linear(f, w, b), masks_t)
+        T.sum_all(T.mul(unfused, mix)).backward()
+        expect = _grads([f, masks_t, w, b])
+        if params_grad:
+            expect[1] = expect[1].T
+
+        assert fused.op == "mask_logits" and fused.parents == (f, masks, w, b)
+        np.testing.assert_allclose(fused.data, unfused.data, rtol=0, atol=1e-12)
+        for t, g, e in zip([f, masks, w, b], got, expect):
+            if not t.requires_grad:
+                assert g is None and e is None
+            else:
+                np.testing.assert_allclose(g, e, rtol=0, atol=1e-12)
+
+    def test_mask_logits_rejects_bad_shapes(self):
+        f, masks, w, b = Tensor(np.zeros((6, 5))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5))), \
+            Tensor(np.zeros(4))
+        T.mask_logits(f, masks, w, b)  # fits
+        for bad in (
+            (Tensor(np.zeros(5)), masks, w, b),  # 1-d features
+            (Tensor(np.zeros((6, 4))), masks, w, b),  # feature width vs projection input
+            (f, Tensor(np.zeros((3, 5))), w, b),  # mask width vs projection output
+            (f, Tensor(np.zeros(4)), w, b),  # 1-d masks
+            (f, masks, Tensor(np.zeros(5)), b),  # 1-d weight
+            (f, masks, w, Tensor(np.zeros(3))),  # bias length
+            (f, masks, w, Tensor(np.zeros((4, 1)))),  # 2-d bias
+        ):
+            with pytest.raises(ShapeError):
+                T.mask_logits(*bad)

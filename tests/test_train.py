@@ -1,8 +1,14 @@
 """Train/eval loop bookkeeping, determinism, and the CLI surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import semaffine
 from semaffine.ablate import parse_variants
 from semaffine.checkpoint import MAGIC, save_checkpoint
 from semaffine.cli import main
@@ -187,37 +193,48 @@ class TestCli:
             assert capsys.readouterr().err.startswith("error: line ")
 
     @staticmethod
-    def _eval_edited_checkpoint(tmp_path, edit):
-        """Exit code of ``eval`` on a small model's checkpoint after ``edit(named parameters)``."""
+    def _edited_checkpoint_argv(tmp_path, edit):
+        """``eval`` arguments for a small model's checkpoint after ``edit(named parameters)``."""
         manifest = small_corpus(tmp_path, n_train=0, n_val=1, points=8)
         model_cfg, train_cfg = small_model_cfg(), TrainConfig()
         named = build_model(model_cfg, seed=train_cfg.seed).named_parameters()
         edit(dict(named))
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, named, snapshot(model_cfg, train_cfg), step=0)
-        return main(["eval", "--ckpt", str(ckpt), "--data", str(manifest)])
+        return ["eval", "--ckpt", str(ckpt), "--data", str(manifest)]
+
+    @staticmethod
+    def _huge_weights(params):  # finite, but their product overflows
+        params["backbone.enc0.0.weight"].data[...] = 1e200
+        params["backbone.enc0.1.weight"].data[...] = 1e200
 
     def test_non_finite_checkpoint_exit_code(self, tmp_path, capsys):
-        assert self._eval_edited_checkpoint(tmp_path, lambda p: None) == 0
+        assert main(self._edited_checkpoint_argv(tmp_path, lambda p: None)) == 0
         capsys.readouterr()
 
         def nan_weight(params):
             params["backbone.enc0.0.weight"].data[...] = np.nan
 
-        assert self._eval_edited_checkpoint(tmp_path, nan_weight) == 1
+        assert main(self._edited_checkpoint_argv(tmp_path, nan_weight)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and "backbone.enc0.0.weight has non-finite values" in err
         assert "Traceback" not in err
 
     def test_non_finite_logits_exit_code(self, tmp_path, capsys):
-        def huge_weights(params):  # finite, but their product overflows
-            params["backbone.enc0.0.weight"].data[...] = 1e200
-            params["backbone.enc0.1.weight"].data[...] = 1e200
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert self._eval_edited_checkpoint(tmp_path, huge_weights) == 2
+        assert main(self._edited_checkpoint_argv(tmp_path, self._huge_weights)) == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: non-finite logits") and "Traceback" not in err
+
+    def test_numeric_failure_is_the_only_stderr_line(self, tmp_path):
+        # a fresh interpreter prints numpy's RuntimeWarnings unless the CLI silences them
+        argv = self._edited_checkpoint_argv(tmp_path, self._huge_weights)
+        src = str(Path(semaffine.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "semaffine.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: non-finite logits"), proc.stderr
 
     def test_missing_data_exit_code(self, tmp_path):
         assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),
