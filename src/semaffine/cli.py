@@ -28,9 +28,7 @@ from .config import (
     train_config_from,
 )
 from .errors import NumericError, SemaffineError
-from .harness import TrainConfig
-from .model import ModelConfig
-from .scenes import SceneSpec, generate_scene, write_manifest, write_scene
+from .scenes import generate_scene, write_manifest, write_scene
 from .train import eval_run, train_run
 
 

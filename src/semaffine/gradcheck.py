@@ -7,10 +7,20 @@ The relative error for one parameter entry is
 so a gradient corrupted by a factor of 2 reports ~1/3. The floor ``delta``
 absorbs central-difference roundoff (about eps*|f|/h) on entries whose true
 gradient is zero or tiny; a genuinely wrong gradient lands far above it.
+
+The perturbed forwards do not depend on each other, so they run on every CPU
+in the process's affinity mask: the chosen entries are split into one
+contiguous block per CPU, and each block after the first runs in a forked
+child. ``taskset -c 0`` runs them all in the calling process. Each forward
+sees the same parameter values either way, so the reports are bit-identical
+for any number of CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -54,6 +64,81 @@ class GradCheckReport:
         return out
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or ask."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_block(fn: Callable, block: Sequence, fd: int) -> None:
+    """In a forked child: write the pickled ``([fn(x) for x in block], None)``,
+    or ``(None, exc)`` for its first exception, to ``fd``; then exit without
+    running the parent's exit handlers or flushing its buffered output."""
+    status = 1
+    try:
+        try:
+            payload = ([fn(x) for x in block], None)
+        except BaseException as exc:  # sent to the parent, which re-raises it
+            payload = (None, exc)
+        try:
+            data = pickle.dumps(payload)
+            pickle.loads(data)
+        except Exception as exc:  # an exception that cannot cross, or its pickling error
+            data = pickle.dumps((None, RuntimeError(f"finite-difference worker: {exc!r}")))
+        with os.fdopen(fd, "wb") as out:
+            out.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _ordered_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, split over ``_worker_count()`` processes.
+
+    The items are cut into contiguous blocks. The calling process runs the
+    first; a forked child runs each other block on its own copy-on-write
+    memory, so what ``fn`` mutates there never reaches the caller. (``fn`` is
+    a closure over live tensors, which a spawned worker could not receive.)
+    Every child is reaped before this returns or raises, and the first
+    exception in item order is re-raised."""
+    w = min(_worker_count(), len(items))
+    if w <= 1:
+        return [fn(x) for x in items]
+    bounds = [b * len(items) // w for b in range(w + 1)]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    payloads: list[bytes] = []
+    statuses: list[int] = []
+    try:
+        for b in range(1, w):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _run_block(fn, items[bounds[b]:bounds[b + 1]], write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = [fn(x) for x in items[:bounds[1]]]
+        for _, read_fd in children:
+            with os.fdopen(read_fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        # a child whose result was not read is not needed: the caller raises
+        for k, (pid, read_fd) in enumerate(children):
+            if k >= len(payloads):
+                os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for data, status in zip(payloads, statuses):
+        if not data:
+            raise RuntimeError(f"a finite-difference worker exited without a result (wait status {status})")
+        values, error = pickle.loads(data)
+        if error is not None:
+            raise error
+        results.extend(values)
+    return results
+
+
 def finite_diff_check(
     f: Callable[[], Tensor],
     params: Sequence[tuple[str, Tensor]],
@@ -81,25 +166,37 @@ def finite_diff_check(
     }
 
     rng = np.random.default_rng(seed)
-    for name, p in params:
-        flat = p.data.reshape(-1)
-        n = flat.size
+    chosen = []
+    for _, p in params:
+        n = p.data.size
         if max_entries is not None and n > max_entries:
             idx = rng.choice(n, size=max_entries, replace=False)
             idx.sort()
         else:
             idx = np.arange(n)
-        a_flat = analytic[name].reshape(-1)
-        max_rel, worst = 0.0, -1
-        note = ""
-        ok = True
-        for i in idx:
-            orig = flat[i]
+        chosen.append(idx)
+    flats = [p.data.reshape(-1) for _, p in params]
+
+    def forward_pair(entry: tuple[int, int]) -> tuple[float, float]:
+        flat, i = flats[entry[0]], entry[1]
+        orig = flat[i]
+        try:
             flat[i] = orig + h
             f_plus = float(f().data)
             flat[i] = orig - h
             f_minus = float(f().data)
+        finally:
             flat[i] = orig
+        return f_plus, f_minus
+
+    pairs = _ordered_map(forward_pair, [(k, i) for k, idx in enumerate(chosen) for i in idx])
+    start = 0
+    for (name, _), idx in zip(params, chosen):
+        a_flat = analytic[name].reshape(-1)
+        max_rel, worst = 0.0, -1
+        note = ""
+        ok = True
+        for i, (f_plus, f_minus) in zip(idx, pairs[start:start + len(idx)]):
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 note = f"non-finite forward while perturbing entry {i}"
                 ok = False
@@ -111,6 +208,7 @@ def finite_diff_check(
             rel = abs(a - numeric) / max(abs(a) + abs(numeric), delta)
             if rel > max_rel:
                 max_rel, worst = rel, int(i)
+        start += len(idx)
         if ok:
             ok = max_rel <= tol
         report.params.append(

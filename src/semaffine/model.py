@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,8 +39,6 @@ from .affine import (
     semantic_affine_transform,
 )
 from .blocks import (
-    DecoderBlockParams,
-    EncoderBlockParams,
     LinearParams,
     decoder_block,
     encoder_block,

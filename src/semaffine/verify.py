@@ -8,7 +8,7 @@ import numpy as np
 from . import blocks as B
 from . import tensor as T
 from .affine import mask_confidences, predict_affine_params, predict_masks, semantic_affine_transform
-from .gradcheck import GradCheckReport, finite_diff_check
+from .gradcheck import finite_diff_check
 from .harness import bce_with_logits, cross_entropy_loss, total_loss
 from .hierarchy import build_hierarchy, one_hot, pool_features, shadow_labels, unpool_features
 from .model import ModelConfig, build_model, model_forward

@@ -1,9 +1,13 @@
 """Finite-difference checker behaviour, plus per-op gradient verification."""
 
+import os
+
 import numpy as np
 import pytest
 
+from semaffine import gradcheck
 from semaffine import tensor as T
+from semaffine.errors import NumericError
 from semaffine.gradcheck import finite_diff_check
 from semaffine.tensor import Tensor
 
@@ -71,6 +75,95 @@ class TestFiniteDiffCheck:
         r2 = finite_diff_check(f, [("x", x)], max_entries=10, seed=3)
         assert r1.params[0].n_checked == 10
         assert r1.params[0].max_rel_err == r2.params[0].max_rel_err
+
+
+def _subsampled_case():
+    """Three parameters, two of them subsampled, with a gradient error on one."""
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
+    b = Tensor(rng.standard_normal(7), requires_grad=True)
+    c = Tensor(rng.standard_normal(40), requires_grad=True)
+
+    def f():
+        wrong = Tensor(c.data.sum(), requires_grad=True, op="bad_sum", parents=(c,))
+        wrong._backward_fn = lambda g: T._accumulate(c, 1.5 * np.full_like(c.data, float(g)))
+        return T.add(T.add(_mix_loss(T.mul(a, a)), _mix_loss(T.softplus(b), seed=1)), wrong)
+
+    return f, [("a", a), ("b", b), ("c", c)], dict(max_entries=10, seed=4)
+
+
+def _non_finite_case():
+    """A forward that overflows, as in ``test_nan_forward_names_parameter``,
+    but only when ``x`` moves up, and after a finite parameter, so the
+    non-finite forward lands in a later block."""
+    y = Tensor(np.linspace(-1, 1, 5), requires_grad=True)
+    x = Tensor([1.7976931], requires_grad=True)  # x * 1e308 is finite, (x + 1e-6) * 1e308 is not
+
+    def f():
+        edge = T.sub(T.mul(x, Tensor([1e308])), Tensor([1.7976931e308]))
+        return T.add(_mix_loss(T.mul(y, y)), T.sum_all(edge))
+
+    return f, [("y", y), ("x", x)], {}
+
+
+def _check_with_workers(monkeypatch, workers, make_case):
+    monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+    f, params, kwargs = make_case()
+    before = [p.data.tobytes() for _, p in params]
+    with np.errstate(over="ignore"):
+        report = finite_diff_check(f, params, **kwargs)
+    assert [p.data.tobytes() for _, p in params] == before
+    return report
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the forward pairs run inline without os.fork")
+class TestParallelForwards:
+    @pytest.mark.parametrize("make_case", [_subsampled_case, _non_finite_case], ids=["subsampled", "non_finite"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_reports_equal_serial_and_parameters_untouched(self, monkeypatch, workers, make_case):
+        serial = _check_with_workers(monkeypatch, 1, make_case)
+        report = _check_with_workers(monkeypatch, workers, make_case)
+        _assert_no_children()
+        assert report == serial
+        assert not report.passed and any(p.ok for p in report.params)
+
+    @pytest.mark.parametrize("entry", [8, 0], ids=["last_block", "first_block"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_exception_keeps_type_and_message(self, monkeypatch, workers, entry):
+        # entry 8 raises in a child's block, entry 0 in the caller's own
+        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        x = Tensor(np.arange(9.0), requires_grad=True)
+
+        def f():
+            if x.data[entry] != entry:
+                raise NumericError(f"entry {entry} perturbed")
+            return T.sum_all(T.mul(x, x))
+
+        with pytest.raises(NumericError, match=f"entry {entry} perturbed"):
+            finite_diff_check(f, [("x", x)])
+        _assert_no_children()
+        assert x.data.tolist() == list(np.arange(9.0))
+
+    @pytest.mark.parametrize("workers, entries, forks", [(1, 9, 0), (2, 9, 1), (3, 9, 2), (3, 2, 1)])
+    def test_forks_at_most_one_child_per_other_worker(self, monkeypatch, workers, entries, forks):
+        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        started = []
+        real_fork = os.fork
+
+        def counted_fork():
+            started.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        x = Tensor(np.linspace(0.5, 1.5, entries), requires_grad=True)
+        assert finite_diff_check(lambda: T.sum_all(T.mul(x, x)), [("x", x)]).passed
+        assert len(started) == forks
+        _assert_no_children()
 
 
 def _mix_loss(out, seed=0):

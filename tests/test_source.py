@@ -1,0 +1,37 @@
+"""Static checks on the package sources."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import semaffine
+
+PACKAGE = Path(semaffine.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's imports that nothing in it references."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_scanner_finds_an_unused_import():
+    source = "from __future__ import annotations\nimport os\nimport numpy as np\nfrom a.b import c, d\nnp.zeros(c)\n"
+    assert unused_imports(source) == ["line 2: os", "line 4: d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -18,6 +18,7 @@ from semaffine.harness import TrainConfig
 from semaffine.model import ModelConfig, build_model
 from semaffine.scenes import SceneSpec, generate_scene, write_manifest, write_scene
 from semaffine.train import eval_run, evaluate_scenes, load_corpus, prepare_scene, train_model, train_run
+from semaffine.verify import iter_checks
 
 
 def small_model_cfg(**overrides):
@@ -225,16 +226,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: non-finite logits") and "Traceback" not in err
 
-    def test_numeric_failure_is_the_only_stderr_line(self, tmp_path):
-        # a fresh interpreter prints numpy's RuntimeWarnings unless the CLI silences them
-        argv = self._edited_checkpoint_argv(tmp_path, self._huge_weights)
+    @staticmethod
+    def _cli_subprocess(argv, **kwargs):
+        """``python -m semaffine.cli *argv`` in a fresh interpreter, output
+        captured; its stdout is block-buffered, as for any pipe."""
         src = str(Path(semaffine.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "semaffine.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=300)
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run([sys.executable, "-m", "semaffine.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=300, **kwargs)
+
+    def test_numeric_failure_is_the_only_stderr_line(self, tmp_path):
+        # a fresh interpreter prints numpy's RuntimeWarnings unless the CLI silences them
+        proc = self._cli_subprocess(self._edited_checkpoint_argv(tmp_path, self._huge_weights))
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure: non-finite logits"), proc.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
+    def test_gradcheck_output_is_the_same_on_one_cpu(self):
+        # a piped stdout is block-buffered, so a forked worker that flushed it
+        # on exit would print the lines emitted before it again
+        argv = ["gradcheck", "--module", "tensor"]
+        proc = self._cli_subprocess(argv)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        names = [f"  {mod}.{name}  " for mod, name, *_ in iter_checks("tensor")]
+        assert [sum(name in line for line in lines) for name in names] == [1] * len(names)
+        assert len(lines) == len(names) + 1 and lines[-1] == "gradient suite passed"
+        pinned = self._cli_subprocess(argv, preexec_fn=lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}))
+        assert pinned.returncode == 0, pinned.stderr
+        assert pinned.stdout == proc.stdout
 
     def test_missing_data_exit_code(self, tmp_path):
         assert main(["eval", "--ckpt", str(tmp_path / "none.ckpt"),
