@@ -4,7 +4,6 @@ synthetic benchmark, and finite-difference verification throughout."""
 
 from .affine import (
     AffineParams,
-    ClassMasks,
     ConfidenceMatrix,
     combine_affine,
     mask_confidences,
@@ -21,11 +20,11 @@ from .errors import (
     ShapeError,
 )
 from .gradcheck import finite_diff_check
-from .harness import Metrics, TrainConfig, compute_miou, cross_entropy_loss, midlevel_bce_loss, total_loss
+from .harness import Metrics, TrainConfig, compute_miou, midlevel_bce_loss, total_loss
 from .hierarchy import Hierarchy, MultiHotLabels, build_hierarchy, pool_features, shadow_labels, unpool_features
 from .model import ForwardOutput, ModelConfig, build_model, model_forward
 from .scenes import LabeledCloud, SceneSpec, generate_scene, read_scene, write_scene
-from .tensor import Tensor, backward, layer_norm, matmul, softmax
+from .tensor import Tensor, backward, bce_with_logits, cross_entropy, layer_norm, matmul, softmax
 from .train import eval_run, train_run
 
 __version__ = "0.1.0"

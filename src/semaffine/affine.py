@@ -34,11 +34,6 @@ from .tensor import Tensor
 
 
 @dataclass
-class ClassMasks:
-    masks: Tensor  # (N, d_m)
-
-
-@dataclass
 class AffineParams:
     scales: Tensor  # (N, d_i), entrywise >= 0
     biases: Tensor  # (N, d_i)
@@ -50,19 +45,19 @@ class ConfidenceMatrix:
     probs: Tensor  # (n_i, N) softmax rows, each summing to 1
 
 
-def predict_masks(h_final: Tensor, head: Sequence[LinearParams]) -> ClassMasks:
-    """One mask row per class from the final class-feature rows."""
-    return ClassMasks(masks=mlp_forward(head, h_final))
+def predict_masks(h_final: Tensor, head: Sequence[LinearParams]) -> Tensor:
+    """One mask row per class from the final class-feature rows: (N, d_m)."""
+    return mlp_forward(head, h_final)
 
 
-def mask_confidences(m: ClassMasks, f: Tensor, proj: LinearParams) -> ConfidenceMatrix:
-    """logits[j, k] = m_k . proj(f_j); probs = per-point softmax over classes."""
-    return confidences_from_logits(T.mask_logits(f, m.masks, proj.weight, proj.bias))
+def mask_confidences(masks: Tensor, f: Tensor, proj: LinearParams) -> ConfidenceMatrix:
+    """logits[j, k] = masks_k . proj(f_j); probs = per-point softmax over classes."""
+    return confidences_from_logits(T.mask_logits(f, masks, proj.weight, proj.bias))
 
 
 def confidences_from_logits(logits: Tensor) -> ConfidenceMatrix:
     """Wrap externally produced class scores (e.g. a fully connected head)."""
-    return ConfidenceMatrix(logits=logits, probs=T.softmax(logits, axis=1))
+    return ConfidenceMatrix(logits=logits, probs=T.softmax(logits))
 
 
 def predict_affine_params(

@@ -27,12 +27,14 @@ from .config import (
     scene_spec_from,
     train_config_from,
 )
-from .errors import NumericError, SemaffineError
+from .errors import ConfigError, NumericError, SemaffineError
 from .scenes import generate_scene, write_manifest, write_scene
 from .train import eval_run, train_run
 
 
 def _cmd_synth(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
     values = parse_config_file(args.spec) if args.spec else {}
     spec = scene_spec_from(values)
     extra = extra_from(values)
@@ -88,6 +90,8 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     values = parse_config_file(args.config) if args.config else {}
     model_cfg = model_config_from(values)
     train_cfg = train_config_from(values)

@@ -12,14 +12,6 @@ from .model import ModelConfig
 from .scenes import SceneSpec
 
 
-def _to_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _to_int_tuple(s: str) -> tuple:
     return tuple(int(x) for x in s.split(",") if x.strip())
 
@@ -88,13 +80,17 @@ def parse_config_file(path) -> dict[str, str]:
     return parse_config_text(read_utf8(path), source=str(path))
 
 
+def _convert(values: dict[str, str], key: str, conv):
+    try:
+        return conv(values[key])
+    except ValueError as e:
+        raise ConfigError(f"bad value for {key!r}: {values[key]!r} ({e})") from e
+
+
 def _apply(values: dict[str, str], keymap: dict, target):
     for key, (attr, conv) in keymap.items():
         if key in values:
-            try:
-                setattr(target, attr, conv(values[key]))
-            except ValueError as e:
-                raise ConfigError(f"bad value for {key!r}: {values[key]!r} ({e})") from e
+            setattr(target, attr, _convert(values, key, conv))
     return target
 
 
@@ -120,7 +116,12 @@ def extra_from(values: dict[str, str]) -> dict:
     out = {"val_fraction": 0.2, "ablate_train_scenes": 200, "ablate_val_scenes": 50}
     for key, conv in EXTRA_KEYS.items():
         if key in values:
-            out[key] = conv(values[key])
+            out[key] = _convert(values, key, conv)
+    if not 0 <= out["val_fraction"] <= 1:
+        raise ConfigError(f"val_fraction must be in [0, 1], got {out['val_fraction']!r}")
+    for key in ("ablate_train_scenes", "ablate_val_scenes"):
+        if out[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {out[key]}")
     return out
 
 

@@ -3,8 +3,9 @@
 The training objective is a weighted sum of a final-level cross entropy over
 one-hot point labels and, per supervised mid level, a binary cross entropy of
 the raw class scores against the multi-hot labels that shadow the pooling
-hierarchy. The per-entry BCE uses the stable identity
-``softplus(x) - target * x`` so no sigmoid is materialized.
+hierarchy. Each term is one tape node (``tensor.cross_entropy``,
+``tensor.bce_with_logits``, which validate labels and targets); this module
+weights and sums them.
 
 The learning rate is ``base * group_factor * warm(t) * (1 - t/T)^2`` with a
 linear warmup over the first 5% of steps; attention-module parameters use a
@@ -51,36 +52,15 @@ class TrainConfig:
 # -- losses --------------------------------------------------------------------
 
 
-def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
-    """Mean over points of -log softmax(logits)[label]."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.data.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise ContractError(f"cross_entropy: label out of range [0, {logits.shape[1]})")
-    picked = T.pick(T.log_softmax(logits, axis=1), labels)
-    return T.scale(T.mean_all(picked), -1.0)
-
-
-def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean over entries of BCE(sigmoid(logit), target), computed stably."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != logits.shape:
-        raise ShapeError(f"bce: logits {logits.shape} vs targets {targets.shape}")
-    if not np.isin(targets, (0.0, 1.0)).all():
-        raise ContractError("bce: targets must be binary")
-    return T.mean_all(T.softplus(logits) - T.mul(logits, Tensor(targets)))
-
-
 def midlevel_bce_loss(mid_logits: list[Tensor], targets: list[np.ndarray]) -> Tensor:
     """Per level the mean entrywise BCE; levels are then summed."""
     if len(mid_logits) != len(targets):
         raise ShapeError(f"midlevel_bce: {len(mid_logits)} logit blocks vs {len(targets)} target blocks")
     if not mid_logits:
         raise ContractError("midlevel_bce: no supervised levels")
-    total = bce_with_logits(mid_logits[0], targets[0])
+    total = T.bce_with_logits(mid_logits[0], targets[0])
     for logits, tgt in zip(mid_logits[1:], targets[1:]):
-        total = total + bce_with_logits(logits, tgt)
+        total = total + T.bce_with_logits(logits, tgt)
     return total
 
 
@@ -92,7 +72,7 @@ def total_loss(
     w_mid: float = 1.0,
 ) -> Tensor:
     """w_final * CE(final logits, labels) + w_mid * sum of mid-level BCEs."""
-    ce = cross_entropy_loss(fwd.final_logits, labels)
+    ce = T.cross_entropy(fwd.final_logits, labels)
     mid_logits = [mid.conf.logits for mid in fwd.mids]
     mid_targets = [shadows.levels[mid.level] for mid in fwd.mids]
     bce = midlevel_bce_loss(mid_logits, mid_targets)

@@ -30,7 +30,6 @@ import numpy as np
 from . import tensor as T
 from .affine import (
     AffineParams,
-    ClassMasks,
     ConfidenceMatrix,
     confidences_from_logits,
     mask_confidences,
@@ -274,7 +273,7 @@ class MidLevelOutput:
 class ForwardOutput:
     final_logits: Tensor  # (n_0, N)
     mids: list  # MidLevelOutput, coarsest stage first
-    masks: ClassMasks
+    masks: Tensor  # (N, d_m) class mask rows
     hierarchy: Hierarchy
     trace: Optional[dict] = None
 
@@ -314,7 +313,7 @@ def decode_queries(params: ModelParams, memory: Tensor):
     return h_layers, h_layers[-1]
 
 
-def _site_confidences(params: ModelParams, level: int, feats: Tensor, masks: ClassMasks) -> ConfidenceMatrix:
+def _site_confidences(params: ModelParams, level: int, feats: Tensor, masks: Tensor) -> ConfidenceMatrix:
     """A mid site's class scores and their per-point softmax rows."""
     site = params.sites[level]
     if params.cfg.classifier == "mask":
@@ -322,11 +321,11 @@ def _site_confidences(params: ModelParams, level: int, feats: Tensor, masks: Cla
     return confidences_from_logits(linear_forward(site.fc, feats))
 
 
-def _site_logits(params: ModelParams, level: int, feats: Tensor, masks: ClassMasks) -> Tensor:
+def _site_logits(params: ModelParams, level: int, feats: Tensor, masks: Tensor) -> Tensor:
     """The final site's class scores alone: nothing reads a softmax of them."""
     site = params.sites[level]
     if params.cfg.classifier == "mask":
-        return T.mask_logits(feats, masks.masks, site.mask_proj.weight, site.mask_proj.bias)
+        return T.mask_logits(feats, masks, site.mask_proj.weight, site.mask_proj.bias)
     return linear_forward(site.fc, feats)
 
 
@@ -351,7 +350,7 @@ def model_forward(
         trace["tokens"] = tokens.data.copy()
         for u, h in enumerate(h_layers, start=1):
             trace[f"h{u}"] = h.data.copy()
-        trace["masks"] = masks.masks.data.copy()
+        trace["masks"] = masks.data.copy()
 
     feats = tokens
     mids = []

@@ -8,12 +8,14 @@ hanging off a scalar loss *is* the tape: node ids increase in creation order
 Design constraints:
 
 - float64 throughout; gradient checking needs the headroom.
-- row-major data; the only implicit broadcast is (n, d) op (d,), used for
-  bias/gain rows. Everything else must match shapes exactly.
+- row-major data; binary ops (``add``, ``mul``) require equal shapes, with
+  no implicit broadcast. The (d,) bias/gain rows are operands of the fused
+  ops, which broadcast them internally.
 - forward values are saved eagerly by the closures; no checkpointing.
-- four fused ops: a linear layer, a whole multi-head attention, a
-  normalize-then-modulate ``layer_norm`` and a projected mask classifier are
-  one node each (``linear``, ``attention``, ``layer_norm``, ``mask_logits``).
+- six fused ops: a linear layer, a whole multi-head attention, a
+  normalize-then-modulate ``layer_norm``, a projected mask classifier and the
+  two loss terms are one node each (``linear``, ``attention``, ``layer_norm``,
+  ``mask_logits``, ``cross_entropy``, ``bce_with_logits``).
   Most operands are a few to a few dozen rows, where the cost is per-node
   dispatch; ``mask_logits`` also folds the mask projection into the N class
   masks, so the thousands of finest-level points are never projected.
@@ -77,9 +79,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         if isinstance(other, Tensor):
             return mul(self, other)
@@ -116,54 +115,34 @@ def _as_tensor(x) -> Tensor:
 # -- binary arithmetic ---------------------------------------------------
 
 
-def _check_binary(a: Tensor, b: Tensor, name: str) -> bool:
-    """Validate shapes for a binary op; returns True for the (n,d) op (d,) row broadcast."""
-    if a.shape == b.shape:
-        return False
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        return True
-    raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
+def _check_binary(a: Tensor, b: Tensor, name: str):
+    if a.shape != b.shape:
+        raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    row_broadcast = _check_binary(a, b, "add")
+    _check_binary(a, b, "add")
 
     def backward_fn(g):
         if a.requires_grad:
             _accumulate(a, g, shared=True)
         if b.requires_grad:
-            if row_broadcast:
-                _accumulate(b, g.sum(axis=0))
-            else:
-                _accumulate(b, g, shared=True)
+            _accumulate(b, g, shared=True)
 
     return _result(a.data + b.data, (a, b), "add", backward_fn)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    row_broadcast = _check_binary(a, b, "sub")
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g, shared=True)
-        if b.requires_grad:
-            _accumulate(b, -(g.sum(axis=0) if row_broadcast else g))
-
-    return _result(a.data - b.data, (a, b), "sub", backward_fn)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    row_broadcast = _check_binary(a, b, "mul")
+    _check_binary(a, b, "mul")
     a_data, b_data = a.data, b.data
 
     def backward_fn(g):
         if a.requires_grad:
             _accumulate(a, g * b_data)
         if b.requires_grad:
-            _accumulate(b, (g * a_data).sum(axis=0) if row_broadcast else g * a_data)
+            _accumulate(b, g * a_data)
 
     return _result(a_data * b_data, (a, b), "mul", backward_fn)
 
@@ -349,40 +328,59 @@ def softplus(a) -> Tensor:
     return _result(np.logaddexp(0.0, x), (a,), "softplus", backward_fn)
 
 
-# -- softmax family --------------------------------------------------------
+# -- softmax and the losses ------------------------------------------------
 
 
-def _check_axis(a: Tensor, axis: int) -> int:
-    ndim = a.data.ndim
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"axis {axis} out of range for shape {a.shape}")
-    return axis % ndim
-
-
-def softmax(a, axis=-1) -> Tensor:
+def softmax(a) -> Tensor:
+    """Row-wise softmax of an (n, d) tensor."""
     a = _as_tensor(a)
-    axis = _check_axis(a, axis)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    if a.data.ndim != 2:
+        raise ShapeError(f"softmax: expects (n, d) input, got {a.shape}")
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=1, keepdims=True)
 
     def backward_fn(g):
-        _accumulate(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        _accumulate(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
 
     return _result(y, (a,), "softmax", backward_fn)
 
 
-def log_softmax(a, axis=-1) -> Tensor:
-    a = _as_tensor(a)
-    axis = _check_axis(a, axis)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = np.exp(out_data)
+def cross_entropy(logits, labels) -> Tensor:
+    """Mean over rows of -log softmax(logits)[row, label], as one node."""
+    logits = _as_tensor(logits)
+    labels = np.asarray(labels, dtype=np.int64)
+    if logits.data.ndim != 2 or labels.shape != (logits.shape[0],):
+        raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        raise ContractError(f"cross_entropy: label out of range [0, {logits.shape[1]})")
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(labels.size)
+
+    def backward_fn(g):  # the log_softmax backward of the picked entries' gradient
+        g_picked = np.zeros(logits.shape)
+        g_picked[rows, labels] = -float(g) / labels.size
+        _accumulate(logits, g_picked - np.exp(log_probs) * g_picked.sum(axis=1, keepdims=True))
+
+    return _result(-log_probs[rows, labels].mean(), (logits,), "cross_entropy", backward_fn)
+
+
+def bce_with_logits(logits, targets) -> Tensor:
+    """Mean over entries of BCE(sigmoid(x), t) = softplus(x) - t * x, as one node."""
+    logits = _as_tensor(logits)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != logits.shape:
+        raise ShapeError(f"bce: logits {logits.shape} vs targets {targets.shape}")
+    if not np.isin(targets, (0.0, 1.0)).all():
+        raise ContractError("bce: targets must be binary")
+    x = logits.data
 
     def backward_fn(g):
-        _accumulate(a, g - y * g.sum(axis=axis, keepdims=True))
+        g_entry = float(g) / x.size
+        _accumulate(logits, -g_entry * targets + g_entry * _sigmoid(x))
 
-    return _result(out_data, (a,), "log_softmax", backward_fn)
+    return _result((np.logaddexp(0.0, x) - x * targets).mean(), (logits,), "bce_with_logits", backward_fn)
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -448,17 +446,6 @@ def sum_all(a) -> Tensor:
     return _result(a.data.sum(), (a,), "sum", backward_fn)
 
 
-def mean_all(a) -> Tensor:
-    a = _as_tensor(a)
-    in_shape = a.shape
-    n = a.data.size
-
-    def backward_fn(g):
-        _accumulate(a, np.full(in_shape, float(g) / n))
-
-    return _result(a.data.mean(), (a,), "mean", backward_fn)
-
-
 def gather_rows(a, index: np.ndarray) -> Tensor:
     """out[j] = a[index[j]]; gradient scatter-adds back onto the source rows."""
     a = _as_tensor(a)
@@ -491,25 +478,6 @@ def pool_rows_mean(a, parent: np.ndarray, n_parents: int) -> Tensor:
         _accumulate(a, (g * inv_counts[:, None])[parent])
 
     return _result(sums * inv_counts[:, None], (a,), "pool_rows_mean", backward_fn)
-
-
-def pick(a, index: np.ndarray) -> Tensor:
-    """out[j] = a[j, index[j]] for a 2-d tensor; used to select labelled logits."""
-    a = _as_tensor(a)
-    index = np.asarray(index, dtype=np.int64)
-    if a.data.ndim != 2 or index.shape != (a.shape[0],):
-        raise ShapeError(f"pick: index {index.shape} does not match input {a.shape}")
-    if index.size and (index.min() < 0 or index.max() >= a.shape[1]):
-        raise ContractError(f"pick: class index out of range for {a.shape[1]} columns")
-    rows = np.arange(a.shape[0])
-    in_shape = a.shape
-
-    def backward_fn(g):
-        full = np.zeros(in_shape)
-        full[rows, index] = g
-        _accumulate(a, full)
-
-    return _result(a.data[rows, index], (a,), "pick", backward_fn)
 
 
 # -- backward ---------------------------------------------------------------

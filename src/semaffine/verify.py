@@ -9,7 +9,7 @@ from . import blocks as B
 from . import tensor as T
 from .affine import mask_confidences, predict_affine_params, predict_masks, semantic_affine_transform
 from .gradcheck import finite_diff_check
-from .harness import bce_with_logits, cross_entropy_loss, total_loss
+from .harness import total_loss
 from .hierarchy import build_hierarchy, one_hot, pool_features, shadow_labels, unpool_features
 from .model import ModelConfig, build_model, model_forward
 from .tensor import Tensor
@@ -27,11 +27,10 @@ def _tensor_checks(rng):
     x = Tensor(rng.uniform(0.2, 1.5, (3, 5)) * rng.choice([-1.0, 1.0], (3, 5)), requires_grad=True)
 
     yield "tensor", "matmul", lambda: _mix(T.matmul(a, b)), [("a", a), ("b", b)], 1e-5
-    yield "tensor", "add_sub_mul", lambda: _mix(T.mul(T.add(a, c), T.sub(a, c))), [("a", a), ("c", c)], 1e-5
+    yield "tensor", "add_mul", lambda: _mix(T.mul(T.add(a, c), a)), [("a", a), ("c", c)], 1e-5
     yield "tensor", "relu", lambda: _mix(T.relu(x)), [("x", x)], 1e-5
     yield "tensor", "softplus", lambda: _mix(T.softplus(x)), [("x", x)], 1e-5
-    yield "tensor", "softmax", lambda: _mix(T.softmax(a, 1)), [("a", a)], 1e-5
-    yield "tensor", "log_softmax", lambda: _mix(T.log_softmax(a, 1)), [("a", a)], 1e-5
+    yield "tensor", "softmax", lambda: _mix(T.softmax(a)), [("a", a)], 1e-5
     yield "tensor", "scale", lambda: _mix(T.scale(a, 1.7)), [("a", a)], 1e-5
 
     # the fused ops draw from their own stream so the later checks keep their inputs
@@ -128,14 +127,15 @@ def _affine_checks(rng):
 
 
 def _loss_checks(rng):
+    # each loss scaled by 0.37, so the checks cover its backward's upstream gradient
     logits = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
     labels = rng.integers(0, 4, 6)
-    yield "losses", "cross_entropy", lambda: cross_entropy_loss(logits, labels), \
+    yield "losses", "cross_entropy", lambda: T.scale(T.cross_entropy(logits, labels), 0.37), \
         [("logits", logits)], 1e-5
 
     mid = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     targets = (rng.random((5, 4)) < 0.4).astype(float)
-    yield "losses", "midlevel_bce", lambda: bce_with_logits(mid, targets), \
+    yield "losses", "midlevel_bce", lambda: T.scale(T.bce_with_logits(mid, targets), 0.37), \
         [("logits", mid)], 1e-5
 
 

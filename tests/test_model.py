@@ -306,13 +306,14 @@ class TestTapeSize:
                           scene.cloud.labels, scene.shadows)
         tally = op_tally(loss)
         # 23 Transformer-block norms and 3 semantic-affine transforms, one node each;
-        # one mask_logits node per site (3 mid, 1 final) with its projection folded in
+        # one mask_logits node per site (3 mid, 1 final) with its projection folded in;
+        # one node per loss term (final CE, 3 mid-level BCEs), then 2 weights and 3 sums
         assert tally == {
             "leaf": 297, "linear": 79, "relu": 41, "add": 30, "layer_norm": 26, "attention": 14,
-            "matmul": 6, "softplus": 6, "mask_logits": 4, "mean": 4, "gather_rows": 3, "mul": 3,
-            "pool_rows_mean": 3, "scale": 3, "softmax": 3, "sub": 3, "log_softmax": 1, "pick": 1,
+            "matmul": 6, "mask_logits": 4, "bce_with_logits": 3, "gather_rows": 3, "pool_rows_mean": 3,
+            "softmax": 3, "softplus": 3, "scale": 2, "cross_entropy": 1,
         }
-        assert sum(tally.values()) == 527
+        assert sum(tally.values()) == 515
 
     def test_default_scene_node_budget_and_dead_gradients(self):
         from semaffine.harness import total_loss
@@ -338,6 +339,6 @@ class TestTapeSize:
                     graph[p.node_id] = p
                     stack.append(p)
         constants = [t for t in graph.values() if not t.requires_grad]
-        assert constants  # coordinates and BCE targets
+        assert constants  # coordinates
         assert all(t.grad is None for t in constants)
         assert all(t.grad is not None for t in graph.values() if t.requires_grad)

@@ -27,6 +27,28 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Module-level private (``_name``) functions, classes and constants
+    that nothing in the module references."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in sorted(defined.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
 def test_scanner_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\nfrom a.b import c, d\nnp.zeros(c)\n"
     assert unused_imports(source) == ["line 2: os", "line 4: d"]
@@ -35,3 +57,15 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scanner_finds_an_unused_private_name():
+    source = ("_A = 1\n_B: int = 2\n__all__ = []\nC = _A\n\n"
+              "def _f():\n    return _g()\n\ndef _g():\n    pass\n\nclass _K:\n    pass\n\n"
+              "def public():\n    _local = 3\n    return _local\n")
+    assert unused_private_names(source) == ["line 2: _B", "line 6: _f", "line 12: _K"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []

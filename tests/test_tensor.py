@@ -74,39 +74,125 @@ class TestElementwise:
         out = T.scale(Tensor([1.0, -2.0]), 2.5)
         np.testing.assert_array_equal(out.data, [2.5, -5.0])
 
-    def test_bias_row_broadcast(self):
-        a = Tensor(np.ones((3, 2)))
-        b = Tensor([1.0, 2.0])
-        out = a + b
-        np.testing.assert_array_equal(out.data, [[2.0, 3.0]] * 3)
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        # no implicit (n, d) op (d,) row broadcast: bias and gain rows go through the fused ops
+        for op in (T.add, T.mul):
+            with pytest.raises(ShapeError, match=r"\(3, 2\) and \(2,\)"):
+                op(Tensor(np.ones((3, 2))), Tensor([1.0, 2.0]))
 
 
 class TestSoftmax:
     def test_constant_row_is_uniform(self):
-        out = T.softmax(Tensor([3.7, 3.7, 3.7]), axis=0)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        out = T.softmax(Tensor([[3.7, 3.7, 3.7]]))
+        np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_analytic_two_entry(self):
-        out = T.softmax(Tensor([0.0, math.log(2.0)]), axis=0)
-        np.testing.assert_allclose(out.data, [1 / 3, 2 / 3], atol=1e-15)
+        out = T.softmax(Tensor([[0.0, math.log(2.0)]]))
+        np.testing.assert_allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-15)
 
     def test_shift_invariance_and_stability(self):
-        big = T.softmax(Tensor([1000.0, 1001.0]), axis=0)
-        small = T.softmax(Tensor([0.0, 1.0]), axis=0)
+        big = T.softmax(Tensor([[1000.0, 1001.0], [-1001.0, -1000.0]]))
+        small = T.softmax(Tensor([[0.0, 1.0], [0.0, 1.0]]))
         assert np.isfinite(big.data).all()
         np.testing.assert_allclose(big.data, small.data, atol=1e-12)
-        assert np.argmax(big.data) == np.argmax(small.data)
+        np.testing.assert_array_equal(np.argmax(big.data, axis=1), np.argmax(small.data, axis=1))
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((6, 5)) * 10
-        out = T.softmax(Tensor(x), axis=1)
+        out = T.softmax(Tensor(x))
         np.testing.assert_allclose(out.data.sum(axis=1), np.ones(6), atol=1e-12)
         assert ((out.data > 0) & (out.data < 1)).all()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(ShapeError, match="softmax"):
+            T.softmax(Tensor(np.zeros(shape)))
+
+
+def sigmoid_oracle(x):
+    """The logistic function branched on sign, so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def unfused_cross_entropy(x, labels, g):
+    """Loss and logits gradient of log_softmax -> pick -> mean -> scale(-1),
+    the four nodes that ``cross_entropy`` replaces, one numpy step per node;
+    ``g`` is the gradient arriving at the scale(-1) output."""
+    shifted = x - x.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(labels.size)
+    loss = log_probs[rows, labels].mean() * -1.0
+    g_mean = -1.0 * g
+    g_picked = np.full(labels.size, float(g_mean) / labels.size)
+    g_log_probs = np.zeros(x.shape)
+    g_log_probs[rows, labels] = g_picked
+    return loss, g_log_probs - np.exp(log_probs) * g_log_probs.sum(axis=1, keepdims=True)
+
+
+def unfused_bce(x, t, g):
+    """Loss and logits gradient of mean(softplus(x) - mul(x, t)), the four
+    nodes that ``bce_with_logits`` replaces; the mul backward reaches x
+    before the softplus backward does."""
+    loss = (np.logaddexp(0.0, x) - x * t).mean()
+    g_diff = np.full(x.shape, float(g) / x.size)
+    grad = (-g_diff) * t
+    grad += g_diff * sigmoid_oracle(x)
+    return loss, grad
+
+
+class TestFusedLosses:
+    """Each loss op against the op-by-op composition it replaces, bit for bit,
+    under a non-unit upstream gradient."""
+
+    def test_cross_entropy_matches_unfused(self):
+        rng = np.random.default_rng(50)
+        x = rng.standard_normal((7, 4)) * 3.0
+        x[0, 1] = 40.0  # a saturated row
+        labels = np.array([1, 0, 3, 3, 2, 1, 0])
+        logits = Tensor(x, requires_grad=True)
+        ce = T.cross_entropy(logits, labels)
+        T.scale(ce, 0.37).backward()
+        loss, grad = unfused_cross_entropy(x, labels, 0.37 * np.ones(()))
+        assert ce.op == "cross_entropy" and ce.parents == (logits,) and ce.shape == ()
+        assert ce.data.tobytes() == np.float64(loss).tobytes()
+        np.testing.assert_array_equal(logits.grad, grad)
+
+    def test_bce_with_logits_matches_unfused(self):
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal((5, 4)) * 3.0
+        x[0, :2] = [40.0, -40.0]  # saturated entries on both sides
+        t = (rng.random((5, 4)) < 0.4).astype(np.float64)
+        logits = Tensor(x, requires_grad=True)
+        bce = T.bce_with_logits(logits, t)
+        T.scale(bce, 0.37).backward()
+        loss, grad = unfused_bce(x, t, 0.37 * np.ones(()))
+        assert bce.op == "bce_with_logits" and bce.parents == (logits,) and bce.shape == ()
+        assert bce.data.tobytes() == np.float64(loss).tobytes()
+        np.testing.assert_array_equal(logits.grad, grad)
+
+    def test_cross_entropy_rejects_bad_operands(self):
+        logits = Tensor(np.zeros((3, 4)))
+        for bad_logits, labels in ((Tensor(np.zeros(4)), [0]), (logits, [0, 1]), (logits, [[0, 1, 2]])):
+            with pytest.raises(ShapeError, match="cross_entropy"):
+                T.cross_entropy(bad_logits, labels)
+        for labels in ([0, 4, 1], [-1, 0, 1]):
+            with pytest.raises(ContractError, match="out of range"):
+                T.cross_entropy(logits, labels)
+
+    def test_bce_with_logits_rejects_bad_operands(self):
+        logits = Tensor(np.zeros((2, 3)))
+        for targets in (np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3, 1))):
+            with pytest.raises(ShapeError, match="bce"):
+                T.bce_with_logits(logits, targets)
+        for bad in (0.5, -1.0, np.nan):
+            targets = np.ones((2, 3))
+            targets[1, 2] = bad
+            with pytest.raises(ContractError, match="binary"):
+                T.bce_with_logits(logits, targets)
 
 
 def unit_norm(x, eps):
@@ -221,8 +307,8 @@ class TestBackward:
             rng = np.random.default_rng(7)
             x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
             w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-            y = T.softmax(T.matmul(x, w), axis=1)
-            loss = T.mean_all(T.mul(y, y))
+            y = T.softmax(T.matmul(x, w))
+            loss = T.sum_all(T.mul(y, y))
             loss.backward()
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -271,11 +357,6 @@ class TestIndexingOps:
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, expect)
 
-    def test_pick(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3))
-        out = T.pick(a, np.array([2, 0]))
-        np.testing.assert_array_equal(out.data, [2.0, 3.0])
-
 
 def _heads(rng, heads, d_k, in_dim):
     """One projection of ``heads`` heads stacked by rows: (weight, bias)."""
@@ -283,26 +364,31 @@ def _heads(rng, heads, d_k, in_dim):
             Tensor(rng.standard_normal(heads * d_k), requires_grad=True))
 
 
+def add_row(x, row):
+    """x (n, d) plus a (1, d) ``row`` on every point, as x + ones (n, 1) @ row."""
+    return x + T.matmul(Tensor(np.ones((x.shape[0], 1))), row)
+
+
 def unfused_attention_loss(q_in, kv_in, projs, heads, mix):
     """sum(attention(...) * mix) from per-head matmul/add/softmax nodes, each
     head against its own column block of ``mix``; the scores q @ k.T are a
     zero-bias ``linear``. Head h runs on copies of row block h of each stacked
     (weight, bias) in ``projs`` (q, k, v) as leaves of its own, the weight
-    copies transposed to (in, d_k); returns the loss and those leaves,
-    [proj][h]."""
+    copies transposed to (in, d_k) and the bias copies (1, d_k) rows; returns
+    the loss and those leaves, [proj][h]."""
     d_k = projs[0][0].shape[0] // heads
     inv_sqrt_dk = 1.0 / math.sqrt(d_k)
     blocks = [[(Tensor(w.data[h * d_k:(h + 1) * d_k].T.copy(), requires_grad=True),
-                Tensor(b.data[h * d_k:(h + 1) * d_k].copy(), requires_grad=True))
+                Tensor(b.data[None, h * d_k:(h + 1) * d_k].copy(), requires_grad=True))
                for h in range(heads)] for w, b in projs]
     total = None
     for h in range(heads):
         (wq_t, bq), (wk_t, bk), (wv_t, bv) = (blocks[i][h] for i in range(3))
-        q = T.matmul(q_in, wq_t) + bq
-        k = T.matmul(kv_in, wk_t) + bk
-        v = T.matmul(kv_in, wv_t) + bv
+        q = add_row(T.matmul(q_in, wq_t), bq)
+        k = add_row(T.matmul(kv_in, wk_t), bk)
+        v = add_row(T.matmul(kv_in, wv_t), bv)
         scores = T.linear(q, k, Tensor(np.zeros(kv_in.shape[0])))
-        attn = T.softmax(T.scale(scores, inv_sqrt_dk), axis=1)
+        attn = T.softmax(T.scale(scores, inv_sqrt_dk))
         part = T.sum_all(T.mul(T.matmul(attn, v), Tensor(mix[:, h * d_k:(h + 1) * d_k])))
         total = part if total is None else total + part
     return total, blocks
@@ -328,10 +414,11 @@ class TestFusedOps:
         T.sum_all(T.mul(fused, mix)).backward()
         got = _grads([x, w, b])
         w_t = Tensor(w.data.T.copy(), requires_grad=True)
-        unfused = T.matmul(x, w_t) + b
+        b_row = Tensor(b.data[None].copy(), requires_grad=True)
+        unfused = add_row(T.matmul(x, w_t), b_row)
         T.sum_all(T.mul(unfused, mix)).backward()
-        expect = _grads([x, w_t, b])
-        expect[1] = expect[1].T
+        expect = _grads([x, w_t, b_row])
+        expect[1], expect[2] = expect[1].T, expect[2][0]
 
         assert fused.op == "linear" and fused.parents == (x, w, b)
         np.testing.assert_allclose(fused.data, unfused.data, rtol=0, atol=1e-12)
@@ -369,9 +456,9 @@ class TestFusedOps:
         unfused_loss, blocks = unfused_attention_loss(q_in, kv_in, projs, heads, mix)
         unfused_loss.backward()
         expect = _grads([q_in, kv_in])
-        for i in range(3):  # weight copies were transposed, bias copies not
+        for i in range(3):  # weight copies were transposed, bias copies made rows
             expect.append(np.concatenate([blocks[i][h][0].grad.T for h in range(heads)]))
-            expect.append(np.concatenate([blocks[i][h][1].grad for h in range(heads)]))
+            expect.append(np.concatenate([blocks[i][h][1].grad[0] for h in range(heads)]))
 
         assert out.op == "attention" and out.shape == (4, heads * d_k)
         assert out.parents == (q_in, kv_in, *stacked)

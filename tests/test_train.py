@@ -172,6 +172,23 @@ class TestCli:
             bad.write_text(text)
             assert main(["train", "--config", str(bad), "--data", "x", "--out", "y"]) == 1
             assert "unknown key" in capsys.readouterr().err
+        corpus = tmp_path / "corpus"
+        synth = ["synth", "--spec", str(bad), "--out", str(corpus), "--count"]
+        ablate = ["ablate", "--config", str(bad), "--seeds"]
+        for text, argv, message in (
+            ("val_fraction = abc\n", synth + ["2"], "bad value for 'val_fraction'"),
+            ("val_fraction = 3.0\n", synth + ["2"], "val_fraction must be in [0, 1]"),
+            ("val_fraction = nan\n", synth + ["2"], "val_fraction must be in [0, 1]"),
+            ("ablate_train_scenes = 0\n", ablate + ["1"], "ablate_train_scenes must be >= 1"),
+            ("ablate_val_scenes = -2\n", ablate + ["1"], "ablate_val_scenes must be >= 1"),
+            ("", synth + ["-3"], "--count must be >= 1"),
+            ("", ablate + ["0"], "--seeds must be >= 1"),
+        ):
+            bad.write_text(text)
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not corpus.exists()
 
     def test_bad_checkpoint_exit_code(self, tmp_path, capsys):
         manifest = small_corpus(tmp_path, n_train=0, n_val=1, points=8)
