@@ -88,21 +88,25 @@ def load_checkpoint(path):
 
     step = None
     config: dict[str, str] = {}
-    entries = []
+    declared_params: dict[str, tuple] = {}  # name -> (shape, byte offset, manifest line)
     declared = None
     for i, line in enumerate(header_lines[1:], start=2):
         if line.startswith("step="):
             step = _count(line[len("step="):], i, line)
         elif line.startswith("cfg."):
             key, _, value = line[len("cfg."):].partition("=")
+            if key in config:
+                raise ParseError(f"duplicate config key {key!r}", line=i)
             config[key] = value
         elif line.startswith("param "):
             fields = line.split(" ")
             if len(fields) != 4:
                 raise ParseError(f"malformed param line: {line!r}", line=i)
             _, name, shape_s, offset_s = fields
+            if name in declared_params:
+                raise ParseError(f"duplicate parameter {name!r}", line=i)
             shape = tuple(_count(d, i, line) for d in shape_s.split(",") if d)
-            entries.append((name, shape, _count(offset_s, i, line), i))
+            declared_params[name] = (shape, _count(offset_s, i, line), i)
         elif line.startswith("payload "):
             declared = _count(line[len("payload "):], i, line)
         else:
@@ -113,7 +117,7 @@ def load_checkpoint(path):
         raise ContractError(f"payload size mismatch: declared {declared}, found {len(payload)}")
 
     out = []
-    for name, shape, offset, line_no in entries:
+    for name, (shape, offset, line_no) in declared_params.items():
         count = math.prod(shape)
         if offset + 8 * count > len(payload):
             raise ContractError(f"parameter {name} overruns payload")

@@ -69,7 +69,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     metrics = eval_run(args.ckpt, args.data, split=args.split)
-    np.set_printoptions(precision=4, suppress=True)
     print(f"accuracy: {metrics.accuracy:.4f}")
     print(f"mIoU: {metrics.miou:.4f}")
     for k, iou in enumerate(metrics.iou):

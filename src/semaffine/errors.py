@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: validation-type errors exit with 1,
 numeric/runtime failures with 2.
 """
 
+import dataclasses
+import math
 from pathlib import Path
 
 
@@ -35,6 +37,14 @@ class ParseError(SemaffineError, ValueError):
 
 class NumericError(SemaffineError, RuntimeError):
     """Non-finite values detected during computation."""
+
+
+def require_finite(config) -> None:
+    """ConfigError naming the first float field of a config dataclass that is NaN or infinite."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 def read_utf8(path) -> str:

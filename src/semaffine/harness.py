@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError
-from .hierarchy import MultiHotLabels
+from .errors import ConfigError, ContractError, ShapeError, require_finite
 from .model import ForwardOutput
 from .tensor import Tensor
 
@@ -39,6 +38,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        require_finite(self)
         if self.base_lr <= 0 or self.attention_lr_factor <= 0:
             raise ConfigError("learning rates must be positive")
         if self.weight_decay < 0 or self.momentum < 0 or not 0 <= self.warmup_fraction < 1:
@@ -67,14 +67,15 @@ def midlevel_bce_loss(mid_logits: list[Tensor], targets: list[np.ndarray]) -> Te
 def total_loss(
     fwd: ForwardOutput,
     labels,
-    shadows: MultiHotLabels,
+    shadows: list[np.ndarray],
     w_final: float = 1.0,
     w_mid: float = 1.0,
 ) -> Tensor:
-    """w_final * CE(final logits, labels) + w_mid * sum of mid-level BCEs."""
+    """w_final * CE(final logits, labels) + w_mid * sum of mid-level BCEs;
+    ``shadows[level]`` holds that level's multi-hot targets."""
     ce = T.cross_entropy(fwd.final_logits, labels)
     mid_logits = [mid.conf.logits for mid in fwd.mids]
-    mid_targets = [shadows.levels[mid.level] for mid in fwd.mids]
+    mid_targets = [shadows[mid.level] for mid in fwd.mids]
     bce = midlevel_bce_loss(mid_logits, mid_targets)
     return T.scale(ce, w_final) + T.scale(bce, w_mid)
 
@@ -160,6 +161,8 @@ def confusion_matrix(preds, labels, n_classes: int) -> np.ndarray:
 
 
 def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
+    """Per class IoU = tp / (tp + fp + fn); classes absent from both prediction
+    and ground truth are NaN and excluded from the mean."""
     n_classes = confusion.shape[0]
     tp = np.diag(confusion).astype(np.float64)
     gt = confusion.sum(axis=1)
@@ -171,9 +174,3 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
     miou = float(np.nanmean(iou)) if present.any() else float("nan")
     accuracy = float(tp.sum() / confusion.sum())
     return Metrics(iou=iou, miou=miou, accuracy=accuracy, confusion=confusion)
-
-
-def compute_miou(preds, labels, n_classes: int) -> Metrics:
-    """Per class IoU = tp / (tp + fp + fn); classes absent from both pred and
-    ground truth are excluded from the mean."""
-    return metrics_from_confusion(confusion_matrix(preds, labels, n_classes))

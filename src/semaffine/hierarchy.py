@@ -11,7 +11,7 @@ a boundary keeps every class it covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ MAX_CELL = 2.0 ** 62  # bound on |coord / edge|: int64 voxel keys with a factor-
 class Hierarchy:
     coords: list[np.ndarray]  # per level, (n_i, 3) meters
     parents: list[np.ndarray]  # per level < L-1, (n_i,) indices into level i+1
-    base_voxel: float
 
     @property
     def levels(self) -> int:
@@ -62,7 +61,7 @@ def _voxel_cells(coords: np.ndarray, edge: float) -> np.ndarray:
 
 
 def build_hierarchy(coords, base_voxel: float, levels: int) -> Hierarchy:
-    coords = np.asarray(coords.data if isinstance(coords, Tensor) else coords, dtype=np.float64)
+    coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ShapeError(f"build_hierarchy: expected (n, 3) coords, got {coords.shape}")
     if coords.shape[0] == 0:
@@ -83,7 +82,7 @@ def build_hierarchy(coords, base_voxel: float, levels: int) -> Hierarchy:
         centroids /= counts[:, None]
         parent_maps.append(parent)
         level_coords.append(centroids)
-    return Hierarchy(coords=level_coords, parents=parent_maps, base_voxel=base_voxel)
+    return Hierarchy(coords=level_coords, parents=parent_maps)
 
 
 def pool_features(h: Hierarchy, level: int, f: Tensor) -> Tensor:
@@ -106,17 +105,6 @@ def unpool_features(h: Hierarchy, level: int, f_parent: Tensor, skip: Tensor) ->
     return T.gather_rows(f_parent, h.parents[level]) + skip
 
 
-@dataclass
-class MultiHotLabels:
-    """Per level, a binary (n_i, N) class-presence matrix; level 0 is one-hot."""
-
-    levels: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def n_classes(self) -> int:
-        return self.levels[0].shape[1]
-
-
 def one_hot(labels, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
@@ -126,8 +114,9 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return out
 
 
-def shadow_labels(h: Hierarchy, level0: np.ndarray) -> MultiHotLabels:
-    """Propagate one-hot level-0 rows upward: parent row = min(1, sum of children)."""
+def shadow_labels(h: Hierarchy, level0: np.ndarray) -> list[np.ndarray]:
+    """Propagate one-hot level-0 rows upward: parent row = min(1, sum of children).
+    Returns one binary (n_i, N) class-presence matrix per level; level 0 is the input."""
     level0 = np.asarray(level0, dtype=np.uint8)
     if level0.ndim != 2 or level0.shape[0] != h.sizes[0]:
         raise ShapeError(f"shadow_labels: labels {level0.shape} do not match level 0 size {h.sizes[0]}")
@@ -140,4 +129,4 @@ def shadow_labels(h: Hierarchy, level0: np.ndarray) -> MultiHotLabels:
         n = h.sizes[level + 1]
         hits = np.bincount(h.parents[level][rows] * n_classes + classes, minlength=n * n_classes)
         out.append((hits.reshape(n, n_classes) > 0).astype(np.uint8))
-    return MultiHotLabels(levels=out)
+    return out

@@ -50,9 +50,8 @@ from .blocks import (
     named_parameters,
     uniform_fan_in,
 )
-from .errors import ConfigError, ContractError, SemaffineError
-from .hierarchy import Hierarchy, build_hierarchy, unpool_features, pool_features
-from .scenes import LabeledCloud
+from .errors import ConfigError, ContractError, SemaffineError, require_finite
+from .hierarchy import Hierarchy, pool_features, unpool_features
 from .tensor import Tensor
 
 CLASSIFIERS = ("mask", "fc")
@@ -91,6 +90,7 @@ class ModelConfig:
         return i + self.level_offset
 
     def validate(self):
+        require_finite(self)
         if self.n_classes < 1:
             raise ConfigError(f"n_classes must be >= 1, got {self.n_classes}")
         if self.levels < 2:
@@ -107,8 +107,8 @@ class ModelConfig:
                 f"offset {self.level_offset} need depth >= {self.n_mid + self.level_offset}")
         if self.encoder_depth < 0 or self.level_offset < 1:
             raise ConfigError("encoder_depth must be >= 0 and level_offset >= 1")
-        if self.base_voxel <= 0:
-            raise ConfigError(f"base_voxel must be positive, got {self.base_voxel}")
+        if self.base_voxel <= 0 or self.norm_eps <= 0:
+            raise ConfigError(f"base_voxel and norm_eps must be positive, got {self.base_voxel} and {self.norm_eps}")
         if self.classifier not in CLASSIFIERS:
             raise ConfigError(f"classifier must be one of {CLASSIFIERS}, got {self.classifier!r}")
         if self.affine not in AFFINE_MODES:
@@ -273,21 +273,15 @@ class MidLevelOutput:
 class ForwardOutput:
     final_logits: Tensor  # (n_0, N)
     mids: list  # MidLevelOutput, coarsest stage first
-    masks: Tensor  # (N, d_m) class mask rows
-    hierarchy: Hierarchy
-    trace: Optional[dict] = None
 
 
-def backbone_encode(params: ModelParams, coords: np.ndarray, hier: Hierarchy | None = None):
+def backbone_encode(params: ModelParams, hier: Hierarchy) -> list[Tensor]:
     """Per-point MLP at the finest level, then pool + per-level MLP upward."""
-    cfg = params.cfg
-    if hier is None:
-        hier = build_hierarchy(coords, cfg.base_voxel, cfg.levels)
     feats = [mlp_forward(params.enc_mlps[0], Tensor(hier.coords[0]))]
-    for level in range(1, cfg.levels):
+    for level in range(1, params.cfg.levels):
         pooled = pool_features(hier, level - 1, feats[level - 1])
         feats.append(mlp_forward(params.enc_mlps[level], pooled))
-    return feats, hier
+    return feats
 
 
 def encode_tokens(params: ModelParams, top_feats: Tensor, top_coords: np.ndarray) -> Tensor:
@@ -329,28 +323,13 @@ def _site_logits(params: ModelParams, level: int, feats: Tensor, masks: Tensor) 
     return linear_forward(site.fc, feats)
 
 
-def model_forward(
-    params: ModelParams,
-    cloud,
-    hier: Hierarchy | None = None,
-    record: bool = False,
-) -> ForwardOutput:
-    """Full forward pass over one scene (a LabeledCloud or an (n, 3) array)."""
+def model_forward(params: ModelParams, hier: Hierarchy) -> ForwardOutput:
+    """Full forward pass over one scene's prepared voxel hierarchy."""
     cfg = params.cfg
-    coords = cloud.coords if isinstance(cloud, LabeledCloud) else np.asarray(cloud, dtype=np.float64)
-    trace: dict | None = {} if record else None
-
-    enc, hier = backbone_encode(params, coords, hier)
+    enc = backbone_encode(params, hier)
     tokens = encode_tokens(params, enc[-1], hier.coords[-1])
     h_layers, h_final = decode_queries(params, tokens)
     masks = predict_masks(h_final, params.mask_head)
-    if record:
-        for level, f in enumerate(enc):
-            trace[f"enc{level}"] = f.data.copy()
-        trace["tokens"] = tokens.data.copy()
-        for u, h in enumerate(h_layers, start=1):
-            trace[f"h{u}"] = h.data.copy()
-        trace["masks"] = masks.data.copy()
 
     feats = tokens
     mids = []
@@ -370,15 +349,9 @@ def model_forward(
                 site = params.sites[level]
                 transformed = T.layer_norm(feats, site.norm_gain, site.norm_bias, cfg.norm_eps)
             mids.append(MidLevelOutput(level=level, conf=conf, affine=affine))
-            if record:
-                trace[f"mid{level}.logits"] = conf.logits.data.copy()
-                trace[f"mid{level}.transformed"] = transformed.data.copy()
             down = linear_forward(params.down_proj[i], transformed)
             feats = unpool_features(hier, level - 1, down, enc[level - 1])
         except SemaffineError as e:
             raise type(e)(f"decoder stage {i} (hierarchy level {level}): {e}") from e
 
-    final_logits = _site_logits(params, 0, feats, masks)
-    if record:
-        trace["final_logits"] = final_logits.data.copy()
-    return ForwardOutput(final_logits=final_logits, mids=mids, masks=masks, hierarchy=hier, trace=trace)
+    return ForwardOutput(final_logits=_site_logits(params, 0, feats, masks), mids=mids)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError, read_utf8
+from .errors import ContractError, ParseError, read_utf8, require_finite
 
 MAGIC = "semaffine-scene v1"
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -42,22 +42,28 @@ CLASS_NAMES = ("floor", "table", "chair", "clutter")
 LEG_RADIUS = 0.03
 LEG_HEIGHT_RANGE = (0.40, 0.50)
 
+TABLE_CLEARANCE = 0.65  # meters, a table's footprint radius for packing
+MAX_EXTENT = 1000.0  # meters; squared placement distances overflow near 1e154
+MAX_PACK_RETRIES = 200
+
 
 @dataclass
 class SceneSpec:
-    n_classes: int = 4
     objects_per_scene: int = 6  # beyond the always-present floor
     points_per_object: int = 340
     noise_sigma: float = 0.008  # meters, added to every coordinate
     min_gap: float = -0.05  # <= 0 forces the chair/table pair into contact
     extent: float = 4.0  # scene side length, meters
-    max_pack_retries: int = 200
 
     def validate(self):
-        if self.n_classes != len(CLASS_NAMES):
-            raise ContractError(f"scene spec supports exactly {len(CLASS_NAMES)} classes, got {self.n_classes}")
+        require_finite(self)
         if self.objects_per_scene < 3 or self.points_per_object < 8:
             raise ContractError("scene spec: need >= 3 objects and >= 8 points per object")
+        if self.noise_sigma < 0:
+            raise ContractError(f"scene spec: noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 2 * TABLE_CLEARANCE < self.extent <= MAX_EXTENT:
+            raise ContractError(f"scene spec: extent must lie in ({2 * TABLE_CLEARANCE:g}, {MAX_EXTENT:g}] m, "
+                                f"got {self.extent}")
 
 
 @dataclass
@@ -170,7 +176,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> LabeledCloud:
     meta = {"leg_points": 0, "adjacent_pairs": 0, "leg_height": leg_height}
 
     def place(radius):
-        for _ in range(spec.max_pack_retries):
+        for _ in range(MAX_PACK_RETRIES):
             x = float(rng.uniform(-half + radius, half - radius))
             y = float(rng.uniform(-half + radius, half - radius))
             # allow mild interpenetration: contact between objects is wanted
@@ -179,7 +185,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> LabeledCloud:
                 continue
             placed.append((x, y, radius))
             return x, y
-        raise ContractError(f"scene packing failed after {spec.max_pack_retries} retries (seed {seed})")
+        raise ContractError(f"scene packing failed after {MAX_PACK_RETRIES} retries (seed {seed})")
 
     def place_beside(table_xy, table_half, own_half):
         """Put an object flush against one side of a table footprint, with the
@@ -203,7 +209,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> LabeledCloud:
     labels.append(np.full(n_pts, CLASS_FLOOR))
 
     # guaranteed confusable pair: one table with one chair in contact range
-    tx, ty = place(0.65)
+    tx, ty = place(TABLE_CLEARANCE)
     pts, n_leg = _table(rng, n_pts, tx, ty, leg_height)
     parts.append(pts)
     labels.append(np.full(len(pts), CLASS_TABLE))
@@ -220,7 +226,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> LabeledCloud:
     for i in range(spec.objects_per_scene - 2):
         cls = cycle[i % len(cycle)]
         if cls == CLASS_TABLE:
-            x, y = place(0.65)
+            x, y = place(TABLE_CLEARANCE)
             pts, n_leg = _table(rng, n_pts, x, y, leg_height)
             meta["leg_points"] += n_leg
         elif cls == CLASS_CHAIR:
@@ -238,7 +244,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> LabeledCloud:
     return LabeledCloud(
         coords=coords,
         labels=np.concatenate(labels),
-        n_classes=spec.n_classes,
+        n_classes=len(CLASS_NAMES),
         seed=seed,
         meta=meta,
     )

@@ -59,10 +59,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")

@@ -39,7 +39,7 @@ from .scenes import LabeledCloud, read_manifest, read_scene
 class PreparedScene:
     cloud: LabeledCloud
     hier: Hierarchy
-    shadows: object  # MultiHotLabels
+    shadows: list[np.ndarray]  # per level, the (n_i, N) multi-hot label rows
 
 
 def prepare_scene(cloud: LabeledCloud, cfg: ModelConfig) -> PreparedScene:
@@ -74,7 +74,7 @@ def evaluate_scenes(params: ModelParams, scenes: list[PreparedScene]) -> Metrics
     n = params.cfg.n_classes
     pooled = np.zeros((n, n), dtype=np.int64)
     for scene in scenes:
-        logits = model_forward(params, scene.cloud, hier=scene.hier).final_logits.data
+        logits = model_forward(params, scene.hier).final_logits.data
         if not np.isfinite(logits).all():
             raise NumericError(f"non-finite logits on the scene with seed {scene.cloud.seed}")
         preds = logits.argmax(axis=1)
@@ -126,7 +126,7 @@ def train_model(
             batch_loss = 0.0
             for idx in batch:
                 scene = train_scenes[idx]
-                out = model_forward(params, scene.cloud, hier=scene.hier)
+                out = model_forward(params, scene.hier)
                 loss = total_loss(out, scene.cloud.labels, scene.shadows,
                                   w_final=train_cfg.w_final, w_mid=train_cfg.w_mid)
                 loss = loss * (1.0 / len(batch))

@@ -153,7 +153,7 @@ def _model_check(rng):
     shadows = shadow_labels(hier, one_hot(labels, 3))
 
     def loss():
-        return total_loss(model_forward(params, coords, hier=hier), labels, shadows)
+        return total_loss(model_forward(params, hier), labels, shadows)
 
     yield "model", "end_to_end_16pt", loss, params.named_parameters(), 1e-4
 

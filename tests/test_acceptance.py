@@ -70,7 +70,7 @@ class TestCriterion2ShadowOracle:
                 expect = np.zeros((hier.sizes[level + 1], n_classes), dtype=np.uint8)
                 for j in range(n):
                     expect[anc[j]] |= level0[j]
-                if not np.array_equal(got.levels[level + 1], expect):
+                if not np.array_equal(got[level + 1], expect):
                     report("2 shadow-oracle", False, f"mismatch at level {level + 1}")
         elapsed = time.perf_counter() - t0
         report("2 shadow-oracle", elapsed <= 60, f"1000 hierarchies in {elapsed:.1f}s, budget 60s")
@@ -167,7 +167,7 @@ class TestCriterion7LossSanity:
         for seed in range(3):
             params = build_model(cfg, seed=seed)
             scene = prepare_scene(generate_scene(spec, seed=100 + seed), cfg)
-            out = model_forward(params, scene.cloud, hier=scene.hier)
+            out = model_forward(params, scene.hier)
             ce = T.cross_entropy(out.final_logits, scene.cloud.labels).item()
             worst = max(worst, abs(ce - math.log(4.0)))
         report("7 loss-sanity", worst <= 0.1, f"max |CE - ln4| = {worst:.4f}")

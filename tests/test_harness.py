@@ -94,24 +94,22 @@ class TestMidlevelBce:
 class TestTotalLoss:
     def _forward_stub(self, rng):
         from semaffine.affine import ConfidenceMatrix
-        from semaffine.hierarchy import MultiHotLabels
         from semaffine.model import ForwardOutput, MidLevelOutput
 
         final = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
         mid_logits = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         mid = MidLevelOutput(level=1, conf=ConfidenceMatrix(mid_logits, T.softmax(mid_logits)), affine=None)
         labels = rng.integers(0, 3, 6)
-        shadows = MultiHotLabels(levels=[np.eye(3, dtype=np.uint8)[labels],
-                                         (rng.random((2, 3)) < 0.5).astype(np.uint8)])
-        shadows.levels[1][0, 0] = 1  # keep at least one bit set
-        fwd = ForwardOutput(final_logits=final, mids=[mid], masks=None, hierarchy=None)
+        shadows = [np.eye(3, dtype=np.uint8)[labels], (rng.random((2, 3)) < 0.5).astype(np.uint8)]
+        shadows[1][0, 0] = 1  # keep at least one bit set
+        fwd = ForwardOutput(final_logits=final, mids=[mid])
         return fwd, labels, shadows
 
     def test_degenerate_weights(self):
         rng = np.random.default_rng(3)
         fwd, labels, shadows = self._forward_stub(rng)
         ce = T.cross_entropy(fwd.final_logits, labels).item()
-        bce = Hx.midlevel_bce_loss([fwd.mids[0].conf.logits], [shadows.levels[1]]).item()
+        bce = Hx.midlevel_bce_loss([fwd.mids[0].conf.logits], [shadows[1]]).item()
         np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows, w_mid=0.0).item(), ce, atol=1e-12)
         np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows, w_final=0.0).item(), bce, atol=1e-12)
         np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows).item(), ce + bce, atol=1e-12)
@@ -177,32 +175,36 @@ class TestSchedule:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+def metrics_of(preds, labels, n_classes):
+    return Hx.metrics_from_confusion(Hx.confusion_matrix(preds, labels, n_classes))
+
+
 class TestMiou:
     def test_perfect_prediction(self):
-        m = Hx.compute_miou([0, 1, 2, 1], [0, 1, 2, 1], 4)
+        m = metrics_of([0, 1, 2, 1], [0, 1, 2, 1], 4)
         assert m.miou == 1.0
         np.testing.assert_array_equal(m.iou[:3], [1.0, 1.0, 1.0])
         assert np.isnan(m.iou[3])
 
     def test_hand_confusion_case(self):
-        m = Hx.compute_miou([0, 0, 1, 1], [0, 1, 1, 1], 2)
+        m = metrics_of([0, 0, 1, 1], [0, 1, 1, 1], 2)
         np.testing.assert_allclose(m.iou, [0.5, 2 / 3], atol=1e-12)
         np.testing.assert_allclose(m.miou, 7 / 12, atol=1e-12)
         np.testing.assert_allclose(m.accuracy, 0.75, atol=1e-12)
 
     def test_fully_swapped_classes(self):
-        m = Hx.compute_miou([1, 1, 0, 0], [0, 0, 1, 1], 2)
+        m = metrics_of([1, 1, 0, 0], [0, 0, 1, 1], 2)
         assert m.miou == 0.0
 
     def test_absent_class_excluded(self):
-        base = Hx.compute_miou([0, 1, 1], [0, 1, 0], 2)
-        padded = Hx.compute_miou([0, 1, 1], [0, 1, 0], 5)
+        base = metrics_of([0, 1, 1], [0, 1, 0], 2)
+        padded = metrics_of([0, 1, 1], [0, 1, 0], 5)
         np.testing.assert_allclose(padded.miou, base.miou, atol=1e-15)
 
     def test_length_mismatch(self):
         from semaffine.errors import ShapeError
         with pytest.raises(ShapeError):
-            Hx.compute_miou([0, 1], [0, 1, 2], 3)
+            metrics_of([0, 1], [0, 1, 2], 3)
 
 
 class TestCheckpoint:

@@ -242,13 +242,13 @@ class TestShadowLabels:
         coords = np.array([[0.1, 0, 0], [0.2, 0, 0]])
         h = H.build_hierarchy(coords, 1.0, 2)
         ml = H.shadow_labels(h, H.one_hot([1, 1], 3))
-        np.testing.assert_array_equal(ml.levels[1], [[0, 1, 0]])
+        np.testing.assert_array_equal(ml[1], [[0, 1, 0]])
 
     def test_boundary_patch(self):
         coords = np.array([[0.1, 0, 0], [0.2, 0, 0]])
         h = H.build_hierarchy(coords, 1.0, 2)
         ml = H.shadow_labels(h, H.one_hot([1, 2], 3))
-        np.testing.assert_array_equal(ml.levels[1], [[0, 1, 1]])
+        np.testing.assert_array_equal(ml[1], [[0, 1, 1]])
 
     def test_random_hierarchies_match_descendant_union(self):
         rng = np.random.default_rng(7)
@@ -261,7 +261,7 @@ class TestShadowLabels:
             ml = H.shadow_labels(h, level0)
             for level in range(1, 4):
                 np.testing.assert_array_equal(
-                    ml.levels[level], descendant_union_oracle(h, level0, level))
+                    ml[level], descendant_union_oracle(h, level0, level))
 
     def test_single_step_composition_equals_direct_union(self):
         rng = np.random.default_rng(8)
@@ -269,7 +269,7 @@ class TestShadowLabels:
         h = H.build_hierarchy(coords, 0.4, 3)
         level0 = H.one_hot(rng.integers(0, 5, 60), 5)
         ml = H.shadow_labels(h, level0)
-        np.testing.assert_array_equal(ml.levels[2], descendant_union_oracle(h, level0, 2))
+        np.testing.assert_array_equal(ml[2], descendant_union_oracle(h, level0, 2))
 
     def test_monotonicity_and_bit_counts(self):
         rng = np.random.default_rng(9)
@@ -278,11 +278,11 @@ class TestShadowLabels:
         level0 = H.one_hot(rng.integers(0, 4, 70), 4)
         ml = H.shadow_labels(h, level0)
         for level in range(3):
-            child_bits = ml.levels[level]
-            parent_bits = ml.levels[level + 1][h.parents[level]]
+            child_bits = ml[level]
+            parent_bits = ml[level + 1][h.parents[level]]
             assert (parent_bits >= child_bits).all()  # parent keeps every child class
-            assert (ml.levels[level + 1].sum(axis=1) >= 1).all()
-            assert (ml.levels[level + 1].sum(axis=1) <= 4).all()
+            assert (ml[level + 1].sum(axis=1) >= 1).all()
+            assert (ml[level + 1].sum(axis=1) <= 4).all()
 
     def test_equal_to_add_at_oracle(self):
         rng = np.random.default_rng(12)
@@ -290,7 +290,7 @@ class TestShadowLabels:
             n_classes = int(rng.integers(1, 7))
             h = H.build_hierarchy(coords, float(rng.uniform(0.05, 2.0)), 4)
             level0 = H.one_hot(rng.integers(0, n_classes, coords.shape[0]), n_classes)
-            got = H.shadow_labels(h, level0).levels
+            got = H.shadow_labels(h, level0)
             for g, want in zip(got, add_at_shadow_oracle(h, level0), strict=True):
                 assert g.dtype == np.uint8 and np.array_equal(g, want)
 

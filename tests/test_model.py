@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from semaffine import affine as A
 from semaffine import blocks as B
 from semaffine import model as M
 from semaffine import tensor as T
@@ -36,6 +37,25 @@ def tiny_config(**overrides):
 def tiny_scene(n=32, seed=0, spread=2.0):
     rng = np.random.default_rng(seed)
     return rng.uniform(-spread, spread, (n, 3))
+
+
+def hierarchy(params, coords):
+    return build_hierarchy(coords, params.cfg.base_voxel, params.cfg.levels)
+
+
+def forward(params, coords):
+    return M.model_forward(params, hierarchy(params, coords))
+
+
+def upstream_stages(params, coords):
+    """Backbone features, tokens, query-decoder layers and class masks, each
+    computed by its own stage function, plus the model's full forward."""
+    hier = hierarchy(params, coords)
+    enc = M.backbone_encode(params, hier)
+    tokens = M.encode_tokens(params, enc[-1], hier.coords[-1])
+    h_layers, h_final = M.decode_queries(params, tokens)
+    masks = A.predict_masks(h_final, params.mask_head)
+    return enc, tokens, h_layers, masks, M.model_forward(params, hier)
 
 
 class TestConfigValidation:
@@ -69,14 +89,16 @@ class TestConfigValidation:
 class TestBackboneEncode:
     def test_single_point(self):
         params = M.build_model(tiny_config(), seed=0)
-        feats, hier = M.backbone_encode(params, np.array([[0.1, 0.2, 0.3]]))
+        hier = hierarchy(params, np.array([[0.1, 0.2, 0.3]]))
+        feats = M.backbone_encode(params, hier)
         assert hier.sizes == [1, 1, 1, 1]
         for level, f in enumerate(feats):
             assert f.shape == (1, params.cfg.level_dims[level])
 
     def test_two_distant_points(self):
         params = M.build_model(tiny_config(levels=2, level_dims=(6, 8)), seed=0)
-        feats, hier = M.backbone_encode(params, np.array([[0.0, 0.0, 0.0], [3.0, 3.0, 3.0]]))
+        hier = hierarchy(params, np.array([[0.0, 0.0, 0.0], [3.0, 3.0, 3.0]]))
+        feats = M.backbone_encode(params, hier)
         assert hier.sizes[0] == 2
         assert hier.sizes[1] in (1, 2)
         # independent voxel hashing: these points are > base_voxel apart per axis
@@ -87,7 +109,7 @@ class TestBackboneEncode:
         for layers in params.enc_mlps:
             for layer in layers:
                 layer.weight.data[...] = 0.0
-        feats, _ = M.backbone_encode(params, tiny_scene(10))
+        feats = M.backbone_encode(params, hierarchy(params, tiny_scene(10)))
         for level, f in enumerate(feats):
             expect = np.maximum(0.0, params.enc_mlps[level][0].bias.data)
             expect = expect @ params.enc_mlps[level][1].weight.data.T + params.enc_mlps[level][1].bias.data
@@ -98,7 +120,8 @@ class TestTokenEncoder:
     def test_depth_zero_is_positional_add_only(self):
         params = M.build_model(tiny_config(encoder_depth=0), seed=1)
         coords = tiny_scene(12, seed=1)
-        feats, hier = M.backbone_encode(params, coords)
+        hier = hierarchy(params, coords)
+        feats = M.backbone_encode(params, hier)
         out = M.encode_tokens(params, feats[-1], hier.coords[-1])
         pos = B.mlp_forward(params.pos_mlp, Tensor(hier.coords[-1]))
         np.testing.assert_allclose(out.data, feats[-1].data + pos.data, atol=1e-12)
@@ -106,7 +129,8 @@ class TestTokenEncoder:
     def test_matches_manual_block_composition(self):
         params = M.build_model(tiny_config(encoder_depth=2), seed=2)
         coords = tiny_scene(20, seed=2)
-        feats, hier = M.backbone_encode(params, coords)
+        hier = hierarchy(params, coords)
+        feats = M.backbone_encode(params, hier)
         out = M.encode_tokens(params, feats[-1], hier.coords[-1])
         x = feats[-1] + B.mlp_forward(params.pos_mlp, Tensor(hier.coords[-1]))
         for block in params.token_encoder:
@@ -163,16 +187,17 @@ class TestModelForward:
             params = M.build_model(cfg, seed=trial)
             n = int(rng.integers(1, 40))
             coords = rng.uniform(-2, 2, (n, 3))
-            out = M.model_forward(params, coords)
+            hier = hierarchy(params, coords)
+            out = M.model_forward(params, hier)
             assert out.final_logits.shape == (n, cfg.n_classes)
             assert len(out.mids) == cfg.n_mid
             for mid, level in zip(out.mids, cfg.mid_levels):
-                assert mid.conf.probs.shape == (out.hierarchy.sizes[level], cfg.n_classes)
+                assert mid.conf.probs.shape == (hier.sizes[level], cfg.n_classes)
 
     def test_single_class_collapse(self):
         cfg = tiny_config(n_classes=1)
         params = M.build_model(cfg, seed=7)
-        out = M.model_forward(params, tiny_scene(16, seed=7))
+        out = forward(params, tiny_scene(16, seed=7))
         for mid in out.mids:
             np.testing.assert_allclose(mid.conf.probs.data, 1.0, atol=1e-15)
             # blend of a single class row is exactly that row
@@ -185,20 +210,20 @@ class TestModelForward:
         coords = tiny_scene(24, seed=8)
         params_sa = M.build_model(tiny_config(affine="sa"), seed=8)
         M.set_identity_affine_heads(params_sa)
-        out_sa = M.model_forward(params_sa, coords)
-        out_bn = M.model_forward(M.build_model(tiny_config(affine="bn"), seed=8), coords)
+        out_sa = forward(params_sa, coords)
+        out_bn = forward(M.build_model(tiny_config(affine="bn"), seed=8), coords)
         np.testing.assert_allclose(out_sa.final_logits.data, out_bn.final_logits.data, atol=1e-6)
 
     def test_bitwise_determinism(self):
         coords = tiny_scene(64, seed=9)
-        a = M.model_forward(M.build_model(tiny_config(), seed=9), coords)
-        b = M.model_forward(M.build_model(tiny_config(), seed=9), coords)
+        a = forward(M.build_model(tiny_config(), seed=9), coords)
+        b = forward(M.build_model(tiny_config(), seed=9), coords)
         assert a.final_logits.data.tobytes() == b.final_logits.data.tobytes()
 
     def test_empty_scene_rejected(self):
         params = M.build_model(tiny_config(), seed=10)
         with pytest.raises(ContractError):
-            M.model_forward(params, np.zeros((0, 3)))
+            forward(params, np.zeros((0, 3)))
 
 
 class TestAblationLattice:
@@ -209,34 +234,41 @@ class TestAblationLattice:
     @pytest.mark.parametrize("affine", M.AFFINE_MODES)
     def test_every_variant_runs(self, classifier, affine):
         cfg = tiny_config(classifier=classifier, affine=affine)
-        out = M.model_forward(M.build_model(cfg, seed=11), tiny_scene(20, seed=11))
+        out = forward(M.build_model(cfg, seed=11), tiny_scene(20, seed=11))
         assert np.isfinite(out.final_logits.data).all()
 
     def test_variants_share_stages_upstream_of_the_switch(self):
         coords = tiny_scene(30, seed=12)
-        traces = {}
+        traces, transformed = {}, {}
         for affine in M.AFFINE_MODES:
             params = M.build_model(tiny_config(affine=affine), seed=12)
             M.set_identity_affine_heads(params)
-            traces[affine] = M.model_forward(params, coords, record=True).trace
+            enc, tokens, h_layers, masks, out = upstream_stages(params, coords)
+            traces[affine] = {"enc0": enc[0].data, "enc3": enc[3].data, "tokens": tokens.data,
+                              "h1": h_layers[0].data, "masks": masks.data, "mid3.logits": out.mids[0].conf.logits.data}
+            eps, site = params.cfg.norm_eps, params.sites[3]
+            if affine == "sa":
+                transformed[affine] = A.semantic_affine_transform(tokens, out.mids[0].conf, out.mids[0].affine, eps)
+            elif affine == "bn":
+                transformed[affine] = T.layer_norm(tokens, site.norm_gain, site.norm_bias, eps)
         # encoder, tokens, query decoder, masks, and coarsest-stage logits agree
         for key in ["enc0", "enc3", "tokens", "h1", "masks", "mid3.logits"]:
             np.testing.assert_array_equal(traces["sa"][key], traces["bn"][key])
             np.testing.assert_array_equal(traces["sa"][key], traces["adain"][key])
         # at the identity-init point all three affine stages coincide
-        np.testing.assert_allclose(
-            traces["sa"]["mid3.transformed"], traces["bn"]["mid3.transformed"], atol=1e-12)
+        np.testing.assert_allclose(transformed["sa"].data, transformed["bn"].data, atol=1e-12)
 
     def test_classifier_switch_changes_only_logit_source(self):
         coords = tiny_scene(30, seed=13)
-        t_mask = M.model_forward(M.build_model(tiny_config(classifier="mask", affine="bn"), seed=13),
-                                 coords, record=True).trace
-        t_fc = M.model_forward(M.build_model(tiny_config(classifier="fc", affine="bn"), seed=13),
-                               coords, record=True).trace
-        np.testing.assert_array_equal(t_mask["enc0"], t_fc["enc0"])
-        np.testing.assert_array_equal(t_mask["tokens"], t_fc["tokens"])
-        assert t_mask["mid3.logits"].shape == t_fc["mid3.logits"].shape
-        assert not np.array_equal(t_mask["mid3.logits"], t_fc["mid3.logits"])
+        enc_mask, tokens_mask, _, _, out_mask = upstream_stages(
+            M.build_model(tiny_config(classifier="mask", affine="bn"), seed=13), coords)
+        enc_fc, tokens_fc, _, _, out_fc = upstream_stages(
+            M.build_model(tiny_config(classifier="fc", affine="bn"), seed=13), coords)
+        np.testing.assert_array_equal(enc_mask[0].data, enc_fc[0].data)
+        np.testing.assert_array_equal(tokens_mask.data, tokens_fc.data)
+        logits_mask, logits_fc = out_mask.mids[0].conf.logits.data, out_fc.mids[0].conf.logits.data
+        assert logits_mask.shape == logits_fc.shape
+        assert not np.array_equal(logits_mask, logits_fc)
 
 
 class TestEndToEndGradients:
@@ -259,7 +291,7 @@ class TestEndToEndGradients:
         shadows = shadow_labels(hier, one_hot(labels, 3))
 
         def loss():
-            out = M.model_forward(params, coords, hier=hier)
+            out = M.model_forward(params, hier)
             return total_loss(out, labels, shadows)
 
         report = finite_diff_check(
@@ -302,7 +334,7 @@ class TestTapeSize:
         cfg = M.ModelConfig()
         params = M.build_model(cfg, seed=0)
         scene = prepare_scene(generate_scene(SceneSpec(), seed=0), cfg)
-        loss = total_loss(M.model_forward(params, scene.cloud, hier=scene.hier),
+        loss = total_loss(M.model_forward(params, scene.hier),
                           scene.cloud.labels, scene.shadows)
         tally = op_tally(loss)
         # 23 Transformer-block norms and 3 semantic-affine transforms, one node each;
@@ -325,7 +357,7 @@ class TestTapeSize:
         assert len(params.named_parameters()) == 317
         scene = prepare_scene(generate_scene(SceneSpec(), seed=0), cfg)
         first = Tensor(0.0).node_id
-        loss = total_loss(M.model_forward(params, scene.cloud, hier=scene.hier),
+        loss = total_loss(M.model_forward(params, scene.hier),
                           scene.cloud.labels, scene.shadows)
         created = Tensor(0.0).node_id - first - 1
         # one node per linear layer and per multi-head attention

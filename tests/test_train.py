@@ -105,12 +105,13 @@ class TestEvalRun:
 
     def test_dataset_level_pooling_differs_from_scene_mean(self):
         # two scenes with disjoint class performance: pooled IoU != mean of per-scene mIoU
-        from semaffine.harness import compute_miou, confusion_matrix, metrics_from_confusion
+        from semaffine.harness import confusion_matrix, metrics_from_confusion
         preds_a, gt_a = np.array([0, 0, 1]), np.array([0, 1, 1])
         preds_b, gt_b = np.array([2, 2]), np.array([2, 2])
         pooled = metrics_from_confusion(
             confusion_matrix(preds_a, gt_a, 3) + confusion_matrix(preds_b, gt_b, 3))
-        per_scene = np.mean([compute_miou(preds_a, gt_a, 3).miou, compute_miou(preds_b, gt_b, 3).miou])
+        per_scene = np.mean([metrics_from_confusion(confusion_matrix(preds, gt, 3)).miou
+                             for preds, gt in ((preds_a, gt_a), (preds_b, gt_b))])
         # hand-pooled oracle: IoU_0 = 1/2, IoU_1 = 1/2, IoU_2 = 1
         np.testing.assert_allclose(pooled.miou, (0.5 + 0.5 + 1.0) / 3, atol=1e-12)
         assert abs(pooled.miou - per_scene) > 1e-6
@@ -189,6 +190,57 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not corpus.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("base_lr = nan", "base_lr must be finite"),
+        ("weight_decay = nan", "weight_decay must be finite"),
+        ("momentum = inf", "momentum must be finite"),
+        ("norm_eps = -1", "norm_eps must be positive"),
+        ("base_voxel = inf", "base_voxel must be finite"),
+    ])
+    def test_non_finite_config_floats_exit_code(self, tmp_path, capsys, line, message):
+        manifest = small_corpus(tmp_path, n_train=1, n_val=1, points=8)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TINY_TRAIN_CFG + line + "\n")
+        assert main(["train", "--config", str(cfg), "--data", str(manifest), "--out", str(tmp_path / "m.ckpt")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""  # no epoch line: the config is rejected before training
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("scene_noise = -1", "noise_sigma must be >= 0"),
+        ("scene_extent = 1.0", "extent must lie in (1.3, 1000] m"),
+        ("scene_extent = 1e308", "extent must lie in (1.3, 1000] m"),
+        ("scene_extent = nan", "extent must be finite"),
+        ("scene_min_gap = nan", "min_gap must be finite"),
+    ])
+    def test_bad_scene_spec_exit_code(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(line + "\n")
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--spec", str(spec), "--out", str(corpus), "--count", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not corpus.exists()
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("prefix, message", [
+        (b"param backbone.enc0.0.bias ", "duplicate parameter 'backbone.enc0.0.bias'"),
+        (b"cfg.seed=", "duplicate config key 'seed'"),
+    ])
+    def test_duplicate_checkpoint_names_exit_code(self, tmp_path, capsys, prefix, message):
+        argv = self._edited_checkpoint_argv(tmp_path, lambda p: None)
+        ckpt = Path(argv[2])
+        raw = ckpt.read_bytes()
+        start = raw.index(b"\n" + prefix) + 1
+        end = raw.index(b"\n", start) + 1
+        ckpt.write_bytes(raw[:end] + raw[start:end] + raw[end:])  # the line twice in a row
+        line_no = raw.count(b"\n", 0, end) + 1
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: line {line_no}: {message}\n", err
 
     def test_bad_checkpoint_exit_code(self, tmp_path, capsys):
         manifest = small_corpus(tmp_path, n_train=0, n_val=1, points=8)
