@@ -29,7 +29,6 @@ from typing import Sequence
 
 from . import tensor as T
 from .blocks import LinearParams, mlp_forward
-from .errors import ShapeError
 from .tensor import Tensor
 
 
@@ -77,9 +76,6 @@ def predict_affine_params(
 
 def combine_affine(conf: ConfidenceMatrix, p: AffineParams) -> tuple[Tensor, Tensor]:
     """Per-point affine parameters as confidence-weighted sums of class rows."""
-    if conf.probs.shape[1] != p.scales.shape[0]:
-        raise ShapeError(
-            f"combine_affine: {conf.probs.shape[1]} confidence columns vs {p.scales.shape[0]} classes")
     return T.matmul(conf.probs, p.scales), T.matmul(conf.probs, p.biases)
 
 

@@ -131,8 +131,6 @@ def decoder_block(
 ) -> Tensor:
     """Self-attention over the queries, cross-attention into the memory set,
     then feed-forward; each sub-layer wrapped in a post-norm residual."""
-    if memory.shape[0] == 0:
-        raise ContractError("decoder_block: empty memory")
     q = layer_norm(p.ln1, queries + multi_head_attention(p.self_attn, queries, queries), eps)
     q = layer_norm(p.ln2, q + multi_head_attention(p.cross_attn, q, memory), eps)
     return layer_norm(p.ln3, q + _feed_forward(p.ff1, p.ff2, q), eps)

@@ -6,6 +6,8 @@ keys are errors. The same key set round-trips through checkpoint snapshots.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .errors import ConfigError, read_utf8
 from .harness import TrainConfig
 from .model import ModelConfig
@@ -16,42 +18,30 @@ def _to_int_tuple(s: str) -> tuple:
     return tuple(int(x) for x in s.split(",") if x.strip())
 
 
-MODEL_KEYS = {
-    "classes": ("n_classes", int),
-    "levels": ("levels", int),
-    "level_dims": ("level_dims", _to_int_tuple),
-    "d_h": ("d_h", int),
-    "d_m": ("d_m", int),
-    "encoder_depth": ("encoder_depth", int),
-    "decoder_depth": ("decoder_depth", int),
-    "heads": ("heads", int),
-    "level_offset": ("level_offset", int),
-    "base_voxel": ("base_voxel", float),
-    "norm_eps": ("norm_eps", float),
-    "classifier": ("classifier", str),
-    "affine": ("affine", str),
+# config-file keys that are not the name of the field they set
+_RENAMED = {
+    "n_classes": "classes",
+    "objects_per_scene": "scene_objects",
+    "points_per_object": "scene_points_per_object",
+    "noise_sigma": "scene_noise",
+    "min_gap": "scene_min_gap",
+    "extent": "scene_extent",
 }
 
-TRAIN_KEYS = {
-    "base_lr": ("base_lr", float),
-    "attention_lr_factor": ("attention_lr_factor", float),
-    "weight_decay": ("weight_decay", float),
-    "momentum": ("momentum", float),
-    "epochs": ("epochs", int),
-    "batch_size": ("batch_size", int),
-    "warmup_fraction": ("warmup_fraction", float),
-    "w_final": ("w_final", float),
-    "w_mid": ("w_mid", float),
-    "seed": ("seed", int),
-}
 
-SCENE_KEYS = {
-    "scene_objects": ("objects_per_scene", int),
-    "scene_points_per_object": ("points_per_object", int),
-    "scene_noise": ("noise_sigma", float),
-    "scene_min_gap": ("min_gap", float),
-    "scene_extent": ("extent", float),
-}
+def _keys(config_class) -> dict:
+    """Config-file key -> (field name, converter), in field order; the
+    converter is the type of the field's default (int, float, str, tuple)."""
+    out = {}
+    for f in fields(config_class):
+        conv = _to_int_tuple if isinstance(f.default, tuple) else type(f.default)
+        out[_RENAMED.get(f.name, f.name)] = (f.name, conv)
+    return out
+
+
+MODEL_KEYS = _keys(ModelConfig)
+TRAIN_KEYS = _keys(TrainConfig)
+SCENE_KEYS = _keys(SceneSpec)
 
 EXTRA_KEYS = {"val_fraction": float, "ablate_train_scenes": int, "ablate_val_scenes": int}
 

@@ -38,11 +38,13 @@ from .affine import (
     semantic_affine_transform,
 )
 from .blocks import (
+    LayerNormParams,
     LinearParams,
     decoder_block,
     encoder_block,
     init_decoder_block,
     init_encoder_block,
+    init_layer_norm,
     init_linear,
     init_mlp,
     linear_forward,
@@ -50,7 +52,7 @@ from .blocks import (
     named_parameters,
     uniform_fan_in,
 )
-from .errors import ConfigError, ContractError, SemaffineError, require_finite
+from .errors import ConfigError, SemaffineError, require_finite
 from .hierarchy import Hierarchy, pool_features, unpool_features
 from .tensor import Tensor
 
@@ -59,6 +61,8 @@ AFFINE_MODES = ("sa", "adain", "bn")
 
 # parameter-name prefixes whose learning rate is reduced by the attention factor
 ATTENTION_PREFIXES = ("pos_mlp.", "token_encoder.", "query_decoder.")
+
+_SOFTPLUS_INV_1 = math.log(math.e - 1.0)  # softplus of this is 1: the identity scale
 
 
 @dataclass
@@ -116,16 +120,21 @@ class ModelConfig:
 
 
 @dataclass
+class AdainParams:
+    pre_scale: Tensor  # (d,), softplus gives the shared scale row
+    bias: Tensor  # (d,)
+
+
+@dataclass
 class SiteParams:
     """Per supervised site: projection into mask space, an FC alternative,
-    and the class-agnostic normalization pairs used by the bn/adain modes."""
+    and the class-agnostic pairs of the bn (``norm``) and adain modes, which
+    only mid sites have."""
 
     mask_proj: LinearParams
     fc: LinearParams
-    norm_gain: Optional[Tensor] = None  # mid sites only
-    norm_bias: Optional[Tensor] = None
-    adain_pre_scale: Optional[Tensor] = None
-    adain_bias: Optional[Tensor] = None
+    norm: Optional[LayerNormParams] = None
+    adain: Optional[AdainParams] = None
 
 
 @dataclass
@@ -141,33 +150,10 @@ class ModelParams:
     bias_heads: dict
     down_proj: dict  # mid stage -> LinearParams level dim -> next finer dim
     sites: dict  # hierarchy level -> SiteParams
+    parts: dict  # checkpoint name prefix -> parameter record, in checkpoint order
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for level, layers in enumerate(self.enc_mlps):
-            out.extend(named_parameters(layers, f"backbone.enc{level}."))
-        for i in sorted(self.down_proj):
-            out.extend(named_parameters(self.down_proj[i], f"backbone.down{i}."))
-        for level in sorted(self.sites, reverse=True):
-            site = self.sites[level]
-            out.extend(named_parameters(site.mask_proj, f"backbone.site{level}.mask_proj."))
-            out.extend(named_parameters(site.fc, f"backbone.site{level}.fc."))
-            if site.norm_gain is not None:
-                out.append((f"backbone.site{level}.norm.gain", site.norm_gain))
-                out.append((f"backbone.site{level}.norm.bias", site.norm_bias))
-                out.append((f"backbone.site{level}.adain.pre_scale", site.adain_pre_scale))
-                out.append((f"backbone.site{level}.adain.bias", site.adain_bias))
-        out.extend(named_parameters(self.pos_mlp, "pos_mlp."))
-        for b, block in enumerate(self.token_encoder):
-            out.extend(named_parameters(block, f"token_encoder.block{b}."))
-        out.append(("query_decoder.queries", self.queries))
-        for b, block in enumerate(self.query_decoder):
-            out.extend(named_parameters(block, f"query_decoder.block{b}."))
-        out.extend(named_parameters(self.mask_head, "query_decoder.mask_head."))
-        for i in sorted(self.scale_heads):
-            out.extend(named_parameters(self.scale_heads[i], f"affine_heads.scale{i}."))
-            out.extend(named_parameters(self.bias_heads[i], f"affine_heads.bias{i}."))
-        return out
+        return named_parameters(self.parts)
 
 
 def _component_rng(seed: int, name: str) -> np.random.Generator:
@@ -175,70 +161,52 @@ def _component_rng(seed: int, name: str) -> np.random.Generator:
 
 
 def build_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
-    """Initialize every parameter group from (seed, component-name) streams,
-    so two builds agree component-by-component regardless of configuration."""
+    """Draw every parameter record from the (seed, checkpoint prefix) stream,
+    so two builds agree record by record regardless of configuration; the
+    streams are independent, so records are built in checkpoint order."""
     cfg.validate()
     dims = list(cfg.level_dims)
     top = dims[-1]
+    parts = {}
 
-    enc_mlps = []
-    for level in range(cfg.levels):
-        in_dim = 3 if level == 0 else dims[level - 1]
-        rng = _component_rng(seed, f"backbone.enc{level}")
-        enc_mlps.append(init_mlp(rng, [in_dim, dims[level], dims[level]]))
+    def part(prefix: str, init, *args):
+        parts[prefix] = init(_component_rng(seed, prefix), *args)
+        return parts[prefix]
 
-    pos_mlp = init_mlp(_component_rng(seed, "pos_mlp"), [3, top, top, top])
-    token_encoder = [
-        init_encoder_block(_component_rng(seed, f"token_encoder.block{b}"), cfg.heads, top)
-        for b in range(cfg.encoder_depth)
-    ]
-    queries = Tensor(
-        uniform_fan_in(_component_rng(seed, "query_decoder.queries"), (cfg.n_classes, cfg.d_h), cfg.d_h),
-        requires_grad=True,
-    )
-    query_decoder = [
-        init_decoder_block(_component_rng(seed, f"query_decoder.block{b}"), cfg.heads, cfg.d_h, top)
-        for b in range(cfg.decoder_depth)
-    ]
-    mask_head = init_mlp(_component_rng(seed, "query_decoder.mask_head"), [cfg.d_h, cfg.d_h, cfg.d_h, cfg.d_m])
-
-    scale_heads, bias_heads, down_proj = {}, {}, {}
-    for i, level in enumerate(cfg.mid_levels, start=1):
-        d_level = dims[level]
-        head_dims = [cfg.d_h] * 5 + [d_level]  # 5 linear layers, hidden width d_h
-        scale_heads[i] = init_mlp(_component_rng(seed, f"affine_heads.scale{i}"), head_dims)
-        bias_heads[i] = init_mlp(_component_rng(seed, f"affine_heads.bias{i}"), head_dims)
-        # shift the scale head toward softplus^-1(1) for a near-identity start
-        scale_heads[i][-1].bias.data += math.log(math.e - 1.0)
-        down_proj[i] = init_linear(_component_rng(seed, f"backbone.down{i}"), dims[level - 1], d_level)
-
+    enc_mlps = [part(f"backbone.enc{level}", init_mlp, [dims[level - 1] if level else 3, dims[level], dims[level]])
+                for level in range(cfg.levels)]
+    down_proj = {i: part(f"backbone.down{i}", init_linear, dims[level - 1], dims[level])
+                 for i, level in enumerate(cfg.mid_levels, start=1)}
     sites = {}
     for level in cfg.mid_levels + [0]:
-        d_level = dims[level]
-        site = SiteParams(
-            mask_proj=init_linear(_component_rng(seed, f"backbone.site{level}.mask_proj"), cfg.d_m, d_level),
-            fc=init_linear(_component_rng(seed, f"backbone.site{level}.fc"), cfg.n_classes, d_level),
-        )
+        prefix, d_level = f"backbone.site{level}", dims[level]
+        sites[level] = site = SiteParams(mask_proj=part(f"{prefix}.mask_proj", init_linear, cfg.d_m, d_level),
+                                         fc=part(f"{prefix}.fc", init_linear, cfg.n_classes, d_level))
         if level > 0:
-            site.norm_gain = Tensor(np.ones(d_level), requires_grad=True)
-            site.norm_bias = Tensor(np.zeros(d_level), requires_grad=True)
-            site.adain_pre_scale = Tensor(np.full(d_level, math.log(math.e - 1.0)), requires_grad=True)
-            site.adain_bias = Tensor(np.zeros(d_level), requires_grad=True)
-        sites[level] = site
+            site.norm = parts[f"{prefix}.norm"] = init_layer_norm(d_level)
+            site.adain = parts[f"{prefix}.adain"] = AdainParams(
+                pre_scale=Tensor(np.full(d_level, _SOFTPLUS_INV_1), requires_grad=True),
+                bias=Tensor(np.zeros(d_level), requires_grad=True))
 
-    return ModelParams(
-        cfg=cfg,
-        enc_mlps=enc_mlps,
-        pos_mlp=pos_mlp,
-        token_encoder=token_encoder,
-        queries=queries,
-        query_decoder=query_decoder,
-        mask_head=mask_head,
-        scale_heads=scale_heads,
-        bias_heads=bias_heads,
-        down_proj=down_proj,
-        sites=sites,
-    )
+    pos_mlp = part("pos_mlp", init_mlp, [3, top, top, top])
+    token_encoder = [part(f"token_encoder.block{b}", init_encoder_block, cfg.heads, top)
+                     for b in range(cfg.encoder_depth)]
+    queries = part("query_decoder.queries", lambda rng: Tensor(
+        uniform_fan_in(rng, (cfg.n_classes, cfg.d_h), cfg.d_h), requires_grad=True))
+    query_decoder = [part(f"query_decoder.block{b}", init_decoder_block, cfg.heads, cfg.d_h, top)
+                     for b in range(cfg.decoder_depth)]
+    mask_head = part("query_decoder.mask_head", init_mlp, [cfg.d_h, cfg.d_h, cfg.d_h, cfg.d_m])
+
+    scale_heads, bias_heads = {}, {}
+    for i, level in enumerate(cfg.mid_levels, start=1):
+        head_dims = [cfg.d_h] * 5 + [dims[level]]  # 5 linear layers, hidden width d_h
+        scale_heads[i] = part(f"affine_heads.scale{i}", init_mlp, head_dims)
+        bias_heads[i] = part(f"affine_heads.bias{i}", init_mlp, head_dims)
+        # shift the scale head toward softplus^-1(1) for a near-identity start
+        scale_heads[i][-1].bias.data += _SOFTPLUS_INV_1
+
+    return ModelParams(cfg, enc_mlps, pos_mlp, token_encoder, queries, query_decoder, mask_head,
+                       scale_heads, bias_heads, down_proj, sites, parts)
 
 
 def attention_group_mask(names: list[str]) -> list[bool]:
@@ -257,7 +225,7 @@ def set_identity_affine_heads(params: ModelParams):
     final layers); useful for comparing against class-agnostic baselines."""
     for i in params.scale_heads:
         params.scale_heads[i][-1].weight.data[...] = 0.0
-        params.scale_heads[i][-1].bias.data[...] = math.log(math.e - 1.0)
+        params.scale_heads[i][-1].bias.data[...] = _SOFTPLUS_INV_1
         params.bias_heads[i][-1].weight.data[...] = 0.0
         params.bias_heads[i][-1].bias.data[...] = 0.0
 
@@ -297,8 +265,6 @@ def encode_tokens(params: ModelParams, top_feats: Tensor, top_coords: np.ndarray
 def decode_queries(params: ModelParams, memory: Tensor):
     """Run the class queries through the cross-attention decoder; returns
     every layer's output (for the affine heads) and the final layer."""
-    if memory.shape[0] == 0:
-        raise ContractError("decode_queries: empty memory")
     h = params.queries
     h_layers = []
     for block in params.query_decoder:
@@ -344,10 +310,10 @@ def model_forward(params: ModelParams, hier: Hierarchy) -> ForwardOutput:
             elif cfg.affine == "adain":  # one shared (scale, bias) row for every point
                 site = params.sites[level]
                 transformed = T.layer_norm(
-                    feats, T.softplus(site.adain_pre_scale), site.adain_bias, cfg.norm_eps)
+                    feats, T.softplus(site.adain.pre_scale), site.adain.bias, cfg.norm_eps)
             else:  # bn: plain normalization with a learned class-agnostic pair
                 site = params.sites[level]
-                transformed = T.layer_norm(feats, site.norm_gain, site.norm_bias, cfg.norm_eps)
+                transformed = T.layer_norm(feats, site.norm.gain, site.norm.bias, cfg.norm_eps)
             mids.append(MidLevelOutput(level=level, conf=conf, affine=affine))
             down = linear_forward(params.down_proj[i], transformed)
             feats = unpool_features(hier, level - 1, down, enc[level - 1])

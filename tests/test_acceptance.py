@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` (or let the suite print
 through captured output). Every criterion here finishes in well under its
 stated budget. Criterion 6, the directional ablation, is pending and has no
-test yet (ROADMAP item 3).
+test yet (ROADMAP item 5).
 """
 
 import math

@@ -1,6 +1,7 @@
 """Losses, optimizer schedule, metrics, checkpoints, config, and train/eval loops."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from semaffine import harness as Hx
 from semaffine import tensor as T
 from semaffine.checkpoint import MAGIC, load_checkpoint, restore_parameters, save_checkpoint
 from semaffine.config import (
+    KNOWN_KEYS,
+    MODEL_KEYS,
+    SCENE_KEYS,
+    TRAIN_KEYS,
     configs_from_snapshot,
     model_config_from,
     parse_config_file,
@@ -276,6 +281,15 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="UTF-8"):
             load_checkpoint(path)
 
+    def test_default_model_checkpoint_bytes_are_pinned(self, tmp_path):
+        """Every parameter name, their order and every init stream of the
+        default model, and the config snapshot, pinned as one crc32."""
+        from semaffine.model import ModelConfig, build_model
+        path = tmp_path / "default.ckpt"
+        named = build_model(ModelConfig(), seed=3).named_parameters()
+        save_checkpoint(path, named, snapshot(ModelConfig(), Hx.TrainConfig()), step=0)
+        assert zlib.crc32(path.read_bytes()) == 1361651085
+
 
 class TestConfigFile:
     def test_parse_and_build(self):
@@ -321,3 +335,32 @@ class TestConfigFile:
         m2, t2 = configs_from_snapshot(as_text)
         assert m2 == model_cfg
         assert t2 == train_cfg
+
+    def test_key_tables(self):
+        """Each config-file key, in order, with the field it sets and its converter."""
+        def table(keys):
+            return [(key, attr, conv.__name__) for key, (attr, conv) in keys.items()]
+
+        assert table(MODEL_KEYS) == [
+            ("classes", "n_classes", "int"), ("levels", "levels", "int"),
+            ("level_dims", "level_dims", "_to_int_tuple"), ("d_h", "d_h", "int"), ("d_m", "d_m", "int"),
+            ("encoder_depth", "encoder_depth", "int"), ("decoder_depth", "decoder_depth", "int"),
+            ("heads", "heads", "int"), ("level_offset", "level_offset", "int"),
+            ("base_voxel", "base_voxel", "float"), ("norm_eps", "norm_eps", "float"),
+            ("classifier", "classifier", "str"), ("affine", "affine", "str"),
+        ]
+        assert table(TRAIN_KEYS) == [
+            ("base_lr", "base_lr", "float"), ("attention_lr_factor", "attention_lr_factor", "float"),
+            ("weight_decay", "weight_decay", "float"), ("momentum", "momentum", "float"),
+            ("epochs", "epochs", "int"), ("batch_size", "batch_size", "int"),
+            ("warmup_fraction", "warmup_fraction", "float"), ("w_final", "w_final", "float"),
+            ("w_mid", "w_mid", "float"), ("seed", "seed", "int"),
+        ]
+        assert table(SCENE_KEYS) == [
+            ("scene_objects", "objects_per_scene", "int"),
+            ("scene_points_per_object", "points_per_object", "int"),
+            ("scene_noise", "noise_sigma", "float"), ("scene_min_gap", "min_gap", "float"),
+            ("scene_extent", "extent", "float"),
+        ]
+        assert KNOWN_KEYS == set(MODEL_KEYS) | set(TRAIN_KEYS) | set(SCENE_KEYS) | {
+            "val_fraction", "ablate_train_scenes", "ablate_val_scenes"}

@@ -214,6 +214,7 @@ class TestCli:
         ("scene_extent = 1e308", "extent must lie in (1.3, 1000] m"),
         ("scene_extent = nan", "extent must be finite"),
         ("scene_min_gap = nan", "min_gap must be finite"),
+        ("scene_points_per_object = 1" + "0" * 30, "points_per_object must be <= 100000"),
     ])
     def test_bad_scene_spec_exit_code(self, tmp_path, capsys, line, message):
         spec = tmp_path / "spec.cfg"
