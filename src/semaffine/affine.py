@@ -49,9 +49,12 @@ def predict_masks(h_final: Tensor, head: Sequence[LinearParams]) -> Tensor:
     return mlp_forward(head, h_final)
 
 
-def mask_confidences(masks: Tensor, f: Tensor, proj: LinearParams) -> ConfidenceMatrix:
-    """logits[j, k] = masks_k . proj(f_j); probs = per-point softmax over classes."""
-    return confidences_from_logits(T.mask_logits(f, masks, proj.weight, proj.bias))
+def mask_confidences(masks: Tensor, f: Tensor, proj: LinearParams, offsets=None) -> ConfidenceMatrix:
+    """logits[j, k] = masks_k . proj(f_j); probs = per-point softmax over classes.
+
+    With the row ``offsets`` of several scenes in f, masks stacks one (N, d_m)
+    block per scene and each point is scored against its scene's block."""
+    return confidences_from_logits(T.mask_logits(f, masks, proj.weight, proj.bias, offsets))
 
 
 def confidences_from_logits(logits: Tensor) -> ConfidenceMatrix:
@@ -74,9 +77,10 @@ def predict_affine_params(
     )
 
 
-def combine_affine(conf: ConfidenceMatrix, p: AffineParams) -> tuple[Tensor, Tensor]:
-    """Per-point affine parameters as confidence-weighted sums of class rows."""
-    return T.matmul(conf.probs, p.scales), T.matmul(conf.probs, p.biases)
+def combine_affine(conf: ConfidenceMatrix, p: AffineParams, offsets=None) -> tuple[Tensor, Tensor]:
+    """Per-point affine parameters as confidence-weighted sums of class rows,
+    each point's of its own scene's bank (row ``offsets``; None for one scene)."""
+    return T.matmul(conf.probs, p.scales, offsets), T.matmul(conf.probs, p.biases, offsets)
 
 
 def semantic_affine_transform(
@@ -84,7 +88,8 @@ def semantic_affine_transform(
     conf: ConfidenceMatrix,
     p: AffineParams,
     eps: float = 1e-5,
+    offsets=None,
 ) -> Tensor:
     """Replace each feature row with S_j * normalize(f_j) + B_j."""
-    s, b = combine_affine(conf, p)
+    s, b = combine_affine(conf, p, offsets)
     return T.layer_norm(f, s, b, eps)

@@ -105,11 +105,14 @@ def layer_norm(p: LayerNormParams, x: Tensor, eps: float = LAYER_NORM_EPS) -> Te
     return T.layer_norm(x, p.gain, p.bias, eps)
 
 
-def multi_head_attention(p: AttentionParams, q_in: Tensor, kv_in: Tensor) -> Tensor:
+def multi_head_attention(p: AttentionParams, q_in: Tensor, kv_in: Tensor, q_offsets=None, kv_offsets=None) -> Tensor:
     """Scaled dot-product attention: per head softmax(Q K^T / sqrt(d_k)) V,
-    heads concatenated and output-projected back to the query dimension."""
+    heads concatenated and output-projected back to the query dimension.
+    The row offsets cut queries and keys into scenes that attend only within
+    themselves (``tensor.attention``)."""
     q, k, v = p.q_proj, p.k_proj, p.v_proj
-    heads_out = T.attention(q_in, kv_in, q.weight, q.bias, k.weight, k.bias, v.weight, v.bias, p.heads)
+    heads_out = T.attention(q_in, kv_in, q.weight, q.bias, k.weight, k.bias, v.weight, v.bias, p.heads,
+                            q_offsets, kv_offsets)
     return linear_forward(p.out_proj, heads_out)
 
 
@@ -117,9 +120,10 @@ def _feed_forward(ff1: LinearParams, ff2: LinearParams, x: Tensor) -> Tensor:
     return linear_forward(ff2, T.relu(linear_forward(ff1, x)))
 
 
-def encoder_block(p: EncoderBlockParams, x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Post-norm residual order: x' = LN(x + SelfAttn(x)); out = LN(x' + FF(x'))."""
-    x = layer_norm(p.ln1, x + multi_head_attention(p.self_attn, x, x), eps)
+def encoder_block(p: EncoderBlockParams, x: Tensor, eps: float = LAYER_NORM_EPS, offsets=None) -> Tensor:
+    """Post-norm residual order: x' = LN(x + SelfAttn(x)); out = LN(x' + FF(x')).
+    Self-attention stays within each scene of the row ``offsets``."""
+    x = layer_norm(p.ln1, x + multi_head_attention(p.self_attn, x, x, offsets, offsets), eps)
     return layer_norm(p.ln2, x + _feed_forward(p.ff1, p.ff2, x), eps)
 
 
@@ -128,11 +132,15 @@ def decoder_block(
     queries: Tensor,
     memory: Tensor,
     eps: float = LAYER_NORM_EPS,
+    query_offsets=None,
+    memory_offsets=None,
 ) -> Tensor:
     """Self-attention over the queries, cross-attention into the memory set,
-    then feed-forward; each sub-layer wrapped in a post-norm residual."""
-    q = layer_norm(p.ln1, queries + multi_head_attention(p.self_attn, queries, queries), eps)
-    q = layer_norm(p.ln2, q + multi_head_attention(p.cross_attn, q, memory), eps)
+    then feed-forward; each sub-layer wrapped in a post-norm residual. With
+    row offsets, scene s's queries attend to scene s's queries and memory."""
+    q = layer_norm(p.ln1, queries + multi_head_attention(p.self_attn, queries, queries,
+                                                         query_offsets, query_offsets), eps)
+    q = layer_norm(p.ln2, q + multi_head_attention(p.cross_attn, q, memory, query_offsets, memory_offsets), eps)
     return layer_norm(p.ln3, q + _feed_forward(p.ff1, p.ff2, q), eps)
 
 

@@ -52,15 +52,17 @@ class TrainConfig:
 # -- losses --------------------------------------------------------------------
 
 
-def midlevel_bce_loss(mid_logits: list[Tensor], targets: list[np.ndarray]) -> Tensor:
-    """Per level the mean entrywise BCE; levels are then summed."""
+def midlevel_bce_loss(mid_logits: list[Tensor], targets: list[np.ndarray], offsets=None) -> Tensor:
+    """Per level the mean entrywise BCE (the mean of per-scene means, given
+    each level's scene row ``offsets``); levels are then summed."""
     if len(mid_logits) != len(targets):
         raise ShapeError(f"midlevel_bce: {len(mid_logits)} logit blocks vs {len(targets)} target blocks")
     if not mid_logits:
         raise ContractError("midlevel_bce: no supervised levels")
-    total = T.bce_with_logits(mid_logits[0], targets[0])
-    for logits, tgt in zip(mid_logits[1:], targets[1:]):
-        total = total + T.bce_with_logits(logits, tgt)
+    offsets = offsets or [None] * len(mid_logits)
+    total = T.bce_with_logits(mid_logits[0], targets[0], offsets[0])
+    for logits, tgt, rows in zip(mid_logits[1:], targets[1:], offsets[1:]):
+        total = total + T.bce_with_logits(logits, tgt, rows)
     return total
 
 
@@ -72,11 +74,14 @@ def total_loss(
     w_mid: float = 1.0,
 ) -> Tensor:
     """w_final * CE(final logits, labels) + w_mid * sum of mid-level BCEs;
-    ``shadows[level]`` holds that level's multi-hot targets."""
-    ce = T.cross_entropy(fwd.final_logits, labels)
+    ``shadows[level]`` holds that level's multi-hot targets. Over a batch of
+    scenes each term is the mean of the scenes' terms, so the loss is the
+    mean of the scenes' losses."""
+    offsets = fwd.offsets or [None] * len(shadows)
+    ce = T.cross_entropy(fwd.final_logits, labels, offsets[0])
     mid_logits = [mid.conf.logits for mid in fwd.mids]
     mid_targets = [shadows[mid.level] for mid in fwd.mids]
-    bce = midlevel_bce_loss(mid_logits, mid_targets)
+    bce = midlevel_bce_loss(mid_logits, mid_targets, [offsets[mid.level] for mid in fwd.mids])
     return T.scale(ce, w_final) + T.scale(bce, w_mid)
 
 

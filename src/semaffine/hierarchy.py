@@ -24,8 +24,11 @@ MAX_CELL = 2.0 ** 62  # bound on |coord / edge|: int64 voxel keys with a factor-
 
 @dataclass
 class Hierarchy:
+    """One or more scenes' levels, scene after scene in every level."""
+
     coords: list[np.ndarray]  # per level, (n_i, 3) meters
     parents: list[np.ndarray]  # per level < L-1, (n_i,) indices into level i+1
+    offsets: list[tuple[int, ...]]  # per level, the scene row offsets (0, ..., n_i); (0, n_i) for one scene
 
     @property
     def levels(self) -> int:
@@ -82,7 +85,27 @@ def build_hierarchy(coords, base_voxel: float, levels: int) -> Hierarchy:
         centroids /= counts[:, None]
         parent_maps.append(parent)
         level_coords.append(centroids)
-    return Hierarchy(coords=level_coords, parents=parent_maps)
+    return Hierarchy(coords=level_coords, parents=parent_maps,
+                     offsets=[(0, c.shape[0]) for c in level_coords])
+
+
+def stack_hierarchies(hiers: list[Hierarchy]) -> Hierarchy:
+    """One hierarchy of several scenes: each level's points concatenated
+    scene after scene, each parent map shifted by its scene's offset one
+    level up, so pooling and unpooling run once over the stacked rows."""
+    if not hiers:
+        raise ContractError("stack_hierarchies: no hierarchies")
+    if len({h.levels for h in hiers}) != 1:
+        raise ContractError(f"stack_hierarchies: level counts {[h.levels for h in hiers]} differ")
+    levels = hiers[0].levels
+    starts = np.zeros((len(hiers) + 1, levels), dtype=np.int64)
+    np.cumsum([h.sizes for h in hiers], axis=0, out=starts[1:])
+    return Hierarchy(
+        coords=[np.concatenate([h.coords[level] for h in hiers]) for level in range(levels)],
+        parents=[np.concatenate([h.parents[level] + starts[s, level + 1] for s, h in enumerate(hiers)])
+                 for level in range(levels - 1)],
+        offsets=[tuple(level) for level in starts.T.tolist()],
+    )
 
 
 def pool_features(h: Hierarchy, level: int, f: Tensor) -> Tensor:

@@ -241,6 +241,7 @@ class MidLevelOutput:
 class ForwardOutput:
     final_logits: Tensor  # (n_0, N)
     mids: list  # MidLevelOutput, coarsest stage first
+    offsets: Optional[list] = None  # per level, the hierarchy's scene row offsets; None for one scene
 
 
 def backbone_encode(params: ModelParams, hier: Hierarchy) -> list[Tensor]:
@@ -252,61 +253,70 @@ def backbone_encode(params: ModelParams, hier: Hierarchy) -> list[Tensor]:
     return feats
 
 
-def encode_tokens(params: ModelParams, top_feats: Tensor, top_coords: np.ndarray) -> Tensor:
-    """Self-attention stack over the coarsest tokens, with coordinate
-    positional embeddings added once at the input."""
+def encode_tokens(params: ModelParams, top_feats: Tensor, top_coords: np.ndarray, offsets=None) -> Tensor:
+    """Self-attention stack over the coarsest tokens, each scene's (row
+    ``offsets``; None for one scene) attending among themselves, with
+    coordinate positional embeddings added once at the input."""
     pos = mlp_forward(params.pos_mlp, Tensor(top_coords))
     x = top_feats + pos
     for block in params.token_encoder:
-        x = encoder_block(block, x, params.cfg.norm_eps)
+        x = encoder_block(block, x, params.cfg.norm_eps, offsets)
     return x
 
 
-def decode_queries(params: ModelParams, memory: Tensor):
-    """Run the class queries through the cross-attention decoder; returns
-    every layer's output (for the affine heads) and the final layer."""
-    h = params.queries
+def decode_queries(params: ModelParams, memory: Tensor, offsets=None):
+    """Run the class queries through the cross-attention decoder, one copy
+    of them per scene of the memory (row ``offsets``; None for one scene);
+    returns every layer's output (for the affine heads), each the scenes'
+    (N, d_h) rows stacked, and the final layer."""
+    n_classes = params.cfg.n_classes
+    scenes = 1 if offsets is None else len(offsets) - 1
+    h = T.gather_rows(params.queries, np.arange(n_classes * scenes) % n_classes)
+    query_offsets = tuple(range(0, n_classes * scenes + 1, n_classes))
     h_layers = []
     for block in params.query_decoder:
-        h = decoder_block(block, h, memory, params.cfg.norm_eps)
+        h = decoder_block(block, h, memory, params.cfg.norm_eps, query_offsets, offsets)
         h_layers.append(h)
     return h_layers, h_layers[-1]
 
 
-def _site_confidences(params: ModelParams, level: int, feats: Tensor, masks: Tensor) -> ConfidenceMatrix:
+def _site_confidences(params: ModelParams, level: int, feats: Tensor, masks: Tensor, offsets) -> ConfidenceMatrix:
     """A mid site's class scores and their per-point softmax rows."""
     site = params.sites[level]
     if params.cfg.classifier == "mask":
-        return mask_confidences(masks, feats, site.mask_proj)
+        return mask_confidences(masks, feats, site.mask_proj, offsets)
     return confidences_from_logits(linear_forward(site.fc, feats))
 
 
-def _site_logits(params: ModelParams, level: int, feats: Tensor, masks: Tensor) -> Tensor:
+def _site_logits(params: ModelParams, level: int, feats: Tensor, masks: Tensor, offsets) -> Tensor:
     """The final site's class scores alone: nothing reads a softmax of them."""
     site = params.sites[level]
     if params.cfg.classifier == "mask":
-        return T.mask_logits(feats, masks, site.mask_proj.weight, site.mask_proj.bias)
+        return T.mask_logits(feats, masks, site.mask_proj.weight, site.mask_proj.bias, offsets)
     return linear_forward(site.fc, feats)
 
 
 def model_forward(params: ModelParams, hier: Hierarchy) -> ForwardOutput:
-    """Full forward pass over one scene's prepared voxel hierarchy."""
+    """Full forward pass over a prepared voxel hierarchy of one scene, or of
+    a batch stacked by ``hierarchy.stack_hierarchies``: row-wise layers run
+    once over the stacked rows, and each scene's points attend to, are
+    scored against and are transformed by its own copy of the class queries."""
     cfg = params.cfg
     enc = backbone_encode(params, hier)
-    tokens = encode_tokens(params, enc[-1], hier.coords[-1])
-    h_layers, h_final = decode_queries(params, tokens)
+    tokens = encode_tokens(params, enc[-1], hier.coords[-1], hier.offsets[-1])
+    h_layers, h_final = decode_queries(params, tokens, hier.offsets[-1])
     masks = predict_masks(h_final, params.mask_head)
 
     feats = tokens
     mids = []
     for i, level in enumerate(cfg.mid_levels, start=1):
         try:
-            conf = _site_confidences(params, level, feats, masks)
+            conf = _site_confidences(params, level, feats, masks, hier.offsets[level])
             affine = None
             if cfg.affine == "sa":
                 h_u = h_layers[cfg.layer_for_stage(i) - 1]
                 affine = predict_affine_params(h_u, params.scale_heads[i], params.bias_heads[i])
-                transformed = semantic_affine_transform(feats, conf, affine, cfg.norm_eps)
+                transformed = semantic_affine_transform(feats, conf, affine, cfg.norm_eps, hier.offsets[level])
             elif cfg.affine == "adain":  # one shared (scale, bias) row for every point
                 site = params.sites[level]
                 transformed = T.layer_norm(
@@ -320,4 +330,5 @@ def model_forward(params: ModelParams, hier: Hierarchy) -> ForwardOutput:
         except SemaffineError as e:
             raise type(e)(f"decoder stage {i} (hierarchy level {level}): {e}") from e
 
-    return ForwardOutput(final_logits=_site_logits(params, 0, feats, masks), mids=mids)
+    return ForwardOutput(final_logits=_site_logits(params, 0, feats, masks, hier.offsets[0]), mids=mids,
+                         offsets=hier.offsets)

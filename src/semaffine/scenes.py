@@ -45,6 +45,7 @@ LEG_HEIGHT_RANGE = (0.40, 0.50)
 TABLE_CLEARANCE = 0.65  # meters, a table's footprint radius for packing
 MAX_EXTENT = 1000.0  # meters; squared placement distances overflow near 1e154
 MAX_POINTS_PER_OBJECT = 100_000  # ~300x the default; far above it a scene exhausts memory
+MAX_OBJECTS_PER_SCENE = 1000  # ~170x the default; each placement scans every placed object
 MAX_PACK_RETRIES = 200
 
 
@@ -63,6 +64,9 @@ class SceneSpec:
         if self.points_per_object > MAX_POINTS_PER_OBJECT:
             raise ContractError(f"scene spec: points_per_object must be <= {MAX_POINTS_PER_OBJECT}, "
                                 f"got {self.points_per_object}")
+        if self.objects_per_scene > MAX_OBJECTS_PER_SCENE:
+            raise ContractError(f"scene spec: objects_per_scene must be <= {MAX_OBJECTS_PER_SCENE}, "
+                                f"got {self.objects_per_scene}")
         if self.noise_sigma < 0:
             raise ContractError(f"scene spec: noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 2 * TABLE_CLEARANCE < self.extent <= MAX_EXTENT:

@@ -25,13 +25,23 @@ Design constraints:
 - scatter-adds of rows onto groups (``pool_rows_mean``, the ``gather_rows``
   backward) are one ``np.bincount`` segment sum, not ``np.add.at``.
 - a backward computes a gradient only for operands that require grad.
+- a batch of scenes is one graph, its scenes stacked by rows. Row-wise ops
+  run once over the stack; the ops that mix rows within a scene take the
+  scenes' row offsets (``None``: one scene) and keep them apart:
+  ``attention`` is block diagonal, ``mask_logits`` and ``matmul`` pair each
+  scene's rows with its own block of stacked class rows, and the two losses
+  are the mean of the scenes' means. Offsets are checked and cut into row
+  slices once per distinct tuple; one scene takes the single-scene path with
+  the same bits.
 
 A tensor graph is single-threaded during one forward/backward pass; distinct
-graphs (one per scene/worker) share no mutable state.
+graphs (one per SGD batch, evaluated scene or gradcheck worker) share no
+mutable state.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -75,20 +85,72 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
     def backward(self):
         backward(self)
 
 
-def _result(data, parents, op, backward_fn) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents), op=op, parents=parents)
-    if out.requires_grad:
-        out._backward_fn = backward_fn
+def _result(data, parents: tuple, op: str, backward_fn) -> Tensor:
+    """An op's output node, built field by field: ``Tensor.__init__`` would
+    convert an array that is already float64 and test every parent again."""
+    out = Tensor.__new__(Tensor)
+    if data.__class__ is not np.ndarray or data.dtype != np.float64:
+        data = np.asarray(data, dtype=np.float64)
+    out.data = data
+    out.grad = None
+    out.requires_grad = False
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            break
+    out.op = op
+    out.parents = parents
+    out._backward_fn = backward_fn if out.requires_grad else None
+    out.node_id = next(_NODE_IDS)
     return out
+
+
+@functools.lru_cache(maxsize=256)
+def _cut(bounds: tuple, rows: int):
+    """The row slices of the scenes that ``bounds`` = (0, o_1, ..., rows)
+    cut ``rows`` rows into, or None unless the bounds are whole numbers and
+    each scene is non-empty. (Equal keys, such as (0, 5) and (0.0, 5.0),
+    share a cache entry, so the answer depends on the values alone.)"""
+    try:
+        ints = [int(b) for b in bounds]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    scenes = tuple(slice(lo, hi) for lo, hi in zip(ints, ints[1:]) if lo < hi)
+    if ints != list(bounds) or not scenes or len(scenes) != len(ints) - 1 or ints[0] != 0 or ints[-1] != rows:
+        return None
+    return scenes
+
+
+def _scene_rows(offsets, rows: int, what: str) -> tuple[slice, ...]:
+    """Each scene's row range from row ``offsets`` [0, o_1, ..., rows];
+    ``None`` is one scene of all ``rows`` rows. A hierarchy's offsets are
+    tuples, so the cut is looked up once per distinct batch."""
+    if offsets is None:
+        return (slice(0, rows),)
+    if offsets.__class__ is tuple:
+        bounds = offsets
+    else:
+        array = np.asarray(offsets)
+        bounds = tuple(array.tolist()) if array.ndim == 1 else ()
+    scenes = _cut(bounds, rows)
+    if scenes is None:
+        raise ContractError(f"{what}: scene offsets {np.asarray(offsets).tolist()} do not cut {rows} rows "
+                            "into non-empty scenes")
+    return scenes
+
+
+def _with_blocks(scenes: tuple[slice, ...], k: int) -> list[tuple[slice, slice]]:
+    """Each scene's row range paired with its block of ``k`` stacked class rows."""
+    return [(rows, slice(s * k, (s + 1) * k)) for s, rows in enumerate(scenes)]
+
+
+def _stack(parts: list, axis: int = 0) -> np.ndarray:
+    """Per-scene parts joined along ``axis``; a single scene's part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False):
@@ -156,21 +218,28 @@ def scale(a, c: float) -> Tensor:
 # -- matrix ops ----------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, offsets=None) -> Tensor:
+    """a (n, k) @ b (k, d). With the row ``offsets`` of B scenes in a, b is
+    their (k, d) blocks stacked, (B*k, d), and scene s's rows of a multiply
+    block s: each point blends its own scene's class rows."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} and {b.shape}")
+    scenes = _scene_rows(offsets, a.shape[0], "matmul")
+    if len(scenes) * a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} and {b.shape} "
+                         f"over {len(scenes)} scene(s)")
+    pairs = _with_blocks(scenes, a.shape[1])
     a_data, b_data = a.data, b.data
 
     def backward_fn(g):
         if a.requires_grad:
-            _accumulate(a, g @ b_data.T)
+            _accumulate(a, _stack([g[rows] @ b_data[block].T for rows, block in pairs]))
         if b.requires_grad:
-            _accumulate(b, a_data.T @ g)
+            _accumulate(b, _stack([a_data[rows].T @ g[rows] for rows, block in pairs]))
 
-    return _result(a_data @ b_data, (a, b), "matmul", backward_fn)
+    out = _stack([a_data[rows] @ b_data[block] for rows, block in pairs])
+    return _result(out, (a, b), "matmul", backward_fn)
 
 
 def linear(x, w, b) -> Tensor:
@@ -194,12 +263,14 @@ def linear(x, w, b) -> Tensor:
     return _result(out, (x, w, b), "linear", backward_fn)
 
 
-def mask_logits(f, masks, w, b) -> Tensor:
+def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
     """(f (n, in) @ w (d_m, in).T + b (d_m,)) @ masks (N, d_m).T, as one node.
 
     The projection is folded into the masks: forward is f @ A.T + c with
     A = masks @ w and c = masks @ b, so the n points are dotted with N rows
-    instead of being projected to d_m first.
+    instead of being projected to d_m first. With the row ``offsets`` of B
+    scenes in f, masks is their (N, d_m) blocks stacked and each scene's
+    points are scored against its own block.
     """
     f, masks, w, b = (_as_tensor(t) for t in (f, masks, w, b))
     f_data, m_data, w_data, b_data = f.data, masks.data, w.data, b.data
@@ -207,15 +278,20 @@ def mask_logits(f, masks, w, b) -> Tensor:
             or b_data.shape != w_data.shape[:1] or m_data.shape[1] != w_data.shape[0]):
         raise ShapeError(f"mask_logits: features {f.shape} do not fit projection {w.shape} + {b.shape} "
                          f"and masks {masks.shape}")
-    a = m_data @ w_data  # (N, in)
+    scenes = _scene_rows(offsets, f_data.shape[0], "mask_logits")
+    if m_data.shape[0] % len(scenes):
+        raise ShapeError(f"mask_logits: {m_data.shape[0]} mask rows do not split into {len(scenes)} scenes")
+    pairs = _with_blocks(scenes, m_data.shape[0] // len(scenes))
+    a = m_data @ w_data  # (B*N, in)
+    c = m_data @ b_data
 
     def backward_fn(g):
         if f.requires_grad:
-            _accumulate(f, g @ a)
+            _accumulate(f, _stack([g[rows] @ a[block] for rows, block in pairs]))
         if masks.requires_grad or w.requires_grad:
-            g_a = g.T @ f_data
+            g_a = _stack([g[rows].T @ f_data[rows] for rows, _ in pairs])
         if masks.requires_grad or b.requires_grad:
-            g_c = g.sum(axis=0)
+            g_c = _stack([g[rows].sum(axis=0) for rows, _ in pairs])
         if masks.requires_grad:
             _accumulate(masks, g_a @ w_data.T + np.outer(g_c, b_data))
         if w.requires_grad:
@@ -223,12 +299,16 @@ def mask_logits(f, masks, w, b) -> Tensor:
         if b.requires_grad:
             _accumulate(b, m_data.T @ g_c)
 
-    out = f_data @ a.T
-    out += m_data @ b_data
+    def scores(rows, block):
+        out = f_data[rows] @ a[block].T
+        out += c[block]
+        return out
+
+    out = _stack([scores(rows, block) for rows, block in pairs])
     return _result(out, (f, masks, w, b), "mask_logits", backward_fn)
 
 
-def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int) -> Tensor:
+def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int, q_offsets=None, kv_offsets=None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     ``wq`` (heads*d_k, q_dim) and ``bq`` (heads*d_k,) are the query
@@ -237,6 +317,10 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int) -> Tensor:
     softmax(q_h k_h^T / sqrt(d_k)) v_h with q_h = q_in @ wq[h].T + bq[h]; the
     result is the head outputs side by side, (n, heads*d_k). The heads run as
     (heads, n, d_k) arrays.
+
+    ``q_offsets`` and ``kv_offsets`` cut the query and key/value rows into
+    the same number of scenes (``None``: one scene); the attention is block
+    diagonal, scene s's queries attending only to scene s's keys.
 
     Backward uses the analytic softmax backward dS = P * (dP - rowsum(dP * P)).
     """
@@ -256,6 +340,11 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int) -> Tensor:
         raise ShapeError(f"attention: projections {[t.shape for t, _ in expect]} do not fit {heads} heads "
                          f"over inputs {q_in.shape} and {kv_in.shape}")
     n, m = q_in.shape[0], kv_in.shape[0]
+    q_scenes = _scene_rows(q_offsets, n, "attention queries")
+    kv_scenes = _scene_rows(kv_offsets, m, "attention keys")
+    if len(q_scenes) != len(kv_scenes):
+        raise ContractError(f"attention: {len(q_scenes)} query scenes but {len(kv_scenes)} key/value scenes")
+    scenes = list(zip(q_scenes, kv_scenes))
     inv_sqrt_dk = 1.0 / np.sqrt(d_k)
 
     def split(a, rows):  # (rows, heads*d_k) -> (heads, rows, d_k)
@@ -267,17 +356,23 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int) -> Tensor:
     q = split(q_in.data @ wq.data.T + bq.data, n)
     k = split(kv_in.data @ wk.data.T + bk.data, m)
     v = split(kv_in.data @ wv.data.T + bv.data, m)
-    scores = (q @ k.transpose(0, 2, 1)) * inv_sqrt_dk
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    probs = e / e.sum(axis=2, keepdims=True)  # (heads, n, m)
+    probs, outs = [], []  # per scene, (heads, n_s, m_s) and (heads, n_s, d_k)
+    for q_rows, kv_rows in scenes:
+        scores = (q[:, q_rows] @ k[:, kv_rows].transpose(0, 2, 1)) * inv_sqrt_dk
+        e = np.exp(scores - scores.max(axis=2, keepdims=True))
+        probs.append(e / e.sum(axis=2, keepdims=True))
+        outs.append(probs[-1] @ v[:, kv_rows])
 
     def backward_fn(g):
         g_o = split(g, n)
-        g_p = g_o @ v.transpose(0, 2, 1)
-        g_s = probs * (g_p - (g_p * probs).sum(axis=2, keepdims=True)) * inv_sqrt_dk
-        g_q = merge(g_s @ k, n)
-        g_k = merge(g_s.transpose(0, 2, 1) @ q, m)
-        g_v = merge(probs.transpose(0, 2, 1) @ g_o, m)
+        g_q, g_k, g_v = [], [], []
+        for (q_rows, kv_rows), p in zip(scenes, probs):
+            g_p = g_o[:, q_rows] @ v[:, kv_rows].transpose(0, 2, 1)
+            g_s = p * (g_p - (g_p * p).sum(axis=2, keepdims=True)) * inv_sqrt_dk
+            g_q.append(g_s @ k[:, kv_rows])
+            g_k.append(g_s.transpose(0, 2, 1) @ q[:, q_rows])
+            g_v.append(p.transpose(0, 2, 1) @ g_o[:, q_rows])
+        g_q, g_k, g_v = merge(_stack(g_q, 1), n), merge(_stack(g_k, 1), m), merge(_stack(g_v, 1), m)
         if q_in.requires_grad:
             _accumulate(q_in, g_q @ wq.data)
         if kv_in.requires_grad:
@@ -288,7 +383,7 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int) -> Tensor:
             if b.requires_grad:
                 _accumulate(b, g_proj.sum(axis=0))
 
-    return _result(merge(probs @ v, n), (q_in, kv_in, wq, bq, wk, bk, wv, bv), "attention", backward_fn)
+    return _result(merge(_stack(outs, 1), n), (q_in, kv_in, wq, bq, wk, bk, wv, bv), "attention", backward_fn)
 
 
 # -- elementwise nonlinearities -------------------------------------------
@@ -342,41 +437,55 @@ def softmax(a) -> Tensor:
     return _result(y, (a,), "softmax", backward_fn)
 
 
-def cross_entropy(logits, labels) -> Tensor:
-    """Mean over rows of -log softmax(logits)[row, label], as one node."""
+def cross_entropy(logits, labels, offsets=None) -> Tensor:
+    """Mean over rows of -log softmax(logits)[row, label], as one node.
+
+    With the row ``offsets`` of B scenes, the mean of the B scenes' means."""
     logits = _as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.data.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
         raise ContractError(f"cross_entropy: label out of range [0, {logits.shape[1]})")
+    scenes = _scene_rows(offsets, labels.size, "cross_entropy")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     rows = np.arange(labels.size)
+    picked = log_probs[rows, labels]
 
     def backward_fn(g):  # the log_softmax backward of the picked entries' gradient
         g_picked = np.zeros(logits.shape)
-        g_picked[rows, labels] = -float(g) / labels.size
+        for scene in scenes:
+            g_picked[rows[scene], labels[scene]] = -float(g) / (len(scenes) * picked[scene].size)
         _accumulate(logits, g_picked - np.exp(log_probs) * g_picked.sum(axis=1, keepdims=True))
 
-    return _result(-log_probs[rows, labels].mean(), (logits,), "cross_entropy", backward_fn)
+    loss = -sum(picked[scene].mean() for scene in scenes) / len(scenes)
+    return _result(loss, (logits,), "cross_entropy", backward_fn)
 
 
-def bce_with_logits(logits, targets) -> Tensor:
-    """Mean over entries of BCE(sigmoid(x), t) = softplus(x) - t * x, as one node."""
+def bce_with_logits(logits, targets, offsets=None) -> Tensor:
+    """Mean over the entries of (n, N) logits of BCE(sigmoid(x), t) = softplus(x) - t * x, as one node.
+
+    With the row ``offsets`` of B scenes, the mean of the B scenes' means."""
     logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != logits.shape:
+    if logits.data.ndim != 2 or targets.shape != logits.shape:
         raise ShapeError(f"bce: logits {logits.shape} vs targets {targets.shape}")
     if not np.isin(targets, (0.0, 1.0)).all():
         raise ContractError("bce: targets must be binary")
+    scenes = _scene_rows(offsets, logits.shape[0], "bce")
     x = logits.data
+    entries = np.logaddexp(0.0, x) - x * targets
 
     def backward_fn(g):
-        g_entry = float(g) / x.size
-        _accumulate(logits, -g_entry * targets + g_entry * _sigmoid(x))
+        grads = []
+        for scene in scenes:
+            g_entry = float(g) / (len(scenes) * x[scene].size)
+            grads.append(-g_entry * targets[scene] + g_entry * _sigmoid(x[scene]))
+        _accumulate(logits, _stack(grads))
 
-    return _result((np.logaddexp(0.0, x) - x * targets).mean(), (logits,), "bce_with_logits", backward_fn)
+    loss = sum(entries[scene].mean() for scene in scenes) / len(scenes)
+    return _result(loss, (logits,), "bce_with_logits", backward_fn)
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:

@@ -5,6 +5,11 @@ from seeded per-epoch permutations, initialization from per-component seed
 streams, and all math is float64 numpy, so repeated runs produce
 byte-identical metric logs and checkpoints.
 
+One SGD step is one tape: ``stack_scenes`` stacks the batch's prepared
+scenes, and one forward, one backward and one ``sgd_step`` run on the stack.
+Its loss is the mean of the scenes' losses; evaluation runs one scene per
+forward.
+
 The per-epoch metrics log is tab-separated: ``epoch  train_loss  val_miou  lr``
 with the learning rate sampled at the epoch's first optimizer step.
 """
@@ -30,7 +35,7 @@ from .harness import (
     sgd_step,
     total_loss,
 )
-from .hierarchy import Hierarchy, build_hierarchy, one_hot, shadow_labels
+from .hierarchy import Hierarchy, build_hierarchy, one_hot, shadow_labels, stack_hierarchies
 from .model import ModelConfig, ModelParams, attention_group_mask, build_model, model_forward
 from .scenes import LabeledCloud, read_manifest, read_scene
 
@@ -46,6 +51,15 @@ def prepare_scene(cloud: LabeledCloud, cfg: ModelConfig) -> PreparedScene:
     hier = build_hierarchy(cloud.coords, cfg.base_voxel, cfg.levels)
     shadows = shadow_labels(hier, one_hot(cloud.labels, cfg.n_classes))
     return PreparedScene(cloud=cloud, hier=hier, shadows=shadows)
+
+
+def stack_scenes(scenes: list[PreparedScene]) -> tuple[Hierarchy, np.ndarray, list[np.ndarray]]:
+    """A batch's stacked hierarchy, level-0 labels and per-level shadows,
+    scene after scene: one forward and one loss cover the whole batch."""
+    hier = stack_hierarchies([scene.hier for scene in scenes])
+    labels = np.concatenate([scene.cloud.labels for scene in scenes])
+    shadows = [np.concatenate(level) for level in zip(*(scene.shadows for scene in scenes))]
+    return hier, labels, shadows
 
 
 def load_corpus(manifest_path, cfg: ModelConfig):
@@ -123,18 +137,13 @@ def train_model(
             batch = order[s * train_cfg.batch_size:(s + 1) * train_cfg.batch_size]
             for _, p in named:
                 p.zero_grad()
-            batch_loss = 0.0
-            for idx in batch:
-                scene = train_scenes[idx]
-                out = model_forward(params, scene.hier)
-                loss = total_loss(out, scene.cloud.labels, scene.shadows,
-                                  w_final=train_cfg.w_final, w_mid=train_cfg.w_mid)
-                loss = loss * (1.0 / len(batch))
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericError(f"non-finite loss at epoch {epoch} step {s}")
-                batch_loss += value
-                loss.backward()
+            hier, labels, shadows = stack_scenes([train_scenes[idx] for idx in batch])
+            loss = total_loss(model_forward(params, hier), labels, shadows,
+                              w_final=train_cfg.w_final, w_mid=train_cfg.w_mid)
+            batch_loss = loss.item()  # the mean of the batch's scene losses
+            if not np.isfinite(batch_loss):
+                raise NumericError(f"non-finite loss at epoch {epoch} step {s}")
+            loss.backward()
             sgd_step(named, factors, state, train_cfg, t, total_steps)
             epoch_losses.append(batch_loss)
             t += 1

@@ -59,6 +59,31 @@ def _tensor_checks(rng):
     yield "tensor", "mask_logits", lambda: _mix(T.mask_logits(a, masks, w_m, b_m)), \
         [("f", a), ("masks", masks), ("w", w_m), ("b", b_m)], 1e-5
 
+    # the scene-offset paths: two ragged scenes, drawn from a stream of their own
+    yield from _scene_offset_checks(np.random.default_rng(8))
+
+
+def _scene_offset_checks(rng):
+    """Each op that keeps scenes apart, on rows cut into two ragged scenes."""
+    q_offsets, kv_offsets = [0, 2, 5], [0, 4, 6]  # 2 + 3 query rows, 4 + 2 key rows
+
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    q_in, kv_in = leaf(5, 2), leaf(6, 2)
+    proj = [(f"{kind}.{part}", leaf(*shape)) for kind in "qkv" for part, shape in (("w", (2, 2)), ("b", (2,)))]
+    yield "tensor", "attention_scenes", \
+        lambda: _mix(T.attention(q_in, kv_in, *(t for _, t in proj), 2, q_offsets, kv_offsets)), \
+        [("q_in", q_in), ("kv_in", kv_in)] + proj, 1e-5
+
+    f, masks, w, b = leaf(5, 3), leaf(4, 2), leaf(2, 3), leaf(2)  # one (2, 2) mask block per scene
+    yield "tensor", "mask_logits_scenes", lambda: _mix(T.mask_logits(f, masks, w, b, q_offsets)), \
+        [("f", f), ("masks", masks), ("w", w), ("b", b)], 1e-5
+
+    probs, bank = leaf(5, 2), leaf(4, 3)  # one (2, 3) bank per scene
+    yield "tensor", "matmul_scenes", lambda: _mix(T.matmul(probs, bank, q_offsets)), \
+        [("a", probs), ("b", bank)], 1e-5
+
 
 def _block_checks(rng):
     lin = B.init_linear(rng, 4, 3)
@@ -137,6 +162,18 @@ def _loss_checks(rng):
     targets = (rng.random((5, 4)) < 0.4).astype(float)
     yield "losses", "midlevel_bce", lambda: T.scale(T.bce_with_logits(mid, targets), 0.37), \
         [("logits", mid)], 1e-5
+
+    # per-scene means over two ragged scenes, drawn from a stream of their own
+    scenes = np.random.default_rng(9)
+    offsets = [0, 2, 5]
+    logits_s = Tensor(scenes.standard_normal((5, 3)), requires_grad=True)
+    labels_s = scenes.integers(0, 3, 5)
+    yield "losses", "cross_entropy_scenes", \
+        lambda: T.scale(T.cross_entropy(logits_s, labels_s, offsets), 0.37), [("logits", logits_s)], 1e-5
+    mid_s = Tensor(scenes.standard_normal((5, 3)), requires_grad=True)
+    targets_s = (scenes.random((5, 3)) < 0.4).astype(float)
+    yield "losses", "midlevel_bce_scenes", \
+        lambda: T.scale(T.bce_with_logits(mid_s, targets_s, offsets), 0.37), [("logits", mid_s)], 1e-5
 
 
 def _model_check(rng):

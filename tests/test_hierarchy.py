@@ -237,6 +237,44 @@ class TestPoolUnpool:
             H.unpool_features(h, 0, Tensor(np.zeros((2, 2))), Tensor(np.zeros((5, 3))))
 
 
+class TestStackHierarchies:
+    def _hierarchies(self):
+        return [H.build_hierarchy(coords, 0.6, 3) for coords in random_clouds(9, 3)]
+
+    def test_one_scene_has_whole_level_offsets(self):
+        h = self._hierarchies()[1]
+        assert h.offsets == [(0, n) for n in h.sizes]
+
+    def test_levels_concatenate_and_parents_shift_by_the_level_above(self):
+        hiers = self._hierarchies()
+        stacked = H.stack_hierarchies(hiers)
+        assert stacked.sizes == [sum(h.sizes[level] for h in hiers) for level in range(3)]
+        for level in range(3):
+            bounds = stacked.offsets[level]
+            assert bounds == tuple(np.cumsum([0] + [h.sizes[level] for h in hiers]).tolist())
+            for s, h in enumerate(hiers):
+                rows = slice(bounds[s], bounds[s + 1])
+                np.testing.assert_array_equal(stacked.coords[level][rows], h.coords[level])
+                if level < 2:
+                    above = stacked.offsets[level + 1][s]
+                    np.testing.assert_array_equal(stacked.parents[level][rows], h.parents[level] + above)
+
+    def test_pooling_the_stack_pools_each_scene(self):
+        rng = np.random.default_rng(8)
+        hiers = self._hierarchies()
+        feats = [rng.standard_normal((h.sizes[0], 3)) for h in hiers]
+        stacked = H.pool_features(H.stack_hierarchies(hiers), 0, Tensor(np.concatenate(feats)))
+        alone = [H.pool_features(h, 0, Tensor(f)).data for h, f in zip(hiers, feats)]
+        np.testing.assert_array_equal(stacked.data, np.concatenate(alone))
+
+    def test_mismatched_or_missing_hierarchies_rejected(self):
+        coords = np.zeros((2, 3))
+        with pytest.raises(ContractError, match="level counts"):
+            H.stack_hierarchies([H.build_hierarchy(coords, 1.0, 2), H.build_hierarchy(coords, 1.0, 3)])
+        with pytest.raises(ContractError, match="no hierarchies"):
+            H.stack_hierarchies([])
+
+
 class TestShadowLabels:
     def test_homogeneous_patch(self):
         coords = np.array([[0.1, 0, 0], [0.2, 0, 0]])

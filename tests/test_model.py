@@ -299,23 +299,27 @@ class TestTapeSize:
 
     def test_default_scene_loss_graph_tally(self):
         from semaffine.harness import total_loss
-        from semaffine.train import prepare_scene
+        from semaffine.train import prepare_scene, stack_scenes
 
         cfg = M.ModelConfig()
         params = M.build_model(cfg, seed=0)
-        scene = prepare_scene(generate_scene(SceneSpec(), seed=0), cfg)
-        loss = total_loss(M.model_forward(params, scene.hier),
-                          scene.cloud.labels, scene.shadows)
-        tally = op_tally(loss)
+        scenes = [prepare_scene(generate_scene(SceneSpec(), seed=s), cfg) for s in range(4)]
+        tallies = []
+        for batch in range(1, 5):
+            hier, labels, shadows = stack_scenes(scenes[:batch])
+            tallies.append(op_tally(total_loss(M.model_forward(params, hier), labels, shadows)))
+        # one tape per SGD batch, the same for 1 to 4 scenes: the scenes share every node
+        assert tallies == [tallies[-1]] * 4
         # 23 Transformer-block norms and 3 semantic-affine transforms, one node each;
         # one mask_logits node per site (3 mid, 1 final) with its projection folded in;
-        # one node per loss term (final CE, 3 mid-level BCEs), then 2 weights and 3 sums
-        assert tally == {
+        # one node per loss term (final CE, 3 mid-level BCEs), then 2 weights and 3 sums;
+        # gather_rows: 3 unpools and one copy of the class queries per scene
+        assert tallies[-1] == {
             "leaf": 297, "linear": 79, "relu": 41, "add": 30, "layer_norm": 26, "attention": 14,
-            "matmul": 6, "mask_logits": 4, "bce_with_logits": 3, "gather_rows": 3, "pool_rows_mean": 3,
+            "matmul": 6, "mask_logits": 4, "bce_with_logits": 3, "gather_rows": 4, "pool_rows_mean": 3,
             "softmax": 3, "softplus": 3, "scale": 2, "cross_entropy": 1,
         }
-        assert sum(tally.values()) == 515
+        assert sum(tallies[-1].values()) == 516
 
     def test_default_scene_node_budget_and_dead_gradients(self):
         from semaffine.harness import total_loss
@@ -344,3 +348,62 @@ class TestTapeSize:
         assert constants  # coordinates
         assert all(t.grad is None for t in constants)
         assert all(t.grad is not None for t in graph.values() if t.requires_grad)
+
+
+class TestBatchedStep:
+    """A stacked batch computes what its scenes compute one at a time."""
+
+    @staticmethod
+    def ragged_scenes(params):
+        from semaffine.hierarchy import one_hot, shadow_labels
+
+        rng = np.random.default_rng(11)
+        scenes = []
+        for n, spread in ((20, 1.2), (45, 2.2), (70, 3.4)):
+            coords = rng.uniform(-spread, spread, (n, 3))
+            labels = rng.integers(0, params.cfg.n_classes, n)
+            hier = hierarchy(params, coords)
+            scenes.append((hier, labels, shadow_labels(hier, one_hot(labels, params.cfg.n_classes))))
+        return scenes
+
+    @staticmethod
+    def gradients(params):
+        return [np.zeros(t.shape) if t.grad is None else t.grad.copy() for _, t in params.named_parameters()]
+
+    @pytest.mark.parametrize("classifier", M.CLASSIFIERS)
+    @pytest.mark.parametrize("affine", M.AFFINE_MODES)
+    def test_ragged_batch_matches_scenes_one_by_one(self, classifier, affine):
+        from semaffine.harness import total_loss
+        from semaffine.hierarchy import stack_hierarchies
+
+        params = M.build_model(tiny_config(classifier=classifier, affine=affine), seed=3)
+        scenes = self.ragged_scenes(params)
+        sizes = np.array([hier.sizes for hier, _, _ in scenes])
+        assert all(len(set(level)) == len(scenes) for level in sizes.T), sizes  # ragged at every level
+
+        singles = []
+        for hier, labels, shadows in scenes:
+            for _, t in params.named_parameters():
+                t.zero_grad()
+            out = M.model_forward(params, hier)
+            loss = total_loss(out, labels, shadows)
+            loss.backward()
+            singles.append((out.final_logits.data, loss.item(), self.gradients(params)))
+
+        for _, t in params.named_parameters():
+            t.zero_grad()
+        batch = stack_hierarchies([hier for hier, _, _ in scenes])
+        out = M.model_forward(params, batch)
+        loss = total_loss(out, np.concatenate([labels for _, labels, _ in scenes]),
+                          [np.concatenate(level) for level in zip(*(shadows for _, _, shadows in scenes))])
+        loss.backward()
+
+        bounds = batch.offsets[0]
+        for s, (logits, _, _) in enumerate(singles):
+            np.testing.assert_allclose(out.final_logits.data[bounds[s]:bounds[s + 1]], logits, rtol=0, atol=1e-12)
+        mean_loss = np.mean([value for _, value, _ in singles])
+        assert abs(loss.item() - mean_loss) <= 1e-12 * abs(mean_loss)
+        expected = [sum(parts) / len(scenes) for parts in zip(*(grads for _, _, grads in singles))]
+        scale = max(np.abs(g).max() for g in expected)
+        for (name, _), got, want in zip(params.named_parameters(), self.gradients(params), expected):
+            assert np.abs(got - want).max() <= 1e-12 * scale, name

@@ -294,7 +294,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            T.backward(x * x)
+            T.backward(T.mul(x, x))
 
     def test_gradient_accumulates_on_reuse(self):
         x = Tensor([2.0], requires_grad=True)
@@ -543,3 +543,106 @@ class TestFusedOps:
         ):
             with pytest.raises(ShapeError):
                 T.mask_logits(*bad)
+
+
+class TestSceneOffsets:
+    """Ops that keep the scenes of a stacked batch apart equal the same op
+    run on each scene alone, with its outputs stacked and its loss averaged."""
+
+    Q_OFFSETS, KV_OFFSETS = (0, 2, 5, 9), (0, 4, 5, 8)  # three ragged scenes
+
+    @staticmethod
+    def leaves(rng, *shapes):
+        return [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+
+    @staticmethod
+    def check(batched, per_scene, leaves, mix_rows):
+        """``batched()`` against ``per_scene(s)`` for each scene s: values
+        stacked, or a loss averaged over the scenes, and every gradient."""
+        rng = np.random.default_rng(1)
+        out = batched()
+        scalar = out.data.ndim == 0
+        mix = Tensor(rng.standard_normal(out.shape)) if not scalar else None
+        (out if scalar else T.sum_all(T.mul(out, mix))).backward()
+        got = [out.data] + _grads(leaves)
+        parts, n = [], len(mix_rows) - 1
+        for s in range(n):
+            part = per_scene(s)
+            parts.append(part.data)
+            rows = slice(mix_rows[s], mix_rows[s + 1])
+            loss = T.scale(part, 1.0 / n) if scalar else T.sum_all(T.mul(part, Tensor(mix.data[rows])))
+            loss.backward()
+        want = [np.mean(parts) if scalar else np.concatenate(parts)] + _grads(leaves)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-14)
+
+    def test_attention_is_block_diagonal(self):
+        rng = np.random.default_rng(30)
+        q_in, kv_in, *proj = self.leaves(rng, (9, 4), (8, 6), (4, 4), (4,), (4, 6), (4,), (4, 6), (4,))
+        q, kv = self.Q_OFFSETS, self.KV_OFFSETS
+
+        def scene(s):
+            return T.attention(T.gather_rows(q_in, np.arange(q[s], q[s + 1])),
+                               T.gather_rows(kv_in, np.arange(kv[s], kv[s + 1])), *proj, heads=2)
+
+        self.check(lambda: T.attention(q_in, kv_in, *proj, 2, q, kv), scene, [q_in, kv_in] + proj, q)
+
+    def test_mask_logits_scores_each_scene_against_its_masks(self):
+        rng = np.random.default_rng(31)
+        f, masks, w, b = self.leaves(rng, (9, 4), (6, 3), (3, 4), (3,))  # two classes per scene
+        q = self.Q_OFFSETS
+
+        def scene(s):
+            return T.mask_logits(T.gather_rows(f, np.arange(q[s], q[s + 1])),
+                                 T.gather_rows(masks, np.arange(2 * s, 2 * s + 2)), w, b)
+
+        self.check(lambda: T.mask_logits(f, masks, w, b, q), scene, [f, masks, w, b], q)
+
+    def test_matmul_blends_each_scene_with_its_bank(self):
+        rng = np.random.default_rng(32)
+        probs, bank = self.leaves(rng, (9, 2), (6, 5))
+        q = self.Q_OFFSETS
+
+        def scene(s):
+            return T.matmul(T.gather_rows(probs, np.arange(q[s], q[s + 1])),
+                            T.gather_rows(bank, np.arange(2 * s, 2 * s + 2)))
+
+        self.check(lambda: T.matmul(probs, bank, q), scene, [probs, bank], q)
+
+    def test_losses_average_the_scene_means(self):
+        rng = np.random.default_rng(33)
+        logits, = self.leaves(rng, (9, 3))
+        labels = rng.integers(0, 3, 9)
+        targets = (rng.random((9, 3)) < 0.5).astype(float)
+        q = self.Q_OFFSETS
+
+        def rows(s):
+            return T.gather_rows(logits, np.arange(q[s], q[s + 1])), slice(q[s], q[s + 1])
+
+        self.check(lambda: T.cross_entropy(logits, labels, q),
+                   lambda s: T.cross_entropy(rows(s)[0], labels[rows(s)[1]]), [logits], q)
+        self.check(lambda: T.bce_with_logits(logits, targets, q),
+                   lambda s: T.bce_with_logits(rows(s)[0], targets[rows(s)[1]]), [logits], q)
+
+    def test_one_scene_offsets_give_the_same_bits_as_none(self):
+        rng = np.random.default_rng(34)
+        a, b = self.leaves(rng, (5, 3), (3, 4))
+        labels = rng.integers(0, 3, 5)
+        for offsets in ((0, 5), np.array([0, 5]), [0, 5]):
+            assert T.matmul(a, b, offsets).data.tobytes() == T.matmul(a, b).data.tobytes()
+            assert T.cross_entropy(a, labels, offsets).item() == T.cross_entropy(a, labels).item()
+
+    @pytest.mark.parametrize("offsets", [(0, 3, 3, 5), (0, 4), (1, 5), (0, 6, 5), (0,), (), (0, 2.5, 5), [[0, 5]]])
+    def test_bad_offsets_rejected(self, offsets):
+        a = Tensor(np.zeros((5, 3)))
+        with pytest.raises(ContractError, match="do not cut 5 rows into non-empty scenes"):
+            T.cross_entropy(a, np.zeros(5, dtype=int), offsets)
+
+    def test_class_rows_must_split_over_the_scenes(self):
+        a = Tensor(np.zeros((5, 2)))
+        with pytest.raises(ShapeError, match="over 2 scene"):
+            T.matmul(a, Tensor(np.zeros((3, 4))), (0, 2, 5))
+        with pytest.raises(ShapeError, match="5 mask rows do not split into 2 scenes"):
+            T.mask_logits(a, Tensor(np.zeros((5, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)), (0, 2, 5))
+        with pytest.raises(ContractError, match="2 query scenes but 1 key/value scenes"):
+            T.attention(a, a, *(Tensor(np.zeros(s)) for s in ((2, 2), (2,)) * 3), 1, (0, 2, 5), None)

@@ -297,14 +297,26 @@ class TestCli:
         assert err.startswith("numeric failure: non-finite logits") and "Traceback" not in err
 
     @staticmethod
-    def _cli_subprocess(argv, **kwargs):
+    def _cli_subprocess(argv, timeout=300, **kwargs):
         """``python -m semaffine.cli *argv`` in a fresh interpreter, output
         captured; its stdout is block-buffered, as for any pipe."""
         src = str(Path(semaffine.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         env.pop("PYTHONUNBUFFERED", None)
         return subprocess.run([sys.executable, "-m", "semaffine.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=300, **kwargs)
+                              capture_output=True, text=True, env=env, timeout=timeout, **kwargs)
+
+    def test_object_count_is_capped_at_the_boundary(self, tmp_path):
+        # each placement scans every placed object: an uncapped count in a
+        # 1000 m scene ran without end instead of failing validation
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("scene_objects = 1000000000\nscene_extent = 1000\n")
+        corpus = tmp_path / "corpus"
+        proc = self._cli_subprocess(["synth", "--spec", str(spec), "--out", str(corpus), "--count", "1"], timeout=30)
+        assert proc.returncode == 1 and proc.stdout == "" and not corpus.exists()
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0] == "error: scene spec: objects_per_scene must be <= 1000, got 1000000000", \
+            proc.stderr
 
     def test_numeric_failure_is_the_only_stderr_line(self, tmp_path):
         # a fresh interpreter prints numpy's RuntimeWarnings unless the CLI silences them
