@@ -1,5 +1,5 @@
-"""Parameterized neural building blocks: linear/MLP layers, multi-head
-attention, and post-norm Transformer encoder/decoder blocks.
+"""Parameterized neural building blocks: linear/MLP chains (one tape node
+each), multi-head attention, and post-norm Transformer encoder/decoder blocks.
 
 Parameter records are plain dataclasses of leaf tensors; they stay immutable
 during a forward/backward pass, so they are safe to share read-only across
@@ -86,23 +86,16 @@ class DecoderBlockParams:
 
 def linear_forward(p: LinearParams, x: Tensor) -> Tensor:
     """x (n, in) -> x @ weight.T + bias."""
-    return T.linear(x, p.weight, p.bias)
+    return T.mlp(x, [(p.weight, p.bias)])
 
 
 def mlp_forward(layers: Sequence[LinearParams], x: Tensor) -> Tensor:
-    """Chain of linear layers with ReLU between them, none after the last."""
-    if not layers:
-        raise ContractError("mlp_forward: empty layer list")
-    out = x
-    for i, layer in enumerate(layers):
-        out = linear_forward(layer, out)
-        if i + 1 < len(layers):
-            out = T.relu(out)
-    return out
+    """Chain of linear layers with ReLU between them, none after the last; one tape node."""
+    return T.mlp(x, [(layer.weight, layer.bias) for layer in layers])
 
 
-def layer_norm(p: LayerNormParams, x: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
-    return T.layer_norm(x, p.gain, p.bias, eps)
+def layer_norm(p: LayerNormParams, x: Tensor, eps: float = LAYER_NORM_EPS, residual=None) -> Tensor:
+    return T.layer_norm(x, p.gain, p.bias, eps, residual)
 
 
 def multi_head_attention(p: AttentionParams, q_in: Tensor, kv_in: Tensor, q_offsets=None, kv_offsets=None) -> Tensor:
@@ -116,15 +109,12 @@ def multi_head_attention(p: AttentionParams, q_in: Tensor, kv_in: Tensor, q_offs
     return linear_forward(p.out_proj, heads_out)
 
 
-def _feed_forward(ff1: LinearParams, ff2: LinearParams, x: Tensor) -> Tensor:
-    return linear_forward(ff2, T.relu(linear_forward(ff1, x)))
-
-
 def encoder_block(p: EncoderBlockParams, x: Tensor, eps: float = LAYER_NORM_EPS, offsets=None) -> Tensor:
-    """Post-norm residual order: x' = LN(x + SelfAttn(x)); out = LN(x' + FF(x')).
-    Self-attention stays within each scene of the row ``offsets``."""
-    x = layer_norm(p.ln1, x + multi_head_attention(p.self_attn, x, x, offsets, offsets), eps)
-    return layer_norm(p.ln2, x + _feed_forward(p.ff1, p.ff2, x), eps)
+    """Post-norm residual order: x' = LN(x + SelfAttn(x)); out = LN(x' + FF(x')),
+    each LN taking x as its residual. Self-attention stays within each scene
+    of the row ``offsets``."""
+    x = layer_norm(p.ln1, multi_head_attention(p.self_attn, x, x, offsets, offsets), eps, x)
+    return layer_norm(p.ln2, mlp_forward((p.ff1, p.ff2), x), eps, x)
 
 
 def decoder_block(
@@ -138,10 +128,10 @@ def decoder_block(
     """Self-attention over the queries, cross-attention into the memory set,
     then feed-forward; each sub-layer wrapped in a post-norm residual. With
     row offsets, scene s's queries attend to scene s's queries and memory."""
-    q = layer_norm(p.ln1, queries + multi_head_attention(p.self_attn, queries, queries,
-                                                         query_offsets, query_offsets), eps)
-    q = layer_norm(p.ln2, q + multi_head_attention(p.cross_attn, q, memory, query_offsets, memory_offsets), eps)
-    return layer_norm(p.ln3, q + _feed_forward(p.ff1, p.ff2, q), eps)
+    q = layer_norm(p.ln1, multi_head_attention(p.self_attn, queries, queries, query_offsets, query_offsets),
+                   eps, queries)
+    q = layer_norm(p.ln2, multi_head_attention(p.cross_attn, q, memory, query_offsets, memory_offsets), eps, q)
+    return layer_norm(p.ln3, mlp_forward((p.ff1, p.ff2), q), eps, q)
 
 
 # -- initialization ----------------------------------------------------------

@@ -8,7 +8,8 @@ Subcommands:
   gradcheck  run the finite-difference verification suite
   ablate     train the classifier x affine lattice and compare mIoU
 
-Exit codes: 0 success, 1 validation/config error, 2 runtime/numeric failure.
+Exit codes: 0 success, 1 usage, validation or config error, 2 runtime/numeric
+failure.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .train import eval_run, train_run
 def _cmd_synth(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     values = parse_config_file(args.spec) if args.spec else {}
     spec = scene_spec_from(values)
     extra = extra_from(values)
@@ -111,9 +114,16 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other invalid input; 2 means a runtime or numeric failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="semaffine", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="semaffine", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene corpus")

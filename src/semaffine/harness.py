@@ -47,6 +47,8 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.w_final < 0 or self.w_mid < 0:
             raise ConfigError("loss weights must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # -- losses --------------------------------------------------------------------

@@ -12,10 +12,11 @@ Design constraints:
   no implicit broadcast. The (d,) bias/gain rows are operands of the fused
   ops, which broadcast them internally.
 - forward values are saved eagerly by the closures; no checkpointing.
-- six fused ops: a linear layer, a whole multi-head attention, a
-  normalize-then-modulate ``layer_norm``, a projected mask classifier and the
-  two loss terms are one node each (``linear``, ``attention``, ``layer_norm``,
-  ``mask_logits``, ``cross_entropy``, ``bce_with_logits``).
+- six fused ops: a chain of dense layers with the ReLUs between them, a
+  whole multi-head attention, a normalize-then-modulate ``layer_norm`` (with
+  an optional residual input added first), a projected mask classifier and
+  the two loss terms are one node each (``mlp``, ``attention``,
+  ``layer_norm``, ``mask_logits``, ``cross_entropy``, ``bce_with_logits``).
   Most operands are a few to a few dozen rows, where the cost is per-node
   dispatch; ``mask_logits`` also folds the mask projection into the N class
   masks, so the thousands of finest-level points are never projected.
@@ -242,25 +243,41 @@ def matmul(a, b, offsets=None) -> Tensor:
     return _result(out, (a, b), "matmul", backward_fn)
 
 
-def linear(x, w, b) -> Tensor:
-    """x (n, in) @ w (out, in).T + b (out,), as one node."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    x_data, w_data = x.data, w.data
-    if (x_data.ndim != 2 or w_data.ndim != 2 or x_data.shape[1] != w_data.shape[1]
-            or b.data.shape != w_data.shape[:1]):
-        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape} and bias {b.shape}")
+def mlp(x, layers) -> Tensor:
+    """x (n, in) through dense layers h @ w.T + b, ``layers`` being (w (out, in),
+    b (out,)) pairs, with a ReLU between consecutive layers, as one node; one
+    layer is a linear layer."""
+    x = _as_tensor(x)
+    layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
+    if not layers:
+        raise ContractError("mlp: no layers")
+    # each layer's input; each hidden ReLU's live mask; wants[i]: x or a layer before i requires grad
+    inputs, lives, wants = [], [], [x.requires_grad]
+    h = x.data
+    for i, (w, b) in enumerate(layers):
+        if h.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+            raise ShapeError(f"mlp: layer {i} input {h.shape} does not match weight {w.shape} and bias {b.shape}")
+        inputs.append(h)
+        h = h @ w.data.T
+        h += b.data  # in place: no second (n, out) array
+        if i + 1 < len(layers):
+            lives.append(~(h <= 0))  # NaN stays live, so NaN in gives NaN out
+            h = np.where(lives[-1], h, 0.0)
+            wants.append(wants[-1] or w.requires_grad or b.requires_grad)
 
-    def backward_fn(g):
-        if x.requires_grad:
-            _accumulate(x, g @ w_data)
-        if w.requires_grad:
-            _accumulate(w, g.T @ x_data)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
+    def backward_fn(g):  # last layer first; stops where neither x nor an earlier layer needs more
+        for i in reversed(range(len(layers))):
+            w, b = layers[i]
+            if w.requires_grad:
+                _accumulate(w, g.T @ inputs[i])
+            if b.requires_grad:
+                _accumulate(b, g.sum(axis=0))
+            if not wants[i]:
+                return
+            g = g @ w.data if i == 0 else (g @ w.data) * lives[i - 1]
+        _accumulate(x, g)
 
-    out = x_data @ w_data.T
-    out += b.data  # in place: no second (n, out) array
-    return _result(out, (x, w, b), "linear", backward_fn)
+    return _result(h, (x, *(t for layer in layers for t in layer)), "mlp", backward_fn)
 
 
 def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
@@ -389,16 +406,6 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int, q_offsets=None, k
 # -- elementwise nonlinearities -------------------------------------------
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    live = ~(a.data <= 0)  # NaN stays live, so NaN in gives NaN out
-
-    def backward_fn(g):
-        _accumulate(a, g * live)
-
-    return _result(np.where(live, a.data, 0.0), (a,), "relu", backward_fn)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # branch on sign to avoid overflow in exp
     out = np.empty_like(x)
@@ -493,13 +500,15 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """normalize(x) * gain + bias as one node.
+def layer_norm(x, gain, bias, eps: float = 1e-5, residual=None) -> Tensor:
+    """normalize(x + residual) * gain + bias as one node.
 
-    Each row of x (n, d) goes to zero mean and (population) unit variance,
-    with denominator sqrt(var + eps), so constant rows map to zeros (then to
-    ``bias``). ``gain`` and ``bias`` are each a (d,) row shared by all points
-    or an (n, d) per-point array.
+    Each row of the input (n, d) goes to zero mean and (population) unit
+    variance, with denominator sqrt(var + eps), so constant rows map to zeros
+    (then to ``bias``). ``gain`` and ``bias`` are each a (d,) row shared by
+    all points or an (n, d) per-point array. An (n, d) ``residual`` (a
+    post-norm sublayer's skip input) is added to x first; both get the input
+    gradient.
     """
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.data.ndim != 2:
@@ -507,8 +516,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     if gain.shape not in (x.shape, x.shape[1:]) or bias.shape not in (x.shape, x.shape[1:]):
         raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} fit neither "
                          f"({x.shape[1]},) nor input {x.shape}")
+    summands, total = (x,), x.data
+    if residual is not None:
+        summands += (_as_tensor(residual),)
+        _check_binary(x, summands[1], "layer_norm residual")
+        total = total + summands[1].data
     gain_row, bias_row = gain.data.ndim == 1, bias.data.ndim == 1
-    centered = x.data - _row_mean(x.data)
+    centered = total - _row_mean(total)
     inv = 1.0 / np.sqrt(_row_mean(centered ** 2) + eps)
     y = centered * inv
     gain_data = gain.data
@@ -518,11 +532,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             _accumulate(bias, g.sum(axis=0) if bias_row else g, shared=not bias_row)
         if gain.requires_grad:
             _accumulate(gain, (g * y).sum(axis=0) if gain_row else g * y)
-        if x.requires_grad:
+        wanting = [t for t in summands if t.requires_grad]
+        if wanting:
             g_y = g * gain_data
-            _accumulate(x, inv * (g_y - _row_mean(g_y) - y * _row_mean(g_y * y)))
+            g_in = inv * (g_y - _row_mean(g_y) - y * _row_mean(g_y * y))
+            for k, t in enumerate(wanting):  # the first takes g_in itself, a second a copy
+                _accumulate(t, g_in, shared=k > 0)
 
-    return _result(y * gain_data + bias.data, (x, gain, bias), "layer_norm", backward_fn)
+    return _result(y * gain_data + bias.data, (x, gain, bias, *summands[1:]), "layer_norm", backward_fn)
 
 
 # -- reductions and indexing ----------------------------------------------

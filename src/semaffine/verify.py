@@ -3,11 +3,14 @@ small end-to-end model; the CLI ``gradcheck`` subcommand runs it."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import blocks as B
 from . import tensor as T
 from .affine import mask_confidences, predict_affine_params, predict_masks, semantic_affine_transform
+from .errors import ConfigError
 from .gradcheck import finite_diff_check
 from .harness import total_loss
 from .hierarchy import build_hierarchy, one_hot, pool_features, shadow_labels, unpool_features
@@ -28,16 +31,26 @@ def _tensor_checks(rng):
 
     yield "tensor", "matmul", lambda: _mix(T.matmul(a, b)), [("a", a), ("b", b)], 1e-5
     yield "tensor", "add_mul", lambda: _mix(T.mul(T.add(a, c), a)), [("a", a), ("c", c)], 1e-5
-    yield "tensor", "relu", lambda: _mix(T.relu(x)), [("x", x)], 1e-5
     yield "tensor", "softplus", lambda: _mix(T.softplus(x)), [("x", x)], 1e-5
     yield "tensor", "softmax", lambda: _mix(T.softmax(a)), [("a", a)], 1e-5
     yield "tensor", "scale", lambda: _mix(T.scale(a, 1.7)), [("a", a)], 1e-5
 
-    # the fused ops draw from their own stream so the later checks keep their inputs
-    fused = np.random.default_rng(7)
-    w = Tensor(fused.standard_normal((5, 4)), requires_grad=True)
-    bias = Tensor(fused.standard_normal(5), requires_grad=True)
-    yield "tensor", "linear", lambda: _mix(T.linear(a, w, bias)), [("x", a), ("w", w), ("b", bias)], 1e-5
+    # the fused ops draw from streams of their own so the later checks keep their inputs
+    fused, more = np.random.default_rng(7), np.random.default_rng(10)
+    # three layers, 4 -> 5 -> 4 -> 3; each hidden bias is shifted so that the ReLU
+    # kink falls midway in the widest gap between its unit's pre-activations:
+    # every hidden unit has live and dead rows, all well clear of the kink
+    layers = [(Tensor(draw.standard_normal((out, n_in)), requires_grad=True),
+               Tensor(draw.standard_normal(out), requires_grad=True))
+              for draw, out, n_in in ((fused, 5, 4), (more, 4, 5), (more, 3, 4))]
+    h = a.data
+    for w, bias in layers[:-1]:
+        pre = np.sort(h @ w.data.T + bias.data, axis=0)
+        widest, units = np.diff(pre, axis=0).argmax(axis=0), np.arange(pre.shape[1])
+        bias.data -= (pre[widest, units] + pre[widest + 1, units]) / 2
+        h = np.maximum(h @ w.data.T + bias.data, 0.0)
+    yield "tensor", "mlp", lambda: _mix(T.mlp(a, layers)), \
+        [("x", a)] + [(f"{name}{i}", t) for i, layer in enumerate(layers) for name, t in zip("wb", layer)], 1e-5
 
     # two heads of width 2, q/k/v each stacked as (4, 4) weight and (4,) bias
     proj = [(f"{kind}.{part}", Tensor(fused.standard_normal(shape), requires_grad=True))
@@ -45,13 +58,15 @@ def _tensor_checks(rng):
     yield "tensor", "attention", lambda: _mix(T.attention(a, c, *(t for _, t in proj), heads=2)), \
         [("q_in", a), ("kv_in", c)] + proj, 1e-5
 
-    # (d,) gain/bias rows as in the Transformer, AdaIN and bn norms; (n, d)
-    # per-point gain/bias as in the semantic-affine transform
+    # (d,) gain/bias rows as in the Transformer, AdaIN and bn norms, with a residual
+    # input as in the post-norm Transformer sublayers; (n, d) per-point gain/bias as
+    # in the semantic-affine transform
     rows = [Tensor(fused.standard_normal(4), requires_grad=True) for _ in range(2)]
     points = [Tensor(fused.standard_normal((3, 4)), requires_grad=True) for _ in range(2)]
+    residual = Tensor(more.standard_normal((3, 4)), requires_grad=True)
     yield "tensor", "layer_norm", \
-        lambda: T.add(_mix(T.layer_norm(a, *rows, 1e-5)), _mix(T.layer_norm(c, *points, 1e-5), seed=1)), \
-        [("x_rows", a), ("gain_row", rows[0]), ("bias_row", rows[1]),
+        lambda: T.add(_mix(T.layer_norm(a, *rows, 1e-5, residual)), _mix(T.layer_norm(c, *points, 1e-5), seed=1)), \
+        [("x_rows", a), ("gain_row", rows[0]), ("bias_row", rows[1]), ("residual_rows", residual),
          ("x_points", c), ("gain_points", points[0]), ("bias_points", points[1])], 1e-5
 
     # two class masks in a 3-wide mask space, projected from 4 features
@@ -195,6 +210,9 @@ def _model_check(rng):
     yield "model", "end_to_end_16pt", loss, params.named_parameters(), 1e-4
 
 
+MODULES = ("tensor", "blocks", "hierarchy", "affine", "losses", "model")
+
+
 def iter_checks(module: str | None = None):
     rng = np.random.default_rng(2024)
     for gen in (_tensor_checks, _block_checks, _hierarchy_checks, _affine_checks,
@@ -206,11 +224,15 @@ def iter_checks(module: str | None = None):
 
 def run_suite(module: str | None = None, tol: float | None = None, h: float = 1e-6,
               emit=print) -> bool:
-    """Run the named checks; returns True when everything passes."""
+    """Run the named checks of one of ``MODULES`` (None: all of them);
+    returns True when everything passes. An unknown module or a ``tol``
+    that is not a finite number > 0 raises ConfigError before any check runs."""
+    if module is not None and module not in MODULES:
+        raise ConfigError(f"gradcheck module must be one of {', '.join(MODULES)}, got {module!r}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"gradcheck tol must be a finite number > 0, got {tol!r}")
     all_ok = True
-    found = False
     for mod, name, loss, params, default_tol in iter_checks(module):
-        found = True
         use_tol = tol if tol is not None else default_tol
         max_entries = 6 if name == "end_to_end_16pt" else None
         report = finite_diff_check(loss, params, h=h, tol=use_tol, max_entries=max_entries, seed=0)
@@ -222,7 +244,4 @@ def run_suite(module: str | None = None, tol: float | None = None, h: float = 1e
                 if line.startswith("FAIL"):
                     emit("      " + line)
             all_ok = False
-    if not found:
-        emit(f"no checks found for module {module!r}")
-        return False
     return all_ok

@@ -290,12 +290,11 @@ class TestTapeSize:
         x = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
         enc = B.init_encoder_block(rng, heads=2, model_dim=8)
         first = Tensor(0.0).node_id
-        assert op_tally(B.encoder_block(enc, x), first) == {
-            "attention": 1, "linear": 3, "add": 2, "layer_norm": 2, "relu": 1}
+        # attention, output projection, residual norm; feed-forward chain, residual norm
+        assert op_tally(B.encoder_block(enc, x), first) == {"attention": 1, "mlp": 2, "layer_norm": 2}
         dec = B.init_decoder_block(rng, heads=2, model_dim=8, kv_dim=8)
         first = Tensor(0.0).node_id
-        assert op_tally(B.decoder_block(dec, x, x), first) == {
-            "attention": 2, "linear": 4, "add": 3, "layer_norm": 3, "relu": 1}
+        assert op_tally(B.decoder_block(dec, x, x), first) == {"attention": 2, "mlp": 3, "layer_norm": 3}
 
     def test_default_scene_loss_graph_tally(self):
         from semaffine.harness import total_loss
@@ -310,16 +309,20 @@ class TestTapeSize:
             tallies.append(op_tally(total_loss(M.model_forward(params, hier), labels, shadows)))
         # one tape per SGD batch, the same for 1 to 4 scenes: the scenes share every node
         assert tallies == [tallies[-1]] * 4
-        # 23 Transformer-block norms and 3 semantic-affine transforms, one node each;
-        # one mask_logits node per site (3 mid, 1 final) with its projection folded in;
-        # one node per loss term (final CE, 3 mid-level BCEs), then 2 weights and 3 sums;
-        # gather_rows: 3 unpools and one copy of the class queries per scene
+        # one mlp node per dense chain: 4 backbone MLPs, pos_mlp, 23 attention output
+        # projections and feed-forwards, the mask head, 3 scale and 3 bias heads, 3 down
+        # projections; 23 Transformer-block norms, each taking its residual, and 3
+        # semantic-affine transforms, one node each; one mask_logits node per site (3 mid,
+        # 1 final) with its projection folded in; one node per loss term (final CE, 3
+        # mid-level BCEs), then 2 weights and 3 sums; adds: the positional embedding,
+        # 3 unpool skips and the 3 sums; gather_rows: 3 unpools and one copy of the class
+        # queries per scene
         assert tallies[-1] == {
-            "leaf": 297, "linear": 79, "relu": 41, "add": 30, "layer_norm": 26, "attention": 14,
+            "leaf": 297, "mlp": 38, "layer_norm": 26, "attention": 14, "add": 7,
             "matmul": 6, "mask_logits": 4, "bce_with_logits": 3, "gather_rows": 4, "pool_rows_mean": 3,
             "softmax": 3, "softplus": 3, "scale": 2, "cross_entropy": 1,
         }
-        assert sum(tallies[-1].values()) == 516
+        assert sum(tallies[-1].values()) == 411
 
     def test_default_scene_node_budget_and_dead_gradients(self):
         from semaffine.harness import total_loss
@@ -334,8 +337,8 @@ class TestTapeSize:
         loss = total_loss(M.model_forward(params, scene.hier),
                           scene.cloud.labels, scene.shadows)
         created = Tensor(0.0).node_id - first - 1
-        # one node per linear layer and per multi-head attention
-        assert created <= 300, created
+        # the tape's 114 op nodes and two constant leaves, the finest and the top coordinates
+        assert created == 116, created
         loss.backward()
 
         graph, stack = {loss.node_id: loss}, [loss]

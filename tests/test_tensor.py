@@ -10,6 +10,13 @@ from semaffine import tensor as T
 from semaffine.tensor import Tensor
 
 
+def hidden_relu(x):
+    """The hidden ReLU of ``mlp`` on an (n, 1) column, between two identity
+    layers: 1 * h + 0 is h bit for bit, infinities and NaN included."""
+    identity = (Tensor([[1.0]]), Tensor([0.0]))
+    return T.mlp(x, [identity, identity])
+
+
 def matmul_oracle(a, b):
     m, k = a.shape
     k2, n = b.shape
@@ -47,12 +54,12 @@ class TestMatmul:
 
 class TestElementwise:
     def test_relu_sign_cases(self):
-        out = T.relu(Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+        out = hidden_relu(Tensor([[-1.0], [0.0], [2.0]]))
+        np.testing.assert_array_equal(out.data, [[0.0], [0.0], [2.0]])
 
     def test_relu_propagates_nan(self):
         x = np.array([np.nan, -np.inf, -2.0, -0.0, 0.0, 5e-324, 3.0, np.inf, np.nan])
-        out = T.relu(Tensor(x)).data
+        out = hidden_relu(Tensor(x[:, None])).data[:, 0]
         assert np.isnan(out[[0, -1]]).all()
         # finite and infinite outputs keep the bits of np.where(x > 0, x, 0.0): -0.0 maps to +0.0
         finite = ~np.isnan(x)
@@ -265,6 +272,51 @@ class TestLayerNorm:
         T.sum_all(T.mul(out, Tensor(rng.standard_normal((3, 4))))).backward()
         assert x.grad.shape == (3, 4) and bias.grad.shape == (3, 4) and gain.grad is None
 
+    @pytest.mark.parametrize("x_grad,residual_grad", [(True, True), (True, False), (False, True)])
+    def test_residual_is_layer_norm_of_the_sum(self, x_grad, residual_grad):
+        """``residual`` r keeps the bits of a separate add node: the output of
+        ``layer_norm(x + r)``, and on each operand that sum's input gradient."""
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=x_grad)
+        r = Tensor(rng.standard_normal((3, 4)), requires_grad=residual_grad)
+        gain, bias = (Tensor(rng.standard_normal(4), requires_grad=True) for _ in range(2))
+        mix = Tensor(rng.standard_normal((3, 4)))
+
+        fused = T.layer_norm(x, gain, bias, 1e-5, residual=r)
+        assert fused.op == "layer_norm" and fused.parents == (x, gain, bias, r)
+        T.sum_all(T.mul(fused, mix)).backward()
+        got = _grads([x, r, gain, bias])
+        total = Tensor(x.data + r.data, requires_grad=True)
+        unfused = T.layer_norm(total, gain, bias, 1e-5)
+        T.sum_all(T.mul(unfused, mix)).backward()
+        expect = _grads([total, gain, bias])
+
+        assert fused.data.tobytes() == unfused.data.tobytes()
+        for t, g in zip((x, r), got[:2]):
+            if t.requires_grad:
+                assert g.tobytes() == expect[0].tobytes()
+            else:
+                assert g is None
+        if x_grad and residual_grad:
+            assert got[0] is not got[1]
+        for g, e in zip(got[2:], expect[1:]):
+            assert g.tobytes() == e.tobytes()
+
+    def test_residual_onto_its_own_input_doubles_the_gradient(self):
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        mix = Tensor(rng.standard_normal((3, 4)))
+        T.sum_all(T.mul(T.layer_norm(x, gain, bias, 1e-5, residual=x), mix)).backward()
+        total = Tensor(2.0 * x.data, requires_grad=True)
+        T.sum_all(T.mul(T.layer_norm(total, gain, bias, 1e-5), mix)).backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * total.grad)
+
+    def test_residual_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="layer_norm residual"):
+            T.layer_norm(Tensor(np.zeros((3, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                         residual=Tensor(np.zeros((2, 4))))
+
     @pytest.mark.parametrize("x_shape,gain_shape,bias_shape", [
         ((3, 4), (5,), (4,)),  # gain row of the wrong width
         ((3, 4), (4,), (3,)),  # bias row of the wrong width
@@ -372,7 +424,7 @@ def add_row(x, row):
 def unfused_attention_loss(q_in, kv_in, projs, heads, mix):
     """sum(attention(...) * mix) from per-head matmul/add/softmax nodes, each
     head against its own column block of ``mix``; the scores q @ k.T are a
-    zero-bias ``linear``. Head h runs on copies of row block h of each stacked
+    zero-bias one-layer ``mlp``. Head h runs on copies of row block h of each stacked
     (weight, bias) in ``projs`` (q, k, v) as leaves of its own, the weight
     copies transposed to (in, d_k) and the bias copies (1, d_k) rows; returns
     the loss and those leaves, [proj][h]."""
@@ -387,7 +439,7 @@ def unfused_attention_loss(q_in, kv_in, projs, heads, mix):
         q = add_row(T.matmul(q_in, wq_t), bq)
         k = add_row(T.matmul(kv_in, wk_t), bk)
         v = add_row(T.matmul(kv_in, wv_t), bv)
-        scores = T.linear(q, k, Tensor(np.zeros(kv_in.shape[0])))
+        scores = T.mlp(q, [(k, Tensor(np.zeros(kv_in.shape[0])))])
         attn = T.softmax(T.scale(scores, inv_sqrt_dk))
         part = T.sum_all(T.mul(T.matmul(attn, v), Tensor(mix[:, h * d_k:(h + 1) * d_k])))
         total = part if total is None else total + part
@@ -410,7 +462,7 @@ class TestFusedOps:
         b = Tensor(rng.standard_normal(4), requires_grad=True)
         mix = Tensor(rng.standard_normal((5, 4)))
 
-        fused = T.linear(x, w, b)
+        fused = T.mlp(x, [(w, b)])
         T.sum_all(T.mul(fused, mix)).backward()
         got = _grads([x, w, b])
         w_t = Tensor(w.data.T.copy(), requires_grad=True)
@@ -420,7 +472,7 @@ class TestFusedOps:
         expect = _grads([x, w_t, b_row])
         expect[1], expect[2] = expect[1].T, expect[2][0]
 
-        assert fused.op == "linear" and fused.parents == (x, w, b)
+        assert fused.op == "mlp" and fused.parents == (x, w, b)
         np.testing.assert_allclose(fused.data, unfused.data, rtol=0, atol=1e-12)
         for g, e in zip(got, expect):
             if e is None:
@@ -430,10 +482,56 @@ class TestFusedOps:
         assert (got[0] is not None) == x_grad
 
     def test_linear_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.linear(Tensor(np.zeros((2, 5))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))
-        with pytest.raises(ShapeError):
-            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="layer 0"):
+            T.mlp(Tensor(np.zeros((2, 5))), [(Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))])
+        with pytest.raises(ShapeError, match="layer 0"):
+            T.mlp(Tensor(np.zeros((2, 3))), [(Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))])
+        with pytest.raises(ShapeError, match="layer 1"):
+            T.mlp(Tensor(np.zeros((2, 3))), [(Tensor(np.zeros((4, 3))), Tensor(np.zeros(4)))] * 2)
+        with pytest.raises(ContractError, match="no layers"):
+            T.mlp(Tensor(np.zeros((2, 3))), [])
+
+    @pytest.mark.parametrize("depth,frozen", [(d, f) for d in (1, 2, 3) for f in (None, *range(d))])
+    def test_mlp_keeps_the_bits_of_linear_and_relu_nodes(self, depth, frozen):
+        """Forward and every gradient equal, bit for bit, the arithmetic of one
+        linear node per layer, ``out = h @ w.T; out += b``, and one ReLU node
+        between layers, ``np.where(~(h <= 0), h, 0.0)`` with backward ``g * live``;
+        ``frozen`` names a weight (or the input, None) that requires no grad."""
+        rng = np.random.default_rng(40 + depth)
+        dims = [4, 6, 5, 3][:depth + 1]
+        x = Tensor(rng.standard_normal((7, dims[0])), requires_grad=frozen is not None)
+        layers = [(Tensor(rng.standard_normal((dims[i + 1], dims[i])), requires_grad=i != frozen),
+                   Tensor(rng.standard_normal(dims[i + 1]), requires_grad=True)) for i in range(depth)]
+        g_out = rng.standard_normal((7, dims[-1]))
+
+        out = T.mlp(x, layers)
+        assert out.op == "mlp" and out.parents == (x,) + tuple(t for layer in layers for t in layer)
+        T.sum_all(T.mul(out, Tensor(g_out))).backward()
+
+        inputs, lives, h = [], [], x.data
+        for i, (w, b) in enumerate(layers):
+            inputs.append(h)
+            h = h @ w.data.T
+            h += b.data
+            if i + 1 < depth:
+                lives.append(~(h <= 0))
+                h = np.where(lives[-1], h, 0.0)
+        assert out.data.tobytes() == h.tobytes()
+        g = g_out
+        for i in reversed(range(depth)):
+            w, b = layers[i]
+            assert b.grad.tobytes() == g.sum(axis=0).tobytes()
+            if w.requires_grad:
+                assert w.grad.tobytes() == (g.T @ inputs[i]).tobytes()
+            else:
+                assert w.grad is None
+            g = g @ w.data
+            if i:
+                g = g * lives[i - 1]
+        if x.requires_grad:
+            assert x.grad.tobytes() == g.tobytes()
+        else:
+            assert x.grad is None
 
     @pytest.mark.parametrize("q_grad,kv_grad,shared", [
         (True, True, False), (False, False, False), (True, False, False), (False, True, False),
@@ -514,7 +612,7 @@ class TestFusedOps:
         T.sum_all(T.mul(fused, mix)).backward()
         got = _grads([f, masks, w, b])
         masks_t = Tensor(masks.data.T.copy(), requires_grad=params_grad)
-        unfused = T.matmul(T.linear(f, w, b), masks_t)
+        unfused = T.matmul(T.mlp(f, [(w, b)]), masks_t)
         T.sum_all(T.mul(unfused, mix)).backward()
         expect = _grads([f, masks_t, w, b])
         if params_grad:

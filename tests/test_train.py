@@ -375,6 +375,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_negative_synth_seed_exit_code(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        proc = self._cli_subprocess(["synth", "--out", str(corpus), "--count", "1", "--seed", "-1"], timeout=30)
+        assert proc.returncode == 1 and proc.stdout == "" and not corpus.exists()
+        assert proc.stderr.splitlines() == ["error: --seed must be >= 0, got -1"], proc.stderr
+
+    def test_negative_train_seed_exit_code(self, tmp_path):
+        manifest = small_corpus(tmp_path, n_train=1, n_val=0, points=8)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(TINY_TRAIN_CFG + "seed = -1\n")
+        before = sorted(tmp_path.iterdir())
+        proc = self._cli_subprocess(["train", "--config", str(cfg), "--data", str(manifest),
+                                     "--out", str(tmp_path / "m.ckpt")], timeout=30)
+        assert proc.returncode == 1 and proc.stdout == "" and sorted(tmp_path.iterdir()) == before
+        assert proc.stderr.splitlines() == ["error: seed must be >= 0, got -1"], proc.stderr
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--module", "bogus"], "module must be one of tensor, blocks, hierarchy, affine, losses, model, got 'bogus'"),
+        (["--tol", "nan"], "tol must be a finite number > 0, got nan"),
+        (["--tol", "-1"], "tol must be a finite number > 0, got -1.0"),
+        (["--tol", "0"], "tol must be a finite number > 0, got 0.0"),
+        (["--tol", "inf"], "tol must be a finite number > 0, got inf"),
+    ], ids=["module", "tol-nan", "tol-negative", "tol-zero", "tol-inf"])
+    def test_gradcheck_bad_arguments_exit_code(self, capsys, argv, message):
+        assert main(["gradcheck", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""  # rejected before the first check
+        assert err == f"error: gradcheck {message}\n", err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--out", "m.ckpt"], "semaffine train: error: the following arguments are required: --data"),
+        (["eval", "--ckpt", "m.ckpt", "--data", "x", "--split", "bogus"],
+         "semaffine eval: error: argument --split: invalid choice: 'bogus'"),
+        (["ablate", "--seeds", "abc"], "semaffine ablate: error: argument --seeds: invalid int value: 'abc'"),
+    ], ids=["train-without-data", "eval-bad-split", "ablate-bad-seeds"])
+    def test_usage_error_exit_code(self, capsys, argv, message):
+        # 2 is the code of runtime and numeric failures; a bad command line is invalid input
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: semaffine {argv[0]} ") and err.splitlines()[-1].startswith(message), err
+
     def test_gradcheck_module_filter(self, capsys):
         assert main(["gradcheck", "--module", "losses"]) == 0
         out = capsys.readouterr().out
