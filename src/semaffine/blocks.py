@@ -137,16 +137,32 @@ def decoder_block(
 # -- initialization ----------------------------------------------------------
 
 
-def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
+def fan_in_uniform(rng: np.random.Generator, rows: int, in_dim: int, heads: int = 1,
+                   bias: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """A (rows, in_dim) weight and a (rows,) bias (empty without ``bias``), C-contiguous
+    views of one buffer, uniform on [-b, b) with b = 1/sqrt(in_dim). The stream fills
+    ``heads`` row blocks in turn, weight rows then bias rows: one (rows // heads)-row
+    layer per head, the order seeded models and the benchmark's canary depend on.
+    ``random`` fills mapped onto [-b, b) in place equal ``rng.uniform(-b, b, shape)``
+    bit for bit, since it computes low + (high - low) * u from the same draws."""
+    bound = 1.0 / math.sqrt(in_dim)
+    buf = np.empty(rows * (in_dim + bias))
+    weight, bias_row = buf[:rows * in_dim].reshape(rows, in_dim), buf[rows * in_dim:]
+    step = rows // heads
+    for h in range(heads):
+        block = slice(h * step, (h + 1) * step)
+        rng.random(out=weight[block])
+        if bias:
+            rng.random(out=bias_row[block])
+    buf *= bound - (-bound)
+    buf += -bound
+    return weight, bias_row
 
 
-def init_linear(rng: np.random.Generator, out_dim: int, in_dim: int) -> LinearParams:
-    return LinearParams(
-        weight=Tensor(uniform_fan_in(rng, (out_dim, in_dim), in_dim), requires_grad=True),
-        bias=Tensor(uniform_fan_in(rng, (out_dim,), in_dim), requires_grad=True),
-    )
+def init_linear(rng: np.random.Generator, out_dim: int, in_dim: int, heads: int = 1) -> LinearParams:
+    """With ``heads``, the stacked rows of one (out_dim // heads)-row layer per head."""
+    weight, bias = fan_in_uniform(rng, out_dim, in_dim, heads)
+    return LinearParams(weight=Tensor(weight, requires_grad=True), bias=Tensor(bias, requires_grad=True))
 
 
 def init_layer_norm(dim: int) -> LayerNormParams:
@@ -157,27 +173,15 @@ def init_layer_norm(dim: int) -> LayerNormParams:
 
 
 def init_attention(rng: np.random.Generator, heads: int, model_dim: int, kv_dim: int | None = None) -> AttentionParams:
-    if model_dim % heads != 0:
+    if heads < 1 or model_dim % heads != 0:
         raise ContractError(f"attention: model dim {model_dim} not divisible by {heads} heads")
     if kv_dim is None:
         kv_dim = model_dim
-    d_k = model_dim // heads
-
-    def stacked(in_dim: int) -> LinearParams:
-        # the draws of init_linear(rng, d_k, in_dim) for one head after another;
-        # seeded models, and the benchmark's reference losses, depend on this order
-        draws = [(uniform_fan_in(rng, (d_k, in_dim), in_dim), uniform_fan_in(rng, (d_k,), in_dim))
-                 for _ in range(heads)]
-        return LinearParams(
-            weight=Tensor(np.concatenate([w for w, _ in draws]), requires_grad=True),
-            bias=Tensor(np.concatenate([b for _, b in draws]), requires_grad=True),
-        )
-
     return AttentionParams(
         heads=heads,
-        q_proj=stacked(model_dim),
-        k_proj=stacked(kv_dim),
-        v_proj=stacked(kv_dim),
+        q_proj=init_linear(rng, model_dim, model_dim, heads),
+        k_proj=init_linear(rng, model_dim, kv_dim, heads),
+        v_proj=init_linear(rng, model_dim, kv_dim, heads),
         out_proj=init_linear(rng, model_dim, model_dim),
     )
 

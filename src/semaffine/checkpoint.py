@@ -11,7 +11,8 @@ Layout:
     <raw little-endian float64 bytes>
 
 Save -> load -> save reproduces the file byte for byte. Loading rejects a
-parameter with a NaN or infinite entry. v2 stores each
+parameter with a NaN or infinite entry, or with a byte offset that is not a
+multiple of 8 (save never writes one). v2 stores each
 attention's q/k/v projections as one stacked (heads*d_k, in) tensor per
 projection (``...q_proj.weight``); v1 stored one tensor per head
 (``...q_proj.0.weight``) and is rejected.
@@ -119,9 +120,14 @@ def load_checkpoint(path):
     out = []
     for name, (shape, offset, line_no) in declared_params.items():
         count = math.prod(shape)
+        if offset % 8:
+            raise ParseError(f"parameter {name} offset {offset} is not a multiple of 8", line=line_no)
         if offset + 8 * count > len(payload):
             raise ContractError(f"parameter {name} overruns payload")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        try:
+            arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        except ValueError as e:  # an empty shape whose other dimensions numpy cannot represent
+            raise ParseError(f"parameter {name} shape {shape}: {e}", line=line_no) from e
         if not np.isfinite(arr).all():
             raise ParseError(f"parameter {name} has non-finite values", line=line_no)
         out.append((name, shape, arr))

@@ -42,6 +42,7 @@ from .blocks import (
     LinearParams,
     decoder_block,
     encoder_block,
+    fan_in_uniform,
     init_decoder_block,
     init_encoder_block,
     init_layer_norm,
@@ -50,7 +51,6 @@ from .blocks import (
     linear_forward,
     mlp_forward,
     named_parameters,
-    uniform_fan_in,
 )
 from .errors import ConfigError, SemaffineError, require_finite
 from .hierarchy import Hierarchy, pool_features, unpool_features
@@ -63,6 +63,11 @@ AFFINE_MODES = ("sa", "adain", "bn")
 ATTENTION_PREFIXES = ("pos_mlp.", "token_encoder.", "query_decoder.")
 
 _SOFTPLUS_INV_1 = math.log(math.e - 1.0)  # softplus of this is 1: the identity scale
+
+# size bounds checked before any draw; at both, a model holds 36.5 M float64
+# parameters (290 MB, three times that with gradients and momentum)
+MAX_WIDTH = 256  # n_classes, d_h, d_m and each level_dims entry; 4x the default d_h
+MAX_DEPTH = 16  # encoder_depth and decoder_depth (which bounds levels); 3-4x the defaults
 
 
 @dataclass
@@ -103,6 +108,12 @@ class ModelConfig:
             raise ConfigError(f"level_dims {self.level_dims} must have one entry per level ({self.levels})")
         if any(d <= 0 for d in self.level_dims) or self.d_h <= 0 or self.d_m <= 0:
             raise ConfigError("all dimensions must be positive")
+        if max(self.n_classes, self.d_h, self.d_m, *self.level_dims) > MAX_WIDTH:
+            raise ConfigError(f"n_classes, d_h, d_m and level_dims must be <= {MAX_WIDTH}")
+        if max(self.encoder_depth, self.decoder_depth) > MAX_DEPTH:
+            raise ConfigError(f"encoder_depth and decoder_depth must be <= {MAX_DEPTH}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d_h % self.heads != 0 or self.level_dims[-1] % self.heads != 0:
             raise ConfigError(f"{self.heads} heads must divide d_h={self.d_h} and top dim={self.level_dims[-1]}")
         if self.decoder_depth < self.n_mid + self.level_offset:
@@ -192,7 +203,7 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     token_encoder = [part(f"token_encoder.block{b}", init_encoder_block, cfg.heads, top)
                      for b in range(cfg.encoder_depth)]
     queries = part("query_decoder.queries", lambda rng: Tensor(
-        uniform_fan_in(rng, (cfg.n_classes, cfg.d_h), cfg.d_h), requires_grad=True))
+        fan_in_uniform(rng, cfg.n_classes, cfg.d_h, bias=False)[0], requires_grad=True))
     query_decoder = [part(f"query_decoder.block{b}", init_decoder_block, cfg.heads, cfg.d_h, top)
                      for b in range(cfg.decoder_depth)]
     mask_head = part("query_decoder.mask_head", init_mlp, [cfg.d_h, cfg.d_h, cfg.d_h, cfg.d_m])

@@ -259,13 +259,30 @@ class TestCheckpoint:
         (lambda raw: raw.replace(b"3,2 0\n", b"3,2 -8\n"), 4),
         (lambda raw: raw[:-8] + np.array(np.nan, "<f8").tobytes(), 6),  # the payload ends with entry b
         (lambda raw: raw[:-8] + np.array(-np.inf, "<f8").tobytes(), 6),
-    ], ids=["step", "payload", "cut-after-payload-line", "negative-offset", "nan-entry", "inf-entry"])
+        (lambda raw: raw[:-24] + np.array(np.nan, "<f8").tobytes() + raw[-16:], 5),  # a.bias[1], mid-payload
+        (lambda raw: raw.replace(b"3,2 0\n", b"3,2 4\n"), 4),  # inside the payload, but not on an 8-byte word
+        (lambda raw: raw.replace(b"3,2 0\n", b"0,100000000000000000000 0\n"), 4),  # no entries, but no array either
+    ], ids=["step", "payload", "cut-after-payload-line", "negative-offset", "nan-entry", "inf-entry",
+            "nan-middle-entry", "odd-offset", "oversized-empty-shape"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, edit, line):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, self._params(np.random.default_rng(9)), {"seed": 3}, step=0)
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(ParseError, match=f"line {line}:"):
             load_checkpoint(path)
+
+    def test_restores_copy_the_loaded_arrays(self, tmp_path):
+        params = self._params(np.random.default_rng(11))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, {}, step=0)
+        _, _, entries = load_checkpoint(path)
+        first, second = self._params(np.random.default_rng(12)), self._params(np.random.default_rng(13))
+        restore_parameters(first, entries)
+        for _, t in first:
+            t.data += 1.0
+        restore_parameters(second, entries)
+        for (_, saved), (_, restored) in zip(params, second):
+            assert saved.data.tobytes() == restored.data.tobytes()
 
     def test_v1_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"

@@ -2,6 +2,7 @@
 configuration lattice diffing, and determinism."""
 
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -83,6 +84,87 @@ class TestConfigValidation:
         cfg = M.ModelConfig(decoder_depth=6)
         assert [cfg.layer_for_stage(i) for i in (1, 2, 3)] == [3, 4, 5]
         assert cfg.mid_levels == [3, 2, 1]
+
+    @pytest.mark.parametrize("heads", [0, -4])
+    def test_heads_must_be_positive(self, heads):
+        # 0 divided by zero and -4 divides 8, so both need their own check
+        with pytest.raises(ConfigError, match=f"heads must be >= 1, got {heads}"):
+            tiny_config(heads=heads).validate()
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(d_h=4_000_000_000), "must be <= 256"),
+        (dict(d_m=257), "must be <= 256"),
+        (dict(n_classes=257), "must be <= 256"),
+        (dict(level_dims=(6, 8, 10, 2_000)), "must be <= 256"),
+        (dict(encoder_depth=100_000_000), "must be <= 16"),
+        (dict(decoder_depth=17), "must be <= 16"),
+    ], ids=["wide", "wide-mask-space", "many-classes", "wide-top", "deep", "deep-decoder"])
+    def test_oversized_model_rejected(self, overrides, message):
+        cfg = tiny_config(**overrides)
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=message):
+            M.build_model(cfg)
+
+    def test_models_at_the_bounds_are_accepted(self):
+        widest = tiny_config(n_classes=256, level_dims=(256,) * 4, d_h=256, d_m=256)
+        deepest = tiny_config(levels=16, level_dims=(8,) * 16, encoder_depth=16, decoder_depth=16, level_offset=1)
+        for cfg in (widest, deepest):
+            cfg.validate()
+
+
+def _oracle_draws(rng, record):
+    """The parameters of ``record`` as numpy's uniform sampler draws them:
+    ``rng.uniform(-b, b, shape)``, b = 1/sqrt(fan-in), for each weight and
+    then its bias; a stacked q/k/v projection draws one head's weight and
+    bias after another and concatenates them. Layer norms and AdaIN pairs
+    draw nothing. Listed in ``named_parameters`` order."""
+    def uniform(shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, shape)
+
+    def linear(out_dim, in_dim):
+        return [uniform((out_dim, in_dim), in_dim), uniform((out_dim,), in_dim)]
+
+    if isinstance(record, list):
+        return [a for item in record for a in _oracle_draws(rng, item)]
+    if isinstance(record, Tensor):  # the class queries
+        return [uniform(record.shape, record.shape[1])]
+    if isinstance(record, B.LinearParams):
+        return linear(record.out_dim, record.in_dim)
+    if isinstance(record, B.AttentionParams):
+        out = []
+        for proj in (record.q_proj, record.k_proj, record.v_proj):
+            heads = [linear(proj.out_dim // record.heads, proj.in_dim) for _ in range(record.heads)]
+            out += [np.concatenate([w for w, _ in heads]), np.concatenate([b for _, b in heads])]
+        return out + linear(record.out_proj.out_dim, record.out_proj.in_dim)
+    if isinstance(record, B.LayerNormParams):
+        return [np.ones(record.gain.shape), np.zeros(record.bias.shape)]
+    if isinstance(record, M.AdainParams):
+        return [np.full(record.pre_scale.shape, np.log(np.e - 1.0)), np.zeros(record.bias.shape)]
+    return [a for f in fields(record) if f.name != "heads" for a in _oracle_draws(rng, getattr(record, f.name))]
+
+
+class TestInitDraws:
+    @pytest.mark.parametrize("cfg", [
+        M.ModelConfig(),
+        M.ModelConfig(n_classes=3, levels=3, level_dims=(4, 6, 8), d_h=4, d_m=4, encoder_depth=1,
+                      decoder_depth=4, heads=2, level_offset=2, base_voxel=0.6),  # the gradient suite's model
+        tiny_config(heads=1),
+    ], ids=["default", "gradcheck", "one-head"])
+    def test_every_record_matches_the_uniform_sampler(self, cfg):
+        params = M.build_model(cfg, seed=7)
+        for prefix, record in params.parts.items():
+            expect = _oracle_draws(M._component_rng(7, prefix), record)
+            if prefix.startswith("affine_heads.scale"):
+                expect[-1] += M._SOFTPLUS_INV_1
+            got = [t.data for _, t in B.named_parameters(record)]
+            assert len(got) == len(expect), prefix
+            for a, b in zip(got, expect):
+                assert a.shape == b.shape and np.array_equal(a, b), prefix
+        for name, t in params.named_parameters():
+            # finite-difference checks perturb entries through this flat view
+            assert t.data.flags.c_contiguous and np.shares_memory(t.data.reshape(-1), t.data), name
 
 
 class TestBackboneEncode:

@@ -391,6 +391,40 @@ class TestCli:
         assert proc.returncode == 1 and proc.stdout == "" and sorted(tmp_path.iterdir()) == before
         assert proc.stderr.splitlines() == ["error: seed must be >= 0, got -1"], proc.stderr
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("heads", "0", "heads must be >= 1, got 0"),
+        ("heads", "-4", "heads must be >= 1, got -4"),
+        ("d_h", "4000000000", "n_classes, d_h, d_m and level_dims must be <= 256"),
+        ("encoder_depth", "100000000", "encoder_depth and decoder_depth must be <= 16"),
+    ], ids=["zero-heads", "negative-heads", "huge-width", "huge-depth"])
+    def test_bad_model_size_exit_code(self, tmp_path, key, value, message):
+        # these ended in a ZeroDivisionError, a numpy concatenate or memory
+        # traceback, or a build that ran past any timeout
+        manifest = small_corpus(tmp_path, n_train=1, n_val=0, points=8)
+        cfg = tmp_path / "train.cfg"
+        kept = [line for line in TINY_TRAIN_CFG.splitlines() if not line.startswith(f"{key} =")]
+        cfg.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+        before = sorted(tmp_path.iterdir())
+        proc = self._cli_subprocess(["train", "--config", str(cfg), "--data", str(manifest),
+                                     "--out", str(tmp_path / "m.ckpt")], timeout=30)
+        assert proc.returncode == 1 and proc.stdout == "" and sorted(tmp_path.iterdir()) == before
+        assert proc.stderr.splitlines() == [f"error: {message}"], proc.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        ((b"cfg.heads=2", b"cfg.heads=0"), "heads must be >= 1, got 0"),
+        ((b"cfg.encoder_depth=1", b"cfg.encoder_depth=100000000"),
+         "encoder_depth and decoder_depth must be <= 16"),
+    ], ids=["zero-heads", "huge-depth"])
+    def test_bad_model_size_in_checkpoint_exit_code(self, tmp_path, edit, message):
+        argv = self._edited_checkpoint_argv(tmp_path, lambda params: None)
+        ckpt = Path(argv[2])
+        raw = ckpt.read_bytes()
+        assert raw.count(edit[0] + b"\n") == 1
+        ckpt.write_bytes(raw.replace(edit[0] + b"\n", edit[1] + b"\n"))
+        proc = self._cli_subprocess(argv, timeout=30)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: {message}"], proc.stderr
+
     @pytest.mark.parametrize("argv, message", [
         (["--module", "bogus"], "module must be one of tensor, blocks, hierarchy, affine, losses, model, got 'bogus'"),
         (["--tol", "nan"], "tol must be a finite number > 0, got nan"),
