@@ -17,17 +17,15 @@ from .model import AFFINE_MODES, CLASSIFIERS, ModelConfig
 from .scenes import SceneSpec, generate_scene
 from .train import PreparedScene, evaluate_scenes, prepare_scene, train_model
 
-VARIANT_TOKENS = set(CLASSIFIERS) | set(AFFINE_MODES)
-
-
 def parse_variants(tokens) -> list[tuple[str, str]]:
-    """Split variant tokens into the two ablation axes and return their product."""
+    """Split variant tokens into the two ablation axes and return their product;
+    an axis with no token takes the ``ModelConfig`` default."""
     tokens = [t.strip() for t in tokens if t.strip()]
-    unknown = [t for t in tokens if t not in VARIANT_TOKENS]
+    unknown = [t for t in tokens if t not in CLASSIFIERS + AFFINE_MODES]
     if unknown:
-        raise ConfigError(f"unknown ablation variants {unknown}; valid: {sorted(VARIANT_TOKENS)}")
-    classifiers = [t for t in ("fc", "mask") if t in tokens] or ["mask"]
-    affines = [t for t in ("bn", "adain", "sa") if t in tokens] or ["sa"]
+        raise ConfigError(f"unknown ablation variants {unknown}; valid: {','.join(CLASSIFIERS + AFFINE_MODES)}")
+    classifiers = [t for t in CLASSIFIERS if t in tokens] or [ModelConfig.classifier]
+    affines = [t for t in AFFINE_MODES if t in tokens] or [ModelConfig.affine]
     return [(c, a) for c in classifiers for a in affines]
 
 

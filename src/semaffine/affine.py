@@ -87,7 +87,7 @@ def semantic_affine_transform(
     f: Tensor,
     conf: ConfidenceMatrix,
     p: AffineParams,
-    eps: float = 1e-5,
+    eps: float = T.LAYER_NORM_EPS,
     offsets=None,
 ) -> Tensor:
     """Replace each feature row with S_j * normalize(f_j) + B_j."""

@@ -16,9 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .tensor import Tensor
-
-LAYER_NORM_EPS = 1e-5
+from .tensor import LAYER_NORM_EPS, Tensor
 
 
 @dataclass

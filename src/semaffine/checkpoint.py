@@ -10,9 +10,11 @@ Layout:
     payload <byte count>
     <raw little-endian float64 bytes>
 
-Save -> load -> save reproduces the file byte for byte. Loading rejects a
-parameter with a NaN or infinite entry, or with a byte offset that is not a
-multiple of 8 (save never writes one). v2 stores each
+The writer lays the parameters back to back, so each offset is the byte
+total of the parameters before it and the last one ends where the payload
+ends. The loader holds a file to that layout (save -> load -> save
+reproduces it byte for byte) and rejects NaN or infinite entries and
+integers that are not ASCII decimal digits. v2 stores each
 attention's q/k/v projections as one stacked (heads*d_k, in) tensor per
 projection (``...q_proj.weight``); v1 stored one tensor per head
 (``...q_proj.0.weight``) and is rejected.
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, ascii_int
 from .tensor import Tensor
 
 MAGIC = b"semaffine-checkpoint v2"
@@ -60,10 +62,11 @@ def save_checkpoint(path, params: list[tuple[str, Tensor]], config: dict, step: 
 
 
 def _count(text: str, line_no: int, line: str) -> int:
-    """A non-negative decimal manifest integer; anything else is a ParseError."""
-    if not text.isdecimal():
-        raise ParseError(f"expected a non-negative integer in manifest line {line!r}", line=line_no)
-    return int(text)
+    """A non-negative ASCII decimal manifest integer; anything else is a ParseError."""
+    try:
+        return ascii_int(text)
+    except ValueError:
+        raise ParseError(f"expected a non-negative integer in manifest line {line!r}", line=line_no) from None
 
 
 def load_checkpoint(path):
@@ -89,7 +92,8 @@ def load_checkpoint(path):
 
     step = None
     config: dict[str, str] = {}
-    declared_params: dict[str, tuple] = {}  # name -> (shape, byte offset, manifest line)
+    params = {}  # name -> (shape, array), in manifest order
+    end = 0  # where the parameters so far end in the payload
     declared = None
     for i, line in enumerate(header_lines[1:], start=2):
         if line.startswith("step="):
@@ -104,34 +108,36 @@ def load_checkpoint(path):
             if len(fields) != 4:
                 raise ParseError(f"malformed param line: {line!r}", line=i)
             _, name, shape_s, offset_s = fields
-            if name in declared_params:
+            if name in params:
                 raise ParseError(f"duplicate parameter {name!r}", line=i)
             shape = tuple(_count(d, i, line) for d in shape_s.split(",") if d)
-            declared_params[name] = (shape, _count(offset_s, i, line), i)
+            offset = _count(offset_s, i, line)
+            if offset != end:
+                raise ParseError(f"parameter {name} offset {offset}: the parameters before it end at {end}",
+                                 line=i)
+            nbytes = 8 * math.prod(shape)  # a Python int, so a huge shape cannot overflow
+            if end + nbytes > len(payload):
+                raise ParseError(f"parameter {name} shape {shape} runs past the {len(payload)}-byte payload",
+                                 line=i)
+            try:
+                arr = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=end).reshape(shape)
+            except ValueError as e:  # an empty shape numpy cannot represent
+                raise ParseError(f"parameter {name} shape {shape}: {e}", line=i) from e
+            if not np.isfinite(arr).all():
+                raise ParseError(f"parameter {name} has non-finite values", line=i)
+            params[name] = (shape, arr.copy())
+            end += nbytes
         elif line.startswith("payload "):
             declared = _count(line[len("payload "):], i, line)
+            if end != len(payload):
+                raise ParseError(f"the parameters end at byte {end} of a {len(payload)}-byte payload", line=i)
         else:
             raise ParseError(f"unrecognized manifest line: {line!r}", line=i)
     if step is None or declared is None:
         raise ParseError("manifest missing step or payload size")
     if declared != len(payload):
         raise ContractError(f"payload size mismatch: declared {declared}, found {len(payload)}")
-
-    out = []
-    for name, (shape, offset, line_no) in declared_params.items():
-        count = math.prod(shape)
-        if offset % 8:
-            raise ParseError(f"parameter {name} offset {offset} is not a multiple of 8", line=line_no)
-        if offset + 8 * count > len(payload):
-            raise ContractError(f"parameter {name} overruns payload")
-        try:
-            arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        except ValueError as e:  # an empty shape whose other dimensions numpy cannot represent
-            raise ParseError(f"parameter {name} shape {shape}: {e}", line=line_no) from e
-        if not np.isfinite(arr).all():
-            raise ParseError(f"parameter {name} has non-finite values", line=line_no)
-        out.append((name, shape, arr))
-    return config, step, out
+    return config, step, [(name, *entry) for name, entry in params.items()]
 
 
 def restore_parameters(params: list[tuple[str, Tensor]], entries) -> None:

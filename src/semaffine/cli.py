@@ -29,8 +29,10 @@ from .config import (
     train_config_from,
 )
 from .errors import ConfigError, NumericError, SemaffineError
+from .model import AFFINE_MODES, CLASSIFIERS
 from .scenes import generate_scene, write_manifest, write_scene
 from .train import eval_run, train_run
+from .verify import MODULES, run_suite
 
 
 def _cmd_synth(args) -> int:
@@ -43,7 +45,7 @@ def _cmd_synth(args) -> int:
     extra = extra_from(values)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_val = int(round(args.count * extra["val_fraction"]))
+    n_val = int(round(args.count * extra.val_fraction))
     entries = []
     for i in range(args.count):
         cloud = generate_scene(spec, args.seed + i)
@@ -63,7 +65,7 @@ def _cmd_train(args) -> int:
     result = train_run(args.data, model_cfg, train_cfg, args.out, log_path=log_path)
     for line in result.log_lines:
         print(line)
-    print(f"checkpoint: {result.checkpoint_path}")
+    print(f"checkpoint: {args.out}")
     print(f"metrics log: {log_path}")
     if result.final_val is not None:
         print(f"final val mIoU: {result.final_val.miou:.4f}")
@@ -81,8 +83,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .verify import run_suite
-
     ok = run_suite(module=args.module, tol=args.tol)
     if not ok:
         print("gradient suite FAILED")
@@ -102,7 +102,7 @@ def _cmd_ablate(args) -> int:
     variants = parse_variants(args.variants.split(","))
     result = run_ablation(
         model_cfg, train_cfg, spec,
-        n_train=extra["ablate_train_scenes"], n_val=extra["ablate_val_scenes"],
+        n_train=extra.ablate_train_scenes, n_val=extra.ablate_val_scenes,
         variants=variants, seeds=args.seeds, progress=print,
     )
     for line in result.summary_lines():
@@ -147,14 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="run the gradient verification suite")
-    p.add_argument("--module", help="restrict to one module (tensor, blocks, hierarchy, affine, losses, model)")
+    p.add_argument("--module", help=f"restrict to one module ({', '.join(MODULES)})")
     p.add_argument("--tol", type=float, help="override the per-check tolerance")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="run the ablation lattice")
     p.add_argument("--config", help="config file (key = value)")
-    p.add_argument("--variants", default="fc,mask,bn,adain,sa",
-                   help="comma-separated axis values: fc,mask and bn,adain,sa")
+    p.add_argument("--variants", default=",".join(CLASSIFIERS + AFFINE_MODES),
+                   help=f"comma-separated axis values: {','.join(CLASSIFIERS)} and {','.join(AFFINE_MODES)}")
     p.add_argument("--seeds", type=int, default=5)
     p.set_defaults(func=_cmd_ablate)
     return parser

@@ -6,16 +6,37 @@ keys are errors. The same key set round-trips through checkpoint snapshots.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
-from .errors import ConfigError, read_utf8
+from .errors import ConfigError, ascii_int, read_utf8
 from .harness import TrainConfig
 from .model import ModelConfig
 from .scenes import SceneSpec
 
 
+@dataclass
+class ExtraConfig:
+    """The keys that are neither model, training nor scene settings."""
+
+    val_fraction: float = 0.2  # share of the scenes ``synth`` tags val
+    ablate_train_scenes: int = 200
+    ablate_val_scenes: int = 50
+
+    def validate(self):
+        if not 0 <= self.val_fraction <= 1:
+            raise ConfigError(f"val_fraction must be in [0, 1], got {self.val_fraction!r}")
+        for key in ("ablate_train_scenes", "ablate_val_scenes"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+
+
+def _to_int(s: str) -> int:
+    """ASCII digits with an optional ``-``, so that ``validate`` reports negative values."""
+    return ascii_int(s, signed=True)
+
+
 def _to_int_tuple(s: str) -> tuple:
-    return tuple(int(x) for x in s.split(",") if x.strip())
+    return tuple(_to_int(x.strip()) for x in s.split(",") if x.strip())
 
 
 # config-file keys that are not the name of the field they set
@@ -31,10 +52,11 @@ _RENAMED = {
 
 def _keys(config_class) -> dict:
     """Config-file key -> (field name, converter), in field order; the
-    converter is the type of the field's default (int, float, str, tuple)."""
+    converter follows the type of the field's default (int, float, str, tuple)."""
+    converters = {int: _to_int, tuple: _to_int_tuple}
     out = {}
     for f in fields(config_class):
-        conv = _to_int_tuple if isinstance(f.default, tuple) else type(f.default)
+        conv = converters.get(type(f.default), type(f.default))
         out[_RENAMED.get(f.name, f.name)] = (f.name, conv)
     return out
 
@@ -42,8 +64,7 @@ def _keys(config_class) -> dict:
 MODEL_KEYS = _keys(ModelConfig)
 TRAIN_KEYS = _keys(TrainConfig)
 SCENE_KEYS = _keys(SceneSpec)
-
-EXTRA_KEYS = {"val_fraction": float, "ablate_train_scenes": int, "ablate_val_scenes": int}
+EXTRA_KEYS = _keys(ExtraConfig)
 
 KNOWN_KEYS = set(MODEL_KEYS) | set(TRAIN_KEYS) | set(SCENE_KEYS) | set(EXTRA_KEYS)
 
@@ -70,49 +91,32 @@ def parse_config_file(path) -> dict[str, str]:
     return parse_config_text(read_utf8(path), source=str(path))
 
 
-def _convert(values: dict[str, str], key: str, conv):
-    try:
-        return conv(values[key])
-    except ValueError as e:
-        raise ConfigError(f"bad value for {key!r}: {values[key]!r} ({e})") from e
-
-
-def _apply(values: dict[str, str], keymap: dict, target):
+def _config_from(values: dict[str, str], keymap: dict, config_class):
+    cfg = config_class()
     for key, (attr, conv) in keymap.items():
         if key in values:
-            setattr(target, attr, _convert(values, key, conv))
-    return target
+            try:
+                setattr(cfg, attr, conv(values[key]))
+            except ValueError as e:
+                raise ConfigError(f"bad value for {key!r}: {values[key]!r} ({e})") from e
+    cfg.validate()
+    return cfg
 
 
 def model_config_from(values: dict[str, str]) -> ModelConfig:
-    cfg = _apply(values, MODEL_KEYS, ModelConfig())
-    cfg.validate()
-    return cfg
+    return _config_from(values, MODEL_KEYS, ModelConfig)
 
 
 def train_config_from(values: dict[str, str]) -> TrainConfig:
-    cfg = _apply(values, TRAIN_KEYS, TrainConfig())
-    cfg.validate()
-    return cfg
+    return _config_from(values, TRAIN_KEYS, TrainConfig)
 
 
 def scene_spec_from(values: dict[str, str]) -> SceneSpec:
-    spec = _apply(values, SCENE_KEYS, SceneSpec())
-    spec.validate()
-    return spec
+    return _config_from(values, SCENE_KEYS, SceneSpec)
 
 
-def extra_from(values: dict[str, str]) -> dict:
-    out = {"val_fraction": 0.2, "ablate_train_scenes": 200, "ablate_val_scenes": 50}
-    for key, conv in EXTRA_KEYS.items():
-        if key in values:
-            out[key] = _convert(values, key, conv)
-    if not 0 <= out["val_fraction"] <= 1:
-        raise ConfigError(f"val_fraction must be in [0, 1], got {out['val_fraction']!r}")
-    for key in ("ablate_train_scenes", "ablate_val_scenes"):
-        if out[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {out[key]}")
-    return out
+def extra_from(values: dict[str, str]) -> ExtraConfig:
+    return _config_from(values, EXTRA_KEYS, ExtraConfig)
 
 
 def snapshot(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:

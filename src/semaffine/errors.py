@@ -47,6 +47,15 @@ def require_finite(config) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
+def ascii_int(text: str, signed: bool = False) -> int:
+    """ASCII decimal digits, after one ``-`` when ``signed``; ValueError for anything
+    else, such as the Unicode digits, ``_``, ``+`` and spaces that ``int()`` accepts.
+    (On an ASCII string, ``isdigit()`` admits exactly 0-9.)"""
+    if not (text.isascii() and (text.isdigit() or signed and text[:1] == "-" and text[1:].isdigit())):
+        raise ValueError(f"expected {'an' if signed else 'a non-negative'} ASCII decimal integer, got {text!r}")
+    return int(text)
+
+
 def read_utf8(path) -> str:
     """The text of a UTF-8 file; undecodable bytes raise ParseError."""
     raw = Path(path).read_bytes()

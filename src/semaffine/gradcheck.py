@@ -2,9 +2,9 @@
 
 The relative error for one parameter entry is
 
-    |analytic - numeric| / max(|analytic| + |numeric|, delta)
+    |analytic - numeric| / max(|analytic| + |numeric|, DELTA)
 
-so a gradient corrupted by a factor of 2 reports ~1/3. The floor ``delta``
+so a gradient corrupted by a factor of 2 reports ~1/3. The floor ``DELTA``
 absorbs central-difference roundoff (about eps*|f|/h) on entries whose true
 gradient is zero or tiny; a genuinely wrong gradient lands far above it.
 
@@ -28,21 +28,21 @@ import numpy as np
 
 from .tensor import Tensor
 
+DELTA = 1e-3  # floor of the relative error's denominator
+TOL = 1e-5  # default largest relative error that passes
+
 
 @dataclass
 class ParamReport:
     name: str
     n_checked: int
     max_rel_err: float
-    worst_entry: int
     ok: bool
     note: str = ""
 
 
 @dataclass
 class GradCheckReport:
-    h: float
-    tol: float
     params: list[ParamReport] = field(default_factory=list)
 
     @property
@@ -102,9 +102,7 @@ def _ordered_map(fn: Callable, items: Sequence) -> list:
     a closure over live tensors, which a spawned worker could not receive.)
     Every child is reaped before this returns or raises, and the first
     exception in item order is re-raised."""
-    w = min(_worker_count(), len(items))
-    if w <= 1:
-        return [fn(x) for x in items]
+    w = max(1, min(_worker_count(), len(items)))  # one worker forks nothing
     bounds = [b * len(items) // w for b in range(w + 1)]
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     payloads: list[bytes] = []
@@ -143,8 +141,7 @@ def finite_diff_check(
     f: Callable[[], Tensor],
     params: Sequence[tuple[str, Tensor]],
     h: float = 1e-6,
-    tol: float = 1e-5,
-    delta: float = 1e-3,
+    tol: float = TOL,
     max_entries: int | None = None,
     seed: int = 0,
 ) -> GradCheckReport:
@@ -154,7 +151,7 @@ def finite_diff_check(
     tensors on every call. When ``max_entries`` is set, a seeded subsample of
     entries per parameter is perturbed instead of every entry.
     """
-    report = GradCheckReport(h=h, tol=tol)
+    report = GradCheckReport()
 
     for _, p in params:
         p.zero_grad()
@@ -193,25 +190,22 @@ def finite_diff_check(
     start = 0
     for (name, _), idx in zip(params, chosen):
         a_flat = analytic[name].reshape(-1)
-        max_rel, worst = 0.0, -1
+        max_rel = 0.0
         note = ""
-        ok = True
         for i, (f_plus, f_minus) in zip(idx, pairs[start:start + len(idx)]):
+            a = a_flat[i]
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 note = f"non-finite forward while perturbing entry {i}"
-                ok = False
+            elif not np.isfinite(a):
+                note = f"non-finite analytic gradient at entry {i}"
+            if note:
                 max_rel = np.inf
-                worst = int(i)
                 break
             numeric = (f_plus - f_minus) / (2.0 * h)
-            a = a_flat[i]
-            rel = abs(a - numeric) / max(abs(a) + abs(numeric), delta)
-            if rel > max_rel:
-                max_rel, worst = rel, int(i)
+            rel = abs(a - numeric) / max(abs(a) + abs(numeric), DELTA)
+            max_rel = max(max_rel, rel)
         start += len(idx)
-        if ok:
-            ok = max_rel <= tol
         report.params.append(
-            ParamReport(name=name, n_checked=len(idx), max_rel_err=max_rel, worst_entry=worst, ok=ok, note=note)
+            ParamReport(name=name, n_checked=len(idx), max_rel_err=max_rel, ok=max_rel <= tol, note=note)
         )
     return report

@@ -114,17 +114,15 @@ def sgd_step(
     cfg: TrainConfig,
     t: int,
     total_steps: int,
-) -> dict[float, float]:
+) -> None:
     """One momentum-SGD update with decoupled group factors.
 
     velocity = momentum * velocity + grad + wd * param
     param   -= lr(t, group) * velocity
-
-    Returns the learning rate actually used per group factor.
     """
     if len(group_factors) != len(params):
         raise ContractError("sgd_step: one group factor per parameter")
-    lrs = {}
+    lrs = {}  # group factor -> its learning rate at step t
     for (name, p), factor in zip(params, group_factors):
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(grad).all():
@@ -139,7 +137,6 @@ def sgd_step(
         if factor not in lrs:
             lrs[factor] = learning_rate(cfg, t, total_steps, factor)
         p.data -= lrs[factor] * v
-    return lrs
 
 
 # -- metrics -------------------------------------------------------------------

@@ -56,8 +56,9 @@ from .errors import ConfigError, SemaffineError, require_finite
 from .hierarchy import Hierarchy, pool_features, unpool_features
 from .tensor import Tensor
 
-CLASSIFIERS = ("mask", "fc")
-AFFINE_MODES = ("sa", "adain", "bn")
+# the ablation axes, in the order the ablation lattice runs them
+CLASSIFIERS = ("fc", "mask")
+AFFINE_MODES = ("bn", "adain", "sa")
 
 # parameter-name prefixes whose learning rate is reduced by the attention factor
 ATTENTION_PREFIXES = ("pos_mlp.", "token_encoder.", "query_decoder.")
@@ -82,7 +83,7 @@ class ModelConfig:
     heads: int = 4
     level_offset: int = 2  # mid stage i reads query-decoder layer i + offset
     base_voxel: float = 0.4
-    norm_eps: float = 1e-5
+    norm_eps: float = T.LAYER_NORM_EPS
     classifier: str = "mask"
     affine: str = "sa"
 
@@ -229,16 +230,6 @@ def attention_group_mask(names: list[str]) -> list[bool]:
     otherwise their class banks never leave the identity start at this scale.
     """
     return [any(n.startswith(p) for p in ATTENTION_PREFIXES) for n in names]
-
-
-def set_identity_affine_heads(params: ModelParams):
-    """Force the affine heads to emit exactly s=1, b=0 until trained (zeroed
-    final layers); useful for comparing against class-agnostic baselines."""
-    for i in params.scale_heads:
-        params.scale_heads[i][-1].weight.data[...] = 0.0
-        params.scale_heads[i][-1].bias.data[...] = _SOFTPLUS_INV_1
-        params.bias_heads[i][-1].weight.data[...] = 0.0
-        params.bias_heads[i][-1].bias.data[...] = 0.0
 
 
 @dataclass

@@ -12,7 +12,9 @@ On-disk format (text, line-oriented, UTF-8):
     n=<points> classes=<N> seed=<seed>
     x y z label        (exactly n lines, one point each, 17-significant-digit reals)
 
-Only blank lines may follow the n point lines.
+Only blank lines may follow the n point lines. Integers are ASCII decimal
+digits after an optional ``-`` (``errors.ascii_int``): a seed may be
+negative, and the range checks report a negative count or label.
 
 A corpus manifest lists one scene path per line with a train|val split tag.
 """
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError, read_utf8, require_finite
+from .errors import ContractError, ParseError, ascii_int, read_utf8, require_finite
 
 MAGIC = "semaffine-scene v1"
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -283,9 +285,9 @@ def read_scene(path) -> LabeledCloud:
         key, value = tok.split("=", 1)
         header[key] = value
     try:
-        n = int(header["n"])
-        n_classes = int(header["classes"])
-        seed = int(header.get("seed", "0"))
+        n = ascii_int(header["n"], signed=True)
+        n_classes = ascii_int(header["classes"], signed=True)
+        seed = ascii_int(header.get("seed", "0"), signed=True)
     except (KeyError, ValueError) as e:
         raise ParseError(f"bad header: {e}", line=2) from e
     if n <= 0:
@@ -302,7 +304,7 @@ def read_scene(path) -> LabeledCloud:
             raise ParseError(f"expected 'x y z label', got {lines[i]!r}", line=1 + i)
         try:
             xyz += (float(row[0]), float(row[1]), float(row[2]))
-            label = int(row[3])  # a Python int until the range check, so it cannot overflow
+            label = ascii_int(row[3], signed=True)  # a Python int until the range check, so it cannot overflow
         except ValueError as e:
             raise ParseError(str(e), line=1 + i) from e
         if not 0 <= label < n_classes:
@@ -337,5 +339,7 @@ def read_manifest(path) -> list[tuple[str, str]]:
             scene_path, _, tag = line.rpartition(" ")
         if not scene_path or tag not in ("train", "val"):
             raise ParseError(f"expected '<path>\\t<train|val>', got {raw!r}", line=i)
+        if "\0" in scene_path:  # which open() would reject with a ValueError
+            raise ParseError(f"NUL byte in scene path {scene_path!r}", line=i)
         entries.append((scene_path.strip(), tag))
     return entries

@@ -51,6 +51,8 @@ from .errors import ContractError, ShapeError
 
 _NODE_IDS = itertools.count()
 
+LAYER_NORM_EPS = 1e-5  # the default variance floor of every layer_norm
+
 
 class Tensor:
     """A dense array node on the differentiation tape."""
@@ -77,9 +79,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
     # -- operator sugar -------------------------------------------------
 
@@ -500,7 +499,7 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5, residual=None) -> Tensor:
+def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS, residual=None) -> Tensor:
     """normalize(x + residual) * gain + bias as one node.
 
     Each row of the input (n, d) goes to zero mean and (population) unit

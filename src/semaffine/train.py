@@ -101,7 +101,6 @@ class TrainResult:
     params: ModelParams
     log_lines: list[str]
     final_val: Metrics | None
-    checkpoint_path: str | None
 
 
 def train_model(
@@ -155,12 +154,9 @@ def train_model(
             val_miou = float("nan")
         log_lines.append(f"{epoch}\t{train_loss:.17g}\t{val_miou:.17g}\t{epoch_lr:.17g}")
 
-    checkpoint_path = None
     if out_ckpt is not None:
         save_checkpoint(out_ckpt, named, snapshot(model_cfg, train_cfg), step=t)
-        checkpoint_path = str(out_ckpt)
-    return TrainResult(params=params, log_lines=log_lines, final_val=final_val,
-                       checkpoint_path=checkpoint_path)
+    return TrainResult(params=params, log_lines=log_lines, final_val=final_val)
 
 
 def train_run(manifest_path, model_cfg: ModelConfig, train_cfg: TrainConfig,
@@ -174,18 +170,13 @@ def train_run(manifest_path, model_cfg: ModelConfig, train_cfg: TrainConfig,
     return result
 
 
-def restore_model(ckpt_path) -> tuple[ModelParams, ModelConfig, TrainConfig, int]:
-    config, step, entries = load_checkpoint(ckpt_path)
-    model_cfg, train_cfg = configs_from_snapshot(config)
-    params = build_model(model_cfg, seed=train_cfg.seed)
-    restore_parameters(params.named_parameters(), entries)
-    return params, model_cfg, train_cfg, step
-
-
 def eval_run(ckpt_path, manifest_path, split: str = "val") -> Metrics:
     """Restore a checkpoint and compute pooled metrics over one split
     (``val`` by default, ``train`` or ``all`` otherwise)."""
-    params, model_cfg, _, _ = restore_model(ckpt_path)
+    config, _, entries = load_checkpoint(ckpt_path)
+    model_cfg, train_cfg = configs_from_snapshot(config)
+    params = build_model(model_cfg, seed=train_cfg.seed)
+    restore_parameters(params.named_parameters(), entries)
     splits = load_corpus(manifest_path, model_cfg)
     if split == "all":
         scenes = splits["train"] + splits["val"]

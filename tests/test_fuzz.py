@@ -1,6 +1,8 @@
-"""Seeded fuzz of the checkpoint and config parsers: every mutated input
-loads or raises a ``SemaffineError`` subclass (which the CLI turns into exit
-code 1), never another exception."""
+"""Seeded fuzz of the checkpoint, config, scene and manifest parsers: every
+mutated input loads or raises a ``SemaffineError`` subclass (which the CLI
+turns into exit code 1), never another exception."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from semaffine.config import (
 from semaffine.errors import SemaffineError
 from semaffine.harness import TrainConfig
 from semaffine.model import ModelConfig
+from semaffine.scenes import SceneSpec, generate_scene, read_manifest, read_scene, write_manifest, write_scene
 from semaffine.tensor import Tensor
+from semaffine.train import load_corpus
 
 # bytes that keep a manifest line close to parseable: digits, separators, signs
 MANIFEST_BYTES = b"0123456789,.- =\n\xffe"
@@ -45,7 +49,7 @@ def _mutate(rng, raw: bytes) -> bytes:
         elif kind == 1:
             del out[pos:pos + int(rng.integers(1, 9))]
         else:
-            out[pos:pos] = bytes(rng.choice(list(MANIFEST_BYTES), size=int(rng.integers(1, 5))))
+            out[pos:pos] = bytes(rng.choice(list(MANIFEST_BYTES), size=int(rng.integers(1, 5))).tolist())
     return bytes(out)
 
 
@@ -137,3 +141,60 @@ def test_mutated_configs_load_or_raise_package_errors():
         except Exception as e:
             pytest.fail(f"config {i} raised {type(e).__name__}: {e}\n{text}")
     assert all(outcomes.values()), outcomes  # both paths ran
+
+
+def _fuzz(rng, raw: bytes, path: Path, load, count: int) -> dict:
+    """Write ``count`` mutations of ``raw`` to ``path`` and ``load()`` each."""
+    outcomes = {"loaded": 0, "rejected": 0}
+    for i in range(count):
+        mutated = _mutate(rng, raw)
+        path.write_bytes(mutated)
+        try:
+            load()
+            outcomes["loaded"] += 1
+        except SemaffineError:
+            outcomes["rejected"] += 1
+        except Exception as e:
+            pytest.fail(f"mutation {i} raised {type(e).__name__}: {e}\n{mutated!r}")
+    return outcomes
+
+
+def _small_corpus(tmp_path) -> Path:
+    spec = SceneSpec(objects_per_scene=3, points_per_object=8)
+    for i in range(2):
+        write_scene(generate_scene(spec, seed=i), tmp_path / f"s{i}.txt")
+    manifest = tmp_path / "manifest.txt"
+    write_manifest([("s0.txt", "train"), ("s1.txt", "val")], manifest)
+    return manifest
+
+
+SMALL_MODEL = ModelConfig(levels=3, level_dims=(6, 8, 10), d_h=8, d_m=8, encoder_depth=1, decoder_depth=4, heads=2)
+
+
+def test_mutated_scenes_load_or_raise_package_errors(tmp_path):
+    manifest = _small_corpus(tmp_path)
+    scene = tmp_path / "s0.txt"
+
+    def load():
+        read_scene(scene)
+        load_corpus(manifest, SMALL_MODEL)
+
+    outcomes = _fuzz(np.random.default_rng(11), scene.read_bytes(), scene, load, 400)
+    assert all(outcomes.values()), outcomes  # both paths ran
+
+
+def test_mutated_manifests_load_or_raise_package_errors(tmp_path):
+    manifest = _small_corpus(tmp_path)
+
+    def load():
+        entries = read_manifest(manifest)
+        try:
+            load_corpus(manifest, SMALL_MODEL)
+        except OSError:
+            # a mutated path that names no scene file: an I/O error, which the
+            # CLI reports as exit 1 like a missing manifest; anything else fails
+            assert not all((tmp_path / path).is_file() for path, _ in entries)
+            raise SemaffineError("missing scene file") from None
+
+    outcomes = _fuzz(np.random.default_rng(12), manifest.read_bytes(), manifest, load, 400)
+    assert all(outcomes.values()), outcomes

@@ -65,6 +65,20 @@ class TestFiniteDiffCheck:
         assert not report.passed
         assert "non-finite" in report.params[0].note
 
+    def test_nan_gradient_fails(self):
+        # a NaN analytic entry compares False against every error bound, so it
+        # must fail on its own rather than slip past the max_rel_err test
+        x = Tensor([1.0, 2.0], requires_grad=True)
+
+        def f():
+            out = Tensor(x.data.sum(), requires_grad=True, op="nan_sum", parents=(x,))
+            out._backward_fn = lambda g: T._accumulate(x, np.array([1.0, np.nan]))
+            return out
+
+        report = finite_diff_check(f, [("x", x)])
+        assert not report.passed
+        assert report.params[0].note == "non-finite analytic gradient at entry 1"
+
     def test_entry_subsampling_is_deterministic(self):
         x = Tensor(np.linspace(-1, 1, 50), requires_grad=True)
 
@@ -148,6 +162,12 @@ class TestParallelForwards:
             finite_diff_check(f, [("x", x)])
         _assert_no_children()
         assert x.data.tolist() == list(np.arange(9.0))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_no_items_fork_nothing(self, monkeypatch, workers):
+        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for an empty item list"))
+        assert gradcheck._ordered_map(lambda x: 2 * x, []) == []
 
     @pytest.mark.parametrize("workers, entries, forks", [(1, 9, 0), (2, 9, 1), (3, 9, 2), (3, 2, 1)])
     def test_forks_at_most_one_child_per_other_worker(self, monkeypatch, workers, entries, forks):

@@ -10,6 +10,7 @@ from semaffine import harness as Hx
 from semaffine import tensor as T
 from semaffine.checkpoint import MAGIC, load_checkpoint, restore_parameters, save_checkpoint
 from semaffine.config import (
+    EXTRA_KEYS,
     KNOWN_KEYS,
     MODEL_KEYS,
     SCENE_KEYS,
@@ -262,14 +263,50 @@ class TestCheckpoint:
         (lambda raw: raw[:-24] + np.array(np.nan, "<f8").tobytes() + raw[-16:], 5),  # a.bias[1], mid-payload
         (lambda raw: raw.replace(b"3,2 0\n", b"3,2 4\n"), 4),  # inside the payload, but not on an 8-byte word
         (lambda raw: raw.replace(b"3,2 0\n", b"0,100000000000000000000 0\n"), 4),  # no entries, but no array either
+        (lambda raw: raw.replace(b"3,2 0\n", b"100000000000000000000 0\n"), 4),  # more entries than an intp holds
+        (lambda raw: raw.replace(b"3,2 0\n", b"10000000000,10000000000 0\n"), 4),
     ], ids=["step", "payload", "cut-after-payload-line", "negative-offset", "nan-entry", "inf-entry",
-            "nan-middle-entry", "odd-offset", "oversized-empty-shape"])
+            "nan-middle-entry", "odd-offset", "oversized-empty-shape", "huge-shape", "huge-2d-shape"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, edit, line):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, self._params(np.random.default_rng(9)), {"seed": 3}, step=0)
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(ParseError, match=f"line {line}:"):
             load_checkpoint(path)
+
+    # manifest lines 4-7: a.weight (3, 2) at 0, a.bias (3,) at 48, b () at 72, payload 80
+    @pytest.mark.parametrize("edit,line", [
+        (lambda raw: raw.replace(b" 3 48\n", b" 3 0\n"), 5),  # a.bias reads a.weight's bytes
+        (lambda raw: raw.replace(b" 3 48\n", b" 3 56\n").replace(b"  72\n", b"  80\n")
+         .replace(b"payload 80\n", b"payload 88\n")[:-32] + bytes(8) + raw[-32:], 5),  # 8 bytes before a.bias
+        (lambda raw: raw.replace(b"payload 80\n", b"payload 88\n") + bytes(8), 7),  # 8 bytes after b
+        (lambda raw: raw.replace(b"3,2 0\n", b"3,2 24\n").replace(b" 3 48\n", b" 3 0\n"), 4),  # a.bias first
+    ], ids=["aliased", "gap", "trailing-bytes", "swapped-offsets"])
+    def test_layout_other_than_back_to_back_is_parse_error(self, tmp_path, edit, line):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._params(np.random.default_rng(9)), {"seed": 3}, step=0)
+        raw = path.read_bytes()
+        path.write_bytes(edit(raw))
+        assert path.read_bytes() != raw
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("step", ["\u0663", "+3", "3_0", " 3"],
+                             ids=["arabic-indic-digit", "plus", "underscore", "space"])
+    def test_step_must_be_ascii_digits(self, tmp_path, step):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._params(np.random.default_rng(9)), {"seed": 3}, step=0)
+        path.write_bytes(path.read_bytes().replace(b"step=0", f"step={step}".encode()))
+        with pytest.raises(ParseError, match="line 2:"):
+            load_checkpoint(path)
+
+    def test_extra_checkpoint_parameter_rejected(self, tmp_path):
+        params = self._params(np.random.default_rng(14))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params + [("c", Tensor(np.ones(2)))], {}, step=0)
+        _, _, entries = load_checkpoint(path)
+        with pytest.raises(ContractError, match=r"1 unexpected parameters: \['c'\]"):
+            restore_parameters(params, entries)
 
     def test_restores_copy_the_loaded_arrays(self, tmp_path):
         params = self._params(np.random.default_rng(11))
@@ -326,6 +363,18 @@ class TestConfigFile:
         assert model_cfg.affine == "adain"
         assert train_cfg.base_lr == 0.01 and train_cfg.epochs == 3
 
+    @pytest.mark.parametrize("text", ["heads = \u0662", "level_dims = 6,\u0668,10", "heads = +2", "epochs = 1_0"],
+                             ids=["arabic-indic-digit", "arabic-indic-digit-in-tuple", "plus", "underscore"])
+    def test_ints_must_be_ascii_digits(self, text):
+        values = parse_config_text(text)
+        with pytest.raises(ConfigError, match="bad value"):
+            model_config_from(values)
+            train_config_from(values)
+
+    def test_negative_int_reaches_validate(self):
+        with pytest.raises(ConfigError, match="heads must be >= 1, got -2"):
+            model_config_from(parse_config_text("heads = -2"))
+
     def test_unknown_key_is_error(self):
         for text in ("learning_rate = 0.1", "w_final_aux = 0.1"):
             with pytest.raises(ConfigError, match="unknown key"):
@@ -359,25 +408,29 @@ class TestConfigFile:
             return [(key, attr, conv.__name__) for key, (attr, conv) in keys.items()]
 
         assert table(MODEL_KEYS) == [
-            ("classes", "n_classes", "int"), ("levels", "levels", "int"),
-            ("level_dims", "level_dims", "_to_int_tuple"), ("d_h", "d_h", "int"), ("d_m", "d_m", "int"),
-            ("encoder_depth", "encoder_depth", "int"), ("decoder_depth", "decoder_depth", "int"),
-            ("heads", "heads", "int"), ("level_offset", "level_offset", "int"),
+            ("classes", "n_classes", "_to_int"), ("levels", "levels", "_to_int"),
+            ("level_dims", "level_dims", "_to_int_tuple"), ("d_h", "d_h", "_to_int"), ("d_m", "d_m", "_to_int"),
+            ("encoder_depth", "encoder_depth", "_to_int"), ("decoder_depth", "decoder_depth", "_to_int"),
+            ("heads", "heads", "_to_int"), ("level_offset", "level_offset", "_to_int"),
             ("base_voxel", "base_voxel", "float"), ("norm_eps", "norm_eps", "float"),
             ("classifier", "classifier", "str"), ("affine", "affine", "str"),
         ]
         assert table(TRAIN_KEYS) == [
             ("base_lr", "base_lr", "float"), ("attention_lr_factor", "attention_lr_factor", "float"),
             ("weight_decay", "weight_decay", "float"), ("momentum", "momentum", "float"),
-            ("epochs", "epochs", "int"), ("batch_size", "batch_size", "int"),
+            ("epochs", "epochs", "_to_int"), ("batch_size", "batch_size", "_to_int"),
             ("warmup_fraction", "warmup_fraction", "float"), ("w_final", "w_final", "float"),
-            ("w_mid", "w_mid", "float"), ("seed", "seed", "int"),
+            ("w_mid", "w_mid", "float"), ("seed", "seed", "_to_int"),
         ]
         assert table(SCENE_KEYS) == [
-            ("scene_objects", "objects_per_scene", "int"),
-            ("scene_points_per_object", "points_per_object", "int"),
+            ("scene_objects", "objects_per_scene", "_to_int"),
+            ("scene_points_per_object", "points_per_object", "_to_int"),
             ("scene_noise", "noise_sigma", "float"), ("scene_min_gap", "min_gap", "float"),
             ("scene_extent", "extent", "float"),
         ]
-        assert KNOWN_KEYS == set(MODEL_KEYS) | set(TRAIN_KEYS) | set(SCENE_KEYS) | {
-            "val_fraction", "ablate_train_scenes", "ablate_val_scenes"}
+        assert table(EXTRA_KEYS) == [
+            ("val_fraction", "val_fraction", "float"),
+            ("ablate_train_scenes", "ablate_train_scenes", "_to_int"),
+            ("ablate_val_scenes", "ablate_val_scenes", "_to_int"),
+        ]
+        assert KNOWN_KEYS == set(MODEL_KEYS) | set(TRAIN_KEYS) | set(SCENE_KEYS) | set(EXTRA_KEYS)

@@ -1,6 +1,7 @@
 """Model assembly: shape contracts, composition oracles, symmetry collapses,
 configuration lattice diffing, and determinism."""
 
+import math
 from collections import Counter
 from dataclasses import fields
 
@@ -45,6 +46,15 @@ def hierarchy(params, coords):
 
 def forward(params, coords):
     return M.model_forward(params, hierarchy(params, coords))
+
+
+def identity_affine_heads(params):
+    """Zero the affine heads' final weights and set their biases so that every
+    class bank is exactly s = 1 (softplus of log(e - 1)), b = 0 until trained."""
+    for i in params.scale_heads:
+        for head, bias in ((params.scale_heads[i], math.log(math.e - 1.0)), (params.bias_heads[i], 0.0)):
+            head[-1].weight.data[...] = 0.0
+            head[-1].bias.data[...] = bias
 
 
 def upstream_stages(params, coords):
@@ -290,7 +300,7 @@ class TestModelForward:
     def test_identity_init_sa_equals_bn_path(self):
         coords = tiny_scene(24, seed=8)
         params_sa = M.build_model(tiny_config(affine="sa"), seed=8)
-        M.set_identity_affine_heads(params_sa)
+        identity_affine_heads(params_sa)
         out_sa = forward(params_sa, coords)
         out_bn = forward(M.build_model(tiny_config(affine="bn"), seed=8), coords)
         np.testing.assert_allclose(out_sa.final_logits.data, out_bn.final_logits.data, atol=1e-6)
@@ -323,7 +333,7 @@ class TestAblationLattice:
         traces, transformed = {}, {}
         for affine in M.AFFINE_MODES:
             params = M.build_model(tiny_config(affine=affine), seed=12)
-            M.set_identity_affine_heads(params)
+            identity_affine_heads(params)
             enc, tokens, h_layers, masks, out = upstream_stages(params, coords)
             traces[affine] = {"enc0": enc[0].data, "enc3": enc[3].data, "tokens": tokens.data,
                               "h1": h_layers[0].data, "masks": masks.data, "mid3.logits": out.mids[0].conf.logits.data}

@@ -105,6 +105,19 @@ class TestSceneIO:
         with pytest.raises(ParseError, match="line 4"):
             S.read_scene(path)
 
+    @pytest.mark.parametrize("header,row", [("n=2 classes=4 seed=\u0661", "0 0 0 1"),
+                                            ("n=\u0662 classes=4 seed=0", "0 0 0 1"),
+                                            ("n=2 classes=4 seed=+1", "0 0 0 1"),
+                                            ("n=2 classes=4 seed=0", "0 0 0 \u0661"),
+                                            ("n=2 classes=4 seed=0", "0 0 0 0_1")],
+                             ids=["seed-digit", "n-digit", "seed-plus", "label-digit", "label-underscore"])
+    def test_ints_must_be_ascii_digits(self, tmp_path, header, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{S.MAGIC}\n{header}\n0 0 0 1\n{row}\n", encoding="utf-8")
+        line = 2 if row == "0 0 0 1" else 4
+        with pytest.raises(ParseError, match=f"line {line}"):
+            S.read_scene(path)
+
     def test_write_matches_per_row_formatter(self, tmp_path):
         special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e-300, -1e300, 1e300,
                    1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1.0 / 3.0, -123456.789]
@@ -205,4 +218,11 @@ class TestManifest:
         path = tmp_path / "manifest.txt"
         path.write_bytes(b"scenes/\xff.txt\ttrain\n")
         with pytest.raises(ParseError, match="line 1.*UTF-8"):
+            S.read_manifest(path)
+
+    def test_nul_in_path_rejected(self, tmp_path):
+        # open() raises ValueError for such a path, which the CLI would not catch
+        path = tmp_path / "manifest.txt"
+        path.write_bytes(b"scenes/a.txt\ttrain\nscenes/b.txt\x00\tval\n")
+        with pytest.raises(ParseError, match="line 2: NUL byte"):
             S.read_manifest(path)

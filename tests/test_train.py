@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import semaffine
+from semaffine import tensor as T
+from semaffine import verify
 from semaffine.ablate import parse_variants
 from semaffine.checkpoint import MAGIC, save_checkpoint
 from semaffine.cli import main
@@ -17,8 +19,9 @@ from semaffine.errors import ConfigError, ContractError, NumericError
 from semaffine.harness import TrainConfig
 from semaffine.model import ModelConfig, build_model
 from semaffine.scenes import SceneSpec, generate_scene, write_manifest, write_scene
+from semaffine.tensor import Tensor
 from semaffine.train import eval_run, evaluate_scenes, load_corpus, prepare_scene, train_model, train_run
-from semaffine.verify import iter_checks
+from semaffine.verify import Check, iter_checks
 
 
 def small_model_cfg(**overrides):
@@ -457,3 +460,34 @@ class TestCli:
         assert main(["gradcheck", "--module", "losses"]) == 0
         out = capsys.readouterr().out
         assert "losses.cross_entropy" in out and "model.end_to_end" not in out
+
+    def test_failing_gradient_check_exit_code(self, monkeypatch, capsys):
+        """A check with a deliberately wrong backward (2x the gradient of a
+        sum): its FAIL line, the failing parameter's line indented under it,
+        and exit code 2."""
+        def wrong_sum_checks(rng):
+            x = Tensor([1.0, 2.0], requires_grad=True)
+
+            def loss():
+                out = Tensor(x.data.sum(), requires_grad=True, op="bad_sum", parents=(x,))
+                out._backward_fn = lambda g: T._accumulate(x, 2.0 * np.full_like(x.data, float(g)))
+                return out
+
+            yield Check("wrong_sum", loss, [("x", x)])
+
+        monkeypatch.setitem(verify.CHECKS, "hierarchy", wrong_sum_checks)
+        assert main(["gradcheck", "--module", "hierarchy"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL  hierarchy.wrong_sum  max_rel_err=3.333e-01  tol=1e-05  groups=1",
+            "      FAIL  x  max_rel_err=3.333e-01  entries=2",
+            "gradient suite FAILED",
+        ]
+
+    def test_train_without_train_scenes_exit_code(self, tmp_path, capsys):
+        manifest = small_corpus(tmp_path, n_train=0, n_val=2, points=8)
+        config = tmp_path / "tiny.cfg"
+        config.write_text(TINY_TRAIN_CFG)
+        ckpt = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config), "--data", str(manifest), "--out", str(ckpt)]) == 1
+        assert capsys.readouterr() == ("", "error: train_model: no training scenes\n")
+        assert not ckpt.exists()
