@@ -5,7 +5,7 @@ The relative error for one parameter entry is
     |analytic - numeric| / max(|analytic| + |numeric|, DELTA)
 
 so a gradient corrupted by a factor of 2 reports ~1/3. The floor ``DELTA``
-absorbs central-difference roundoff (about eps*|f|/h) on entries whose true
+absorbs central-difference roundoff (about eps*|f|/H) on entries whose true
 gradient is zero or tiny; a genuinely wrong gradient lands far above it.
 
 The perturbed forwards do not depend on each other, so they run on every CPU
@@ -28,6 +28,7 @@ import numpy as np
 
 from .tensor import Tensor
 
+H = 1e-6  # central-difference step
 DELTA = 1e-3  # floor of the relative error's denominator
 TOL = 1e-5  # default largest relative error that passes
 
@@ -140,7 +141,6 @@ def _ordered_map(fn: Callable, items: Sequence) -> list:
 def finite_diff_check(
     f: Callable[[], Tensor],
     params: Sequence[tuple[str, Tensor]],
-    h: float = 1e-6,
     tol: float = TOL,
     max_entries: int | None = None,
     seed: int = 0,
@@ -178,9 +178,9 @@ def finite_diff_check(
         flat, i = flats[entry[0]], entry[1]
         orig = flat[i]
         try:
-            flat[i] = orig + h
+            flat[i] = orig + H
             f_plus = float(f().data)
-            flat[i] = orig - h
+            flat[i] = orig - H
             f_minus = float(f().data)
         finally:
             flat[i] = orig
@@ -201,7 +201,7 @@ def finite_diff_check(
             if note:
                 max_rel = np.inf
                 break
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * H)
             rel = abs(a - numeric) / max(abs(a) + abs(numeric), DELTA)
             max_rel = max(max_rel, rel)
         start += len(idx)

@@ -4,12 +4,12 @@ The training objective is a weighted sum of a final-level cross entropy over
 one-hot point labels and, per supervised mid level, a binary cross entropy of
 the raw class scores against the multi-hot labels that shadow the pooling
 hierarchy. Each term is one tape node (``tensor.cross_entropy``,
-``tensor.bce_with_logits``, which validate labels and targets); this module
-weights and sums them.
+``tensor.bce_with_logits``, which validate labels and targets);
+``total_loss`` creates, weights and sums them.
 
 The learning rate is ``base * group_factor * warm(t) * (1 - t/T)^2`` with a
-linear warmup over the first 5% of steps; attention-module parameters use a
-reduced group factor.
+linear warmup over the first 5% of steps; ``sgd_step`` gives the parameters
+named under ``model.ATTENTION_PREFIXES`` the reduced attention factor.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, ShapeError, require_finite
-from .model import ForwardOutput
+from .errors import ConfigError, ContractError, NumericError, ShapeError, require_finite
+from .model import ATTENTION_PREFIXES, ForwardOutput
 from .tensor import Tensor
 
 
@@ -54,20 +54,6 @@ class TrainConfig:
 # -- losses --------------------------------------------------------------------
 
 
-def midlevel_bce_loss(mid_logits: list[Tensor], targets: list[np.ndarray], offsets=None) -> Tensor:
-    """Per level the mean entrywise BCE (the mean of per-scene means, given
-    each level's scene row ``offsets``); levels are then summed."""
-    if len(mid_logits) != len(targets):
-        raise ShapeError(f"midlevel_bce: {len(mid_logits)} logit blocks vs {len(targets)} target blocks")
-    if not mid_logits:
-        raise ContractError("midlevel_bce: no supervised levels")
-    offsets = offsets or [None] * len(mid_logits)
-    total = T.bce_with_logits(mid_logits[0], targets[0], offsets[0])
-    for logits, tgt, rows in zip(mid_logits[1:], targets[1:], offsets[1:]):
-        total = total + T.bce_with_logits(logits, tgt, rows)
-    return total
-
-
 def total_loss(
     fwd: ForwardOutput,
     labels,
@@ -75,15 +61,16 @@ def total_loss(
     w_final: float = 1.0,
     w_mid: float = 1.0,
 ) -> Tensor:
-    """w_final * CE(final logits, labels) + w_mid * sum of mid-level BCEs;
-    ``shadows[level]`` holds that level's multi-hot targets. Over a batch of
-    scenes each term is the mean of the scenes' terms, so the loss is the
-    mean of the scenes' losses."""
-    offsets = fwd.offsets or [None] * len(shadows)
-    ce = T.cross_entropy(fwd.final_logits, labels, offsets[0])
-    mid_logits = [mid.conf.logits for mid in fwd.mids]
-    mid_targets = [shadows[mid.level] for mid in fwd.mids]
-    bce = midlevel_bce_loss(mid_logits, mid_targets, [offsets[mid.level] for mid in fwd.mids])
+    """w_final * CE(final logits, labels) + w_mid * the sum over mid levels of
+    each level's mean entrywise BCE against ``shadows[level]``, that level's
+    multi-hot targets. Over a batch of scenes (row ``fwd.offsets``) each term
+    is the mean of the scenes' terms, so the loss is the mean of the scenes'
+    losses."""
+    ce = T.cross_entropy(fwd.final_logits, labels, fwd.offsets[0])
+    bce = None
+    for mid in fwd.mids:  # level by level: bce_0 + bce_1 + ...
+        level_bce = T.bce_with_logits(mid.conf.logits, shadows[mid.level], fwd.offsets[mid.level])
+        bce = level_bce if bce is None else bce + level_bce
     return T.scale(ce, w_final) + T.scale(bce, w_mid)
 
 
@@ -109,24 +96,23 @@ class SgdState:
 
 def sgd_step(
     params: list[tuple[str, Tensor]],
-    group_factors: list[float],
     state: SgdState,
     cfg: TrainConfig,
     t: int,
     total_steps: int,
 ) -> None:
-    """One momentum-SGD update with decoupled group factors.
+    """One momentum-SGD update; parameters named under ``ATTENTION_PREFIXES``
+    take the rate times ``cfg.attention_lr_factor``, the rest the full rate.
 
     velocity = momentum * velocity + grad + wd * param
     param   -= lr(t, group) * velocity
     """
-    if len(group_factors) != len(params):
-        raise ContractError("sgd_step: one group factor per parameter")
-    lrs = {}  # group factor -> its learning rate at step t
-    for (name, p), factor in zip(params, group_factors):
+    full_lr = learning_rate(cfg, t, total_steps)
+    attention_lr = learning_rate(cfg, t, total_steps, cfg.attention_lr_factor)
+    for name, p in params:
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(grad).all():
-            raise ContractError(f"sgd_step: non-finite gradient for {name}")
+            raise NumericError(f"sgd_step: non-finite gradient for {name}")
         v = state.velocities.get(name)
         if v is None:
             v = state.velocities[name] = np.zeros_like(p.data)
@@ -134,9 +120,7 @@ def sgd_step(
         v *= cfg.momentum
         v += grad
         v += cfg.weight_decay * p.data
-        if factor not in lrs:
-            lrs[factor] = learning_rate(cfg, t, total_steps, factor)
-        p.data -= lrs[factor] * v
+        p.data -= (attention_lr if name.startswith(ATTENTION_PREFIXES) else full_lr) * v
 
 
 # -- metrics -------------------------------------------------------------------

@@ -60,7 +60,11 @@ from .tensor import Tensor
 CLASSIFIERS = ("fc", "mask")
 AFFINE_MODES = ("bn", "adain", "sa")
 
-# parameter-name prefixes whose learning rate is reduced by the attention factor
+# parameter-name prefixes whose learning rate ``harness.sgd_step`` reduces by the
+# attention factor: the transformer machinery (positional MLP, token encoder,
+# queries, query-decoder blocks, mask head). The small per-level affine
+# regression heads train with the backbone at full rate, otherwise their class
+# banks never leave the identity start at this scale.
 ATTENTION_PREFIXES = ("pos_mlp.", "token_encoder.", "query_decoder.")
 
 _SOFTPLUS_INV_1 = math.log(math.e - 1.0)  # softplus of this is 1: the identity scale
@@ -221,17 +225,6 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
                        scale_heads, bias_heads, down_proj, sites, parts)
 
 
-def attention_group_mask(names: list[str]) -> list[bool]:
-    """True for parameters in the reduced-learning-rate attention group.
-
-    The transformer machinery (positional MLP, token encoder, queries,
-    query-decoder blocks, mask head) trains at the reduced factor; the small
-    per-level affine regression heads train with the backbone at full rate,
-    otherwise their class banks never leave the identity start at this scale.
-    """
-    return [any(n.startswith(p) for p in ATTENTION_PREFIXES) for n in names]
-
-
 @dataclass
 class MidLevelOutput:
     level: int  # hierarchy level of this stage
@@ -243,7 +236,7 @@ class MidLevelOutput:
 class ForwardOutput:
     final_logits: Tensor  # (n_0, N)
     mids: list  # MidLevelOutput, coarsest stage first
-    offsets: Optional[list] = None  # per level, the hierarchy's scene row offsets; None for one scene
+    offsets: list  # per level, the hierarchy's scene row offsets
 
 
 def backbone_encode(params: ModelParams, hier: Hierarchy) -> list[Tensor]:
@@ -255,10 +248,10 @@ def backbone_encode(params: ModelParams, hier: Hierarchy) -> list[Tensor]:
     return feats
 
 
-def encode_tokens(params: ModelParams, top_feats: Tensor, top_coords: np.ndarray, offsets=None) -> Tensor:
+def encode_tokens(params: ModelParams, top_feats: Tensor, top_coords: np.ndarray, offsets) -> Tensor:
     """Self-attention stack over the coarsest tokens, each scene's (row
-    ``offsets``; None for one scene) attending among themselves, with
-    coordinate positional embeddings added once at the input."""
+    ``offsets``) attending among themselves, with coordinate positional
+    embeddings added once at the input."""
     pos = mlp_forward(params.pos_mlp, Tensor(top_coords))
     x = top_feats + pos
     for block in params.token_encoder:
@@ -266,13 +259,13 @@ def encode_tokens(params: ModelParams, top_feats: Tensor, top_coords: np.ndarray
     return x
 
 
-def decode_queries(params: ModelParams, memory: Tensor, offsets=None):
+def decode_queries(params: ModelParams, memory: Tensor, offsets):
     """Run the class queries through the cross-attention decoder, one copy
-    of them per scene of the memory (row ``offsets``; None for one scene);
+    of them per scene of the memory (row ``offsets``);
     returns every layer's output (for the affine heads), each the scenes'
     (N, d_h) rows stacked, and the final layer."""
     n_classes = params.cfg.n_classes
-    scenes = 1 if offsets is None else len(offsets) - 1
+    scenes = len(offsets) - 1
     h = T.gather_rows(params.queries, np.arange(n_classes * scenes) % n_classes)
     query_offsets = tuple(range(0, n_classes * scenes + 1, n_classes))
     h_layers = []

@@ -333,10 +333,7 @@ def read_manifest(path) -> list[tuple[str, str]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "\t" in line:
-            scene_path, tag = line.rsplit("\t", 1)
-        else:
-            scene_path, _, tag = line.rpartition(" ")
+        scene_path, _, tag = line.rpartition("\t")
         if not scene_path or tag not in ("train", "val"):
             raise ParseError(f"expected '<path>\\t<train|val>', got {raw!r}", line=i)
         if "\0" in scene_path:  # which open() would reject with a ValueError

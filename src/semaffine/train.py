@@ -36,7 +36,7 @@ from .harness import (
     total_loss,
 )
 from .hierarchy import Hierarchy, build_hierarchy, one_hot, shadow_labels, stack_hierarchies
-from .model import ModelConfig, ModelParams, attention_group_mask, build_model, model_forward
+from .model import ModelConfig, ModelParams, build_model, model_forward
 from .scenes import LabeledCloud, read_manifest, read_scene
 
 
@@ -117,8 +117,6 @@ def train_model(
 
     params = build_model(model_cfg, seed=train_cfg.seed)
     named = params.named_parameters()
-    names = [n for n, _ in named]
-    factors = [train_cfg.attention_lr_factor if m else 1.0 for m in attention_group_mask(names)]
     state = SgdState()
 
     n_train = len(train_scenes)
@@ -143,7 +141,7 @@ def train_model(
             if not np.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss at epoch {epoch} step {s}")
             loss.backward()
-            sgd_step(named, factors, state, train_cfg, t, total_steps)
+            sgd_step(named, state, train_cfg, t, total_steps)
             epoch_losses.append(batch_loss)
             t += 1
         train_loss = float(np.mean(epoch_losses))

@@ -136,7 +136,7 @@ class TestCriterion5SymmetryCollapse:
         params.queries.data[...] = params.queries.data[0]
         rng = np.random.default_rng(5001)
         memory = Tensor(rng.standard_normal((7, 24)))
-        h_layers, h_final = decode_queries(params, memory)
+        h_layers, h_final = decode_queries(params, memory, (0, memory.shape[0]))
         masks = predict_masks(h_final, params.mask_head)
         feats = Tensor(rng.standard_normal((11, 8)))
         identity = B.LinearParams(Tensor(np.eye(8)), Tensor(np.zeros(8)))

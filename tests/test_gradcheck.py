@@ -20,7 +20,7 @@ class TestFiniteDiffCheck:
         def f():
             return T.sum_all(T.mul(T.mul(x, x), Tensor(c)))
 
-        report = finite_diff_check(f, [("x", x)], h=1e-6, tol=1e-8)
+        report = finite_diff_check(f, [("x", x)], tol=1e-8)
         assert report.passed
         assert report.max_rel_err < 1e-8
 
@@ -50,7 +50,7 @@ class TestFiniteDiffCheck:
             out._backward_fn = bad_backward
             return out
 
-        report = finite_diff_check(f, [("x", x)], h=1e-6, tol=1e-5)
+        report = finite_diff_check(f, [("x", x)], tol=1e-5)
         assert not report.passed
         np.testing.assert_allclose(report.params[0].max_rel_err, 1 / 3, atol=1e-6)
 
@@ -276,5 +276,5 @@ class TestPerOpGradients:
         def f():
             return _mix_loss(T.softmax(T.matmul(a, b)))
 
-        report = finite_diff_check(f, [("a", a), ("b", b)], h=1e-6, tol=1e-5)
+        report = finite_diff_check(f, [("a", a), ("b", b)], tol=1e-5)
         assert report.passed, report.lines()

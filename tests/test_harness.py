@@ -8,6 +8,7 @@ import pytest
 
 from semaffine import harness as Hx
 from semaffine import tensor as T
+from semaffine.affine import ConfidenceMatrix
 from semaffine.checkpoint import MAGIC, load_checkpoint, restore_parameters, save_checkpoint
 from semaffine.config import (
     EXTRA_KEYS,
@@ -22,8 +23,9 @@ from semaffine.config import (
     snapshot,
     train_config_from,
 )
-from semaffine.errors import ConfigError, ContractError, ParseError
+from semaffine.errors import ConfigError, ContractError, NumericError, ParseError
 from semaffine.gradcheck import finite_diff_check
+from semaffine.model import ATTENTION_PREFIXES, ForwardOutput, MidLevelOutput
 from semaffine.tensor import Tensor
 
 
@@ -78,7 +80,10 @@ class TestMidlevelBce:
                 p = 1.0 / (1.0 + math.exp(-x))
                 acc -= t * math.log(p) + (1 - t) * math.log(1 - p)
             expect += acc / block.size
-        loss = Hx.midlevel_bce_loss([Tensor(b) for b in logits], targets)
+        mids = [MidLevelOutput(level=level, conf=ConfidenceMatrix(Tensor(b), T.softmax(Tensor(b))), affine=None)
+                for level, b in ((1, logits[0]), (2, logits[1]))]
+        fwd = ForwardOutput(final_logits=Tensor(np.zeros((5, 3))), mids=mids, offsets=[(0, 5), (0, 4), (0, 2)])
+        loss = Hx.total_loss(fwd, np.zeros(5, dtype=int), [None] + targets, w_final=0.0)
         np.testing.assert_allclose(loss.item(), expect, atol=1e-10)
 
     def test_non_binary_target_rejected(self):
@@ -99,23 +104,20 @@ class TestMidlevelBce:
 
 class TestTotalLoss:
     def _forward_stub(self, rng):
-        from semaffine.affine import ConfidenceMatrix
-        from semaffine.model import ForwardOutput, MidLevelOutput
-
         final = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
         mid_logits = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         mid = MidLevelOutput(level=1, conf=ConfidenceMatrix(mid_logits, T.softmax(mid_logits)), affine=None)
         labels = rng.integers(0, 3, 6)
         shadows = [np.eye(3, dtype=np.uint8)[labels], (rng.random((2, 3)) < 0.5).astype(np.uint8)]
         shadows[1][0, 0] = 1  # keep at least one bit set
-        fwd = ForwardOutput(final_logits=final, mids=[mid])
+        fwd = ForwardOutput(final_logits=final, mids=[mid], offsets=[(0, 6), (0, 2)])
         return fwd, labels, shadows
 
     def test_degenerate_weights(self):
         rng = np.random.default_rng(3)
         fwd, labels, shadows = self._forward_stub(rng)
         ce = T.cross_entropy(fwd.final_logits, labels).item()
-        bce = Hx.midlevel_bce_loss([fwd.mids[0].conf.logits], [shadows[1]]).item()
+        bce = T.bce_with_logits(fwd.mids[0].conf.logits, shadows[1]).item()
         np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows, w_mid=0.0).item(), ce, atol=1e-12)
         np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows, w_final=0.0).item(), bce, atol=1e-12)
         np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows).item(), ce + bce, atol=1e-12)
@@ -126,7 +128,7 @@ class TestSchedule:
         cfg = Hx.TrainConfig(base_lr=0.1, momentum=0.0, weight_decay=0.0, warmup_fraction=0.0)
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([2.0])
-        Hx.sgd_step([("p", p)], [1.0], Hx.SgdState(), cfg, t=0, total_steps=100)
+        Hx.sgd_step([("p", p)], Hx.SgdState(), cfg, t=0, total_steps=100)
         lr0 = Hx.learning_rate(cfg, 0, 100)
         np.testing.assert_allclose(p.data, [1.0 - lr0 * 2.0], atol=1e-15)
 
@@ -135,7 +137,7 @@ class TestSchedule:
         assert Hx.learning_rate(cfg, 100, 100) == 0.0
         p = Tensor(np.array([3.0]), requires_grad=True)
         p.grad = np.array([5.0])
-        Hx.sgd_step([("p", p)], [1.0], Hx.SgdState(), cfg, t=100, total_steps=100)
+        Hx.sgd_step([("p", p)], Hx.SgdState(), cfg, t=100, total_steps=100)
         np.testing.assert_array_equal(p.data, [3.0])
 
     def test_warmup_starts_at_zero_and_peaks_at_warmup_end(self):
@@ -148,20 +150,27 @@ class TestSchedule:
         np.testing.assert_allclose(lrs[peak], 2e-2 * (1 - 50 / total) ** 2, atol=1e-15)
 
     def test_group_factor_scales_step_size(self):
-        cfg = Hx.TrainConfig(momentum=0.0, weight_decay=0.0, warmup_fraction=0.0)
+        cfg = Hx.TrainConfig(attention_lr_factor=0.1, momentum=0.0, weight_decay=0.0, warmup_fraction=0.0)
         a = Tensor(np.array([0.0]), requires_grad=True)
         b = Tensor(np.array([0.0]), requires_grad=True)
         a.grad = np.array([1.0])
         b.grad = np.array([1.0])
-        Hx.sgd_step([("a", a), ("b", b)], [1.0, 0.1], Hx.SgdState(), cfg, t=10, total_steps=100)
+        attention_name = ATTENTION_PREFIXES[0] + "0.weight"
+        Hx.sgd_step([("backbone.enc0.0.weight", a), (attention_name, b)], Hx.SgdState(), cfg, t=10, total_steps=100)
         np.testing.assert_allclose(a.data[0] / b.data[0], 10.0, atol=1e-12)
+
+    def test_non_finite_gradient_is_a_numeric_error(self):
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        p.grad = np.array([0.5, np.nan])
+        with pytest.raises(NumericError, match="non-finite gradient for p"):
+            Hx.sgd_step([("p", p)], Hx.SgdState(), Hx.TrainConfig(), t=0, total_steps=10)
 
     def test_momentum_and_weight_decay_update(self):
         cfg = Hx.TrainConfig(base_lr=0.1, momentum=0.9, weight_decay=0.01, warmup_fraction=0.0)
         p = Tensor(np.array([2.0]), requires_grad=True)
         state = Hx.SgdState()
         p.grad = np.array([1.0])
-        Hx.sgd_step([("p", p)], [1.0], state, cfg, t=0, total_steps=10)
+        Hx.sgd_step([("p", p)], state, cfg, t=0, total_steps=10)
         v1 = 1.0 + 0.01 * 2.0
         expect = 2.0 - Hx.learning_rate(cfg, 0, 10) * v1
         np.testing.assert_allclose(p.data, [expect], atol=1e-15)
@@ -177,7 +186,7 @@ class TestSchedule:
             loss = T.sum_all(T.mul(x, x))
             loss.backward()
             losses.append(loss.item())
-            Hx.sgd_step([("x", x)], [1.0], state, cfg, t, total_steps=40)
+            Hx.sgd_step([("x", x)], state, cfg, t, total_steps=40)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 

@@ -62,8 +62,8 @@ def upstream_stages(params, coords):
     computed by its own stage function, plus the model's full forward."""
     hier = hierarchy(params, coords)
     enc = M.backbone_encode(params, hier)
-    tokens = M.encode_tokens(params, enc[-1], hier.coords[-1])
-    h_layers, h_final = M.decode_queries(params, tokens)
+    tokens = M.encode_tokens(params, enc[-1], hier.coords[-1], hier.offsets[-1])
+    h_layers, h_final = M.decode_queries(params, tokens, hier.offsets[-1])
     masks = A.predict_masks(h_final, params.mask_head)
     return enc, tokens, h_layers, masks, M.model_forward(params, hier)
 
@@ -213,7 +213,7 @@ class TestTokenEncoder:
         coords = tiny_scene(12, seed=1)
         hier = hierarchy(params, coords)
         feats = M.backbone_encode(params, hier)
-        out = M.encode_tokens(params, feats[-1], hier.coords[-1])
+        out = M.encode_tokens(params, feats[-1], hier.coords[-1], hier.offsets[-1])
         pos = B.mlp_forward(params.pos_mlp, Tensor(hier.coords[-1]))
         np.testing.assert_allclose(out.data, feats[-1].data + pos.data, atol=1e-12)
 
@@ -222,7 +222,7 @@ class TestTokenEncoder:
         coords = tiny_scene(20, seed=2)
         hier = hierarchy(params, coords)
         feats = M.backbone_encode(params, hier)
-        out = M.encode_tokens(params, feats[-1], hier.coords[-1])
+        out = M.encode_tokens(params, feats[-1], hier.coords[-1], hier.offsets[-1])
         x = feats[-1] + B.mlp_forward(params.pos_mlp, Tensor(hier.coords[-1]))
         for block in params.token_encoder:
             x = B.encoder_block(block, x, params.cfg.norm_eps)
@@ -233,7 +233,7 @@ class TestQueryDecoder:
     def test_single_block_oracle(self):
         params = M.build_model(tiny_config(decoder_depth=5), seed=3)
         memory = Tensor(np.random.default_rng(3).standard_normal((6, 12)))
-        h_layers, h_final = M.decode_queries(params, memory)
+        h_layers, h_final = M.decode_queries(params, memory, (0, memory.shape[0]))
         assert len(h_layers) == 5
         x = B.decoder_block(params.query_decoder[0], params.queries, memory, params.cfg.norm_eps)
         np.testing.assert_allclose(h_layers[0].data, x.data, atol=1e-12)
@@ -243,7 +243,7 @@ class TestQueryDecoder:
         params = M.build_model(tiny_config(), seed=4)
         params.queries.data[...] = params.queries.data[0]
         memory = Tensor(np.random.default_rng(4).standard_normal((5, 12)))
-        h_layers, _ = M.decode_queries(params, memory)
+        h_layers, _ = M.decode_queries(params, memory, (0, memory.shape[0]))
         for h in h_layers:
             np.testing.assert_allclose(h.data, np.tile(h.data[0], (3, 1)), atol=1e-9)
 
@@ -251,7 +251,7 @@ class TestQueryDecoder:
         cfg = tiny_config(decoder_depth=6, level_offset=2)
         params = M.build_model(cfg, seed=5)
         memory = Tensor(np.random.default_rng(5).standard_normal((4, 12)))
-        h_layers, h_final = M.decode_queries(params, memory)
+        h_layers, h_final = M.decode_queries(params, memory, (0, memory.shape[0]))
         assert len(h_layers) == 6
         # stage i consumes layer u = i + 2 for the three mid stages
         for i, level in enumerate(cfg.mid_levels, start=1):

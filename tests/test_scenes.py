@@ -208,6 +208,17 @@ class TestManifest:
         S.write_manifest(entries, path)
         assert S.read_manifest(path) == entries
 
+    def test_paths_with_spaces_load(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("scenes/a b.txt\ttrain\n")
+        assert S.read_manifest(path) == [("scenes/a b.txt", "train")]
+
+    def test_space_separated_line_rejected(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("scenes/a.txt\ttrain\nscenes/b.txt val\n")
+        with pytest.raises(ParseError, match="line 2"):
+            S.read_manifest(path)
+
     def test_bad_tag(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_text("scenes/a.txt\ttest\n")
