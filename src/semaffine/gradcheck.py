@@ -8,6 +8,13 @@ so a gradient corrupted by a factor of 2 reports ~1/3. The floor ``DELTA``
 absorbs central-difference roundoff (about eps*|f|/H) on entries whose true
 gradient is zero or tiny; a genuinely wrong gradient lands far above it.
 
+``f`` runs once, plus once per parameter tensor: a perturbed loss replays
+only the recorded op calls downstream of the parameter (``tensor.downstream``).
+Each parameter's replay is audited once, with every chosen entry moved at
+once by its own step of about H: if a full ``f()`` gives other bits (the
+parameter reaches the loss outside the recorded calls), all its entries take
+full forwards.
+
 The perturbed forwards do not depend on each other, so they run on every CPU
 in the process's affinity mask: the chosen entries are split into one
 contiguous block per CPU, and each block after the first runs in a forked
@@ -26,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, downstream
 
 H = 1e-6  # central-difference step
 DELTA = 1e-3  # floor of the relative error's denominator
@@ -148,7 +155,8 @@ def finite_diff_check(
     """Compare analytic gradients of the scalar ``f()`` against central differences.
 
     ``f`` must be deterministic and rebuild its graph from the live ``params``
-    tensors on every call. When ``max_entries`` is set, a seeded subsample of
+    tensors on every call; it runs once, plus once per parameter tensor
+    (module docstring). When ``max_entries`` is set, a seeded subsample of
     entries per parameter is perturbed instead of every entry.
     """
     report = GradCheckReport()
@@ -173,26 +181,59 @@ def finite_diff_check(
             idx = np.arange(n)
         chosen.append(idx)
     flats = [p.data.reshape(-1) for _, p in params]
+    cones = downstream(loss, [p for _, p in params])  # a cone is None once it falls back to full forwards
 
-    def forward_pair(entry: tuple[int, int]) -> tuple[float, float]:
-        flat, i = flats[entry[0]], entry[1]
-        orig = flat[i]
+    def loss_at(k: int) -> float:
+        if cones[k] is None:
+            return float(f().data)
+        for node in cones[k]:
+            fn, args, kwargs = node.call
+            node.data = fn(*args, **kwargs).data
+        return float(loss.data)
+
+    def audit(k: int) -> bool:
+        """Whether a full f() and parameter k's replay give the same bits (every
+        NaN hexes to "nan") with every chosen entry of k moved at once, each by
+        its own step in [H/2, 3H/2): a uniform step can vanish, as in a layer_norm."""
+        flat, orig = flats[k], flats[k][chosen[k]]  # a copy
+        try:
+            flat[chosen[k]] = orig + H * np.random.default_rng(k).uniform(0.5, 1.5, orig.size)
+            return float(f().data).hex() == loss_at(k).hex()
+        finally:
+            flat[chosen[k]] = orig
+
+    def forward_pair(entry: tuple[int, int]) -> tuple[float, float, bool]:
+        """``(f(p+H), f(p-H), agrees)`` for entry ``i`` of parameter ``k``;
+        ``agrees`` is the parameter's audit on its last entry, else True."""
+        k, i = entry
+        flat, orig, saved = flats[k], flats[k][i], [node.data for node in cones[k] or ()]
         try:
             flat[i] = orig + H
-            f_plus = float(f().data)
+            f_plus = loss_at(k)
             flat[i] = orig - H
-            f_minus = float(f().data)
+            f_minus = loss_at(k)
+            flat[i] = orig
+            agrees = cones[k] is None or i != chosen[k][-1] or audit(k)
         finally:
             flat[i] = orig
-        return f_plus, f_minus
+            for node, data in zip(cones[k] or (), saved):
+                node.data = data
+        return f_plus, f_minus, agrees
 
-    pairs = _ordered_map(forward_pair, [(k, i) for k, idx in enumerate(chosen) for i in idx])
+    items = [(k, i) for k, idx in enumerate(chosen) for i in idx]
+    pairs = _ordered_map(forward_pair, items)
+    for (k, _), (_, _, agrees) in zip(items, pairs):
+        if not agrees:
+            cones[k] = None  # the loss depends on parameter k by a path that no recorded call shows
+    redo = [n for n, (k, _) in enumerate(items) if cones[k] is None]
+    for n, pair in zip(redo, _ordered_map(forward_pair, [items[n] for n in redo])):
+        pairs[n] = pair
     start = 0
     for (name, _), idx in zip(params, chosen):
         a_flat = analytic[name].reshape(-1)
         max_rel = 0.0
         note = ""
-        for i, (f_plus, f_minus) in zip(idx, pairs[start:start + len(idx)]):
+        for i, (f_plus, f_minus, _) in zip(idx, pairs[start:start + len(idx)]):
             a = a_flat[i]
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 note = f"non-finite forward while perturbing entry {i}"

@@ -103,16 +103,18 @@ def sgd_step(
 ) -> None:
     """One momentum-SGD update; parameters named under ``ATTENTION_PREFIXES``
     take the rate times ``cfg.attention_lr_factor``, the rest the full rate.
+    A non-finite gradient raises ``NumericError`` before anything is updated.
 
     velocity = momentum * velocity + grad + wd * param
     param   -= lr(t, group) * velocity
     """
     full_lr = learning_rate(cfg, t, total_steps)
     attention_lr = learning_rate(cfg, t, total_steps, cfg.attention_lr_factor)
-    for name, p in params:
-        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for _, p in params]
+    for (name, _), grad in zip(params, grads):  # all of them before the first update
         if not np.isfinite(grad).all():
             raise NumericError(f"sgd_step: non-finite gradient for {name}")
+    for (name, p), grad in zip(params, grads):
         v = state.velocities.get(name)
         if v is None:
             v = state.velocities[name] = np.zeros_like(p.data)

@@ -26,6 +26,8 @@ Design constraints:
 - scatter-adds of rows onto groups (``pool_rows_mean``, the ``gather_rows``
   backward) are one ``np.bincount`` segment sum, not ``np.add.at``.
 - a backward computes a gradient only for operands that require grad.
+- each op node records its call (``recorded``), so ``downstream`` can list
+  the nodes a leaf feeds and gradcheck can recompute only those.
 - a batch of scenes is one graph, its scenes stacked by rows. Row-wise ops
   run once over the stack; the ops that mix rows within a scene take the
   scenes' row offsets (``None``: one scene) and keep them apart:
@@ -57,7 +59,7 @@ LAYER_NORM_EPS = 1e-5  # the default variance floor of every layer_norm
 class Tensor:
     """A dense array node on the differentiation tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward_fn", "node_id")
+    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward_fn", "node_id", "call")
 
     def __init__(self, data, requires_grad=False, op="leaf", parents=()):
         self.data = np.asarray(data, dtype=np.float64)
@@ -67,6 +69,7 @@ class Tensor:
         self.parents = tuple(parents)
         self._backward_fn = None
         self.node_id = next(_NODE_IDS)
+        self.call = None  # (op, args, kwargs) of the op call that made the node; see ``recorded``
 
     @property
     def shape(self):
@@ -106,7 +109,18 @@ def _result(data, parents: tuple, op: str, backward_fn) -> Tensor:
     out.parents = parents
     out._backward_fn = backward_fn if out.requires_grad else None
     out.node_id = next(_NODE_IDS)
+    out.call = None
     return out
+
+
+def recorded(op):
+    """Make ``op`` record each call on the node it returns, as ``(op, args, kwargs)``."""
+    @functools.wraps(op)
+    def recording(*args, **kwargs):
+        out = op(*args, **kwargs)
+        out.call = (op, args, kwargs)
+        return out
+    return recording
 
 
 @functools.lru_cache(maxsize=256)
@@ -178,6 +192,7 @@ def _check_binary(a: Tensor, b: Tensor, name: str):
         raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
 
 
+@recorded
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary(a, b, "add")
@@ -191,6 +206,7 @@ def add(a, b) -> Tensor:
     return _result(a.data + b.data, (a, b), "add", backward_fn)
 
 
+@recorded
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary(a, b, "mul")
@@ -205,6 +221,7 @@ def mul(a, b) -> Tensor:
     return _result(a_data * b_data, (a, b), "mul", backward_fn)
 
 
+@recorded
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
@@ -218,6 +235,7 @@ def scale(a, c: float) -> Tensor:
 # -- matrix ops ----------------------------------------------------------
 
 
+@recorded
 def matmul(a, b, offsets=None) -> Tensor:
     """a (n, k) @ b (k, d). With the row ``offsets`` of B scenes in a, b is
     their (k, d) blocks stacked, (B*k, d), and scene s's rows of a multiply
@@ -242,6 +260,7 @@ def matmul(a, b, offsets=None) -> Tensor:
     return _result(out, (a, b), "matmul", backward_fn)
 
 
+@recorded
 def mlp(x, layers) -> Tensor:
     """x (n, in) through dense layers h @ w.T + b, ``layers`` being (w (out, in),
     b (out,)) pairs, with a ReLU between consecutive layers, as one node; one
@@ -279,6 +298,7 @@ def mlp(x, layers) -> Tensor:
     return _result(h, (x, *(t for layer in layers for t in layer)), "mlp", backward_fn)
 
 
+@recorded
 def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
     """(f (n, in) @ w (d_m, in).T + b (d_m,)) @ masks (N, d_m).T, as one node.
 
@@ -324,6 +344,7 @@ def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
     return _result(out, (f, masks, w, b), "mask_logits", backward_fn)
 
 
+@recorded
 def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int, q_offsets=None, kv_offsets=None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
@@ -415,6 +436,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+@recorded
 def softplus(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
@@ -428,6 +450,7 @@ def softplus(a) -> Tensor:
 # -- softmax and the losses ------------------------------------------------
 
 
+@recorded
 def softmax(a) -> Tensor:
     """Row-wise softmax of an (n, d) tensor."""
     a = _as_tensor(a)
@@ -443,6 +466,7 @@ def softmax(a) -> Tensor:
     return _result(y, (a,), "softmax", backward_fn)
 
 
+@recorded
 def cross_entropy(logits, labels, offsets=None) -> Tensor:
     """Mean over rows of -log softmax(logits)[row, label], as one node.
 
@@ -469,6 +493,7 @@ def cross_entropy(logits, labels, offsets=None) -> Tensor:
     return _result(loss, (logits,), "cross_entropy", backward_fn)
 
 
+@recorded
 def bce_with_logits(logits, targets, offsets=None) -> Tensor:
     """Mean over the entries of (n, N) logits of BCE(sigmoid(x), t) = softplus(x) - t * x, as one node.
 
@@ -499,6 +524,7 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
+@recorded
 def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS, residual=None) -> Tensor:
     """normalize(x + residual) * gain + bias as one node.
 
@@ -557,6 +583,7 @@ def _segment_sum(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     return sums.astype(np.float64, copy=False).reshape(n, d)
 
 
+@recorded
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     in_shape = a.shape
@@ -567,6 +594,7 @@ def sum_all(a) -> Tensor:
     return _result(a.data.sum(), (a,), "sum", backward_fn)
 
 
+@recorded
 def gather_rows(a, index: np.ndarray) -> Tensor:
     """out[j] = a[index[j]]; gradient scatter-adds back onto the source rows."""
     a = _as_tensor(a)
@@ -583,6 +611,7 @@ def gather_rows(a, index: np.ndarray) -> Tensor:
     return _result(a.data[index], (a,), "gather_rows", backward_fn)
 
 
+@recorded
 def pool_rows_mean(a, parent: np.ndarray, n_parents: int) -> Tensor:
     """Group rows by parent index and average each group."""
     a = _as_tensor(a)
@@ -615,6 +644,36 @@ def _topo_order(root: Tensor) -> list[Tensor]:
                 seen[p.node_id] = p
                 stack.append(p)
     return [seen[i] for i in sorted(seen)]
+
+
+def _tensors(value) -> list:
+    """The Tensors in a recorded argument, searching lists and tuples."""
+    if isinstance(value, (list, tuple)):
+        return [t for v in value for t in _tensors(v)]
+    return [value] if isinstance(value, Tensor) else []
+
+
+def downstream(loss: Tensor, leaves) -> list[list[Tensor]]:
+    """For each of ``leaves``, the op nodes reachable from ``loss`` whose
+    recorded call arguments depend on that leaf, in creation order: making
+    their calls again in that order recomputes ``loss`` after the leaf's data
+    changes. The walk follows the recorded arguments, not ``parents``, and
+    stops at a node without a recorded call (a leaf or one built by hand)."""
+    inputs, stack = {}, [loss]  # node_id -> (node, the Tensors its call takes)
+    while stack:
+        node = stack.pop()
+        if node.call is not None and node.node_id not in inputs:
+            inputs[node.node_id] = (node, _tensors([node.call[1], list(node.call[2].values())]))
+            stack += inputs[node.node_id][1]
+    order, cones = [inputs[i] for i in sorted(inputs)], []
+    for leaf in leaves:
+        hit, cone = {leaf.node_id}, []
+        for node, args in order:
+            if any(t.node_id in hit for t in args):
+                hit.add(node.node_id)
+                cone.append(node)
+        cones.append(cone)
+    return cones
 
 
 def backward(loss: Tensor):

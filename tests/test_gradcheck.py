@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from semaffine import gradcheck
+from semaffine import gradcheck, verify
 from semaffine import tensor as T
 from semaffine.errors import NumericError
 from semaffine.gradcheck import finite_diff_check
@@ -153,10 +153,14 @@ class TestParallelForwards:
         monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
         x = Tensor(np.arange(9.0), requires_grad=True)
 
-        def f():
+        @T.recorded
+        def checked_square(x):  # a recorded op, so replaying the entry's perturbation raises
             if x.data[entry] != entry:
                 raise NumericError(f"entry {entry} perturbed")
-            return T.sum_all(T.mul(x, x))
+            return T.mul(x, x)
+
+        def f():
+            return T.sum_all(checked_square(x))
 
         with pytest.raises(NumericError, match=f"entry {entry} perturbed"):
             finite_diff_check(f, [("x", x)])
@@ -184,6 +188,69 @@ class TestParallelForwards:
         assert finite_diff_check(lambda: T.sum_all(T.mul(x, x)), [("x", x)]).passed
         assert len(started) == forks
         _assert_no_children()
+
+
+class TestReplay:
+    @pytest.mark.parametrize("read", [slice(None), slice(1, None)], ids=["whole", "tail"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_data_read_outside_the_ops_still_fails(self, monkeypatch, workers, read):
+        # 2 * x.data[read] moves with x in a full forward but is no recorded
+        # argument, so only x's audit sees it, and x falls back to full forwards
+        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        x = Tensor([0.5, -0.5, -1.5], requires_grad=True)
+        y = Tensor([-1.0, 0.0, -0.5], requires_grad=True)
+
+        def f():
+            hidden = np.zeros(3)
+            hidden[read] = 2 * x.data[read]
+            return T.sum_all(T.add(T.mul(x, y), Tensor(hidden)))
+
+        report = finite_diff_check(f, [("x", x), ("y", y)])
+        assert [line.split("max_rel_err")[0] for line in report.lines()] == ["FAIL  x  ", "PASS  y  "]
+        np.testing.assert_allclose(report.params[0].max_rel_err, 1.0, rtol=1e-6)
+        assert x.data.tolist() == [0.5, -0.5, -1.5]
+
+    @pytest.mark.parametrize("module", verify.MODULES)
+    def test_suite_replays_exactly_with_one_forward_per_parameter(self, monkeypatch, module):
+        # an op that forgot to record its call would fall back to full forwards here
+        maps = []
+        real_map = gradcheck._ordered_map
+
+        def spied_map(fn, items):
+            results = real_map(fn, items)
+            maps.append((items, results))
+            return results
+
+        monkeypatch.setattr(gradcheck, "_ordered_map", spied_map)
+        for _, name, loss, params, tol, max_entries in verify.iter_checks(module):
+            maps.clear()
+            read_fd, write_fd = os.pipe()  # one byte per call of f, from the forked workers too
+
+            def f():
+                os.write(write_fd, b".")
+                return loss()
+
+            try:
+                assert finite_diff_check(f, params, tol=tol, max_entries=max_entries).passed, name
+            finally:
+                os.close(write_fd)
+            with os.fdopen(read_fd, "rb") as calls:
+                assert len(calls.read()) == 1 + len(params), name  # the first forward, one audit each
+            items, pairs = maps[0]  # the replay pass
+
+            def full_pair(n):  # f at p+H and at p-H for items[n], by full forwards
+                k, i = items[n]
+                flat = params[k][1].data.reshape(-1)
+                orig, out = flat[i], []
+                for step in (gradcheck.H, -gradcheck.H):
+                    flat[i] = orig + step
+                    out.append(float(loss().data).hex())
+                flat[i] = orig
+                return out
+
+            first = [n for n, (k, _) in enumerate(items) if n == 0 or items[n - 1][0] != k]  # k's first entry
+            assert [items[n][0] for n in first] == list(range(len(params))), name
+            assert [[p.hex() for p in pairs[n][:2]] for n in first] == real_map(full_pair, first), name
 
 
 def _mix_loss(out, seed=0):

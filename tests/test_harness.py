@@ -165,6 +165,17 @@ class TestSchedule:
         with pytest.raises(NumericError, match="non-finite gradient for p"):
             Hx.sgd_step([("p", p)], Hx.SgdState(), Hx.TrainConfig(), t=0, total_steps=10)
 
+    def test_non_finite_gradient_updates_nothing(self):
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([2.0]), requires_grad=True)
+        a.grad, b.grad = np.array([1.0]), np.array([np.nan])
+        cfg = Hx.TrainConfig(warmup_fraction=0.0)
+        state = Hx.SgdState()
+        with pytest.raises(NumericError, match="non-finite gradient for b"):
+            Hx.sgd_step([("a", a), ("b", b)], state, cfg, t=0, total_steps=10)
+        assert a.data.tolist() == [1.0] and b.data.tolist() == [2.0]
+        assert state.velocities == {}
+
     def test_momentum_and_weight_decay_update(self):
         cfg = Hx.TrainConfig(base_lr=0.1, momentum=0.9, weight_decay=0.01, warmup_fraction=0.0)
         p = Tensor(np.array([2.0]), requires_grad=True)
