@@ -8,23 +8,28 @@ so a gradient corrupted by a factor of 2 reports ~1/3. The floor ``DELTA``
 absorbs central-difference roundoff (about eps*|f|/H) on entries whose true
 gradient is zero or tiny; a genuinely wrong gradient lands far above it.
 
-``f`` runs once, plus once per parameter tensor: a perturbed loss replays
-only the recorded op calls downstream of the parameter (``tensor.downstream``).
-Each parameter's replay is audited once, with every chosen entry moved at
-once by its own step of about H: if a full ``f()`` gives other bits (the
-parameter reaches the loss outside the recorded calls), all its entries take
-full forwards.
+A perturbed loss replays only the recorded op calls downstream of the
+parameter (``tensor.downstream``, the parameter's cone). One joint audit
+checks every replay: it moves every chosen entry of every parameter at once,
+each by its own step of about H, and compares a full ``f()`` with the replay
+of the union of all cones. So ``f`` runs twice in a check whose replays are
+exact: once for the analytic gradients and once for the joint audit. Only if
+the audit finds other bits does each parameter get an audit of its own, and a
+parameter whose audit differs (it reaches the loss outside the recorded
+calls) takes full forwards for all its entries.
 
 The perturbed forwards do not depend on each other, so they run on every CPU
 in the process's affinity mask: the chosen entries are split into one
-contiguous block per CPU, and each block after the first runs in a forked
-child. ``taskset -c 0`` runs them all in the calling process. Each forward
-sees the same parameter values either way, so the reports are bit-identical
-for any number of CPUs.
+contiguous block per CPU, of about equal numbers of replayed ops, and each
+block after the first runs in a forked child. ``taskset -c 0`` runs them
+all in the calling process. Each forward sees the same parameter values
+either way, so the reports are bit-identical for any number of CPUs.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import os
 import pickle
 import signal
@@ -101,17 +106,27 @@ def _run_block(fn: Callable, block: Sequence, fd: int) -> None:
         os._exit(status)
 
 
-def _ordered_map(fn: Callable, items: Sequence) -> list:
+def _ordered_map(fn: Callable, items: Sequence, costs: Sequence[int] | None = None) -> list:
     """``[fn(x) for x in items]``, split over ``_worker_count()`` processes.
 
-    The items are cut into contiguous blocks. The calling process runs the
-    first; a forked child runs each other block on its own copy-on-write
-    memory, so what ``fn`` mutates there never reaches the caller. (``fn`` is
-    a closure over live tensors, which a spawned worker could not receive.)
-    Every child is reaped before this returns or raises, and the first
-    exception in item order is re-raised."""
-    w = max(1, min(_worker_count(), len(items)))  # one worker forks nothing
-    bounds = [b * len(items) // w for b in range(w + 1)]
+    The items are cut into ``w`` contiguous, non-empty blocks of about equal
+    total cost: with ``costs`` (1 each by default) laid end to end, an item
+    goes to block ``b`` when the middle of its span lies in the ``b``-th
+    ``w``-th of the total (moved where a block would otherwise be empty). The
+    calling process runs the first block; a forked child runs each other
+    block on its own copy-on-write memory, so what ``fn`` mutates there
+    never reaches the caller. (``fn`` is a closure over live tensors, which a
+    spawned worker could not receive.) Every child is reaped before this
+    returns or raises, and the first exception in item order is re-raised."""
+    n = len(items)
+    w = max(1, min(_worker_count(), n))  # one worker forks nothing
+    costs = [1] * n if costs is None else costs
+    middles = [2 * end - c for end, c in zip(itertools.accumulate(costs), costs)]  # twice each span's middle
+    total, bounds = sum(costs), [0]
+    for b in range(1, w):  # at least one item before the bound and one per later block
+        crossed = bisect.bisect_left(middles, 2 * b * total / w)
+        bounds.append(min(max(crossed, bounds[-1] + 1), n - w + b))
+    bounds.append(n)
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     payloads: list[bytes] = []
     statuses: list[int] = []
@@ -155,8 +170,8 @@ def finite_diff_check(
     """Compare analytic gradients of the scalar ``f()`` against central differences.
 
     ``f`` must be deterministic and rebuild its graph from the live ``params``
-    tensors on every call; it runs once, plus once per parameter tensor
-    (module docstring). When ``max_entries`` is set, a seeded subsample of
+    tensors on every call; it runs twice when every replay is exact (module
+    docstring). When ``max_entries`` is set, a seeded subsample of
     entries per parameter is perturbed instead of every entry.
     """
     report = GradCheckReport()
@@ -183,57 +198,64 @@ def finite_diff_check(
     flats = [p.data.reshape(-1) for _, p in params]
     cones = downstream(loss, [p for _, p in params])  # a cone is None once it falls back to full forwards
 
-    def loss_at(k: int) -> float:
-        if cones[k] is None:
-            return float(f().data)
-        for node in cones[k]:
+    def replay(nodes: list[Tensor]) -> float:
+        for node in nodes:
             fn, args, kwargs = node.call
             node.data = fn(*args, **kwargs).data
         return float(loss.data)
 
-    def audit(k: int) -> bool:
-        """Whether a full f() and parameter k's replay give the same bits (every
-        NaN hexes to "nan") with every chosen entry of k moved at once, each by
-        its own step in [H/2, 3H/2): a uniform step can vanish, as in a layer_norm."""
-        flat, orig = flats[k], flats[k][chosen[k]]  # a copy
-        try:
-            flat[chosen[k]] = orig + H * np.random.default_rng(k).uniform(0.5, 1.5, orig.size)
-            return float(f().data).hex() == loss_at(k).hex()
-        finally:
-            flat[chosen[k]] = orig
+    def loss_at(k: int) -> float:
+        return float(f().data) if cones[k] is None else replay(cones[k])
 
-    def forward_pair(entry: tuple[int, int]) -> tuple[float, float, bool]:
-        """``(f(p+H), f(p-H), agrees)`` for entry ``i`` of parameter ``k``;
-        ``agrees`` is the parameter's audit on its last entry, else True."""
+    def union(ks) -> list[Tensor]:
+        """The op nodes in the cone of any parameter in ``ks``, in creation order."""
+        return [node for _, node in sorted({node.node_id: node for k in ks for node in cones[k]}.items())]
+
+    def audit(ks) -> bool:
+        """Whether a full f() and the replay of the cones of parameters ``ks``
+        give the same bits (every NaN hexes to "nan") with every chosen entry
+        of each moved at once, each by its own step in [H/2, 3H/2) from
+        ``default_rng(k)``: a uniform step can vanish, as in a layer_norm."""
+        nodes = union(ks)
+        origs, saved = [flats[k][chosen[k]] for k in ks], [node.data for node in nodes]  # copies, references
+        try:
+            for k, orig in zip(ks, origs):
+                flats[k][chosen[k]] = orig + H * np.random.default_rng(k).uniform(0.5, 1.5, orig.size)
+            return float(f().data).hex() == replay(nodes).hex()
+        finally:
+            for k, orig in zip(ks, origs):
+                flats[k][chosen[k]] = orig
+            for node, data in zip(nodes, saved):
+                node.data = data
+
+    def forward_pair(entry: tuple[int, int]) -> tuple[float, float]:
+        """``(f(p+H), f(p-H))`` for entry ``i`` of parameter ``k``."""
         k, i = entry
         flat, orig, saved = flats[k], flats[k][i], [node.data for node in cones[k] or ()]
         try:
             flat[i] = orig + H
             f_plus = loss_at(k)
             flat[i] = orig - H
-            f_minus = loss_at(k)
-            flat[i] = orig
-            agrees = cones[k] is None or i != chosen[k][-1] or audit(k)
+            return f_plus, loss_at(k)
         finally:
             flat[i] = orig
             for node, data in zip(cones[k] or (), saved):
                 node.data = data
-        return f_plus, f_minus, agrees
 
+    ks = range(len(params))
+    full = len(union(ks))  # the ops of the joint replay, which a full forward recomputes too
+    if not audit(ks):
+        for k, agrees in zip(ks, _ordered_map(lambda k: audit([k]), ks)):
+            if not agrees:
+                cones[k] = None  # the loss depends on parameter k by a path that no recorded call shows
     items = [(k, i) for k, idx in enumerate(chosen) for i in idx]
-    pairs = _ordered_map(forward_pair, items)
-    for (k, _), (_, _, agrees) in zip(items, pairs):
-        if not agrees:
-            cones[k] = None  # the loss depends on parameter k by a path that no recorded call shows
-    redo = [n for n, (k, _) in enumerate(items) if cones[k] is None]
-    for n, pair in zip(redo, _ordered_map(forward_pair, [items[n] for n in redo])):
-        pairs[n] = pair
+    pairs = _ordered_map(forward_pair, items, [full if cones[k] is None else len(cones[k]) for k, _ in items])
     start = 0
     for (name, _), idx in zip(params, chosen):
         a_flat = analytic[name].reshape(-1)
         max_rel = 0.0
         note = ""
-        for i, (f_plus, f_minus, _) in zip(idx, pairs[start:start + len(idx)]):
+        for i, (f_plus, f_minus) in zip(idx, pairs[start:start + len(idx)]):
             a = a_flat[i]
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 note = f"non-finite forward while perturbing entry {i}"

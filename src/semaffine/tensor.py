@@ -502,7 +502,7 @@ def bce_with_logits(logits, targets, offsets=None) -> Tensor:
     targets = np.asarray(targets, dtype=np.float64)
     if logits.data.ndim != 2 or targets.shape != logits.shape:
         raise ShapeError(f"bce: logits {logits.shape} vs targets {targets.shape}")
-    if not np.isin(targets, (0.0, 1.0)).all():
+    if not ((targets == 0) | (targets == 1)).all():
         raise ContractError("bce: targets must be binary")
     scenes = _scene_rows(offsets, logits.shape[0], "bce")
     x = logits.data

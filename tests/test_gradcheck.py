@@ -130,6 +130,18 @@ def _check_with_workers(monkeypatch, workers, make_case):
     return report
 
 
+def _count_forks(monkeypatch) -> list:
+    """Patch ``os.fork`` to append to the returned list on every call."""
+    started, real_fork = [], os.fork
+
+    def counted_fork():
+        started.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return started
+
+
 def _assert_no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -149,7 +161,8 @@ class TestParallelForwards:
     @pytest.mark.parametrize("entry", [8, 0], ids=["last_block", "first_block"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_exception_keeps_type_and_message(self, monkeypatch, workers, entry):
-        # entry 8 raises in a child's block, entry 0 in the caller's own
+        # entry 8 lies in a child's block, entry 0 in the caller's own; the
+        # joint audit moves both, so it raises first, in the caller
         monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
         x = Tensor(np.arange(9.0), requires_grad=True)
 
@@ -176,17 +189,35 @@ class TestParallelForwards:
     @pytest.mark.parametrize("workers, entries, forks", [(1, 9, 0), (2, 9, 1), (3, 9, 2), (3, 2, 1)])
     def test_forks_at_most_one_child_per_other_worker(self, monkeypatch, workers, entries, forks):
         monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
-        started = []
-        real_fork = os.fork
-
-        def counted_fork():
-            started.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
+        started = _count_forks(monkeypatch)
         x = Tensor(np.linspace(0.5, 1.5, entries), requires_grad=True)
         assert finite_diff_check(lambda: T.sum_all(T.mul(x, x)), [("x", x)]).passed
         assert len(started) == forks
+        _assert_no_children()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_costs_cut_contiguous_blocks_in_item_order(self, monkeypatch, workers):
+        # three heavy items and six light ones, as early backbone cones against affine heads
+        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        started = _count_forks(monkeypatch)
+        items, costs = list(range(9)), [70] * 3 + [10] * 6
+        results = gradcheck._ordered_map(lambda x: (os.getpid(), x * x), items, costs)
+        _assert_no_children()
+        assert [r[1] for r in results] == [x * x for x in items]
+        pids = [r[0] for r in results]
+        runs = [pid for n, pid in enumerate(pids) if n == 0 or pids[n - 1] != pid]
+        assert runs[0] == os.getpid() and len(runs) == len(set(runs)) == workers  # contiguous, non-empty
+        assert len(started) == workers - 1
+        blocks = [sum(c for c, pid in zip(costs, pids) if pid == run) for run in runs]
+        assert blocks == {1: [270], 2: [140, 130], 3: [70, 140, 60]}[workers]
+
+        def square_below_8(x):
+            if x == 8:
+                raise NumericError("item 8 raised")
+            return x * x
+
+        with pytest.raises(NumericError, match="item 8 raised"):  # from the last block
+            gradcheck._ordered_map(square_below_8, items, costs)
         _assert_no_children()
 
 
@@ -210,14 +241,37 @@ class TestReplay:
         np.testing.assert_allclose(report.params[0].max_rel_err, 1.0, rtol=1e-6)
         assert x.data.tolist() == [0.5, -0.5, -1.5]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_joint_audit_falls_back_only_the_offending_parameter(self, monkeypatch, workers):
+        # the joint audit moves x and y at once and sees x's hidden read, so
+        # each parameter is audited alone, and only x takes full forwards
+        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        x = Tensor([0.5, -0.5, -1.5], requires_grad=True)
+        y = Tensor([-1.0, 0.0, -0.5], requires_grad=True)
+        read_fd, write_fd = os.pipe()  # one byte per call of f, from the forked workers too
+
+        def f():
+            os.write(write_fd, b".")
+            return T.sum_all(T.add(T.mul(x, y), Tensor(2 * x.data)))
+
+        try:
+            report = finite_diff_check(f, [("x", x), ("y", y)])
+        finally:
+            os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as calls:
+            assert len(calls.read()) == 1 + 1 + 2 + 2 * 3  # first, joint audit, one audit each, x's pairs
+        _assert_no_children()
+        assert [line.split("max_rel_err")[0] for line in report.lines()] == ["FAIL  x  ", "PASS  y  "]
+        assert x.data.tolist() == [0.5, -0.5, -1.5] and y.data.tolist() == [-1.0, 0.0, -0.5]
+
     @pytest.mark.parametrize("module", verify.MODULES)
-    def test_suite_replays_exactly_with_one_forward_per_parameter(self, monkeypatch, module):
-        # an op that forgot to record its call would fall back to full forwards here
+    def test_suite_replays_exactly_with_two_forwards(self, monkeypatch, module):
+        # an op that forgot to record its call would fail the joint audit here
         maps = []
         real_map = gradcheck._ordered_map
 
-        def spied_map(fn, items):
-            results = real_map(fn, items)
+        def spied_map(fn, items, costs=None):
+            results = real_map(fn, items, costs)
             maps.append((items, results))
             return results
 
@@ -235,7 +289,7 @@ class TestReplay:
             finally:
                 os.close(write_fd)
             with os.fdopen(read_fd, "rb") as calls:
-                assert len(calls.read()) == 1 + len(params), name  # the first forward, one audit each
+                assert len(calls.read()) == 2, name  # the first forward and the joint audit
             items, pairs = maps[0]  # the replay pass
 
             def full_pair(n):  # f at p+H and at p-H for items[n], by full forwards
@@ -250,7 +304,7 @@ class TestReplay:
 
             first = [n for n, (k, _) in enumerate(items) if n == 0 or items[n - 1][0] != k]  # k's first entry
             assert [items[n][0] for n in first] == list(range(len(params))), name
-            assert [[p.hex() for p in pairs[n][:2]] for n in first] == real_map(full_pair, first), name
+            assert [[p.hex() for p in pairs[n]] for n in first] == real_map(full_pair, first), name
 
 
 def _mix_loss(out, seed=0):

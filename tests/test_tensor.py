@@ -195,11 +195,14 @@ class TestFusedLosses:
         for targets in (np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3, 1))):
             with pytest.raises(ShapeError, match="bce"):
                 T.bce_with_logits(logits, targets)
-        for bad in (0.5, -1.0, np.nan):
+        for bad in (0.5, -1.0, 2.0, np.nan):
             targets = np.ones((2, 3))
             targets[1, 2] = bad
             with pytest.raises(ContractError, match="binary"):
                 T.bce_with_logits(logits, targets)
+        targets = np.ones((2, 3))
+        targets[1, 2] = -0.0  # equal to 0
+        assert T.bce_with_logits(logits, targets).data == T.bce_with_logits(logits, np.abs(targets)).data
 
 
 def unit_norm(x, eps):
