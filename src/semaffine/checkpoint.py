@@ -97,6 +97,8 @@ def load_checkpoint(path):
     declared = None
     for i, line in enumerate(header_lines[1:], start=2):
         if line.startswith("step="):
+            if step is not None:
+                raise ParseError("duplicate step line", line=i)
             step = _count(line[len("step="):], i, line)
         elif line.startswith("cfg."):
             key, _, value = line[len("cfg."):].partition("=")

@@ -13,10 +13,9 @@ parameter (``tensor.downstream``, the parameter's cone). One joint audit
 checks every replay: it moves every chosen entry of every parameter at once,
 each by its own step of about H, and compares a full ``f()`` with the replay
 of the union of all cones. So ``f`` runs twice in a check whose replays are
-exact: once for the analytic gradients and once for the joint audit. Only if
-the audit finds other bits does each parameter get an audit of its own, and a
-parameter whose audit differs (it reaches the loss outside the recorded
-calls) takes full forwards for all its entries.
+exact: once for the analytic gradients and once for the joint audit. If the
+audit finds other bits, some parameter reaches the loss outside the recorded
+calls, and every entry of every parameter takes full forwards instead.
 
 The perturbed forwards do not depend on each other, so they run on every CPU
 in the process's affinity mask: the chosen entries are split into one
@@ -196,7 +195,8 @@ def finite_diff_check(
             idx = np.arange(n)
         chosen.append(idx)
     flats = [p.data.reshape(-1) for _, p in params]
-    cones = downstream(loss, [p for _, p in params])  # a cone is None once it falls back to full forwards
+    cones = downstream(loss, [p for _, p in params])
+    joint = [node for _, node in sorted({node.node_id: node for cone in cones for node in cone}.items())]
 
     def replay(nodes: list[Tensor]) -> float:
         for node in nodes:
@@ -204,52 +204,43 @@ def finite_diff_check(
             node.data = fn(*args, **kwargs).data
         return float(loss.data)
 
-    def loss_at(k: int) -> float:
-        return float(f().data) if cones[k] is None else replay(cones[k])
-
-    def union(ks) -> list[Tensor]:
-        """The op nodes in the cone of any parameter in ``ks``, in creation order."""
-        return [node for _, node in sorted({node.node_id: node for k in ks for node in cones[k]}.items())]
-
-    def audit(ks) -> bool:
-        """Whether a full f() and the replay of the cones of parameters ``ks``
-        give the same bits (every NaN hexes to "nan") with every chosen entry
-        of each moved at once, each by its own step in [H/2, 3H/2) from
-        ``default_rng(k)``: a uniform step can vanish, as in a layer_norm."""
-        nodes = union(ks)
-        origs, saved = [flats[k][chosen[k]] for k in ks], [node.data for node in nodes]  # copies, references
+    def audit() -> bool:
+        """Whether a full f() and the replay of ``joint`` (every cone's ops,
+        in creation order) give the same bits (every NaN hexes to "nan") with
+        every chosen entry of every parameter moved at once, each by its own
+        step in [H/2, 3H/2) from ``default_rng(k)`` for parameter ``k``: a
+        uniform step can vanish, as in a layer_norm."""
+        origs, saved = [flat[idx] for flat, idx in zip(flats, chosen)], [node.data for node in joint]
         try:
-            for k, orig in zip(ks, origs):
+            for k, orig in enumerate(origs):
                 flats[k][chosen[k]] = orig + H * np.random.default_rng(k).uniform(0.5, 1.5, orig.size)
-            return float(f().data).hex() == replay(nodes).hex()
+            return float(f().data).hex() == replay(joint).hex()
         finally:
-            for k, orig in zip(ks, origs):
+            for k, orig in enumerate(origs):
                 flats[k][chosen[k]] = orig
-            for node, data in zip(nodes, saved):
+            for node, data in zip(joint, saved):
                 node.data = data
+
+    exact = audit()  # False: the loss depends on a parameter by a path that no recorded call shows
+    loss_of = replay if exact else (lambda _: float(f().data))
 
     def forward_pair(entry: tuple[int, int]) -> tuple[float, float]:
         """``(f(p+H), f(p-H))`` for entry ``i`` of parameter ``k``."""
         k, i = entry
-        flat, orig, saved = flats[k], flats[k][i], [node.data for node in cones[k] or ()]
+        flat, orig, saved = flats[k], flats[k][i], [node.data for node in cones[k]]
         try:
             flat[i] = orig + H
-            f_plus = loss_at(k)
+            f_plus = loss_of(cones[k])
             flat[i] = orig - H
-            return f_plus, loss_at(k)
+            return f_plus, loss_of(cones[k])
         finally:
             flat[i] = orig
-            for node, data in zip(cones[k] or (), saved):
+            for node, data in zip(cones[k], saved):
                 node.data = data
 
-    ks = range(len(params))
-    full = len(union(ks))  # the ops of the joint replay, which a full forward recomputes too
-    if not audit(ks):
-        for k, agrees in zip(ks, _ordered_map(lambda k: audit([k]), ks)):
-            if not agrees:
-                cones[k] = None  # the loss depends on parameter k by a path that no recorded call shows
     items = [(k, i) for k, idx in enumerate(chosen) for i in idx]
-    pairs = _ordered_map(forward_pair, items, [full if cones[k] is None else len(cones[k]) for k, _ in items])
+    # a full forward recomputes every op of the joint replay
+    pairs = _ordered_map(forward_pair, items, [len(cones[k]) if exact else len(joint) for k, _ in items])
     start = 0
     for (name, _), idx in zip(params, chosen):
         a_flat = analytic[name].reshape(-1)

@@ -12,6 +12,7 @@ On-disk format (text, line-oriented, UTF-8):
     n=<points> classes=<N> seed=<seed>
     x y z label        (exactly n lines, one point each, 17-significant-digit reals)
 
+The header names each of its keys once; ``seed`` may be left out (0).
 Only blank lines may follow the n point lines. Integers are ASCII decimal
 digits after an optional ``-`` (``errors.ascii_int``): a seed may be
 negative, and the range checks report a negative count or label.
@@ -130,7 +131,7 @@ def _blob(rng, n, center, sigma):
 
 
 def _legs(rng, n, cx, cy, half_x, half_y, leg_height):
-    """Four legs at the corners; returns the leg points and their stats."""
+    """Four legs at the corners; returns their points."""
     corners = [(cx - half_x, cy - half_y), (cx - half_x, cy + half_y),
                (cx + half_x, cy - half_y), (cx + half_x, cy + half_y)]
     per = np.array_split(np.arange(n), 4)
@@ -283,6 +284,10 @@ def read_scene(path) -> LabeledCloud:
         if "=" not in tok:
             raise ParseError(f"malformed header token {tok!r}", line=2)
         key, value = tok.split("=", 1)
+        if key not in ("n", "classes", "seed"):
+            raise ParseError(f"unknown header key {key!r}", line=2)
+        if key in header:
+            raise ParseError(f"duplicate header key {key!r}", line=2)
         header[key] = value
     try:
         n = ascii_int(header["n"], signed=True)

@@ -226,7 +226,7 @@ class TestReplay:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_data_read_outside_the_ops_still_fails(self, monkeypatch, workers, read):
         # 2 * x.data[read] moves with x in a full forward but is no recorded
-        # argument, so only x's audit sees it, and x falls back to full forwards
+        # argument, so the joint audit sees it, and the check falls back to full forwards
         monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
         x = Tensor([0.5, -0.5, -1.5], requires_grad=True)
         y = Tensor([-1.0, 0.0, -0.5], requires_grad=True)
@@ -242,9 +242,9 @@ class TestReplay:
         assert x.data.tolist() == [0.5, -0.5, -1.5]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_joint_audit_falls_back_only_the_offending_parameter(self, monkeypatch, workers):
+    def test_failed_joint_audit_falls_back_the_whole_check(self, monkeypatch, workers):
         # the joint audit moves x and y at once and sees x's hidden read, so
-        # each parameter is audited alone, and only x takes full forwards
+        # every entry of x and of y takes full forwards
         monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
         x = Tensor([0.5, -0.5, -1.5], requires_grad=True)
         y = Tensor([-1.0, 0.0, -0.5], requires_grad=True)
@@ -259,7 +259,7 @@ class TestReplay:
         finally:
             os.close(write_fd)
         with os.fdopen(read_fd, "rb") as calls:
-            assert len(calls.read()) == 1 + 1 + 2 + 2 * 3  # first, joint audit, one audit each, x's pairs
+            assert len(calls.read()) == 1 + 1 + 2 * 6  # first, joint audit, every entry's pair
         _assert_no_children()
         assert [line.split("max_rel_err")[0] for line in report.lines()] == ["FAIL  x  ", "PASS  y  "]
         assert x.data.tolist() == [0.5, -0.5, -1.5] and y.data.tolist() == [-1.0, 0.0, -0.5]
@@ -305,6 +305,36 @@ class TestReplay:
             first = [n for n, (k, _) in enumerate(items) if n == 0 or items[n - 1][0] != k]  # k's first entry
             assert [items[n][0] for n in first] == list(range(len(params))), name
             assert [[p.hex() for p in pairs[n]] for n in first] == real_map(full_pair, first), name
+
+    def test_unrecorded_softmax_takes_full_forwards(self, monkeypatch):
+        # softmax leaves no recorded call, so no replay recomputes it: the
+        # joint audit fails, and every pair must equal two full forwards
+        monkeypatch.setattr(T, "softmax", T.softmax.__wrapped__)
+        maps = []
+        real_map = gradcheck._ordered_map
+
+        def spied_map(fn, items, costs=None):
+            results = real_map(fn, items, costs)
+            maps.append((items, results))
+            return results
+
+        monkeypatch.setattr(gradcheck, "_ordered_map", spied_map)
+        [(_, _, loss, params, tol, _)] = [c for c in verify.iter_checks("model") if c[1] == "end_to_end_16pt"]
+        assert finite_diff_check(loss, params, tol=tol, max_entries=1).passed
+        items, pairs = maps[-1]  # the pair pass
+
+        def full_pair(entry):  # f at p+H and at p-H by full forwards
+            k, i = entry
+            flat = params[k][1].data.reshape(-1)
+            orig, out = flat[i], []
+            for step in (gradcheck.H, -gradcheck.H):
+                flat[i] = orig + step
+                out.append(float(loss().data).hex())
+            flat[i] = orig
+            return out
+
+        assert len(items) == len(params)
+        assert [[p.hex() for p in pair] for pair in pairs] == real_map(full_pair, items)
 
 
 def _mix_loss(out, seed=0):

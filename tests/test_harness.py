@@ -275,6 +275,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit,line", [
         (lambda raw: raw.replace(b"step=0", b"step=x"), 2),
+        (lambda raw: raw.replace(b"step=0\n", b"step=0\nstep=9\n"), 3),  # the last step would win
         (lambda raw: raw.replace(b"payload 80", b"payload x"), 7),
         (lambda raw: raw[:raw.index(b"payload 80") + len(b"payload 80")], 7),
         (lambda raw: raw.replace(b"3,2 0\n", b"3,2 -8\n"), 4),
@@ -285,8 +286,8 @@ class TestCheckpoint:
         (lambda raw: raw.replace(b"3,2 0\n", b"0,100000000000000000000 0\n"), 4),  # no entries, but no array either
         (lambda raw: raw.replace(b"3,2 0\n", b"100000000000000000000 0\n"), 4),  # more entries than an intp holds
         (lambda raw: raw.replace(b"3,2 0\n", b"10000000000,10000000000 0\n"), 4),
-    ], ids=["step", "payload", "cut-after-payload-line", "negative-offset", "nan-entry", "inf-entry",
-            "nan-middle-entry", "odd-offset", "oversized-empty-shape", "huge-shape", "huge-2d-shape"])
+    ], ids=["step", "repeated-step", "payload", "cut-after-payload-line", "negative-offset", "nan-entry",
+            "inf-entry", "nan-middle-entry", "odd-offset", "oversized-empty-shape", "huge-shape", "huge-2d-shape"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, edit, line):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, self._params(np.random.default_rng(9)), {"seed": 3}, step=0)

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` swaps wrappers into ``semaffine.model``, ``train``,
 ``tensor`` and ``verify`` and reads the ``ModelParams`` fields. A renamed or
 deleted patch point, or a changed call signature, breaks the traced
-benchmark runs; this test catches it on one tiny training epoch.
+benchmark runs; these tests catch it on one tiny training epoch and on one
+gradient-check module.
 """
 
 from pathlib import Path
@@ -40,3 +41,12 @@ def test_traced_training_epoch_runs_and_restores_every_patch_point(monkeypatch):
             "affine_heads.1"} <= names, names
     for module, saved in zip(PATCHED_MODULES, before):
         assert {name: id(value) for name, value in vars(module).items()} == saved, module.__name__
+
+
+def test_traced_gradcheck_counts_the_wrapped_forwards(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    with spans.instrument(spans.Tracer()) as tracer:
+        assert verify_mod.run_suite(module="hierarchy", emit=lambda line: None)
+    assert tracer.counts["gradcheck.forward_calls"] == 2  # the first forward and the joint audit

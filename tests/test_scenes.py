@@ -162,6 +162,21 @@ class TestSceneIO:
         with pytest.raises(ParseError, match="line 6"):
             S.read_scene(path)
 
+    @pytest.mark.parametrize("header, message", [("n=1 classes=4 seed=0 n=2", "duplicate header key 'n'"),
+                                                 ("n=1 classes=4 seed=0 bogus=7", "unknown header key 'bogus'"),
+                                                 ("n=1 classes=4 seed=0 seed=0", "duplicate header key 'seed'")],
+                             ids=["repeated-n", "unknown", "repeated-seed"])
+    def test_header_key_repeated_or_unknown_rejected(self, tmp_path, header, message):
+        path = tmp_path / "header.txt"
+        path.write_text(f"{S.MAGIC}\n{header}\n0 0 0 1\n0 0 0 2\n")
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            S.read_scene(path)
+
+    def test_header_seed_defaults_to_zero(self, tmp_path):
+        path = tmp_path / "no_seed.txt"
+        path.write_text(f"{S.MAGIC}\nclasses=4 n=1\n0 0 0 1\n")
+        assert S.read_scene(path).seed == 0
+
     def test_trailing_blank_lines_accepted(self, tmp_path):
         path = tmp_path / "blank_tail.txt"
         path.write_text(f"{S.MAGIC}\nn=1 classes=4 seed=0\n0 0 0 1\n\n \t\n")
