@@ -28,7 +28,7 @@ from .config import (
     scene_spec_from,
     train_config_from,
 )
-from .errors import ConfigError, NumericError, SemaffineError
+from .errors import ConfigError, NumericError, SemaffineError, ascii_float, ascii_int
 from .model import AFFINE_MODES, CLASSIFIERS
 from .scenes import generate_scene, write_manifest, write_scene
 from .train import eval_run, train_run
@@ -122,6 +122,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _number(convert, kind: str):
+    """``convert`` as an argparse type whose ValueError is the usage error
+    "invalid <kind> value"; ``int()`` and ``float()`` would accept ``_`` and
+    Unicode digits."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}") from None
+    return parse
+
+
+_INT = _number(lambda text: ascii_int(text, signed=True), "int")  # the commands report negative values
+_FLOAT = _number(ascii_float, "float")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="semaffine", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -129,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic scene corpus")
     p.add_argument("--spec", help="scene spec config file (key = value)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--count", type=int, required=True, help="number of scenes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_INT, required=True, help="number of scenes")
+    p.add_argument("--seed", type=_INT, default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model from a corpus manifest")
@@ -148,14 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="run the gradient verification suite")
     p.add_argument("--module", help=f"restrict to one module ({', '.join(MODULES)})")
-    p.add_argument("--tol", type=float, help="override the per-check tolerance")
+    p.add_argument("--tol", type=_FLOAT, help="override the per-check tolerance")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="run the ablation lattice")
     p.add_argument("--config", help="config file (key = value)")
     p.add_argument("--variants", default=",".join(CLASSIFIERS + AFFINE_MODES),
                    help=f"comma-separated axis values: {','.join(CLASSIFIERS)} and {','.join(AFFINE_MODES)}")
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=_INT, default=5)
     p.set_defaults(func=_cmd_ablate)
     return parser
 

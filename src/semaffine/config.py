@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, ascii_int, read_utf8
+from .errors import ConfigError, ascii_float, ascii_int, read_utf8
 from .harness import TrainConfig
 from .model import ModelConfig
 from .scenes import SceneSpec
@@ -53,7 +53,7 @@ _RENAMED = {
 def _keys(config_class) -> dict:
     """Config-file key -> (field name, converter), in field order; the
     converter follows the type of the field's default (int, float, str, tuple)."""
-    converters = {int: _to_int, tuple: _to_int_tuple}
+    converters = {int: _to_int, float: ascii_float, tuple: _to_int_tuple}
     out = {}
     for f in fields(config_class):
         conv = converters.get(type(f.default), type(f.default))

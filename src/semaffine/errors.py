@@ -56,6 +56,15 @@ def ascii_int(text: str, signed: bool = False) -> int:
     return int(text)
 
 
+def ascii_float(text: str) -> float:
+    """``float(text)`` for ASCII text without ``_`` or spaces; ValueError for
+    anything else, such as the Unicode digits, ``_`` and spaces that
+    ``float()`` accepts."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"expected an ASCII decimal number, got {text!r}")
+    return float(text)
+
+
 def read_utf8(path) -> str:
     """The text of a UTF-8 file; undecodable bytes raise ParseError."""
     raw = Path(path).read_bytes()

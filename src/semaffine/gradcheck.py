@@ -8,14 +8,19 @@ so a gradient corrupted by a factor of 2 reports ~1/3. The floor ``DELTA``
 absorbs central-difference roundoff (about eps*|f|/H) on entries whose true
 gradient is zero or tiny; a genuinely wrong gradient lands far above it.
 
-A perturbed loss replays only the recorded op calls downstream of the
-parameter (``tensor.downstream``, the parameter's cone). One joint audit
-checks every replay: it moves every chosen entry of every parameter at once,
-each by its own step of about H, and compares a full ``f()`` with the replay
+A perturbed loss replays only the op nodes downstream of the parameter
+(``tensor.downstream``, the parameter's cone): each node's recorded array
+kernel runs again on its operands' current arrays, making no node. A replay
+skips the op's front: operand wrapping, the shape, label, index and offset
+checks and the scene cuts, whose results the node recorded. Those depend
+only on shapes and non-tensor arguments, and a perturbation changes neither,
+so they would pass and resolve the same again. One joint audit checks every
+replay: it moves every chosen entry of every parameter at once, each by its
+own step of about H, and compares a full ``f()`` bit for bit with the replay
 of the union of all cones. So ``f`` runs twice in a check whose replays are
 exact: once for the analytic gradients and once for the joint audit. If the
 audit finds other bits, some parameter reaches the loss outside the recorded
-calls, and every entry of every parameter takes full forwards instead.
+kernels, and every entry of every parameter takes full forwards instead.
 
 The perturbed forwards do not depend on each other, so they run on every CPU
 in the process's affinity mask: the chosen entries are split into one
@@ -200,8 +205,8 @@ def finite_diff_check(
 
     def replay(nodes: list[Tensor]) -> float:
         for node in nodes:
-            fn, args, kwargs = node.call
-            node.data = fn(*args, **kwargs).data
+            kernel, operands, static = node.call
+            node.data = kernel(*static, *[t.data for t in operands])
         return float(loss.data)
 
     def audit() -> bool:
@@ -221,7 +226,7 @@ def finite_diff_check(
             for node, data in zip(joint, saved):
                 node.data = data
 
-    exact = audit()  # False: the loss depends on a parameter by a path that no recorded call shows
+    exact = audit()  # False: the loss depends on a parameter by a path that no recorded kernel shows
     loss_of = replay if exact else (lambda _: float(f().data))
 
     def forward_pair(entry: tuple[int, int]) -> tuple[float, float]:

@@ -301,6 +301,10 @@ def read_scene(path) -> LabeledCloud:
         raise ParseError(f"classes={n_classes} does not fit int64 labels", line=2)
     if len(lines) - 2 < n:
         raise ParseError(f"expected {n} point lines, found {len(lines) - 2}", line=len(lines))
+    if not text.isascii() or "_" in text:  # float() accepts "1_0" and Unicode digits
+        for i in range(2, 2 + n):
+            if not lines[i].isascii() or "_" in lines[i]:
+                raise ParseError(f"non-ASCII character or '_' in point line {lines[i]!r}", line=1 + i)
     xyz: list[float] = []
     labels: list[int] = []
     for i in range(2, 2 + n):

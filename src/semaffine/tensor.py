@@ -26,8 +26,13 @@ Design constraints:
 - scatter-adds of rows onto groups (``pool_rows_mean``, the ``gather_rows``
   backward) are one ``np.bincount`` segment sum, not ``np.add.at``.
 - a backward computes a gradient only for operands that require grad.
-- each op node records its call (``recorded``), so ``downstream`` can list
-  the nodes a leaf feeds and gradcheck can recompute only those.
+- each op is a checking front (operand wrapping, shape, label, index and
+  offset checks, the scene cuts) and an array kernel holding its forward
+  arithmetic. The op calls the kernel, and its node records
+  ``(kernel, operands, static)``: ``kernel(*static, *[t.data for t in
+  operands])`` recomputes the node's value from its operands' current
+  arrays with the forward's bits, making no node. So ``downstream`` can
+  list the nodes a leaf feeds and gradcheck can recompute only those.
 - a batch of scenes is one graph, its scenes stacked by rows. Row-wise ops
   run once over the stack; the ops that mix rows within a scene take the
   scenes' row offsets (``None``: one scene) and keep them apart:
@@ -69,7 +74,7 @@ class Tensor:
         self.parents = tuple(parents)
         self._backward_fn = None
         self.node_id = next(_NODE_IDS)
-        self.call = None  # (op, args, kwargs) of the op call that made the node; see ``recorded``
+        self.call = None  # (kernel, operands, static) that recompute the node; see ``_result``
 
     @property
     def shape(self):
@@ -92,9 +97,13 @@ class Tensor:
         backward(self)
 
 
-def _result(data, parents: tuple, op: str, backward_fn) -> Tensor:
+def _result(data, parents: tuple, op: str, backward_fn, kernel, static: tuple = ()) -> Tensor:
     """An op's output node, built field by field: ``Tensor.__init__`` would
-    convert an array that is already float64 and test every parent again."""
+    convert an array that is already float64 and test every parent again.
+
+    ``data`` is ``kernel(*static, *[p.data for p in parents])``, the op's
+    forward arithmetic, called by the op itself; ``static`` holds what the
+    op's checks resolved from shapes and non-tensor arguments."""
     out = Tensor.__new__(Tensor)
     if data.__class__ is not np.ndarray or data.dtype != np.float64:
         data = np.asarray(data, dtype=np.float64)
@@ -109,16 +118,18 @@ def _result(data, parents: tuple, op: str, backward_fn) -> Tensor:
     out.parents = parents
     out._backward_fn = backward_fn if out.requires_grad else None
     out.node_id = next(_NODE_IDS)
-    out.call = None
+    out.call = (kernel, parents, static)
     return out
 
 
-def recorded(op):
-    """Make ``op`` record each call on the node it returns, as ``(op, args, kwargs)``."""
-    @functools.wraps(op)
+def recorded(fn):
+    """Make a composite ``fn`` (a function of Tensors built from ops) record
+    on the node it returns a kernel that calls it again on the same
+    arguments, so a replay recomputes the whole composite."""
+    @functools.wraps(fn)
     def recording(*args, **kwargs):
-        out = op(*args, **kwargs)
-        out.call = (op, args, kwargs)
+        out = fn(*args, **kwargs)
+        out.call = (lambda *_: fn(*args, **kwargs).data, tuple(_tensors([args, list(kwargs.values())])), ())
         return out
     return recording
 
@@ -192,7 +203,6 @@ def _check_binary(a: Tensor, b: Tensor, name: str):
         raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}")
 
 
-@recorded
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary(a, b, "add")
@@ -203,10 +213,9 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g, shared=True)
 
-    return _result(a.data + b.data, (a, b), "add", backward_fn)
+    return _result(np.add(a.data, b.data), (a, b), "add", backward_fn, np.add)
 
 
-@recorded
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_binary(a, b, "mul")
@@ -218,10 +227,9 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g * a_data)
 
-    return _result(a_data * b_data, (a, b), "mul", backward_fn)
+    return _result(np.multiply(a_data, b_data), (a, b), "mul", backward_fn, np.multiply)
 
 
-@recorded
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
@@ -229,13 +237,16 @@ def scale(a, c: float) -> Tensor:
     def backward_fn(g):
         _accumulate(a, c * g)
 
-    return _result(a.data * c, (a,), "scale", backward_fn)
+    return _result(np.multiply(c, a.data), (a,), "scale", backward_fn, np.multiply, (c,))
 
 
 # -- matrix ops ----------------------------------------------------------
 
 
-@recorded
+def _matmul(pairs, a, b):
+    return _stack([a[rows] @ b[block] for rows, block in pairs])
+
+
 def matmul(a, b, offsets=None) -> Tensor:
     """a (n, k) @ b (k, d). With the row ``offsets`` of B scenes in a, b is
     their (k, d) blocks stacked, (B*k, d), and scene s's rows of a multiply
@@ -256,11 +267,26 @@ def matmul(a, b, offsets=None) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _stack([a_data[rows].T @ g[rows] for rows, block in pairs]))
 
-    out = _stack([a_data[rows] @ b_data[block] for rows, block in pairs])
-    return _result(out, (a, b), "matmul", backward_fn)
+    return _result(_matmul(pairs, a_data, b_data), (a, b), "matmul", backward_fn, _matmul, (pairs,))
 
 
-@recorded
+def _mlp(x, *weights_and_biases, keep=None):
+    """``keep`` (a list) collects each layer's input and, after each hidden
+    layer, its ReLU's live mask, in that order."""
+    h = x
+    for i in range(0, len(weights_and_biases), 2):
+        if keep is not None:
+            keep.append(h)
+        h = h @ weights_and_biases[i].T
+        h += weights_and_biases[i + 1]  # in place: no second (n, out) array
+        if i + 2 < len(weights_and_biases):
+            live = ~(h <= 0)  # NaN stays live, so NaN in gives NaN out
+            if keep is not None:
+                keep.append(live)
+            h = np.where(live, h, 0.0)
+    return h
+
+
 def mlp(x, layers) -> Tensor:
     """x (n, in) through dense layers h @ w.T + b, ``layers`` being (w (out, in),
     b (out,)) pairs, with a ReLU between consecutive layers, as one node; one
@@ -269,19 +295,16 @@ def mlp(x, layers) -> Tensor:
     layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
     if not layers:
         raise ContractError("mlp: no layers")
-    # each layer's input; each hidden ReLU's live mask; wants[i]: x or a layer before i requires grad
-    inputs, lives, wants = [], [], [x.requires_grad]
-    h = x.data
+    wants, shape = [x.requires_grad], x.shape  # wants[i]: x or a layer before i requires grad
     for i, (w, b) in enumerate(layers):
-        if h.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
-            raise ShapeError(f"mlp: layer {i} input {h.shape} does not match weight {w.shape} and bias {b.shape}")
-        inputs.append(h)
-        h = h @ w.data.T
-        h += b.data  # in place: no second (n, out) array
-        if i + 1 < len(layers):
-            lives.append(~(h <= 0))  # NaN stays live, so NaN in gives NaN out
-            h = np.where(lives[-1], h, 0.0)
-            wants.append(wants[-1] or w.requires_grad or b.requires_grad)
+        if len(shape) != 2 or w.data.ndim != 2 or shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+            raise ShapeError(f"mlp: layer {i} input {shape} does not match weight {w.shape} and bias {b.shape}")
+        wants.append(wants[-1] or w.requires_grad or b.requires_grad)
+        shape = (shape[0], w.shape[0])
+    operands = (x, *(t for layer in layers for t in layer))
+    keep = []
+    out = _mlp(*(t.data for t in operands), keep=keep)
+    inputs, lives = keep[0::2], keep[1::2]  # each layer's input; each hidden ReLU's live mask
 
     def backward_fn(g):  # last layer first; stops where neither x nor an earlier layer needs more
         for i in reversed(range(len(layers))):
@@ -295,10 +318,22 @@ def mlp(x, layers) -> Tensor:
             g = g @ w.data if i == 0 else (g @ w.data) * lives[i - 1]
         _accumulate(x, g)
 
-    return _result(h, (x, *(t for layer in layers for t in layer)), "mlp", backward_fn)
+    return _result(out, operands, "mlp", backward_fn, _mlp)
 
 
-@recorded
+def _mask_logits(pairs, f, masks, w, b, keep=None):
+    """``keep`` (a list) collects A = masks @ w."""
+    a = masks @ w  # (B*N, in)
+    c = masks @ b
+    if keep is not None:
+        keep.append(a)
+    out = []
+    for rows, block in pairs:
+        out.append(f[rows] @ a[block].T)
+        out[-1] += c[block]
+    return _stack(out)
+
+
 def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
     """(f (n, in) @ w (d_m, in).T + b (d_m,)) @ masks (N, d_m).T, as one node.
 
@@ -318,8 +353,9 @@ def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
     if m_data.shape[0] % len(scenes):
         raise ShapeError(f"mask_logits: {m_data.shape[0]} mask rows do not split into {len(scenes)} scenes")
     pairs = _with_blocks(scenes, m_data.shape[0] // len(scenes))
-    a = m_data @ w_data  # (B*N, in)
-    c = m_data @ b_data
+    keep = []
+    out = _mask_logits(pairs, f_data, m_data, w_data, b_data, keep=keep)
+    [a] = keep
 
     def backward_fn(g):
         if f.requires_grad:
@@ -335,16 +371,36 @@ def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
         if b.requires_grad:
             _accumulate(b, m_data.T @ g_c)
 
-    def scores(rows, block):
-        out = f_data[rows] @ a[block].T
-        out += c[block]
-        return out
-
-    out = _stack([scores(rows, block) for rows, block in pairs])
-    return _result(out, (f, masks, w, b), "mask_logits", backward_fn)
+    return _result(out, (f, masks, w, b), "mask_logits", backward_fn, _mask_logits, (pairs,))
 
 
-@recorded
+def _split_heads(a, heads, d_k):  # (rows, heads*d_k) -> (heads, rows, d_k)
+    return a.reshape(a.shape[0], heads, d_k).transpose(1, 0, 2)
+
+
+def _merge_heads(a):  # (heads, rows, d_k) -> (rows, heads*d_k)
+    return a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2])
+
+
+def _attention(heads, d_k, scenes, inv_sqrt_dk, q_in, kv_in, wq, bq, wk, bk, wv, bv, keep=None):
+    """``keep`` (a list) collects q, k and v as (heads, rows, d_k) arrays,
+    then each scene's (heads, n_s, m_s) attention weights."""
+    q = _split_heads(q_in @ wq.T + bq, heads, d_k)
+    k = _split_heads(kv_in @ wk.T + bk, heads, d_k)
+    v = _split_heads(kv_in @ wv.T + bv, heads, d_k)
+    if keep is not None:
+        keep += (q, k, v)
+    outs = []  # per scene, (heads, n_s, d_k)
+    for q_rows, kv_rows in scenes:
+        scores = (q[:, q_rows] @ k[:, kv_rows].transpose(0, 2, 1)) * inv_sqrt_dk
+        e = np.exp(scores - scores.max(axis=2, keepdims=True))
+        probs = e / e.sum(axis=2, keepdims=True)
+        if keep is not None:
+            keep.append(probs)
+        outs.append(probs @ v[:, kv_rows])
+    return _merge_heads(_stack(outs, 1))
+
+
 def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int, q_offsets=None, kv_offsets=None) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
@@ -383,25 +439,13 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int, q_offsets=None, k
         raise ContractError(f"attention: {len(q_scenes)} query scenes but {len(kv_scenes)} key/value scenes")
     scenes = list(zip(q_scenes, kv_scenes))
     inv_sqrt_dk = 1.0 / np.sqrt(d_k)
-
-    def split(a, rows):  # (rows, heads*d_k) -> (heads, rows, d_k)
-        return a.reshape(rows, heads, d_k).transpose(1, 0, 2)
-
-    def merge(a, rows):  # (heads, rows, d_k) -> (rows, heads*d_k)
-        return a.transpose(1, 0, 2).reshape(rows, width)
-
-    q = split(q_in.data @ wq.data.T + bq.data, n)
-    k = split(kv_in.data @ wk.data.T + bk.data, m)
-    v = split(kv_in.data @ wv.data.T + bv.data, m)
-    probs, outs = [], []  # per scene, (heads, n_s, m_s) and (heads, n_s, d_k)
-    for q_rows, kv_rows in scenes:
-        scores = (q[:, q_rows] @ k[:, kv_rows].transpose(0, 2, 1)) * inv_sqrt_dk
-        e = np.exp(scores - scores.max(axis=2, keepdims=True))
-        probs.append(e / e.sum(axis=2, keepdims=True))
-        outs.append(probs[-1] @ v[:, kv_rows])
+    operands = (q_in, kv_in, wq, bq, wk, bk, wv, bv)
+    keep = []
+    out = _attention(heads, d_k, scenes, inv_sqrt_dk, *(t.data for t in operands), keep=keep)
+    q, k, v, *probs = keep
 
     def backward_fn(g):
-        g_o = split(g, n)
+        g_o = _split_heads(g, heads, d_k)
         g_q, g_k, g_v = [], [], []
         for (q_rows, kv_rows), p in zip(scenes, probs):
             g_p = g_o[:, q_rows] @ v[:, kv_rows].transpose(0, 2, 1)
@@ -409,7 +453,7 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int, q_offsets=None, k
             g_q.append(g_s @ k[:, kv_rows])
             g_k.append(g_s.transpose(0, 2, 1) @ q[:, q_rows])
             g_v.append(p.transpose(0, 2, 1) @ g_o[:, q_rows])
-        g_q, g_k, g_v = merge(_stack(g_q, 1), n), merge(_stack(g_k, 1), m), merge(_stack(g_v, 1), m)
+        g_q, g_k, g_v = (_merge_heads(_stack(parts, 1)) for parts in (g_q, g_k, g_v))
         if q_in.requires_grad:
             _accumulate(q_in, g_q @ wq.data)
         if kv_in.requires_grad:
@@ -420,7 +464,7 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int, q_offsets=None, k
             if b.requires_grad:
                 _accumulate(b, g_proj.sum(axis=0))
 
-    return _result(merge(_stack(outs, 1), n), (q_in, kv_in, wq, bq, wk, bk, wv, bv), "attention", backward_fn)
+    return _result(out, operands, "attention", backward_fn, _attention, (heads, d_k, scenes, inv_sqrt_dk))
 
 
 # -- elementwise nonlinearities -------------------------------------------
@@ -436,7 +480,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@recorded
 def softplus(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
@@ -444,29 +487,40 @@ def softplus(a) -> Tensor:
     def backward_fn(g):
         _accumulate(a, g * _sigmoid(x))
 
-    return _result(np.logaddexp(0.0, x), (a,), "softplus", backward_fn)
+    return _result(np.logaddexp(0.0, x), (a,), "softplus", backward_fn, np.logaddexp, (0.0,))
 
 
 # -- softmax and the losses ------------------------------------------------
 
 
-@recorded
+def _softmax(a):
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax(a) -> Tensor:
     """Row-wise softmax of an (n, d) tensor."""
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"softmax: expects (n, d) input, got {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax(a.data)
 
     def backward_fn(g):
         _accumulate(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
 
-    return _result(y, (a,), "softmax", backward_fn)
+    return _result(y, (a,), "softmax", backward_fn, _softmax)
 
 
-@recorded
+def _cross_entropy(labels, rows, scenes, logits, keep=None):
+    """``keep`` (a list) collects the log-softmax rows."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    if keep is not None:
+        keep.append(log_probs)
+    picked = log_probs[rows, labels]
+    return -sum(picked[scene].mean() for scene in scenes) / len(scenes)
+
+
 def cross_entropy(logits, labels, offsets=None) -> Tensor:
     """Mean over rows of -log softmax(logits)[row, label], as one node.
 
@@ -478,22 +532,25 @@ def cross_entropy(logits, labels, offsets=None) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
         raise ContractError(f"cross_entropy: label out of range [0, {logits.shape[1]})")
     scenes = _scene_rows(offsets, labels.size, "cross_entropy")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     rows = np.arange(labels.size)
-    picked = log_probs[rows, labels]
+    keep = []
+    loss = _cross_entropy(labels, rows, scenes, logits.data, keep=keep)
+    [log_probs] = keep
 
     def backward_fn(g):  # the log_softmax backward of the picked entries' gradient
         g_picked = np.zeros(logits.shape)
         for scene in scenes:
-            g_picked[rows[scene], labels[scene]] = -float(g) / (len(scenes) * picked[scene].size)
+            g_picked[rows[scene], labels[scene]] = -float(g) / (len(scenes) * rows[scene].size)
         _accumulate(logits, g_picked - np.exp(log_probs) * g_picked.sum(axis=1, keepdims=True))
 
-    loss = -sum(picked[scene].mean() for scene in scenes) / len(scenes)
-    return _result(loss, (logits,), "cross_entropy", backward_fn)
+    return _result(loss, (logits,), "cross_entropy", backward_fn, _cross_entropy, (labels, rows, scenes))
 
 
-@recorded
+def _bce_with_logits(targets, scenes, x):
+    entries = np.logaddexp(0.0, x) - x * targets
+    return sum(entries[scene].mean() for scene in scenes) / len(scenes)
+
+
 def bce_with_logits(logits, targets, offsets=None) -> Tensor:
     """Mean over the entries of (n, N) logits of BCE(sigmoid(x), t) = softplus(x) - t * x, as one node.
 
@@ -506,7 +563,6 @@ def bce_with_logits(logits, targets, offsets=None) -> Tensor:
         raise ContractError("bce: targets must be binary")
     scenes = _scene_rows(offsets, logits.shape[0], "bce")
     x = logits.data
-    entries = np.logaddexp(0.0, x) - x * targets
 
     def backward_fn(g):
         grads = []
@@ -515,8 +571,8 @@ def bce_with_logits(logits, targets, offsets=None) -> Tensor:
             grads.append(-g_entry * targets[scene] + g_entry * _sigmoid(x[scene]))
         _accumulate(logits, _stack(grads))
 
-    loss = sum(entries[scene].mean() for scene in scenes) / len(scenes)
-    return _result(loss, (logits,), "bce_with_logits", backward_fn)
+    return _result(_bce_with_logits(targets, scenes, x), (logits,), "bce_with_logits", backward_fn,
+                   _bce_with_logits, (targets, scenes))
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -524,7 +580,17 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-@recorded
+def _layer_norm(eps, x, gain, bias, residual=None, keep=None):
+    """``keep`` (a list) collects the normalized rows y and their 1/sqrt(var + eps)."""
+    total = x if residual is None else x + residual
+    centered = total - _row_mean(total)
+    inv = 1.0 / np.sqrt(_row_mean(centered ** 2) + eps)
+    y = centered * inv
+    if keep is not None:
+        keep += (y, inv)
+    return y * gain + bias
+
+
 def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS, residual=None) -> Tensor:
     """normalize(x + residual) * gain + bias as one node.
 
@@ -541,15 +607,15 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS, residual=None) -> Ten
     if gain.shape not in (x.shape, x.shape[1:]) or bias.shape not in (x.shape, x.shape[1:]):
         raise ShapeError(f"layer_norm: gain {gain.shape} / bias {bias.shape} fit neither "
                          f"({x.shape[1]},) nor input {x.shape}")
-    summands, total = (x,), x.data
+    summands = (x,)
     if residual is not None:
         summands += (_as_tensor(residual),)
         _check_binary(x, summands[1], "layer_norm residual")
-        total = total + summands[1].data
     gain_row, bias_row = gain.data.ndim == 1, bias.data.ndim == 1
-    centered = total - _row_mean(total)
-    inv = 1.0 / np.sqrt(_row_mean(centered ** 2) + eps)
-    y = centered * inv
+    operands = (x, gain, bias, *summands[1:])
+    keep = []
+    out = _layer_norm(eps, *(t.data for t in operands), keep=keep)
+    y, inv = keep
     gain_data = gain.data
 
     def backward_fn(g):
@@ -564,7 +630,7 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS, residual=None) -> Ten
             for k, t in enumerate(wanting):  # the first takes g_in itself, a second a copy
                 _accumulate(t, g_in, shared=k > 0)
 
-    return _result(y * gain_data + bias.data, (x, gain, bias, *summands[1:]), "layer_norm", backward_fn)
+    return _result(out, operands, "layer_norm", backward_fn, _layer_norm, (eps,))
 
 
 # -- reductions and indexing ----------------------------------------------
@@ -583,7 +649,10 @@ def _segment_sum(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     return sums.astype(np.float64, copy=False).reshape(n, d)
 
 
-@recorded
+def _sum_all(a):
+    return a.sum()
+
+
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     in_shape = a.shape
@@ -591,10 +660,13 @@ def sum_all(a) -> Tensor:
     def backward_fn(g):
         _accumulate(a, np.full(in_shape, float(g)))
 
-    return _result(a.data.sum(), (a,), "sum", backward_fn)
+    return _result(_sum_all(a.data), (a,), "sum", backward_fn, _sum_all)
 
 
-@recorded
+def _gather_rows(index, a):
+    return a[index]
+
+
 def gather_rows(a, index: np.ndarray) -> Tensor:
     """out[j] = a[index[j]]; gradient scatter-adds back onto the source rows."""
     a = _as_tensor(a)
@@ -608,10 +680,13 @@ def gather_rows(a, index: np.ndarray) -> Tensor:
     def backward_fn(g):
         _accumulate(a, _segment_sum(g, index, in_shape[0]))
 
-    return _result(a.data[index], (a,), "gather_rows", backward_fn)
+    return _result(_gather_rows(index, a.data), (a,), "gather_rows", backward_fn, _gather_rows, (index,))
 
 
-@recorded
+def _pool_rows_mean(parent, n_parents, inv_counts, a):
+    return _segment_sum(a, parent, n_parents) * inv_counts
+
+
 def pool_rows_mean(a, parent: np.ndarray, n_parents: int) -> Tensor:
     """Group rows by parent index and average each group."""
     a = _as_tensor(a)
@@ -621,13 +696,13 @@ def pool_rows_mean(a, parent: np.ndarray, n_parents: int) -> Tensor:
     counts = np.bincount(parent, minlength=n_parents).astype(np.float64)
     if (counts == 0).any():
         raise ContractError("pool_rows_mean: some parents have no children")
-    sums = _segment_sum(a.data, parent, n_parents)
-    inv_counts = 1.0 / counts
+    inv_counts = (1.0 / counts)[:, None]
+    static = (parent, n_parents, inv_counts)
 
     def backward_fn(g):
-        _accumulate(a, (g * inv_counts[:, None])[parent])
+        _accumulate(a, (g * inv_counts)[parent])
 
-    return _result(sums * inv_counts[:, None], (a,), "pool_rows_mean", backward_fn)
+    return _result(_pool_rows_mean(*static, a.data), (a,), "pool_rows_mean", backward_fn, _pool_rows_mean, static)
 
 
 # -- backward ---------------------------------------------------------------
@@ -655,21 +730,21 @@ def _tensors(value) -> list:
 
 def downstream(loss: Tensor, leaves) -> list[list[Tensor]]:
     """For each of ``leaves``, the op nodes reachable from ``loss`` whose
-    recorded call arguments depend on that leaf, in creation order: making
-    their calls again in that order recomputes ``loss`` after the leaf's data
-    changes. The walk follows the recorded arguments, not ``parents``, and
-    stops at a node without a recorded call (a leaf or one built by hand)."""
-    inputs, stack = {}, [loss]  # node_id -> (node, the Tensors its call takes)
+    recorded operands depend on that leaf, in creation order: recomputing
+    them in that order recomputes ``loss`` after the leaf's data changes.
+    The walk follows the recorded operands, not ``parents``, and stops at a
+    node without a record (a leaf or one built by hand)."""
+    recorded_nodes, stack = {}, [loss]  # node_id -> node
     while stack:
         node = stack.pop()
-        if node.call is not None and node.node_id not in inputs:
-            inputs[node.node_id] = (node, _tensors([node.call[1], list(node.call[2].values())]))
-            stack += inputs[node.node_id][1]
-    order, cones = [inputs[i] for i in sorted(inputs)], []
+        if node.call is not None and node.node_id not in recorded_nodes:
+            recorded_nodes[node.node_id] = node
+            stack += node.call[1]
+    order, cones = [recorded_nodes[i] for i in sorted(recorded_nodes)], []
     for leaf in leaves:
         hit, cone = {leaf.node_id}, []
-        for node, args in order:
-            if any(t.node_id in hit for t in args):
+        for node in order:
+            if any(t.node_id in hit for t in node.call[1]):
                 hit.add(node.node_id)
                 cone.append(node)
         cones.append(cone)

@@ -307,34 +307,30 @@ class TestReplay:
             assert [[p.hex() for p in pairs[n]] for n in first] == real_map(full_pair, first), name
 
     def test_unrecorded_softmax_takes_full_forwards(self, monkeypatch):
-        # softmax leaves no recorded call, so no replay recomputes it: the
-        # joint audit fails, and every pair must equal two full forwards
-        monkeypatch.setattr(T, "softmax", T.softmax.__wrapped__)
-        maps = []
-        real_map = gradcheck._ordered_map
+        # softmax nodes without a record hide the paths through them from
+        # every replay: the joint audit fails, and every entry takes two full forwards
+        softmax = T.softmax
 
-        def spied_map(fn, items, costs=None):
-            results = real_map(fn, items, costs)
-            maps.append((items, results))
-            return results
-
-        monkeypatch.setattr(gradcheck, "_ordered_map", spied_map)
-        [(_, _, loss, params, tol, _)] = [c for c in verify.iter_checks("model") if c[1] == "end_to_end_16pt"]
-        assert finite_diff_check(loss, params, tol=tol, max_entries=1).passed
-        items, pairs = maps[-1]  # the pair pass
-
-        def full_pair(entry):  # f at p+H and at p-H by full forwards
-            k, i = entry
-            flat = params[k][1].data.reshape(-1)
-            orig, out = flat[i], []
-            for step in (gradcheck.H, -gradcheck.H):
-                flat[i] = orig + step
-                out.append(float(loss().data).hex())
-            flat[i] = orig
+        def unrecorded_softmax(a):
+            out = softmax(a)
+            out.call = None
             return out
 
-        assert len(items) == len(params)
-        assert [[p.hex() for p in pair] for pair in pairs] == real_map(full_pair, items)
+        monkeypatch.setattr(T, "softmax", unrecorded_softmax)
+        [(_, _, loss, params, tol, _)] = [c for c in verify.iter_checks("model") if c[1] == "end_to_end_16pt"]
+        read_fd, write_fd = os.pipe()  # one byte per call of f, from the forked workers too
+
+        def f():
+            os.write(write_fd, b".")
+            return loss()
+
+        try:
+            assert finite_diff_check(f, params, tol=tol, max_entries=1).passed
+        finally:
+            os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as calls:
+            assert len(calls.read()) == 1 + 1 + 2 * len(params)  # first, joint audit, every entry's pair
+        _assert_no_children()
 
 
 def _mix_loss(out, seed=0):

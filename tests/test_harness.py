@@ -392,6 +392,18 @@ class TestConfigFile:
             model_config_from(values)
             train_config_from(values)
 
+    @pytest.mark.parametrize("value", ["2_0e-3", "\u0663", "0.\u0661", "\uff12e-3"],
+                             ids=["underscore", "arabic-indic-digit", "arabic-indic-fraction", "fullwidth-digit"])
+    def test_reals_must_be_ascii(self, value):
+        assert train_config_from(parse_config_text("base_lr = 2e-3")).base_lr == 0.002
+        with pytest.raises(ConfigError, match="bad value for 'base_lr'"):
+            train_config_from(parse_config_text(f"base_lr = {value}"))
+        from semaffine.model import ModelConfig
+        snap = {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                for k, v in snapshot(ModelConfig(), Hx.TrainConfig()).items()}  # as a checkpoint stores it
+        with pytest.raises(ConfigError, match="bad value for 'base_lr'"):
+            configs_from_snapshot({**snap, "base_lr": value})
+
     def test_negative_int_reaches_validate(self):
         with pytest.raises(ConfigError, match="heads must be >= 1, got -2"):
             model_config_from(parse_config_text("heads = -2"))
@@ -433,24 +445,24 @@ class TestConfigFile:
             ("level_dims", "level_dims", "_to_int_tuple"), ("d_h", "d_h", "_to_int"), ("d_m", "d_m", "_to_int"),
             ("encoder_depth", "encoder_depth", "_to_int"), ("decoder_depth", "decoder_depth", "_to_int"),
             ("heads", "heads", "_to_int"), ("level_offset", "level_offset", "_to_int"),
-            ("base_voxel", "base_voxel", "float"), ("norm_eps", "norm_eps", "float"),
+            ("base_voxel", "base_voxel", "ascii_float"), ("norm_eps", "norm_eps", "ascii_float"),
             ("classifier", "classifier", "str"), ("affine", "affine", "str"),
         ]
         assert table(TRAIN_KEYS) == [
-            ("base_lr", "base_lr", "float"), ("attention_lr_factor", "attention_lr_factor", "float"),
-            ("weight_decay", "weight_decay", "float"), ("momentum", "momentum", "float"),
+            ("base_lr", "base_lr", "ascii_float"), ("attention_lr_factor", "attention_lr_factor", "ascii_float"),
+            ("weight_decay", "weight_decay", "ascii_float"), ("momentum", "momentum", "ascii_float"),
             ("epochs", "epochs", "_to_int"), ("batch_size", "batch_size", "_to_int"),
-            ("warmup_fraction", "warmup_fraction", "float"), ("w_final", "w_final", "float"),
-            ("w_mid", "w_mid", "float"), ("seed", "seed", "_to_int"),
+            ("warmup_fraction", "warmup_fraction", "ascii_float"), ("w_final", "w_final", "ascii_float"),
+            ("w_mid", "w_mid", "ascii_float"), ("seed", "seed", "_to_int"),
         ]
         assert table(SCENE_KEYS) == [
             ("scene_objects", "objects_per_scene", "_to_int"),
             ("scene_points_per_object", "points_per_object", "_to_int"),
-            ("scene_noise", "noise_sigma", "float"), ("scene_min_gap", "min_gap", "float"),
-            ("scene_extent", "extent", "float"),
+            ("scene_noise", "noise_sigma", "ascii_float"), ("scene_min_gap", "min_gap", "ascii_float"),
+            ("scene_extent", "extent", "ascii_float"),
         ]
         assert table(EXTRA_KEYS) == [
-            ("val_fraction", "val_fraction", "float"),
+            ("val_fraction", "val_fraction", "ascii_float"),
             ("ablate_train_scenes", "ablate_train_scenes", "_to_int"),
             ("ablate_val_scenes", "ablate_val_scenes", "_to_int"),
         ]

@@ -118,6 +118,14 @@ class TestSceneIO:
         with pytest.raises(ParseError, match=f"line {line}"):
             S.read_scene(path)
 
+    @pytest.mark.parametrize("row", ["1_0 0 0 1", "0 \u0663 0 1", "0 0 \uff11 1", "0\u00a00 0 0 1"],
+                             ids=["underscore", "arabic-indic-digit", "fullwidth-digit", "no-break-space"])
+    def test_reals_must_be_ascii(self, tmp_path, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{S.MAGIC}\nn=3 classes=4 seed=0\n0 0 0 1\n{row}\n0 0 0 1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 4: non-ASCII character or '_' in point line"):
+            S.read_scene(path)
+
     def test_write_matches_per_row_formatter(self, tmp_path):
         special = [-0.0, 0.0, 5e-324, -2.2250738585072014e-309, 1e-300, -1e300, 1e300,
                    1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1.0 / 3.0, -123456.789]

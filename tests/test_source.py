@@ -69,3 +69,32 @@ def test_scanner_finds_an_unused_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_name_is_used(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def ops_without_a_called_kernel(source: str, not_ops=("recorded", "downstream", "backward")) -> list[str]:
+    """The public module-level functions, other than ``not_ops``, that do not
+    return ``_result(data, parents, op, backward_fn, kernel, ...)`` with a
+    ``kernel`` that the function also calls itself."""
+    missing = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_") or fn.name in not_ops:
+            continue
+        calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)]
+        called = {ast.unparse(node.func) for node in calls}
+        kernels = [ast.unparse(node.args[4]) for node in calls
+                   if ast.unparse(node.func) == "_result" and len(node.args) >= 5]
+        if not kernels or any(kernel not in called for kernel in kernels):
+            missing.append(fn.name)
+    return missing
+
+
+def test_scanner_finds_an_op_without_a_called_kernel():
+    source = ("def add(a, b):\n    return _result(np.add(a, b), (a, b), 'add', None, np.add)\n\n"
+              "def neg(a):\n    return _result(-a, (a,), 'neg', None)\n\n"
+              "def twice(a):\n    return _result(a * 2, (a,), 'twice', None, _twice)\n\n"
+              "def backward(loss):\n    pass\n")
+    assert ops_without_a_called_kernel(source) == ["neg", "twice"]
+
+
+def test_every_tensor_op_records_the_kernel_it_calls():
+    assert ops_without_a_called_kernel((PACKAGE / "tensor.py").read_text(encoding="utf-8")) == []

@@ -747,3 +747,63 @@ class TestSceneOffsets:
             T.mask_logits(a, Tensor(np.zeros((5, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)), (0, 2, 5))
         with pytest.raises(ContractError, match="2 query scenes but 1 key/value scenes"):
             T.attention(a, a, *(Tensor(np.zeros(s)) for s in ((2, 2), (2,)) * 3), 1, (0, 2, 5), None)
+
+
+# (op name, case id, operand shapes, call on those operands); offsets as in TestSceneOffsets
+_Q, _KV = TestSceneOffsets.Q_OFFSETS, TestSceneOffsets.KV_OFFSETS
+_LABELS = np.array([0, 2, 1, 1, 0, 2, 2, 1, 0])
+_TARGETS = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0], [0, 1, 0], [1, 0, 0], [0, 0, 0], [1, 1, 1], [0, 1, 1],
+                     [1, 0, 1]], dtype=float)
+KERNEL_CASES = [
+    ("add", "add", [(3, 2), (3, 2)], T.add),
+    ("mul", "mul", [(3, 2), (3, 2)], T.mul),
+    ("scale", "scale", [(3, 2)], lambda a: T.scale(a, -0.3)),
+    ("matmul", "matmul", [(4, 3), (3, 2)], T.matmul),
+    ("matmul", "matmul_offsets", [(9, 2), (6, 5)], lambda a, b: T.matmul(a, b, _Q)),
+    ("mlp", "mlp_one_layer", [(5, 3), (4, 3), (4,)], lambda x, w, b: T.mlp(x, [(w, b)])),
+    ("mlp", "mlp_three_layers", [(5, 3), (4, 3), (4,), (6, 4), (6,), (2, 6), (2,)],
+     lambda x, w0, b0, w1, b1, w2, b2: T.mlp(x, [(w0, b0), (w1, b1), (w2, b2)])),
+    ("mask_logits", "mask_logits", [(5, 4), (2, 3), (3, 4), (3,)], T.mask_logits),
+    ("mask_logits", "mask_logits_offsets", [(9, 4), (6, 3), (3, 4), (3,)],
+     lambda f, m, w, b: T.mask_logits(f, m, w, b, _Q)),
+    ("attention", "attention", [(5, 4), (3, 6), (4, 4), (4,), (4, 6), (4,), (4, 6), (4,)],
+     lambda *ts: T.attention(*ts, heads=2)),
+    ("attention", "attention_offsets", [(9, 4), (8, 6), (4, 4), (4,), (4, 6), (4,), (4, 6), (4,)],
+     lambda *ts: T.attention(*ts, 2, _Q, _KV)),
+    ("softplus", "softplus", [(3, 2)], T.softplus),
+    ("softmax", "softmax", [(4, 3)], T.softmax),
+    ("cross_entropy", "cross_entropy", [(9, 3)], lambda x: T.cross_entropy(x, _LABELS)),
+    ("cross_entropy", "cross_entropy_offsets", [(9, 3)], lambda x: T.cross_entropy(x, _LABELS, _Q)),
+    ("bce_with_logits", "bce_with_logits", [(9, 3)], lambda x: T.bce_with_logits(x, _TARGETS)),
+    ("bce_with_logits", "bce_with_logits_offsets", [(9, 3)], lambda x: T.bce_with_logits(x, _TARGETS, _Q)),
+    ("layer_norm", "layer_norm_rows", [(4, 3), (3,), (3,)], T.layer_norm),
+    ("layer_norm", "layer_norm_per_point_residual", [(4, 3), (4, 3), (4, 3), (4, 3)],
+     lambda x, gain, bias, res: T.layer_norm(x, gain, bias, 1e-3, res)),
+    ("sum_all", "sum_all", [(3, 2)], T.sum_all),
+    ("gather_rows", "gather_rows", [(4, 2)], lambda a: T.gather_rows(a, [3, 0, 0, 2])),
+    ("pool_rows_mean", "pool_rows_mean", [(5, 2)], lambda a: T.pool_rows_mean(a, [1, 0, 1, 1, 0], 2)),
+]
+OPS = {name for name, fn in vars(T).items() if callable(fn) and getattr(fn, "__module__", None) == T.__name__
+       and not name.startswith("_") and name not in ("Tensor", "recorded", "downstream", "backward")}
+
+
+def test_kernel_cases_cover_every_op():
+    assert {case[0] for case in KERNEL_CASES} == OPS
+
+
+@pytest.mark.parametrize("shapes, call", [(shapes, call) for _, _, shapes, call in KERNEL_CASES],
+                         ids=[case_id for _, case_id, _, _ in KERNEL_CASES])
+def test_recorded_kernel_replays_a_fresh_call_without_a_node(shapes, call):
+    rng = np.random.default_rng(40)
+    operands = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+    out = call(*operands)
+    kernel, recorded_operands, static = out.call
+    assert list(recorded_operands) == operands
+    for t in operands:  # new values in the same arrays, as a finite difference moves them
+        t.data += rng.standard_normal(t.shape)
+    next_id = repr(T._NODE_IDS)
+    replayed = np.asarray(kernel(*static, *[t.data for t in recorded_operands]))
+    assert repr(T._NODE_IDS) == next_id  # the replay made no node
+    fresh = call(*operands).data
+    assert (replayed.dtype, replayed.shape, replayed.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
+    assert fresh.tobytes() != out.data.tobytes()

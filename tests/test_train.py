@@ -446,7 +446,18 @@ class TestCli:
         (["eval", "--ckpt", "m.ckpt", "--data", "x", "--split", "bogus"],
          "semaffine eval: error: argument --split: invalid choice: 'bogus'"),
         (["ablate", "--seeds", "abc"], "semaffine ablate: error: argument --seeds: invalid int value: 'abc'"),
-    ], ids=["train-without-data", "eval-bad-split", "ablate-bad-seeds"])
+        (["ablate", "--seeds", "1_0"], "semaffine ablate: error: argument --seeds: invalid int value: '1_0'"),
+        (["synth", "--out", "x", "--count", "1_0"],
+         "semaffine synth: error: argument --count: invalid int value: '1_0'"),
+        (["synth", "--out", "x", "--count", "2", "--seed", "\u0663"],
+         "semaffine synth: error: argument --seed: invalid int value: '\u0663'"),
+        (["synth", "--out", "x", "--count", "+2"], "semaffine synth: error: argument --count: invalid int value: '+2'"),
+        (["gradcheck", "--tol", "1_0e-5"], "semaffine gradcheck: error: argument --tol: invalid float value: '1_0e-5'"),
+        (["gradcheck", "--tol", "\u0661e-5"],
+         "semaffine gradcheck: error: argument --tol: invalid float value: '\u0661e-5'"),
+    ], ids=["train-without-data", "eval-bad-split", "ablate-bad-seeds", "ablate-underscore-seeds",
+            "synth-underscore-count", "synth-arabic-indic-seed", "synth-plus-count", "gradcheck-underscore-tol",
+            "gradcheck-arabic-indic-tol"])
     def test_usage_error_exit_code(self, capsys, argv, message):
         # 2 is the code of runtime and numeric failures; a bad command line is invalid input
         with pytest.raises(SystemExit) as exc:
