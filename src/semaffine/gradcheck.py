@@ -10,7 +10,7 @@ gradient is zero or tiny; a genuinely wrong gradient lands far above it.
 
 A perturbed loss replays only the op nodes downstream of the parameter
 (``tensor.downstream``, the parameter's cone): each node's recorded array
-kernel runs again on its operands' current arrays, making no node. A replay
+kernel runs again on its parents' current arrays, making no node. A replay
 skips the op's front: operand wrapping, the shape, label, index and offset
 checks and the scene cuts, whose results the node recorded. Those depend
 only on shapes and non-tensor arguments, and a perturbation changes neither,
@@ -22,12 +22,16 @@ exact: once for the analytic gradients and once for the joint audit. If the
 audit finds other bits, some parameter reaches the loss outside the recorded
 kernels, and every entry of every parameter takes full forwards instead.
 
-The perturbed forwards do not depend on each other, so they run on every CPU
-in the process's affinity mask: the chosen entries are split into one
-contiguous block per CPU, of about equal numbers of replayed ops, and each
-block after the first runs in a forked child. ``taskset -c 0`` runs them
-all in the calling process. Each forward sees the same parameter values
-either way, so the reports are bit-identical for any number of CPUs.
+The perturbed forwards do not depend on each other, so they may run in
+parallel: the chosen entries are split into contiguous blocks of about
+equal numbers of replayed ops, and each block after the first runs in a
+forked child. A check gets at most one block per CPU in the process's
+affinity mask, and at most one per ``MIN_OPS_PER_WORKER`` replayed ops,
+because a fork costs more than a few thousand replayed ops save. So a small
+check runs wholly in the calling process (of ``verify``'s suite, every check
+but the 16-point model does), and under ``taskset -c 0`` every check does.
+Each forward sees the same parameter values either way, so the reports are
+bit-identical for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .tensor import Tensor, downstream
 H = 1e-6  # central-difference step
 DELTA = 1e-3  # floor of the relative error's denominator
 TOL = 1e-5  # default largest relative error that passes
+MIN_OPS_PER_WORKER = 8000  # replayed ops that repay forking one more worker
 
 
 @dataclass
@@ -110,23 +115,24 @@ def _run_block(fn: Callable, block: Sequence, fd: int) -> None:
         os._exit(status)
 
 
-def _ordered_map(fn: Callable, items: Sequence, costs: Sequence[int] | None = None) -> list:
-    """``[fn(x) for x in items]``, split over ``_worker_count()`` processes.
+def _ordered_map(fn: Callable, items: Sequence, costs: Sequence[int]) -> list:
+    """``[fn(x) for x in items]``, split over ``w`` processes.
 
-    The items are cut into ``w`` contiguous, non-empty blocks of about equal
-    total cost: with ``costs`` (1 each by default) laid end to end, an item
-    goes to block ``b`` when the middle of its span lies in the ``b``-th
+    ``w`` is ``_worker_count()``, but at most one per item and one per
+    ``MIN_OPS_PER_WORKER`` of the items' total cost (their replayed ops),
+    and at least 1. The items are cut into ``w`` contiguous, non-empty blocks
+    of about equal total cost: with ``costs`` laid end to end, an item goes
+    to block ``b`` when the middle of its span lies in the ``b``-th
     ``w``-th of the total (moved where a block would otherwise be empty). The
     calling process runs the first block; a forked child runs each other
     block on its own copy-on-write memory, so what ``fn`` mutates there
     never reaches the caller. (``fn`` is a closure over live tensors, which a
     spawned worker could not receive.) Every child is reaped before this
     returns or raises, and the first exception in item order is re-raised."""
-    n = len(items)
-    w = max(1, min(_worker_count(), n))  # one worker forks nothing
-    costs = [1] * n if costs is None else costs
+    n, total = len(items), sum(costs)
+    w = max(1, min(_worker_count(), n, total // MIN_OPS_PER_WORKER))  # one worker forks nothing
     middles = [2 * end - c for end, c in zip(itertools.accumulate(costs), costs)]  # twice each span's middle
-    total, bounds = sum(costs), [0]
+    bounds = [0]
     for b in range(1, w):  # at least one item before the bound and one per later block
         crossed = bisect.bisect_left(middles, 2 * b * total / w)
         bounds.append(min(max(crossed, bounds[-1] + 1), n - w + b))
@@ -205,8 +211,8 @@ def finite_diff_check(
 
     def replay(nodes: list[Tensor]) -> float:
         for node in nodes:
-            kernel, operands, static = node.call
-            node.data = kernel(*static, *[t.data for t in operands])
+            kernel, static = node.call
+            node.data = kernel(*static, *[t.data for t in node.parents])
         return float(loss.data)
 
     def audit() -> bool:

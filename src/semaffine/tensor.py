@@ -8,7 +8,7 @@ hanging off a scalar loss *is* the tape: node ids increase in creation order
 Design constraints:
 
 - float64 throughout; gradient checking needs the headroom.
-- row-major data; binary ops (``add``, ``mul``) require equal shapes, with
+- row-major data; the one binary op, ``add``, requires equal shapes, with
   no implicit broadcast. The (d,) bias/gain rows are operands of the fused
   ops, which broadcast them internally.
 - forward values are saved eagerly by the closures; no checkpointing.
@@ -29,10 +29,11 @@ Design constraints:
 - each op is a checking front (operand wrapping, shape, label, index and
   offset checks, the scene cuts) and an array kernel holding its forward
   arithmetic. The op calls the kernel, and its node records
-  ``(kernel, operands, static)``: ``kernel(*static, *[t.data for t in
-  operands])`` recomputes the node's value from its operands' current
-  arrays with the forward's bits, making no node. So ``downstream`` can
-  list the nodes a leaf feeds and gradcheck can recompute only those.
+  ``(kernel, static)``: ``kernel(*static, *[t.data for t in node.parents])``
+  recomputes the node's value from its parents' current arrays with the
+  forward's bits, making no node. So ``downstream`` can list the nodes a
+  leaf feeds and gradcheck can recompute only those.
+- the tape keeps only the ops that the model and its losses call.
 - a batch of scenes is one graph, its scenes stacked by rows. Row-wise ops
   run once over the stack; the ops that mix rows within a scene take the
   scenes' row offsets (``None``: one scene) and keep them apart:
@@ -66,15 +67,15 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_backward_fn", "node_id", "call")
 
-    def __init__(self, data, requires_grad=False, op="leaf", parents=()):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.op = op
-        self.parents = tuple(parents)
+        self.op = "leaf"
+        self.parents = ()
         self._backward_fn = None
         self.node_id = next(_NODE_IDS)
-        self.call = None  # (kernel, operands, static) that recompute the node; see ``_result``
+        self.call = None  # an op node's (kernel, static); see ``_result``
 
     @property
     def shape(self):
@@ -98,8 +99,8 @@ class Tensor:
 
 
 def _result(data, parents: tuple, op: str, backward_fn, kernel, static: tuple = ()) -> Tensor:
-    """An op's output node, built field by field: ``Tensor.__init__`` would
-    convert an array that is already float64 and test every parent again.
+    """An op's output node, built field by field: ``Tensor.__init__`` builds
+    leaves, and would convert an array that is already float64.
 
     ``data`` is ``kernel(*static, *[p.data for p in parents])``, the op's
     forward arithmetic, called by the op itself; ``static`` holds what the
@@ -118,20 +119,8 @@ def _result(data, parents: tuple, op: str, backward_fn, kernel, static: tuple = 
     out.parents = parents
     out._backward_fn = backward_fn if out.requires_grad else None
     out.node_id = next(_NODE_IDS)
-    out.call = (kernel, parents, static)
+    out.call = (kernel, static)
     return out
-
-
-def recorded(fn):
-    """Make a composite ``fn`` (a function of Tensors built from ops) record
-    on the node it returns a kernel that calls it again on the same
-    arguments, so a replay recomputes the whole composite."""
-    @functools.wraps(fn)
-    def recording(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        out.call = (lambda *_: fn(*args, **kwargs).data, tuple(_tensors([args, list(kwargs.values())])), ())
-        return out
-    return recording
 
 
 @functools.lru_cache(maxsize=256)
@@ -214,20 +203,6 @@ def add(a, b) -> Tensor:
             _accumulate(b, g, shared=True)
 
     return _result(np.add(a.data, b.data), (a, b), "add", backward_fn, np.add)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_binary(a, b, "mul")
-    a_data, b_data = a.data, b.data
-
-    def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g * b_data)
-        if b.requires_grad:
-            _accumulate(b, g * a_data)
-
-    return _result(np.multiply(a_data, b_data), (a, b), "mul", backward_fn, np.multiply)
 
 
 def scale(a, c: float) -> Tensor:
@@ -649,20 +624,6 @@ def _segment_sum(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
     return sums.astype(np.float64, copy=False).reshape(n, d)
 
 
-def _sum_all(a):
-    return a.sum()
-
-
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    in_shape = a.shape
-
-    def backward_fn(g):
-        _accumulate(a, np.full(in_shape, float(g)))
-
-    return _result(_sum_all(a.data), (a,), "sum", backward_fn, _sum_all)
-
-
 def _gather_rows(index, a):
     return a[index]
 
@@ -721,30 +682,23 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return [seen[i] for i in sorted(seen)]
 
 
-def _tensors(value) -> list:
-    """The Tensors in a recorded argument, searching lists and tuples."""
-    if isinstance(value, (list, tuple)):
-        return [t for v in value for t in _tensors(v)]
-    return [value] if isinstance(value, Tensor) else []
-
-
 def downstream(loss: Tensor, leaves) -> list[list[Tensor]]:
     """For each of ``leaves``, the op nodes reachable from ``loss`` whose
-    recorded operands depend on that leaf, in creation order: recomputing
-    them in that order recomputes ``loss`` after the leaf's data changes.
-    The walk follows the recorded operands, not ``parents``, and stops at a
-    node without a record (a leaf or one built by hand)."""
+    parents depend on that leaf, in creation order: recomputing them in that
+    order recomputes ``loss`` after the leaf's data changes. The walk stops
+    at a node without a record (a leaf, or an op node whose record was
+    dropped)."""
     recorded_nodes, stack = {}, [loss]  # node_id -> node
     while stack:
         node = stack.pop()
         if node.call is not None and node.node_id not in recorded_nodes:
             recorded_nodes[node.node_id] = node
-            stack += node.call[1]
+            stack += node.parents
     order, cones = [recorded_nodes[i] for i in sorted(recorded_nodes)], []
     for leaf in leaves:
         hit, cone = {leaf.node_id}, []
         for node in order:
-            if any(t.node_id in hit for t in node.call[1]):
+            if any(t.node_id in hit for t in node.parents):
                 hit.add(node.node_id)
                 cone.append(node)
         cones.append(cone)

@@ -30,8 +30,10 @@ class Check(NamedTuple):
 
 
 def _mix(out, seed=0):
-    rng = np.random.default_rng(seed)
-    return T.sum_all(T.mul(out, Tensor(rng.standard_normal(out.shape))))
+    """A smooth scalar of the (n, d) ``out`` that every entry moves: the
+    BCE against fixed random 0/1 targets from a stream of its own, whose
+    gradient (sigmoid(x) - t) / size is never zero."""
+    return T.bce_with_logits(out, np.random.default_rng(seed).integers(0, 2, out.shape))
 
 
 def _tensor_checks(rng):
@@ -41,7 +43,7 @@ def _tensor_checks(rng):
     x = Tensor(rng.uniform(0.2, 1.5, (3, 5)) * rng.choice([-1.0, 1.0], (3, 5)), requires_grad=True)
 
     yield Check("matmul", lambda: _mix(T.matmul(a, b)), [("a", a), ("b", b)])
-    yield Check("add_mul", lambda: _mix(T.mul(T.add(a, c), a)), [("a", a), ("c", c)])
+    yield Check("add", lambda: _mix(T.add(a, c)), [("a", a), ("c", c)])
     yield Check("softplus", lambda: _mix(T.softplus(x)), [("x", x)])
     yield Check("softmax", lambda: _mix(T.softmax(a)), [("a", a)])
     yield Check("scale", lambda: _mix(T.scale(a, 1.7)), [("a", a)])

@@ -12,6 +12,7 @@ from semaffine import tensor as T
 from semaffine.errors import ShapeError
 from semaffine.gradcheck import finite_diff_check
 from semaffine.tensor import Tensor
+from upstream import weighted_sum
 
 
 def identity_proj(d):
@@ -260,13 +261,13 @@ class TestSemanticAffineTransform:
         bias_head = B.init_mlp(rng, [d_h, d])
         proj = B.init_linear(rng, d_m, d)
         f = Tensor(rng.standard_normal((n, d)), requires_grad=True)
-        mix = Tensor(rng.standard_normal((n, d)))
+        mix = rng.standard_normal((n, d))
 
         def loss():
             masks = A.predict_masks(h_u, mask_head)
             conf = A.mask_confidences(masks, f, proj)
             params = A.predict_affine_params(h_u, scale_head, bias_head)
-            return T.sum_all(T.mul(A.semantic_affine_transform(f, conf, params), mix))
+            return weighted_sum(A.semantic_affine_transform(f, conf, params), mix)
 
         named = (
             [("h_u", h_u), ("f", f)]

@@ -1,5 +1,6 @@
 """Finite-difference checker behaviour, plus per-op gradient verification."""
 
+import inspect
 import os
 
 import numpy as np
@@ -10,15 +11,25 @@ from semaffine import tensor as T
 from semaffine.errors import NumericError
 from semaffine.gradcheck import finite_diff_check
 from semaffine.tensor import Tensor
+from upstream import weighted_sum
+
+
+def _wrong_sum(x, factor):
+    """sum(x) as one recorded op node with a deliberately wrong backward:
+    ``factor`` times the true gradient."""
+    return T._result(x.data.sum(), (x,), "bad_sum",
+                     lambda g: T._accumulate(x, factor * np.full_like(x.data, float(g))), np.sum)
 
 
 class TestFiniteDiffCheck:
     def test_quadratic_three_params(self):
-        x = Tensor([1.5, -0.5, 2.0], requires_grad=True)
+        # sum(c * x**2) = x @ (c x).T: an mlp layer makes the row c x, a second one dots x with it
+        x = Tensor([[1.5, -0.5, 2.0]], requires_grad=True)
         c = np.array([2.0, 1.0, 3.0])
 
         def f():
-            return T.sum_all(T.mul(T.mul(x, x), Tensor(c)))
+            cx = T.mlp(x, [(Tensor(np.diag(c)), Tensor(np.zeros(3)))])
+            return weighted_sum(T.mlp(x, [(cx, Tensor([0.0]))]), [[1.0]])
 
         report = finite_diff_check(f, [("x", x)], tol=1e-8)
         assert report.passed
@@ -28,7 +39,7 @@ class TestFiniteDiffCheck:
         x = Tensor([0.3, -0.8], requires_grad=True)
 
         def f():
-            return T.sum_all(T.mul(x, Tensor([0.0, 0.0])))
+            return weighted_sum(x, [0.0, 0.0])
 
         report = finite_diff_check(f, [("x", x)])
         assert report.passed
@@ -37,18 +48,8 @@ class TestFiniteDiffCheck:
     def test_corrupted_gradient_detected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
 
-        class Doubled:
-            """Wraps x so the analytic gradient comes out exactly 2x too big."""
-
         def f():
-            # op with a deliberately wrong backward: forward sum(x), backward 2
-            out = Tensor(x.data.sum(), requires_grad=True, op="bad_sum", parents=(x,))
-
-            def bad_backward(g):
-                T._accumulate(x, 2.0 * np.full_like(x.data, float(g)))
-
-            out._backward_fn = bad_backward
-            return out
+            return _wrong_sum(x, 2.0)  # forward sum(x), backward 2
 
         report = finite_diff_check(f, [("x", x)], tol=1e-5)
         assert not report.passed
@@ -58,9 +59,9 @@ class TestFiniteDiffCheck:
         x = Tensor([1e308], requires_grad=True)
 
         def f():
-            return T.sum_all(T.mul(x, x))
+            return weighted_sum(T.scale(x, 10.0), [1.0])
 
-        with np.errstate(over="ignore"):  # x * x and its gradient 2x overflow
+        with np.errstate(over="ignore"):  # 10 * x overflows
             report = finite_diff_check(f, [("x", x)])
         assert not report.passed
         assert "non-finite" in report.params[0].note
@@ -71,9 +72,8 @@ class TestFiniteDiffCheck:
         x = Tensor([1.0, 2.0], requires_grad=True)
 
         def f():
-            out = Tensor(x.data.sum(), requires_grad=True, op="nan_sum", parents=(x,))
-            out._backward_fn = lambda g: T._accumulate(x, np.array([1.0, np.nan]))
-            return out
+            return T._result(x.data.sum(), (x,), "nan_sum", lambda g: T._accumulate(x, np.array([1.0, np.nan])),
+                             np.sum)
 
         report = finite_diff_check(f, [("x", x)])
         assert not report.passed
@@ -83,7 +83,7 @@ class TestFiniteDiffCheck:
         x = Tensor(np.linspace(-1, 1, 50), requires_grad=True)
 
         def f():
-            return T.sum_all(T.mul(x, x))
+            return weighted_sum(T.softplus(x), np.ones(50))
 
         r1 = finite_diff_check(f, [("x", x)], max_entries=10, seed=3)
         r2 = finite_diff_check(f, [("x", x)], max_entries=10, seed=3)
@@ -99,9 +99,7 @@ def _subsampled_case():
     c = Tensor(rng.standard_normal(40), requires_grad=True)
 
     def f():
-        wrong = Tensor(c.data.sum(), requires_grad=True, op="bad_sum", parents=(c,))
-        wrong._backward_fn = lambda g: T._accumulate(c, 1.5 * np.full_like(c.data, float(g)))
-        return T.add(T.add(_mix_loss(T.mul(a, a)), _mix_loss(T.softplus(b), seed=1)), wrong)
+        return T.add(T.add(_mix_loss(T.softplus(a)), _mix_loss(T.softplus(b), seed=1)), _wrong_sum(c, 1.5))
 
     return f, [("a", a), ("b", b), ("c", c)], dict(max_entries=10, seed=4)
 
@@ -114,14 +112,22 @@ def _non_finite_case():
     x = Tensor([1.7976931], requires_grad=True)  # x * 1e308 is finite, (x + 1e-6) * 1e308 is not
 
     def f():
-        edge = T.add(T.mul(x, Tensor([1e308])), Tensor([-1.7976931e308]))
-        return T.add(_mix_loss(T.mul(y, y)), T.sum_all(edge))
+        edge = T.add(T.scale(x, 1e308), Tensor([-1.7976931e308]))
+        return T.add(_mix_loss(T.softplus(y)), weighted_sum(edge, [1.0]))
 
     return f, [("y", y), ("x", x)], {}
 
 
-def _check_with_workers(monkeypatch, workers, make_case):
+def _fork_for(monkeypatch, workers, ops_per_worker=1):
+    """Let ``_ordered_map`` use ``workers`` workers, one per ``ops_per_worker``
+    replayed ops (None: the module's threshold)."""
     monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+    if ops_per_worker is not None:
+        monkeypatch.setattr(gradcheck, "MIN_OPS_PER_WORKER", ops_per_worker)
+
+
+def _check_with_workers(monkeypatch, workers, make_case):
+    _fork_for(monkeypatch, workers)
     f, params, kwargs = make_case()
     before = [p.data.tobytes() for _, p in params]
     with np.errstate(over="ignore"):
@@ -163,17 +169,17 @@ class TestParallelForwards:
     def test_exception_keeps_type_and_message(self, monkeypatch, workers, entry):
         # entry 8 lies in a child's block, entry 0 in the caller's own; the
         # joint audit moves both, so it raises first, in the caller
-        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        _fork_for(monkeypatch, workers)
         x = Tensor(np.arange(9.0), requires_grad=True)
 
-        @T.recorded
-        def checked_square(x):  # a recorded op, so replaying the entry's perturbation raises
-            if x.data[entry] != entry:
+        def checked_sum(a):  # a recorded kernel, so replaying the entry's perturbation raises
+            if a[entry] != entry:
                 raise NumericError(f"entry {entry} perturbed")
-            return T.mul(x, x)
+            return a.sum()
 
         def f():
-            return T.sum_all(checked_square(x))
+            return T._result(checked_sum(x.data), (x,), "checked_sum",
+                             lambda g: T._accumulate(x, np.full_like(x.data, float(g))), checked_sum)
 
         with pytest.raises(NumericError, match=f"entry {entry} perturbed"):
             finite_diff_check(f, [("x", x)])
@@ -182,23 +188,31 @@ class TestParallelForwards:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_no_items_fork_nothing(self, monkeypatch, workers):
-        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        _fork_for(monkeypatch, workers)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for an empty item list"))
-        assert gradcheck._ordered_map(lambda x: 2 * x, []) == []
+        assert gradcheck._ordered_map(lambda x: 2 * x, [], []) == []
 
-    @pytest.mark.parametrize("workers, entries, forks", [(1, 9, 0), (2, 9, 1), (3, 9, 2), (3, 2, 1)])
-    def test_forks_at_most_one_child_per_other_worker(self, monkeypatch, workers, entries, forks):
-        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+    # each entry replays 2 ops (softplus, weighted_sum), so 9 entries replay 18: with 9 ops
+    # per worker they are worth 2 workers, with 10 or the module's threshold (None) only 1
+    @pytest.mark.parametrize("workers, entries, forks, ops_per_worker", [
+        pytest.param(1, 9, 0, 1, id="1-9-0"), pytest.param(2, 9, 1, 1, id="2-9-1"),
+        pytest.param(3, 9, 2, 1, id="3-9-2"), pytest.param(3, 2, 1, 1, id="3-2-1"),
+        pytest.param(3, 9, 1, 9, id="3-9-1-9_ops_per_worker"),
+        pytest.param(3, 9, 0, 10, id="3-9-0-10_ops_per_worker"),
+        pytest.param(3, 9, 0, None, id="3-9-0-module_threshold"),
+    ])
+    def test_forks_at_most_one_child_per_other_worker(self, monkeypatch, workers, entries, forks, ops_per_worker):
+        _fork_for(monkeypatch, workers, ops_per_worker)
         started = _count_forks(monkeypatch)
         x = Tensor(np.linspace(0.5, 1.5, entries), requires_grad=True)
-        assert finite_diff_check(lambda: T.sum_all(T.mul(x, x)), [("x", x)]).passed
+        assert finite_diff_check(lambda: weighted_sum(T.softplus(x), np.ones(entries)), [("x", x)]).passed
         assert len(started) == forks
         _assert_no_children()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_costs_cut_contiguous_blocks_in_item_order(self, monkeypatch, workers):
         # three heavy items and six light ones, as early backbone cones against affine heads
-        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        _fork_for(monkeypatch, workers)
         started = _count_forks(monkeypatch)
         items, costs = list(range(9)), [70] * 3 + [10] * 6
         results = gradcheck._ordered_map(lambda x: (os.getpid(), x * x), items, costs)
@@ -227,14 +241,14 @@ class TestReplay:
     def test_data_read_outside_the_ops_still_fails(self, monkeypatch, workers, read):
         # 2 * x.data[read] moves with x in a full forward but is no recorded
         # argument, so the joint audit sees it, and the check falls back to full forwards
-        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        _fork_for(monkeypatch, workers)
         x = Tensor([0.5, -0.5, -1.5], requires_grad=True)
         y = Tensor([-1.0, 0.0, -0.5], requires_grad=True)
 
         def f():
             hidden = np.zeros(3)
             hidden[read] = 2 * x.data[read]
-            return T.sum_all(T.add(T.mul(x, y), Tensor(hidden)))
+            return T.add(_linear_loss(x, y), weighted_sum(Tensor(hidden), np.ones(3)))
 
         report = finite_diff_check(f, [("x", x), ("y", y)])
         assert [line.split("max_rel_err")[0] for line in report.lines()] == ["FAIL  x  ", "PASS  y  "]
@@ -245,14 +259,14 @@ class TestReplay:
     def test_failed_joint_audit_falls_back_the_whole_check(self, monkeypatch, workers):
         # the joint audit moves x and y at once and sees x's hidden read, so
         # every entry of x and of y takes full forwards
-        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        _fork_for(monkeypatch, workers)
         x = Tensor([0.5, -0.5, -1.5], requires_grad=True)
         y = Tensor([-1.0, 0.0, -0.5], requires_grad=True)
         read_fd, write_fd = os.pipe()  # one byte per call of f, from the forked workers too
 
         def f():
             os.write(write_fd, b".")
-            return T.sum_all(T.add(T.mul(x, y), Tensor(2 * x.data)))
+            return T.add(_linear_loss(x, y), weighted_sum(Tensor(2 * x.data), np.ones(3)))
 
         try:
             report = finite_diff_check(f, [("x", x), ("y", y)])
@@ -270,7 +284,7 @@ class TestReplay:
         maps = []
         real_map = gradcheck._ordered_map
 
-        def spied_map(fn, items, costs=None):
+        def spied_map(fn, items, costs):
             results = real_map(fn, items, costs)
             maps.append((items, results))
             return results
@@ -304,7 +318,7 @@ class TestReplay:
 
             first = [n for n, (k, _) in enumerate(items) if n == 0 or items[n - 1][0] != k]  # k's first entry
             assert [items[n][0] for n in first] == list(range(len(params))), name
-            assert [[p.hex() for p in pairs[n]] for n in first] == real_map(full_pair, first), name
+            assert [[p.hex() for p in pairs[n]] for n in first] == [full_pair(n) for n in first], name
 
     def test_unrecorded_softmax_takes_full_forwards(self, monkeypatch):
         # softmax nodes without a record hide the paths through them from
@@ -333,16 +347,67 @@ class TestReplay:
         _assert_no_children()
 
 
+# the recorded ops: every public function of tensor.py but the two tape walks
+RECORDED_OPS = sorted(name for name, fn in vars(T).items()
+                      if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")
+                      and name not in ("downstream", "backward"))
+MUTATED_MODULES = ("tensor", "hierarchy", "losses")  # together they call every recorded op
+
+
+def _mutated_suite() -> list[tuple[str, list[str], int]]:
+    """(check, report lines, calls of its loss) for each check of ``MUTATED_MODULES``."""
+    out = []
+    for module, name, loss, params, tol, max_entries in verify.iter_checks():
+        if module in MUTATED_MODULES:
+            calls = []
+
+            def f(loss=loss, calls=calls):
+                calls.append(1)
+                return loss()
+
+            report = finite_diff_check(f, params, tol=tol, max_entries=max_entries)
+            out.append((f"{module}.{name}", report.lines(), len(calls)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def unmutated_suite():
+    return _mutated_suite()
+
+
+@pytest.mark.parametrize("op", RECORDED_OPS)
+def test_dropping_an_ops_record_falls_back_to_the_same_reports(monkeypatch, unmutated_suite, op):
+    # an op node without its (kernel, static) hides the paths through it from
+    # every replay; each check that uses it takes full forwards, with the same reports
+    recorded = getattr(T, op)
+
+    def unrecorded(*args, **kwargs):
+        out = recorded(*args, **kwargs)
+        out.call = None
+        return out
+
+    monkeypatch.setattr(T, op, unrecorded)
+    monkeypatch.setattr(gradcheck, "_worker_count", lambda: 1)  # count every call of f in this process
+    mutated = _mutated_suite()
+    assert [(name, lines) for name, lines, _ in mutated] == [(name, lines) for name, lines, _ in unmutated_suite]
+    assert all(calls == 2 for _, _, calls in unmutated_suite)
+    assert any(calls > 2 for _, _, calls in mutated), f"no check uses {op}"
+
+
 def _mix_loss(out, seed=0):
     """Scalar projection with fixed random weights so every entry matters."""
-    rng = np.random.default_rng(seed)
-    return T.sum_all(T.mul(out, Tensor(rng.standard_normal(out.shape))))
+    return weighted_sum(out, np.random.default_rng(seed).standard_normal(out.shape))
+
+
+def _linear_loss(x, y):
+    """sum((x + y) * y0), y0 being y's starting values: the gradient of x and
+    of y is y0, as in sum(x * y) at that point."""
+    return weighted_sum(T.add(x, y), [-1.0, 0.0, -0.5])
 
 
 OPS = {
     "matmul": lambda a, b: T.matmul(a, b),
     "add": lambda a, b: T.add(a, b),
-    "mul": lambda a, b: T.mul(a, b),
 }
 
 

@@ -189,12 +189,12 @@ class TestSchedule:
 
     def test_quadratic_descent_is_monotone(self):
         cfg = Hx.TrainConfig(base_lr=0.05, momentum=0.0, weight_decay=0.0, warmup_fraction=0.0)
-        x = Tensor(np.array([4.0, -3.0]), requires_grad=True)
+        x = Tensor(np.array([[4.0, -3.0]]), requires_grad=True)
         state = Hx.SgdState()
         losses = []
         for t in range(40):
             x.zero_grad()
-            loss = T.sum_all(T.mul(x, x))
+            loss = T.mlp(x, [(x, Tensor([0.0]))])  # x @ x.T + 0: the sum of squares
             loss.backward()
             losses.append(loss.item())
             Hx.sgd_step([("x", x)], state, cfg, t, total_steps=40)

@@ -71,7 +71,7 @@ def test_every_private_name_is_used(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
-def ops_without_a_called_kernel(source: str, not_ops=("recorded", "downstream", "backward")) -> list[str]:
+def ops_without_a_called_kernel(source: str, not_ops=("downstream", "backward")) -> list[str]:
     """The public module-level functions, other than ``not_ops``, that do not
     return ``_result(data, parents, op, backward_fn, kernel, ...)`` with a
     ``kernel`` that the function also calls itself."""
@@ -98,3 +98,39 @@ def test_scanner_finds_an_op_without_a_called_kernel():
 
 def test_every_tensor_op_records_the_kernel_it_calls():
     assert ops_without_a_called_kernel((PACKAGE / "tensor.py").read_text(encoding="utf-8")) == []
+
+
+MODEL_PATH = ("model", "blocks", "affine", "hierarchy", "harness", "train")  # the modules a training step runs
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name the module imports or reads, bare (``softmax``) or as an
+    attribute (``T.softmax``, ``loss.backward``); a ``+`` reads ``add``, which
+    ``Tensor.__add__`` calls."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            | {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+            | {"add" for node in nodes if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)})
+
+
+def unreferenced_public_functions(source: str, referencing: list[str], not_ops=("downstream",)) -> list[str]:
+    """The public module-level functions of ``source``, other than ``not_ops``,
+    that none of the ``referencing`` sources names."""
+    names = set().union(*(referenced_names(text) for text in referencing))
+    return [fn.name for fn in ast.parse(source).body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in not_ops
+            and fn.name not in names]
+
+
+def test_scanner_finds_an_unreferenced_function():
+    source = "def add(a, b):\n    pass\n\ndef mul(a, b):\n    pass\n\ndef neg(a):\n    pass\n\ndef _k(a):\n    pass\n"
+    referencing = ["from . import tensor as T\nT.mul(x, y)\n", "from .tensor import neg\nz = x + y\n"]
+    assert unreferenced_public_functions(source, referencing) == []
+    assert unreferenced_public_functions(source, referencing[:1]) == ["add", "neg"]
+
+
+def test_every_tensor_function_is_on_the_model_path():
+    # downstream is gradcheck's walk of the tape, so unreferenced_public_functions leaves it out
+    referencing = [(PACKAGE / f"{name}.py").read_text(encoding="utf-8") for name in MODEL_PATH]
+    assert unreferenced_public_functions((PACKAGE / "tensor.py").read_text(encoding="utf-8"), referencing) == []

@@ -8,6 +8,7 @@ import pytest
 from semaffine.errors import ContractError, ShapeError
 from semaffine import tensor as T
 from semaffine.tensor import Tensor
+from upstream import weighted_sum
 
 
 def hidden_relu(x):
@@ -84,10 +85,9 @@ class TestElementwise:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
-        # no implicit (n, d) op (d,) row broadcast: bias and gain rows go through the fused ops
-        for op in (T.add, T.mul):
-            with pytest.raises(ShapeError, match=r"\(3, 2\) and \(2,\)"):
-                op(Tensor(np.ones((3, 2))), Tensor([1.0, 2.0]))
+        # no implicit (n, d) + (d,) row broadcast: bias and gain rows go through the fused ops
+        with pytest.raises(ShapeError, match=r"\(3, 2\) and \(2,\)"):
+            T.add(Tensor(np.ones((3, 2))), Tensor([1.0, 2.0]))
 
 
 class TestSoftmax:
@@ -272,7 +272,7 @@ class TestLayerNorm:
         gain, bias = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         out = T.layer_norm(x, gain, bias, 1e-5)
         assert out.op == "layer_norm" and out.parents == (x, gain, bias)
-        T.sum_all(T.mul(out, Tensor(rng.standard_normal((3, 4))))).backward()
+        weighted_sum(out, rng.standard_normal((3, 4))).backward()
         assert x.grad.shape == (3, 4) and bias.grad.shape == (3, 4) and gain.grad is None
 
     @pytest.mark.parametrize("x_grad,residual_grad", [(True, True), (True, False), (False, True)])
@@ -283,15 +283,15 @@ class TestLayerNorm:
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=x_grad)
         r = Tensor(rng.standard_normal((3, 4)), requires_grad=residual_grad)
         gain, bias = (Tensor(rng.standard_normal(4), requires_grad=True) for _ in range(2))
-        mix = Tensor(rng.standard_normal((3, 4)))
+        mix = rng.standard_normal((3, 4))
 
         fused = T.layer_norm(x, gain, bias, 1e-5, residual=r)
         assert fused.op == "layer_norm" and fused.parents == (x, gain, bias, r)
-        T.sum_all(T.mul(fused, mix)).backward()
+        weighted_sum(fused, mix).backward()
         got = _grads([x, r, gain, bias])
         total = Tensor(x.data + r.data, requires_grad=True)
         unfused = T.layer_norm(total, gain, bias, 1e-5)
-        T.sum_all(T.mul(unfused, mix)).backward()
+        weighted_sum(unfused, mix).backward()
         expect = _grads([total, gain, bias])
 
         assert fused.data.tobytes() == unfused.data.tobytes()
@@ -309,10 +309,10 @@ class TestLayerNorm:
         rng = np.random.default_rng(33)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
-        mix = Tensor(rng.standard_normal((3, 4)))
-        T.sum_all(T.mul(T.layer_norm(x, gain, bias, 1e-5, residual=x), mix)).backward()
+        mix = rng.standard_normal((3, 4))
+        weighted_sum(T.layer_norm(x, gain, bias, 1e-5, residual=x), mix).backward()
         total = Tensor(2.0 * x.data, requires_grad=True)
-        T.sum_all(T.mul(T.layer_norm(total, gain, bias, 1e-5), mix)).backward()
+        weighted_sum(T.layer_norm(total, gain, bias, 1e-5), mix).backward()
         np.testing.assert_array_equal(x.grad, 2.0 * total.grad)
 
     def test_residual_shape_mismatch(self):
@@ -335,27 +335,28 @@ class TestLayerNorm:
 
 class TestBackward:
     def test_sum_of_squares(self):
-        x = Tensor([1.0, -2.0], requires_grad=True)
-        loss = T.sum_all(T.mul(x, x))
+        # x @ x.T + 0 as a one-layer mlp whose input and weight are both x
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        loss = T.mlp(x, [(x, Tensor([0.0]))])
         loss.backward()
-        np.testing.assert_allclose(x.grad, [2.0, -4.0], atol=1e-12)
+        np.testing.assert_allclose(x.grad, [[2.0, -4.0]], atol=1e-12)
 
     def test_constant_loss_leaves_no_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = T.sum_all(Tensor([5.0]))
+        loss = T.scale(Tensor([5.0]), 2.0)
         loss.backward()
         assert x.grad is None
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            T.backward(T.mul(x, x))
+            T.backward(T.softplus(x))
 
     def test_gradient_accumulates_on_reuse(self):
         x = Tensor([2.0], requires_grad=True)
-        loss = T.sum_all(T.add(T.mul(x, x), x))
+        loss = T.add(T.scale(x, 2.0), x)
         loss.backward()
-        np.testing.assert_allclose(x.grad, [5.0])
+        np.testing.assert_allclose(x.grad, [3.0])
 
     def test_replay_determinism(self):
         def run():
@@ -363,7 +364,7 @@ class TestBackward:
             x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
             w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
             y = T.softmax(T.matmul(x, w))
-            loss = T.sum_all(T.mul(y, y))
+            loss = T.bce_with_logits(y, np.eye(4, 2))
             loss.backward()
             return loss.data.copy(), x.grad.copy(), w.grad.copy()
 
@@ -383,7 +384,7 @@ class TestIndexingOps:
         out = T.gather_rows(src, idx)
         np.testing.assert_array_equal(out.data, a[idx])
         g = rng.standard_normal((4, 3))
-        T.sum_all(T.mul(out, Tensor(g))).backward()
+        weighted_sum(out, g).backward()
         expect = np.zeros((5, 3))
         np.add.at(expect, idx, g)  # row 0 is gathered twice, rows 1 and 3 never
         np.testing.assert_array_equal(src.grad, expect)
@@ -444,7 +445,7 @@ def unfused_attention_loss(q_in, kv_in, projs, heads, mix):
         v = add_row(T.matmul(kv_in, wv_t), bv)
         scores = T.mlp(q, [(k, Tensor(np.zeros(kv_in.shape[0])))])
         attn = T.softmax(T.scale(scores, inv_sqrt_dk))
-        part = T.sum_all(T.mul(T.matmul(attn, v), Tensor(mix[:, h * d_k:(h + 1) * d_k])))
+        part = weighted_sum(T.matmul(attn, v), mix[:, h * d_k:(h + 1) * d_k])
         total = part if total is None else total + part
     return total, blocks
 
@@ -463,15 +464,15 @@ class TestFusedOps:
         x = Tensor(rng.standard_normal((5, 3)), requires_grad=x_grad)
         w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        mix = Tensor(rng.standard_normal((5, 4)))
+        mix = rng.standard_normal((5, 4))
 
         fused = T.mlp(x, [(w, b)])
-        T.sum_all(T.mul(fused, mix)).backward()
+        weighted_sum(fused, mix).backward()
         got = _grads([x, w, b])
         w_t = Tensor(w.data.T.copy(), requires_grad=True)
         b_row = Tensor(b.data[None].copy(), requires_grad=True)
         unfused = add_row(T.matmul(x, w_t), b_row)
-        T.sum_all(T.mul(unfused, mix)).backward()
+        weighted_sum(unfused, mix).backward()
         expect = _grads([x, w_t, b_row])
         expect[1], expect[2] = expect[1].T, expect[2][0]
 
@@ -509,7 +510,7 @@ class TestFusedOps:
 
         out = T.mlp(x, layers)
         assert out.op == "mlp" and out.parents == (x,) + tuple(t for layer in layers for t in layer)
-        T.sum_all(T.mul(out, Tensor(g_out))).backward()
+        weighted_sum(out, g_out).backward()
 
         inputs, lives, h = [], [], x.data
         for i, (w, b) in enumerate(layers):
@@ -551,7 +552,7 @@ class TestFusedOps:
         stacked = [t for proj in projs for t in proj]
 
         out = T.attention(q_in, kv_in, *stacked, heads=heads)
-        fused_loss = T.sum_all(T.mul(out, Tensor(mix)))
+        fused_loss = weighted_sum(out, mix)
         fused_loss.backward()
         got = _grads([q_in, kv_in] + stacked)
         unfused_loss, blocks = unfused_attention_loss(q_in, kv_in, projs, heads, mix)
@@ -609,14 +610,14 @@ class TestFusedOps:
         f = Tensor(rng.standard_normal((9, 5)), requires_grad=f_grad)
         masks, w, b = (Tensor(rng.standard_normal(shape), requires_grad=params_grad)
                        for shape in ((3, 4), (4, 5), 4))
-        mix = Tensor(rng.standard_normal((9, 3)))
+        mix = rng.standard_normal((9, 3))
 
         fused = T.mask_logits(f, masks, w, b)
-        T.sum_all(T.mul(fused, mix)).backward()
+        weighted_sum(fused, mix).backward()
         got = _grads([f, masks, w, b])
         masks_t = Tensor(masks.data.T.copy(), requires_grad=params_grad)
         unfused = T.matmul(T.mlp(f, [(w, b)]), masks_t)
-        T.sum_all(T.mul(unfused, mix)).backward()
+        weighted_sum(unfused, mix).backward()
         expect = _grads([f, masks_t, w, b])
         if params_grad:
             expect[1] = expect[1].T
@@ -663,15 +664,15 @@ class TestSceneOffsets:
         rng = np.random.default_rng(1)
         out = batched()
         scalar = out.data.ndim == 0
-        mix = Tensor(rng.standard_normal(out.shape)) if not scalar else None
-        (out if scalar else T.sum_all(T.mul(out, mix))).backward()
+        mix = rng.standard_normal(out.shape) if not scalar else None
+        (out if scalar else weighted_sum(out, mix)).backward()
         got = [out.data] + _grads(leaves)
         parts, n = [], len(mix_rows) - 1
         for s in range(n):
             part = per_scene(s)
             parts.append(part.data)
             rows = slice(mix_rows[s], mix_rows[s + 1])
-            loss = T.scale(part, 1.0 / n) if scalar else T.sum_all(T.mul(part, Tensor(mix.data[rows])))
+            loss = T.scale(part, 1.0 / n) if scalar else weighted_sum(part, mix[rows])
             loss.backward()
         want = [np.mean(parts) if scalar else np.concatenate(parts)] + _grads(leaves)
         for g, w in zip(got, want):
@@ -756,7 +757,6 @@ _TARGETS = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0], [0, 1, 0], [1, 0, 0], [0, 
                      [1, 0, 1]], dtype=float)
 KERNEL_CASES = [
     ("add", "add", [(3, 2), (3, 2)], T.add),
-    ("mul", "mul", [(3, 2), (3, 2)], T.mul),
     ("scale", "scale", [(3, 2)], lambda a: T.scale(a, -0.3)),
     ("matmul", "matmul", [(4, 3), (3, 2)], T.matmul),
     ("matmul", "matmul_offsets", [(9, 2), (6, 5)], lambda a, b: T.matmul(a, b, _Q)),
@@ -779,12 +779,11 @@ KERNEL_CASES = [
     ("layer_norm", "layer_norm_rows", [(4, 3), (3,), (3,)], T.layer_norm),
     ("layer_norm", "layer_norm_per_point_residual", [(4, 3), (4, 3), (4, 3), (4, 3)],
      lambda x, gain, bias, res: T.layer_norm(x, gain, bias, 1e-3, res)),
-    ("sum_all", "sum_all", [(3, 2)], T.sum_all),
     ("gather_rows", "gather_rows", [(4, 2)], lambda a: T.gather_rows(a, [3, 0, 0, 2])),
     ("pool_rows_mean", "pool_rows_mean", [(5, 2)], lambda a: T.pool_rows_mean(a, [1, 0, 1, 1, 0], 2)),
 ]
 OPS = {name for name, fn in vars(T).items() if callable(fn) and getattr(fn, "__module__", None) == T.__name__
-       and not name.startswith("_") and name not in ("Tensor", "recorded", "downstream", "backward")}
+       and not name.startswith("_") and name not in ("Tensor", "downstream", "backward")}
 
 
 def test_kernel_cases_cover_every_op():
@@ -797,12 +796,12 @@ def test_recorded_kernel_replays_a_fresh_call_without_a_node(shapes, call):
     rng = np.random.default_rng(40)
     operands = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
     out = call(*operands)
-    kernel, recorded_operands, static = out.call
-    assert list(recorded_operands) == operands
+    kernel, static = out.call
+    assert list(out.parents) == operands
     for t in operands:  # new values in the same arrays, as a finite difference moves them
         t.data += rng.standard_normal(t.shape)
     next_id = repr(T._NODE_IDS)
-    replayed = np.asarray(kernel(*static, *[t.data for t in recorded_operands]))
+    replayed = np.asarray(kernel(*static, *[t.data for t in out.parents]))
     assert repr(T._NODE_IDS) == next_id  # the replay made no node
     fresh = call(*operands).data
     assert (replayed.dtype, replayed.shape, replayed.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())

@@ -480,9 +480,8 @@ class TestCli:
             x = Tensor([1.0, 2.0], requires_grad=True)
 
             def loss():
-                out = Tensor(x.data.sum(), requires_grad=True, op="bad_sum", parents=(x,))
-                out._backward_fn = lambda g: T._accumulate(x, 2.0 * np.full_like(x.data, float(g)))
-                return out
+                return T._result(x.data.sum(), (x,), "bad_sum",
+                                 lambda g: T._accumulate(x, 2.0 * np.full_like(x.data, float(g))), np.sum)
 
             yield Check("wrong_sum", loss, [("x", x)])
 
