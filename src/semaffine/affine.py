@@ -77,12 +77,6 @@ def predict_affine_params(
     )
 
 
-def combine_affine(conf: ConfidenceMatrix, p: AffineParams, offsets=None) -> tuple[Tensor, Tensor]:
-    """Per-point affine parameters as confidence-weighted sums of class rows,
-    each point's of its own scene's bank (row ``offsets``; None for one scene)."""
-    return T.matmul(conf.probs, p.scales, offsets), T.matmul(conf.probs, p.biases, offsets)
-
-
 def semantic_affine_transform(
     f: Tensor,
     conf: ConfidenceMatrix,
@@ -90,6 +84,9 @@ def semantic_affine_transform(
     eps: float = T.LAYER_NORM_EPS,
     offsets=None,
 ) -> Tensor:
-    """Replace each feature row with S_j * normalize(f_j) + B_j."""
-    s, b = combine_affine(conf, p, offsets)
+    """Replace each feature row with S_j * normalize(f_j) + B_j, where S_j and
+    B_j are the confidence-weighted sums of the class rows of the point's own
+    scene's bank (row ``offsets``; None for one scene)."""
+    s = T.matmul(conf.probs, p.scales, offsets)
+    b = T.matmul(conf.probs, p.biases, offsets)
     return T.layer_norm(f, s, b, eps)

@@ -21,16 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .ablate import parse_variants, run_ablation
-from .config import (
-    extra_from,
-    model_config_from,
-    parse_config_file,
-    scene_spec_from,
-    train_config_from,
-)
+from .config import ExtraConfig, config_from, parse_config_file
 from .errors import ConfigError, NumericError, SemaffineError, ascii_float, ascii_int
-from .model import AFFINE_MODES, CLASSIFIERS
-from .scenes import generate_scene, write_manifest, write_scene
+from .harness import TrainConfig
+from .model import AFFINE_MODES, CLASSIFIERS, ModelConfig
+from .scenes import SceneSpec, generate_scene, write_manifest, write_scene
 from .train import eval_run, train_run
 from .verify import MODULES, run_suite
 
@@ -41,8 +36,8 @@ def _cmd_synth(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     values = parse_config_file(args.spec) if args.spec else {}
-    spec = scene_spec_from(values)
-    extra = extra_from(values)
+    spec = config_from(values, SceneSpec)
+    extra = config_from(values, ExtraConfig)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     n_val = int(round(args.count * extra.val_fraction))
@@ -59,8 +54,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     values = parse_config_file(args.config) if args.config else {}
-    model_cfg = model_config_from(values)
-    train_cfg = train_config_from(values)
+    model_cfg = config_from(values, ModelConfig)
+    train_cfg = config_from(values, TrainConfig)
     log_path = args.log if args.log else str(args.out) + ".log"
     result = train_run(args.data, model_cfg, train_cfg, args.out, log_path=log_path)
     for line in result.log_lines:
@@ -95,10 +90,10 @@ def _cmd_ablate(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     values = parse_config_file(args.config) if args.config else {}
-    model_cfg = model_config_from(values)
-    train_cfg = train_config_from(values)
-    spec = scene_spec_from(values)
-    extra = extra_from(values)
+    model_cfg = config_from(values, ModelConfig)
+    train_cfg = config_from(values, TrainConfig)
+    spec = config_from(values, SceneSpec)
+    extra = config_from(values, ExtraConfig)
     variants = parse_variants(args.variants.split(","))
     result = run_ablation(
         model_cfg, train_cfg, spec,

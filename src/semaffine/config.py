@@ -1,7 +1,9 @@
 """Line-oriented ``key = value`` configuration files with ``#`` comments.
 
 One file can carry model, training, and scene-generation settings; unknown
-keys are errors. The same key set round-trips through checkpoint snapshots.
+keys are errors. ``config_from(values, cls)`` reads any of the four config
+classes through the one ``{class: keys}`` table, and the model and training
+keys round-trip through checkpoint snapshots.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ def _to_int(s: str) -> int:
 
 
 def _to_int_tuple(s: str) -> tuple:
-    return tuple(_to_int(x.strip()) for x in s.split(",") if x.strip())
+    """Comma-separated integers; an empty entry (``6,,8``, ``6,8,``) is a ValueError."""
+    return tuple(_to_int(x.strip()) for x in s.split(","))
 
 
 # config-file keys that are not the name of the field they set
@@ -61,12 +64,9 @@ def _keys(config_class) -> dict:
     return out
 
 
-MODEL_KEYS = _keys(ModelConfig)
-TRAIN_KEYS = _keys(TrainConfig)
-SCENE_KEYS = _keys(SceneSpec)
-EXTRA_KEYS = _keys(ExtraConfig)
-
-KNOWN_KEYS = set(MODEL_KEYS) | set(TRAIN_KEYS) | set(SCENE_KEYS) | set(EXTRA_KEYS)
+# config class -> its config-file keys
+KEYS = {cls: _keys(cls) for cls in (ModelConfig, TrainConfig, SceneSpec, ExtraConfig)}
+KNOWN_KEYS = set().union(*KEYS.values())
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -91,9 +91,10 @@ def parse_config_file(path) -> dict[str, str]:
     return parse_config_text(read_utf8(path), source=str(path))
 
 
-def _config_from(values: dict[str, str], keymap: dict, config_class):
-    cfg = config_class()
-    for key, (attr, conv) in keymap.items():
+def config_from(values: dict[str, str], cls):
+    """A validated ``cls`` with the fields that ``values`` names set and the rest at their defaults."""
+    cfg = cls()
+    for key, (attr, conv) in KEYS[cls].items():
         if key in values:
             try:
                 setattr(cfg, attr, conv(values[key]))
@@ -103,29 +104,12 @@ def _config_from(values: dict[str, str], keymap: dict, config_class):
     return cfg
 
 
-def model_config_from(values: dict[str, str]) -> ModelConfig:
-    return _config_from(values, MODEL_KEYS, ModelConfig)
-
-
-def train_config_from(values: dict[str, str]) -> TrainConfig:
-    return _config_from(values, TRAIN_KEYS, TrainConfig)
-
-
-def scene_spec_from(values: dict[str, str]) -> SceneSpec:
-    return _config_from(values, SCENE_KEYS, SceneSpec)
-
-
-def extra_from(values: dict[str, str]) -> ExtraConfig:
-    return _config_from(values, EXTRA_KEYS, ExtraConfig)
-
-
 def snapshot(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
     """Config snapshot for checkpoints, in config-file key space."""
     out = {}
-    for key, (attr, _) in MODEL_KEYS.items():
-        out[key] = getattr(model_cfg, attr)
-    for key, (attr, _) in TRAIN_KEYS.items():
-        out[key] = getattr(train_cfg, attr)
+    for cfg in (model_cfg, train_cfg):
+        for key, (attr, _) in KEYS[type(cfg)].items():
+            out[key] = getattr(cfg, attr)
     return out
 
 
@@ -133,4 +117,4 @@ def configs_from_snapshot(values: dict[str, str]) -> tuple[ModelConfig, TrainCon
     unknown = set(values) - KNOWN_KEYS
     if unknown:
         raise ConfigError(f"snapshot has unknown keys: {sorted(unknown)}")
-    return model_config_from(values), train_config_from(values)
+    return config_from(values, ModelConfig), config_from(values, TrainConfig)

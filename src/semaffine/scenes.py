@@ -4,7 +4,10 @@ Scenes are engineered so that local geometry alone cannot separate classes:
 table and chair legs are cylinders drawn from the same radius/height
 distribution, and every scene places at least one chair in contact distance
 of a table, so cross-class points mix inside small neighborhoods. Per-scene
-bookkeeping records those guarantees.
+bookkeeping records those guarantees. Every object, the floor included, is
+placed, sampled, labeled and leg-counted by one helper, whose packing radius
+comes from the one per-class ``CLEARANCE`` table; the RNG draws run in a
+fixed order, so a (spec, seed) pair always gives the same scene bytes.
 
 On-disk format (text, line-oriented, UTF-8):
 
@@ -45,7 +48,7 @@ CLASS_NAMES = ("floor", "table", "chair", "clutter")
 LEG_RADIUS = 0.03
 LEG_HEIGHT_RANGE = (0.40, 0.50)
 
-TABLE_CLEARANCE = 0.65  # meters, a table's footprint radius for packing
+CLEARANCE = {CLASS_TABLE: 0.65, CLASS_CHAIR: 0.35, CLASS_CLUTTER: 0.45}  # meters, footprint radius for packing
 MAX_EXTENT = 1000.0  # meters; squared placement distances overflow near 1e154
 MAX_POINTS_PER_OBJECT = 100_000  # ~300x the default; far above it a scene exhausts memory
 MAX_OBJECTS_PER_SCENE = 1000  # ~170x the default; each placement scans every placed object
@@ -72,8 +75,8 @@ class SceneSpec:
                                 f"got {self.objects_per_scene}")
         if self.noise_sigma < 0:
             raise ContractError(f"scene spec: noise_sigma must be >= 0, got {self.noise_sigma}")
-        if not 2 * TABLE_CLEARANCE < self.extent <= MAX_EXTENT:
-            raise ContractError(f"scene spec: extent must lie in ({2 * TABLE_CLEARANCE:g}, {MAX_EXTENT:g}] m, "
+        if not 2 * CLEARANCE[CLASS_TABLE] < self.extent <= MAX_EXTENT:
+            raise ContractError(f"scene spec: extent must lie in ({2 * CLEARANCE[CLASS_TABLE]:g}, {MAX_EXTENT:g}] m, "
                                 f"got {self.extent}")
 
 
@@ -215,40 +218,32 @@ def generate_scene(spec: SceneSpec, seed: int) -> LabeledCloud:
         placed.append((x, y, own_half))
         return x, y
 
-    # floor first: covers the extent, adjacent to everything standing on it
-    parts.append(_slab(rng, n_pts, 0.0, 0.0, 0.0, spec.extent, spec.extent, 0.02))
-    labels.append(np.full(n_pts, CLASS_FLOOR))
+    def add_object(cls, xy=None):
+        """Place one object of class ``cls`` at ``xy`` (None packs it by its
+        class's clearance), sample its points, and append them with their
+        labels and leg count."""
+        x, y = place(CLEARANCE[cls]) if xy is None else xy
+        n_leg = 0
+        if cls == CLASS_FLOOR:  # covers the extent, adjacent to everything standing on it
+            pts = _slab(rng, n_pts, x, y, 0.0, spec.extent, spec.extent, 0.02)
+        elif cls == CLASS_CLUTTER:
+            pts = _clutter(rng, n_pts, x, y)
+        else:
+            pts, n_leg = (_table if cls == CLASS_TABLE else _chair)(rng, n_pts, x, y, leg_height)
+        parts.append(pts)
+        labels.append(np.full(len(pts), cls))
+        meta["leg_points"] += n_leg
+        return x, y
 
+    add_object(CLASS_FLOOR, (0.0, 0.0))
     # guaranteed confusable pair: one table with one chair in contact range
-    tx, ty = place(TABLE_CLEARANCE)
-    pts, n_leg = _table(rng, n_pts, tx, ty, leg_height)
-    parts.append(pts)
-    labels.append(np.full(len(pts), CLASS_TABLE))
-    meta["leg_points"] += n_leg
-
-    cx, cy = place_beside((tx, ty), (0.55, 0.35), 0.25)
-    pts, n_leg = _chair(rng, n_pts, cx, cy, leg_height)
-    parts.append(pts)
-    labels.append(np.full(len(pts), CLASS_CHAIR))
-    meta["leg_points"] += n_leg
+    table_xy = add_object(CLASS_TABLE)
+    add_object(CLASS_CHAIR, place_beside(table_xy, (0.55, 0.35), 0.25))
     meta["adjacent_pairs"] += 1
 
     cycle = [CLASS_CLUTTER, CLASS_CHAIR, CLASS_TABLE]
     for i in range(spec.objects_per_scene - 2):
-        cls = cycle[i % len(cycle)]
-        if cls == CLASS_TABLE:
-            x, y = place(TABLE_CLEARANCE)
-            pts, n_leg = _table(rng, n_pts, x, y, leg_height)
-            meta["leg_points"] += n_leg
-        elif cls == CLASS_CHAIR:
-            x, y = place(0.35)
-            pts, n_leg = _chair(rng, n_pts, x, y, leg_height)
-            meta["leg_points"] += n_leg
-        else:
-            x, y = place(0.45)
-            pts = _clutter(rng, n_pts, x, y)
-        parts.append(pts)
-        labels.append(np.full(len(pts), cls))
+        add_object(cycle[i % len(cycle)])
 
     coords = np.concatenate(parts, axis=0)
     coords += rng.normal(0.0, spec.noise_sigma, coords.shape)

@@ -2,6 +2,7 @@
 consistency, symmetry collapses, and gradients through the composed path."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,15 @@ from upstream import weighted_sum
 def identity_proj(d):
     """A mask projection that passes d-wide features through unchanged."""
     return B.LinearParams(Tensor(np.eye(d)), Tensor(np.zeros(d)))
+
+
+def blend(conf, p):
+    """The per-point (S, B) that ``semantic_affine_transform`` hands to its
+    ``layer_norm`` node as gain and bias."""
+    with mock.patch.object(T, "layer_norm", wraps=T.layer_norm) as spy:
+        A.semantic_affine_transform(Tensor(np.zeros((conf.probs.shape[0], p.scales.shape[1]))), conf, p)
+    _, s, b, _ = spy.call_args.args
+    return s, b
 
 
 def normalize_oracle(x, eps=1e-5):
@@ -127,12 +137,14 @@ class TestPredictAffineParams:
 
 
 class TestCombineAffine:
+    """The confidence-weighted blend of class rows inside the transform."""
+
     def test_one_hot_selects_class_params(self):
         rng = np.random.default_rng(7)
         p = A.AffineParams(Tensor(np.abs(rng.standard_normal((3, 4)))), Tensor(rng.standard_normal((3, 4))))
         probs = Tensor(np.eye(3)[[2, 0, 1, 2]].astype(float))
         conf = A.ConfidenceMatrix(logits=probs, probs=probs)
-        s, b = A.combine_affine(conf, p)
+        s, b = blend(conf, p)
         np.testing.assert_allclose(s.data, p.scales.data[[2, 0, 1, 2]], atol=1e-15)
         np.testing.assert_allclose(b.data, p.biases.data[[2, 0, 1, 2]], atol=1e-15)
 
@@ -143,7 +155,7 @@ class TestCombineAffine:
             Tensor(np.array([[0.0, 0.0], [1.0, 1.0]])),
         )
         conf = A.ConfidenceMatrix(logits=probs, probs=probs)
-        s, b = A.combine_affine(conf, p)
+        s, b = blend(conf, p)
         np.testing.assert_allclose(s.data, [[2.5, 1.0]], atol=1e-12)
         np.testing.assert_allclose(b.data, [[0.75, 0.75]], atol=1e-12)
 
@@ -154,7 +166,7 @@ class TestCombineAffine:
         p = A.AffineParams(Tensor(np.tile(s_star, (3, 1))), Tensor(np.tile(b_star, (3, 1))))
         probs = rng.dirichlet(np.ones(3), size=6)
         conf = A.ConfidenceMatrix(logits=Tensor(probs), probs=Tensor(probs))
-        s, b = A.combine_affine(conf, p)
+        s, b = blend(conf, p)
         np.testing.assert_allclose(s.data, np.tile(s_star, (6, 1)), atol=1e-12)
         np.testing.assert_allclose(b.data, np.tile(b_star, (6, 1)), atol=1e-12)
 
@@ -163,7 +175,7 @@ class TestCombineAffine:
         p = A.AffineParams(Tensor(np.abs(rng.standard_normal((4, 5)))), Tensor(rng.standard_normal((4, 5))))
         probs = rng.dirichlet(np.ones(4), size=50)
         conf = A.ConfidenceMatrix(logits=Tensor(probs), probs=Tensor(probs))
-        s, _ = A.combine_affine(conf, p)
+        s, _ = blend(conf, p)
         assert (s.data >= 0).all()
 
 
@@ -197,7 +209,7 @@ class TestSemanticAffineTransform:
         row = rng.dirichlet(np.ones(3))
         probs = Tensor(np.tile(row, (2, 1)))
         conf = A.ConfidenceMatrix(logits=probs, probs=probs)
-        s, b = A.combine_affine(conf, p)
+        s, b = blend(conf, p)
         np.testing.assert_allclose(s.data[0], s.data[1], atol=1e-15)
         np.testing.assert_allclose(b.data[0], b.data[1], atol=1e-15)
 

@@ -8,16 +8,7 @@ import numpy as np
 import pytest
 
 from semaffine.checkpoint import load_checkpoint, restore_parameters, save_checkpoint
-from semaffine.config import (
-    KNOWN_KEYS,
-    configs_from_snapshot,
-    extra_from,
-    model_config_from,
-    parse_config_text,
-    scene_spec_from,
-    snapshot,
-    train_config_from,
-)
+from semaffine.config import KEYS, KNOWN_KEYS, config_from, configs_from_snapshot, parse_config_text, snapshot
 from semaffine.errors import SemaffineError
 from semaffine.harness import TrainConfig
 from semaffine.model import ModelConfig
@@ -133,8 +124,8 @@ def test_mutated_configs_load_or_raise_package_errors():
     for i, text in enumerate(texts):
         try:
             values = parse_config_text(text)
-            for load in (model_config_from, train_config_from, scene_spec_from, extra_from):
-                load(values)
+            for cls in KEYS:
+                config_from(values, cls)
             outcomes["loaded"] += 1
         except SemaffineError:
             outcomes["rejected"] += 1

@@ -11,21 +11,19 @@ from semaffine import tensor as T
 from semaffine.affine import ConfidenceMatrix
 from semaffine.checkpoint import MAGIC, load_checkpoint, restore_parameters, save_checkpoint
 from semaffine.config import (
-    EXTRA_KEYS,
+    KEYS,
     KNOWN_KEYS,
-    MODEL_KEYS,
-    SCENE_KEYS,
-    TRAIN_KEYS,
+    ExtraConfig,
+    config_from,
     configs_from_snapshot,
-    model_config_from,
     parse_config_file,
     parse_config_text,
     snapshot,
-    train_config_from,
 )
 from semaffine.errors import ConfigError, ContractError, NumericError, ParseError
 from semaffine.gradcheck import finite_diff_check
-from semaffine.model import ATTENTION_PREFIXES, ForwardOutput, MidLevelOutput
+from semaffine.model import ATTENTION_PREFIXES, ForwardOutput, MidLevelOutput, ModelConfig
+from semaffine.scenes import SceneSpec
 from semaffine.tensor import Tensor
 
 
@@ -358,11 +356,18 @@ class TestCheckpoint:
 
     def test_default_model_checkpoint_bytes_are_pinned(self, tmp_path):
         """Every parameter name, their order and every init stream of the
-        default model, and the config snapshot, pinned as one crc32."""
-        from semaffine.model import ModelConfig, build_model
+        default-sized model, and the config snapshot, pinned as one crc32.
+        The configs are spelled out as the defaults stood when the pin was
+        taken, so that a later change of a default leaves the pin alone."""
+        from semaffine.model import build_model
+        model_cfg = ModelConfig(n_classes=4, levels=4, level_dims=(32, 64, 96, 128), d_h=64, d_m=64,
+                                encoder_depth=4, decoder_depth=5, heads=4, level_offset=2, base_voxel=0.4,
+                                norm_eps=1e-5, classifier="mask", affine="sa")
+        train_cfg = Hx.TrainConfig(base_lr=2e-2, attention_lr_factor=0.1, weight_decay=1e-4, momentum=0.9,
+                                   epochs=20, batch_size=4, warmup_fraction=0.05, w_final=1.0, w_mid=1.0, seed=0)
         path = tmp_path / "default.ckpt"
-        named = build_model(ModelConfig(), seed=3).named_parameters()
-        save_checkpoint(path, named, snapshot(ModelConfig(), Hx.TrainConfig()), step=0)
+        named = build_model(model_cfg, seed=3).named_parameters()
+        save_checkpoint(path, named, snapshot(model_cfg, train_cfg), step=0)
         assert zlib.crc32(path.read_bytes()) == 1361651085
 
 
@@ -378,27 +383,28 @@ class TestConfigFile:
         epochs = 3
         """
         values = parse_config_text(text)
-        model_cfg = model_config_from(values)
-        train_cfg = train_config_from(values)
+        model_cfg = config_from(values, ModelConfig)
+        train_cfg = config_from(values, Hx.TrainConfig)
         assert model_cfg.n_classes == 4 and model_cfg.level_dims == (8, 16, 24, 32)
         assert model_cfg.affine == "adain"
         assert train_cfg.base_lr == 0.01 and train_cfg.epochs == 3
 
-    @pytest.mark.parametrize("text", ["heads = \u0662", "level_dims = 6,\u0668,10", "heads = +2", "epochs = 1_0"],
-                             ids=["arabic-indic-digit", "arabic-indic-digit-in-tuple", "plus", "underscore"])
+    @pytest.mark.parametrize("text", ["heads = \u0662", "level_dims = 6,\u0668,10", "heads = +2", "epochs = 1_0",
+                                      "level_dims = 6,,10", "level_dims = 6,8,", "level_dims = , 6,8"],
+                             ids=["arabic-indic-digit", "arabic-indic-digit-in-tuple", "plus", "underscore",
+                                  "empty-tuple-entry", "trailing-comma", "leading-comma"])
     def test_ints_must_be_ascii_digits(self, text):
         values = parse_config_text(text)
         with pytest.raises(ConfigError, match="bad value"):
-            model_config_from(values)
-            train_config_from(values)
+            config_from(values, ModelConfig)
+            config_from(values, Hx.TrainConfig)
 
     @pytest.mark.parametrize("value", ["2_0e-3", "\u0663", "0.\u0661", "\uff12e-3"],
                              ids=["underscore", "arabic-indic-digit", "arabic-indic-fraction", "fullwidth-digit"])
     def test_reals_must_be_ascii(self, value):
-        assert train_config_from(parse_config_text("base_lr = 2e-3")).base_lr == 0.002
+        assert config_from(parse_config_text("base_lr = 2e-3"), Hx.TrainConfig).base_lr == 0.002
         with pytest.raises(ConfigError, match="bad value for 'base_lr'"):
-            train_config_from(parse_config_text(f"base_lr = {value}"))
-        from semaffine.model import ModelConfig
+            config_from(parse_config_text(f"base_lr = {value}"), Hx.TrainConfig)
         snap = {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
                 for k, v in snapshot(ModelConfig(), Hx.TrainConfig()).items()}  # as a checkpoint stores it
         with pytest.raises(ConfigError, match="bad value for 'base_lr'"):
@@ -406,7 +412,7 @@ class TestConfigFile:
 
     def test_negative_int_reaches_validate(self):
         with pytest.raises(ConfigError, match="heads must be >= 1, got -2"):
-            model_config_from(parse_config_text("heads = -2"))
+            config_from(parse_config_text("heads = -2"), ModelConfig)
 
     def test_unknown_key_is_error(self):
         for text in ("learning_rate = 0.1", "w_final_aux = 0.1"):
@@ -424,7 +430,6 @@ class TestConfigFile:
             parse_config_text("classes = 3\nclasses = 4")
 
     def test_snapshot_round_trip(self):
-        from semaffine.model import ModelConfig
         model_cfg = ModelConfig(n_classes=3, levels=3, level_dims=(4, 6, 8), d_h=8, d_m=8,
                                 heads=2, decoder_depth=4, base_voxel=0.7, affine="bn")
         train_cfg = Hx.TrainConfig(base_lr=0.005, epochs=2, seed=9)
@@ -437,10 +442,11 @@ class TestConfigFile:
 
     def test_key_tables(self):
         """Each config-file key, in order, with the field it sets and its converter."""
-        def table(keys):
-            return [(key, attr, conv.__name__) for key, (attr, conv) in keys.items()]
+        def table(cls):
+            return [(key, attr, conv.__name__) for key, (attr, conv) in KEYS[cls].items()]
 
-        assert table(MODEL_KEYS) == [
+        assert list(KEYS) == [ModelConfig, Hx.TrainConfig, SceneSpec, ExtraConfig]
+        assert table(ModelConfig) == [
             ("classes", "n_classes", "_to_int"), ("levels", "levels", "_to_int"),
             ("level_dims", "level_dims", "_to_int_tuple"), ("d_h", "d_h", "_to_int"), ("d_m", "d_m", "_to_int"),
             ("encoder_depth", "encoder_depth", "_to_int"), ("decoder_depth", "decoder_depth", "_to_int"),
@@ -448,22 +454,22 @@ class TestConfigFile:
             ("base_voxel", "base_voxel", "ascii_float"), ("norm_eps", "norm_eps", "ascii_float"),
             ("classifier", "classifier", "str"), ("affine", "affine", "str"),
         ]
-        assert table(TRAIN_KEYS) == [
+        assert table(Hx.TrainConfig) == [
             ("base_lr", "base_lr", "ascii_float"), ("attention_lr_factor", "attention_lr_factor", "ascii_float"),
             ("weight_decay", "weight_decay", "ascii_float"), ("momentum", "momentum", "ascii_float"),
             ("epochs", "epochs", "_to_int"), ("batch_size", "batch_size", "_to_int"),
             ("warmup_fraction", "warmup_fraction", "ascii_float"), ("w_final", "w_final", "ascii_float"),
             ("w_mid", "w_mid", "ascii_float"), ("seed", "seed", "_to_int"),
         ]
-        assert table(SCENE_KEYS) == [
+        assert table(SceneSpec) == [
             ("scene_objects", "objects_per_scene", "_to_int"),
             ("scene_points_per_object", "points_per_object", "_to_int"),
             ("scene_noise", "noise_sigma", "ascii_float"), ("scene_min_gap", "min_gap", "ascii_float"),
             ("scene_extent", "extent", "ascii_float"),
         ]
-        assert table(EXTRA_KEYS) == [
+        assert table(ExtraConfig) == [
             ("val_fraction", "val_fraction", "ascii_float"),
             ("ablate_train_scenes", "ablate_train_scenes", "_to_int"),
             ("ablate_val_scenes", "ablate_val_scenes", "_to_int"),
         ]
-        assert KNOWN_KEYS == set(MODEL_KEYS) | set(TRAIN_KEYS) | set(SCENE_KEYS) | set(EXTRA_KEYS)
+        assert KNOWN_KEYS == set().union(*KEYS.values())

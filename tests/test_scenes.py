@@ -69,6 +69,29 @@ class TestGenerateScene:
         # floor + 6 objects at ~100 points each
         assert cloud.n_points == 7 * 100
 
+    # (spec, seed, file size, crc32, meta): together the object cycles reach
+    # every branch: 3 objects end on one clutter, 4 add a chair, 6 add a table,
+    # and 9 run the clutter/chair/table cycle more than twice
+    PINS = [
+        (S.SceneSpec(), 0, 149861, 3999411805,
+         {"leg_points": 568, "adjacent_pairs": 1, "leg_height": 0.4636961687321454}),
+        (S.SceneSpec(objects_per_scene=3, points_per_object=8), 1, 2031, 2469090967,
+         {"leg_points": 8, "adjacent_pairs": 1, "leg_height": 0.4511821624700257}),
+        (S.SceneSpec(objects_per_scene=4, points_per_object=20, noise_sigma=0.0, min_gap=0.1), 2, 6313, 4245032120,
+         {"leg_points": 26, "adjacent_pairs": 1, "leg_height": 0.42616121342493163}),
+        (S.SceneSpec(objects_per_scene=9, points_per_object=16, extent=6.0), 3, 10001, 757777057,
+         {"leg_points": 42, "adjacent_pairs": 1, "leg_height": 0.40856491671436246}),
+    ]
+
+    @pytest.mark.parametrize("spec, seed, size, crc, meta", PINS,
+                             ids=["default", "3-objects", "4-objects", "9-objects"])
+    def test_generated_scene_bytes_and_meta_are_pinned(self, tmp_path, spec, seed, size, crc, meta):
+        cloud = S.generate_scene(spec, seed)
+        S.write_scene(cloud, tmp_path / "scene.txt")
+        data = (tmp_path / "scene.txt").read_bytes()
+        assert (len(data), zlib.crc32(data)) == (size, crc)
+        assert cloud.meta == meta
+
     def test_single_object_spec_rejected(self):
         with pytest.raises(ContractError):
             S.generate_scene(S.SceneSpec(objects_per_scene=1), seed=0)

@@ -130,6 +130,40 @@ def test_scanner_finds_an_unreferenced_function():
     assert unreferenced_public_functions(source, referencing[:1]) == ["add", "neg"]
 
 
+def unused_public_functions(source: str, elsewhere: list[str]) -> list[str]:
+    """The public module-level functions of ``source`` that neither the
+    ``elsewhere`` sources nor the rest of ``source``, outside the function's
+    own body, names."""
+    tree = ast.parse(source)
+    names = set().union(*(referenced_names(text) for text in elsewhere))
+
+    def rest(fn):
+        return ast.unparse(ast.Module(body=[node for node in tree.body if node is not fn], type_ignores=[]))
+
+    return [fn.name for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in names
+            and fn.name not in referenced_names(rest(fn))]
+
+
+def test_scanner_finds_an_unused_function():
+    source = ("def helper(a):\n    return a\n\ndef api(a):\n    return helper(a)\n\n"
+              "def loop(a):\n    return loop(a - 1) if a else 0\n\ndef dead(a):\n    pass\n")
+    # helper is used only inside its own module, api only elsewhere; loop names only itself
+    assert unused_public_functions(source, ["from .m import api\n"]) == ["loop", "dead"]
+    assert unused_public_functions(source, []) == ["api", "loop", "dead"]
+
+
+PERFBENCH = sorted((PACKAGE.parents[1] / "perfbench").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_function_is_used_by_the_package_or_perfbench(path):
+    """Public API that only tests call gets deleted; a module's own use counts."""
+    assert PERFBENCH, "perfbench/ sits beside src/"
+    elsewhere = [p.read_text(encoding="utf-8") for p in MODULES + PERFBENCH if p != path]
+    assert unused_public_functions(path.read_text(encoding="utf-8"), elsewhere) == []
+
+
 def test_every_tensor_function_is_on_the_model_path():
     # downstream is gradcheck's walk of the tape, so unreferenced_public_functions leaves it out
     referencing = [(PACKAGE / f"{name}.py").read_text(encoding="utf-8") for name in MODEL_PATH]

@@ -428,6 +428,36 @@ class TestCli:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.splitlines() == [f"error: {message}"], proc.stderr
 
+    # an empty tuple entry once loaded as (6, 8, 10), and a checkpoint so
+    # edited re-saved as other bytes
+    EMPTY_ENTRIES = pytest.mark.parametrize("value", ["6,,8,10", "6,8,10,"], ids=["inner", "trailing"])
+
+    @staticmethod
+    def _empty_entry_error(value):
+        return [f"error: bad value for 'level_dims': '{value}' (expected an ASCII decimal integer, got '')"]
+
+    @EMPTY_ENTRIES
+    def test_empty_tuple_entry_in_config_exit_code(self, tmp_path, capsys, value):
+        manifest = small_corpus(tmp_path, n_train=1, n_val=0, points=8)
+        cfg = tmp_path / "train.cfg"
+        assert "level_dims = 6,8,10\n" in TINY_TRAIN_CFG
+        cfg.write_text(TINY_TRAIN_CFG.replace("level_dims = 6,8,10\n", f"level_dims = {value}\n"))
+        assert main(["train", "--config", str(cfg), "--data", str(manifest), "--out", str(tmp_path / "m.ckpt")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == self._empty_entry_error(value), err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @EMPTY_ENTRIES
+    def test_empty_tuple_entry_in_checkpoint_exit_code(self, tmp_path, capsys, value):
+        argv = self._edited_checkpoint_argv(tmp_path, lambda params: None)
+        ckpt = Path(argv[2])
+        raw = ckpt.read_bytes()
+        assert raw.count(b"cfg.level_dims=6,8,10\n") == 1
+        ckpt.write_bytes(raw.replace(b"cfg.level_dims=6,8,10\n", f"cfg.level_dims={value}\n".encode()))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == self._empty_entry_error(value), err
+
     @pytest.mark.parametrize("argv, message", [
         (["--module", "bogus"], "module must be one of tensor, blocks, hierarchy, affine, losses, model, got 'bogus'"),
         (["--tol", "nan"], "tol must be a finite number > 0, got nan"),
