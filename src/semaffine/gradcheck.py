@@ -11,8 +11,8 @@ gradient is zero or tiny; a genuinely wrong gradient lands far above it.
 A perturbed loss replays only the op nodes downstream of the parameter
 (``tensor.downstream``, the parameter's cone): each node's recorded array
 kernel runs again on its parents' current arrays, making no node. A replay
-skips the op's front: operand wrapping, the shape, label, index and offset
-checks and the scene cuts, whose results the node recorded. Those depend
+skips the op's front: the shape, label, index and offset checks and the
+scene cuts, whose results the node recorded. Those checks and cuts depend
 only on shapes and non-tensor arguments, and a perturbation changes neither,
 so they would pass and resolve the same again. One joint audit checks every
 replay: it moves every chosen entry of every parameter at once, each by its
@@ -190,10 +190,8 @@ def finite_diff_check(
         p.zero_grad()
     loss = f()
     loss.backward()
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params
-    }
+    # by position, not by name: two parameters may share a name
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for _, p in params]
 
     rng = np.random.default_rng(seed)
     chosen = []
@@ -253,8 +251,8 @@ def finite_diff_check(
     # a full forward recomputes every op of the joint replay
     pairs = _ordered_map(forward_pair, items, [len(cones[k]) if exact else len(joint) for k, _ in items])
     start = 0
-    for (name, _), idx in zip(params, chosen):
-        a_flat = analytic[name].reshape(-1)
+    for (name, _), idx, grad in zip(params, chosen, analytic):
+        a_flat = grad.reshape(-1)
         max_rel = 0.0
         note = ""
         for i, (f_plus, f_minus) in zip(idx, pairs[start:start + len(idx)]):

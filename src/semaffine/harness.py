@@ -1,7 +1,7 @@
 """Losses, SGD with schedule, and segmentation metrics.
 
 The training objective is a weighted sum of a final-level cross entropy over
-one-hot point labels and, per supervised mid level, a binary cross entropy of
+integer point labels and, per supervised mid level, a binary cross entropy of
 the raw class scores against the multi-hot labels that shadow the pooling
 hierarchy. Each term is one tape node (``tensor.cross_entropy``,
 ``tensor.bce_with_logits``, which validate labels and targets);
@@ -57,7 +57,7 @@ class TrainConfig:
 def total_loss(
     fwd: ForwardOutput,
     labels,
-    shadows: list[np.ndarray],
+    shadows: dict[int, np.ndarray],
     w_final: float = 1.0,
     w_mid: float = 1.0,
 ) -> Tensor:

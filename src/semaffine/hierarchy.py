@@ -128,28 +128,18 @@ def unpool_features(h: Hierarchy, level: int, f_parent: Tensor, skip: Tensor) ->
     return T.gather_rows(f_parent, h.parents[level]) + skip
 
 
-def one_hot(labels, n_classes: int) -> np.ndarray:
+def shadow_labels(h: Hierarchy, labels, n_classes: int) -> dict[int, np.ndarray]:
+    """Propagate integer level-0 labels upward: parent row = min(1, sum of children).
+    Returns one binary (n_i, N) class-presence matrix per level i = 1..L-1, keyed by i."""
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (h.sizes[0],):
+        raise ShapeError(f"shadow_labels: labels {labels.shape} do not match level 0 size {h.sizes[0]}")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ContractError(f"one_hot: label out of range [0, {n_classes})")
-    out = np.zeros((labels.shape[0], n_classes), dtype=np.uint8)
-    out[np.arange(labels.shape[0]), labels] = 1
-    return out
-
-
-def shadow_labels(h: Hierarchy, level0: np.ndarray) -> list[np.ndarray]:
-    """Propagate one-hot level-0 rows upward: parent row = min(1, sum of children).
-    Returns one binary (n_i, N) class-presence matrix per level; level 0 is the input."""
-    level0 = np.asarray(level0, dtype=np.uint8)
-    if level0.ndim != 2 or level0.shape[0] != h.sizes[0]:
-        raise ShapeError(f"shadow_labels: labels {level0.shape} do not match level 0 size {h.sizes[0]}")
-    if not ((level0.sum(axis=1) == 1).all() and ((level0 == 0) | (level0 == 1)).all()):
-        raise ContractError("shadow_labels: level-0 rows must be one-hot")
-    n_classes = level0.shape[1]
-    out = [level0]
-    for level in range(h.levels - 1):
+        raise ContractError(f"shadow_labels: label out of range [0, {n_classes})")
+    out, rows, classes = {}, np.arange(labels.size), labels  # level 0's one bit per row
+    for level in range(1, h.levels):
+        n = h.sizes[level]
+        hits = np.bincount(h.parents[level - 1][rows] * n_classes + classes, minlength=n * n_classes)
+        out[level] = (hits.reshape(n, n_classes) > 0).astype(np.uint8)
         rows, classes = np.nonzero(out[level])
-        n = h.sizes[level + 1]
-        hits = np.bincount(h.parents[level][rows] * n_classes + classes, minlength=n * n_classes)
-        out.append((hits.reshape(n, n_classes) > 0).astype(np.uint8))
     return out

@@ -26,8 +26,9 @@ Design constraints:
 - scatter-adds of rows onto groups (``pool_rows_mean``, the ``gather_rows``
   backward) are one ``np.bincount`` segment sum, not ``np.add.at``.
 - a backward computes a gradient only for operands that require grad.
-- each op is a checking front (operand wrapping, shape, label, index and
-  offset checks, the scene cuts) and an array kernel holding its forward
+- each op takes Tensor operands only (labels, targets, indices and offsets
+  are arrays). It is a checking front (shape, label, index and offset
+  checks, the scene cuts) and an array kernel holding its forward
   arithmetic. The op calls the kernel, and its node records
   ``(kernel, static)``: ``kernel(*static, *[t.data for t in node.parents])``
   recomputes the node's value from its parents' current arrays with the
@@ -183,10 +184,6 @@ def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False):
         t.grad += g
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # -- binary arithmetic ---------------------------------------------------
 
 
@@ -196,7 +193,6 @@ def _check_binary(a: Tensor, b: Tensor, name: str):
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_binary(a, b, "add")
 
     def backward_fn(g):
@@ -209,7 +205,6 @@ def add(a, b) -> Tensor:
 
 
 def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = float(c)
 
     def backward_fn(g):
@@ -229,7 +224,6 @@ def matmul(a, b, offsets=None) -> Tensor:
     """a (n, k) @ b (k, d). With the row ``offsets`` of B scenes in a, b is
     their (k, d) blocks stacked, (B*k, d), and scene s's rows of a multiply
     block s: each point blends its own scene's class rows."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: expects 2-d operands, got {a.shape} and {b.shape}")
     scenes = _scene_rows(offsets, a.shape[0], "matmul")
@@ -266,11 +260,9 @@ def _mlp(x, *weights_and_biases, keep=None):
 
 
 def mlp(x, layers) -> Tensor:
-    """x (n, in) through dense layers h @ w.T + b, ``layers`` being (w (out, in),
+    """x (n, in) through dense layers h @ w.T + b, ``layers`` a list of (w (out, in),
     b (out,)) pairs, with a ReLU between consecutive layers, as one node; one
     layer is a linear layer."""
-    x = _as_tensor(x)
-    layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
     if not layers:
         raise ContractError("mlp: no layers")
     wants, shape = [x.requires_grad], x.shape  # wants[i]: x or a layer before i requires grad
@@ -321,7 +313,6 @@ def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
     scenes in f, masks is their (N, d_m) blocks stacked and each scene's
     points are scored against its own block.
     """
-    f, masks, w, b = (_as_tensor(t) for t in (f, masks, w, b))
     f_data, m_data, w_data, b_data = f.data, masks.data, w.data, b.data
     if (f_data.ndim != 2 or m_data.ndim != 2 or w_data.ndim != 2 or f_data.shape[1] != w_data.shape[1]
             or b_data.shape != w_data.shape[:1] or m_data.shape[1] != w_data.shape[0]):
@@ -395,8 +386,6 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int, q_offsets=None, k
 
     Backward uses the analytic softmax backward dS = P * (dP - rowsum(dP * P)).
     """
-    q_in, kv_in = _as_tensor(q_in), _as_tensor(kv_in)
-    wq, bq, wk, bk, wv, bv = (_as_tensor(t) for t in (wq, bq, wk, bk, wv, bv))
     if q_in.data.ndim != 2 or kv_in.data.ndim != 2:
         raise ShapeError(f"attention: expects 2-d inputs, got {q_in.shape} and {kv_in.shape}")
     if kv_in.shape[0] == 0:
@@ -459,7 +448,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(a) -> Tensor:
-    a = _as_tensor(a)
     x = a.data
 
     def backward_fn(g):
@@ -478,7 +466,6 @@ def _softmax(a):
 
 def softmax(a) -> Tensor:
     """Row-wise softmax of an (n, d) tensor."""
-    a = _as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"softmax: expects (n, d) input, got {a.shape}")
     y = _softmax(a.data)
@@ -503,7 +490,6 @@ def cross_entropy(logits, labels, offsets=None) -> Tensor:
     """Mean over rows of -log softmax(logits)[row, label], as one node.
 
     With the row ``offsets`` of B scenes, the mean of the B scenes' means."""
-    logits = _as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.data.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
@@ -533,7 +519,6 @@ def bce_with_logits(logits, targets, offsets=None) -> Tensor:
     """Mean over the entries of (n, N) logits of BCE(sigmoid(x), t) = softplus(x) - t * x, as one node.
 
     With the row ``offsets`` of B scenes, the mean of the B scenes' means."""
-    logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.float64)
     if logits.data.ndim != 2 or targets.shape != logits.shape:
         raise ShapeError(f"bce: logits {logits.shape} vs targets {targets.shape}")
@@ -579,7 +564,6 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS, residual=None) -> Ten
     post-norm sublayer's skip input) is added to x first; both get the input
     gradient.
     """
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm: expects (n, d) input, got {x.shape}")
     if gain.shape not in (x.shape, x.shape[1:]) or bias.shape not in (x.shape, x.shape[1:]):
@@ -587,7 +571,7 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS, residual=None) -> Ten
                          f"({x.shape[1]},) nor input {x.shape}")
     summands = (x,)
     if residual is not None:
-        summands += (_as_tensor(residual),)
+        summands += (residual,)
         _check_binary(x, summands[1], "layer_norm residual")
     gain_row, bias_row = gain.data.ndim == 1, bias.data.ndim == 1
     operands = (x, gain, bias, *summands[1:])
@@ -633,7 +617,6 @@ def _gather_rows(index, a):
 
 def gather_rows(a, index: np.ndarray) -> Tensor:
     """out[j] = a[index[j]]; gradient scatter-adds back onto the source rows."""
-    a = _as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
     if a.data.ndim != 2:
         raise ShapeError(f"gather_rows: expects (n, d) input, got {a.shape}")
@@ -653,7 +636,6 @@ def _pool_rows_mean(parent, n_parents, inv_counts, a):
 
 def pool_rows_mean(a, parent: np.ndarray, n_parents: int) -> Tensor:
     """Group rows by parent index and average each group."""
-    a = _as_tensor(a)
     parent = np.asarray(parent, dtype=np.int64)
     if a.data.ndim != 2 or parent.shape != (a.shape[0],):
         raise ShapeError(f"pool_rows_mean: parent map {parent.shape} does not match input {a.shape}")

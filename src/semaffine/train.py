@@ -35,7 +35,7 @@ from .harness import (
     sgd_step,
     total_loss,
 )
-from .hierarchy import Hierarchy, build_hierarchy, one_hot, shadow_labels, stack_hierarchies
+from .hierarchy import Hierarchy, build_hierarchy, shadow_labels, stack_hierarchies
 from .model import ModelConfig, ModelParams, build_model, model_forward
 from .scenes import LabeledCloud, read_manifest, read_scene
 
@@ -44,21 +44,21 @@ from .scenes import LabeledCloud, read_manifest, read_scene
 class PreparedScene:
     cloud: LabeledCloud
     hier: Hierarchy
-    shadows: list[np.ndarray]  # per level, the (n_i, N) multi-hot label rows
+    shadows: dict[int, np.ndarray]  # per level 1..L-1, the (n_i, N) multi-hot label rows
 
 
 def prepare_scene(cloud: LabeledCloud, cfg: ModelConfig) -> PreparedScene:
     hier = build_hierarchy(cloud.coords, cfg.base_voxel, cfg.levels)
-    shadows = shadow_labels(hier, one_hot(cloud.labels, cfg.n_classes))
+    shadows = shadow_labels(hier, cloud.labels, cfg.n_classes)
     return PreparedScene(cloud=cloud, hier=hier, shadows=shadows)
 
 
-def stack_scenes(scenes: list[PreparedScene]) -> tuple[Hierarchy, np.ndarray, list[np.ndarray]]:
+def stack_scenes(scenes: list[PreparedScene]) -> tuple[Hierarchy, np.ndarray, dict[int, np.ndarray]]:
     """A batch's stacked hierarchy, level-0 labels and per-level shadows,
     scene after scene: one forward and one loss cover the whole batch."""
     hier = stack_hierarchies([scene.hier for scene in scenes])
     labels = np.concatenate([scene.cloud.labels for scene in scenes])
-    shadows = [np.concatenate(level) for level in zip(*(scene.shadows for scene in scenes))]
+    shadows = {level: np.concatenate([scene.shadows[level] for scene in scenes]) for level in scenes[0].shadows}
     return hier, labels, shadows
 
 
@@ -160,7 +160,11 @@ def train_model(
 def train_run(manifest_path, model_cfg: ModelConfig, train_cfg: TrainConfig,
               out_ckpt, log_path=None) -> TrainResult:
     """Manifest-driven training; writes the final checkpoint and optionally
-    the per-epoch metrics log."""
+    the per-epoch metrics log. Both output directories must exist before
+    the corpus is loaded, so that a bad path costs no training."""
+    for path in (out_ckpt, log_path):
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"output directory of {path} does not exist")
     splits = load_corpus(manifest_path, model_cfg)
     result = train_model(model_cfg, train_cfg, splits["train"], splits["val"], out_ckpt=out_ckpt)
     if log_path is not None:

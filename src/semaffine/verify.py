@@ -14,7 +14,7 @@ from .affine import mask_confidences, predict_affine_params, predict_masks, sema
 from .errors import ConfigError
 from .gradcheck import TOL, finite_diff_check
 from .harness import total_loss
-from .hierarchy import build_hierarchy, one_hot, pool_features, shadow_labels, unpool_features
+from .hierarchy import build_hierarchy, pool_features, shadow_labels, unpool_features
 from .model import ModelConfig, build_model, model_forward
 from .tensor import Tensor
 
@@ -203,7 +203,7 @@ def _model_check(rng):
     coords = rng.uniform(-1.2, 1.2, (16, 3))
     labels = rng.integers(0, 3, 16)
     hier = build_hierarchy(coords, cfg.base_voxel, cfg.levels)
-    shadows = shadow_labels(hier, one_hot(labels, 3))
+    shadows = shadow_labels(hier, labels, 3)
 
     def loss():
         return total_loss(model_forward(params, hier), labels, shadows)

@@ -23,7 +23,7 @@ from semaffine.affine import (
     semantic_affine_transform,
 )
 from semaffine.harness import TrainConfig
-from semaffine.hierarchy import build_hierarchy, one_hot, shadow_labels
+from semaffine.hierarchy import build_hierarchy, shadow_labels
 from semaffine.model import ModelConfig, build_model, decode_queries, model_forward
 from semaffine.scenes import SceneSpec, generate_scene, read_scene, write_scene
 from semaffine.tensor import Tensor
@@ -61,8 +61,11 @@ class TestCriterion2ShadowOracle:
             n_classes = int(rng.integers(2, 9))
             coords = rng.uniform(-3, 3, (n, 3))
             hier = build_hierarchy(coords, float(rng.uniform(0.2, 1.5)), levels)
-            level0 = one_hot(rng.integers(0, n_classes, n), n_classes)
-            got = shadow_labels(hier, level0)
+            labels = rng.integers(0, n_classes, n)
+            level0 = np.eye(n_classes, dtype=np.uint8)[labels]  # the oracle's one-hot rows
+            got = shadow_labels(hier, labels, n_classes)
+            if sorted(got) != list(range(1, levels)):
+                report("2 shadow-oracle", False, f"levels {sorted(got)}")
             # brute force: union over all finest-level descendants
             anc = np.arange(n)
             for level in range(levels - 1):

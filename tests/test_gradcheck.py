@@ -90,6 +90,20 @@ class TestFiniteDiffCheck:
         assert r1.params[0].n_checked == 10
         assert r1.params[0].max_rel_err == r2.params[0].max_rel_err
 
+    @pytest.mark.parametrize("names", [("w", "w2"), ("w", "w")], ids=["distinct", "shared"])
+    def test_parameters_sharing_a_name_keep_their_own_gradients(self, names):
+        rng = np.random.default_rng(17)
+        a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        targets = (rng.random((3, 4)) < 0.5).astype(float)
+
+        def f():
+            return T.bce_with_logits(T.matmul(a, b), targets)
+
+        report = finite_diff_check(f, list(zip(names, (a, b))))
+        assert [p.name for p in report.params] == list(names)
+        assert report.passed, report.lines()
+
 
 def _subsampled_case():
     """Three parameters, two of them subsampled, with a gradient error on one."""

@@ -106,7 +106,7 @@ class TestTotalLoss:
         mid_logits = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         mid = MidLevelOutput(level=1, conf=ConfidenceMatrix(mid_logits, T.softmax(mid_logits)), affine=None)
         labels = rng.integers(0, 3, 6)
-        shadows = [np.eye(3, dtype=np.uint8)[labels], (rng.random((2, 3)) < 0.5).astype(np.uint8)]
+        shadows = {1: (rng.random((2, 3)) < 0.5).astype(np.uint8)}
         shadows[1][0, 0] = 1  # keep at least one bit set
         fwd = ForwardOutput(final_logits=final, mids=[mid], offsets=[(0, 6), (0, 2)])
         return fwd, labels, shadows

@@ -63,6 +63,11 @@ def add_at_shadow_oracle(h, level0):
     return out
 
 
+def one_hot_rows(labels, n_classes):
+    """The (n, N) uint8 one-hot rows of integer labels, the oracles' level-0 input."""
+    return np.eye(n_classes, dtype=np.uint8)[labels]
+
+
 def random_clouds(seed, count):
     """Clouds with negative coordinates, exact duplicates, grid-snapped points
     and single points, at several scales."""
@@ -279,13 +284,13 @@ class TestShadowLabels:
     def test_homogeneous_patch(self):
         coords = np.array([[0.1, 0, 0], [0.2, 0, 0]])
         h = H.build_hierarchy(coords, 1.0, 2)
-        ml = H.shadow_labels(h, H.one_hot([1, 1], 3))
+        ml = H.shadow_labels(h, [1, 1], 3)
         np.testing.assert_array_equal(ml[1], [[0, 1, 0]])
 
     def test_boundary_patch(self):
         coords = np.array([[0.1, 0, 0], [0.2, 0, 0]])
         h = H.build_hierarchy(coords, 1.0, 2)
-        ml = H.shadow_labels(h, H.one_hot([1, 2], 3))
+        ml = H.shadow_labels(h, [1, 2], 3)
         np.testing.assert_array_equal(ml[1], [[0, 1, 1]])
 
     def test_random_hierarchies_match_descendant_union(self):
@@ -295,8 +300,10 @@ class TestShadowLabels:
             n_classes = int(rng.integers(2, 6))
             coords = rng.uniform(-2, 2, (n, 3))
             h = H.build_hierarchy(coords, float(rng.uniform(0.2, 1.0)), 4)
-            level0 = H.one_hot(rng.integers(0, n_classes, n), n_classes)
-            ml = H.shadow_labels(h, level0)
+            labels = rng.integers(0, n_classes, n)
+            level0 = one_hot_rows(labels, n_classes)
+            ml = H.shadow_labels(h, labels, n_classes)
+            assert sorted(ml) == [1, 2, 3]
             for level in range(1, 4):
                 np.testing.assert_array_equal(
                     ml[level], descendant_union_oracle(h, level0, level))
@@ -305,16 +312,17 @@ class TestShadowLabels:
         rng = np.random.default_rng(8)
         coords = rng.uniform(-2, 2, (60, 3))
         h = H.build_hierarchy(coords, 0.4, 3)
-        level0 = H.one_hot(rng.integers(0, 5, 60), 5)
-        ml = H.shadow_labels(h, level0)
+        labels = rng.integers(0, 5, 60)
+        level0 = one_hot_rows(labels, 5)
+        ml = H.shadow_labels(h, labels, 5)
         np.testing.assert_array_equal(ml[2], descendant_union_oracle(h, level0, 2))
 
     def test_monotonicity_and_bit_counts(self):
         rng = np.random.default_rng(9)
         coords = rng.uniform(-2, 2, (70, 3))
         h = H.build_hierarchy(coords, 0.3, 4)
-        level0 = H.one_hot(rng.integers(0, 4, 70), 4)
-        ml = H.shadow_labels(h, level0)
+        labels = rng.integers(0, 4, 70)
+        ml = {0: one_hot_rows(labels, 4), **H.shadow_labels(h, labels, 4)}
         for level in range(3):
             child_bits = ml[level]
             parent_bits = ml[level + 1][h.parents[level]]
@@ -327,13 +335,20 @@ class TestShadowLabels:
         for coords in random_clouds(13, 100):
             n_classes = int(rng.integers(1, 7))
             h = H.build_hierarchy(coords, float(rng.uniform(0.05, 2.0)), 4)
-            level0 = H.one_hot(rng.integers(0, n_classes, coords.shape[0]), n_classes)
-            got = H.shadow_labels(h, level0)
-            for g, want in zip(got, add_at_shadow_oracle(h, level0), strict=True):
-                assert g.dtype == np.uint8 and np.array_equal(g, want)
+            labels = rng.integers(0, n_classes, coords.shape[0])
+            got = H.shadow_labels(h, labels, n_classes)
+            want = add_at_shadow_oracle(h, one_hot_rows(labels, n_classes))
+            assert sorted(got) == list(range(1, len(want)))  # no level-0 rows
+            for level, g in got.items():
+                assert g.dtype == np.uint8 and np.array_equal(g, want[level])
 
-    def test_rejects_non_onehot(self):
+    def test_rejects_labels_out_of_range(self):
+        # two parents: label N of parent 0 would otherwise land in row 1's class 0
         coords = np.array([[0.0, 0, 0], [2.0, 0, 0]])
         h = H.build_hierarchy(coords, 1.0, 2)
-        with pytest.raises(ContractError):
-            H.shadow_labels(h, np.array([[1, 1, 0], [0, 1, 0]], dtype=np.uint8))
+        for labels in ([0, 3], [3, 0], [-1, 0], [0, -1]):
+            with pytest.raises(ContractError, match="out of range"):
+                H.shadow_labels(h, labels, 3)
+        with pytest.raises(ShapeError):
+            H.shadow_labels(h, [0, 1, 2], 3)
+        np.testing.assert_array_equal(H.shadow_labels(h, [0, 2], 3)[1], [[1, 0, 0], [0, 0, 1]])

@@ -450,7 +450,7 @@ class TestBatchedStep:
 
     @staticmethod
     def ragged_scenes(params):
-        from semaffine.hierarchy import one_hot, shadow_labels
+        from semaffine.hierarchy import shadow_labels
 
         rng = np.random.default_rng(11)
         scenes = []
@@ -458,7 +458,7 @@ class TestBatchedStep:
             coords = rng.uniform(-spread, spread, (n, 3))
             labels = rng.integers(0, params.cfg.n_classes, n)
             hier = hierarchy(params, coords)
-            scenes.append((hier, labels, shadow_labels(hier, one_hot(labels, params.cfg.n_classes))))
+            scenes.append((hier, labels, shadow_labels(hier, labels, params.cfg.n_classes)))
         return scenes
 
     @staticmethod
@@ -490,7 +490,8 @@ class TestBatchedStep:
         batch = stack_hierarchies([hier for hier, _, _ in scenes])
         out = M.model_forward(params, batch)
         loss = total_loss(out, np.concatenate([labels for _, labels, _ in scenes]),
-                          [np.concatenate(level) for level in zip(*(shadows for _, _, shadows in scenes))])
+                          {level: np.concatenate([shadows[level] for _, _, shadows in scenes])
+                           for level in scenes[0][2]})
         loss.backward()
 
         bounds = batch.offsets[0]

@@ -578,7 +578,7 @@ class TestFusedOps:
         q_in, kv_in = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((5, 4)))
         stacked = [t for _ in range(3) for t in _heads(rng, 2, 3, 4)]
         out = T.attention(q_in, kv_in, *stacked, heads=2).data
-        parts = [T.attention(q_in, kv_in, *(t.data[3 * h:3 * (h + 1)] for t in stacked), heads=1).data
+        parts = [T.attention(q_in, kv_in, *(Tensor(t.data[3 * h:3 * (h + 1)]) for t in stacked), heads=1).data
                  for h in range(2)]
         for h, part in enumerate(parts):
             np.testing.assert_allclose(out[:, 3 * h:3 * (h + 1)], part, rtol=0, atol=1e-12)

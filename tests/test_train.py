@@ -523,6 +523,20 @@ class TestCli:
             "gradient suite FAILED",
         ]
 
+    @pytest.mark.parametrize("option", ["--out", "--log"])
+    def test_missing_output_directory_fails_before_training(self, tmp_path, capsys, monkeypatch, option):
+        def unreached(*args, **kwargs):
+            raise AssertionError("reached after a bad output path")
+
+        monkeypatch.setattr(semaffine.train, "load_corpus", unreached)
+        monkeypatch.setattr(semaffine.train, "train_model", unreached)
+        missing = tmp_path / "missing" / "out"
+        paths = {"--out": str(tmp_path / "m.ckpt"), "--log": str(tmp_path / "m.log"), option: str(missing)}
+        argv = ["train", "--data", str(tmp_path / "manifest.txt")] + [x for item in paths.items() for x in item]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"I/O error: output directory of {missing} does not exist\n")
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_train_without_train_scenes_exit_code(self, tmp_path, capsys):
         manifest = small_corpus(tmp_path, n_train=0, n_val=2, points=8)
         config = tmp_path / "tiny.cfg"
