@@ -8,6 +8,8 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
+
 
 class SemaffineError(Exception):
     """Base class for all package errors."""
@@ -45,6 +47,21 @@ def require_finite(config) -> None:
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
+
+def int_array(values, high: int, what: str, n: int | None = None) -> np.ndarray:
+    """``values`` as a 1-d int64 array (of ``n`` entries unless None) with
+    every entry in [0, high): ShapeError for another shape, ContractError for
+    a non-integer dtype (float, bool) or an entry out of range, so no value
+    is truncated. An empty array of any dtype has no value to truncate."""
+    array = np.asarray(values)
+    if array.ndim != 1 or n is not None and array.size != n:
+        raise ShapeError(f"{what}: shape {array.shape}, expected ({'n' if n is None else n},)")
+    if array.size and array.dtype.kind not in "iu":
+        raise ContractError(f"{what}: dtype {array.dtype} is not an integer dtype")
+    if array.size and (array.min() < 0 or array.max() >= high):
+        raise ContractError(f"{what}: entry out of range [0, {high})")
+    return array.astype(np.int64, copy=False)
 
 
 def ascii_int(text: str, signed: bool = False) -> int:

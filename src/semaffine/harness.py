@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, NumericError, ShapeError, require_finite
+from .errors import ConfigError, ContractError, NumericError, int_array, require_finite
 from .model import ATTENTION_PREFIXES, ForwardOutput
 from .tensor import Tensor
 
@@ -137,15 +137,10 @@ class Metrics:
 
 
 def confusion_matrix(preds, labels, n_classes: int) -> np.ndarray:
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if preds.shape != labels.shape:
-        raise ShapeError(f"confusion: preds {preds.shape} vs labels {labels.shape}")
+    labels = int_array(labels, n_classes, "confusion labels")
+    preds = int_array(preds, n_classes, "confusion predictions", labels.size)
     if preds.size == 0:
         raise ContractError("confusion: empty prediction array")
-    for arr, what in ((preds, "prediction"), (labels, "label")):
-        if arr.min() < 0 or arr.max() >= n_classes:
-            raise ContractError(f"confusion: {what} out of range [0, {n_classes})")
     idx = labels * n_classes + preds
     return np.bincount(idx, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
 

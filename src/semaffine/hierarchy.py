@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, int_array
 from .tensor import Tensor
 
 MAX_CELL = 2.0 ** 62  # bound on |coord / edge|: int64 voxel keys with a factor-2 margin
@@ -131,11 +131,7 @@ def unpool_features(h: Hierarchy, level: int, f_parent: Tensor, skip: Tensor) ->
 def shadow_labels(h: Hierarchy, labels, n_classes: int) -> dict[int, np.ndarray]:
     """Propagate integer level-0 labels upward: parent row = min(1, sum of children).
     Returns one binary (n_i, N) class-presence matrix per level i = 1..L-1, keyed by i."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (h.sizes[0],):
-        raise ShapeError(f"shadow_labels: labels {labels.shape} do not match level 0 size {h.sizes[0]}")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ContractError(f"shadow_labels: label out of range [0, {n_classes})")
+    labels = int_array(labels, n_classes, "shadow_labels labels", h.sizes[0])
     out, rows, classes = {}, np.arange(labels.size), labels  # level 0's one bit per row
     for level in range(1, h.levels):
         n = h.sizes[level]

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, ParseError, ascii_int, read_utf8, require_finite
+from .errors import ContractError, ParseError, ascii_int, int_array, read_utf8, require_finite
 
 MAGIC = "semaffine-scene v1"
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -90,7 +90,6 @@ class LabeledCloud:
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.coords.ndim != 2 or self.coords.shape[1] != 3:
             raise ContractError(f"cloud coords must be (n, 3), got {self.coords.shape}")
         if self.coords.shape[0] == 0:
@@ -99,10 +98,7 @@ class LabeledCloud:
         if not finite.all():
             i = int(np.argmin(finite))
             raise ContractError(f"cloud coords must be finite; point {i} is {self.coords[i].tolist()}")
-        if self.labels.shape != (self.coords.shape[0],):
-            raise ContractError("coords/labels length mismatch")
-        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
-            raise ContractError(f"label out of range [0, {self.n_classes})")
+        self.labels = int_array(self.labels, self.n_classes, "cloud labels", self.coords.shape[0])
 
     @property
     def n_points(self):

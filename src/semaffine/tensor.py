@@ -26,23 +26,24 @@ Design constraints:
 - scatter-adds of rows onto groups (``pool_rows_mean``, the ``gather_rows``
   backward) are one ``np.bincount`` segment sum, not ``np.add.at``.
 - a backward computes a gradient only for operands that require grad.
-- each op takes Tensor operands only (labels, targets, indices and offsets
-  are arrays). It is a checking front (shape, label, index and offset
-  checks, the scene cuts) and an array kernel holding its forward
-  arithmetic. The op calls the kernel, and its node records
-  ``(kernel, static)``: ``kernel(*static, *[t.data for t in node.parents])``
-  recomputes the node's value from its parents' current arrays with the
-  forward's bits, making no node. So ``downstream`` can list the nodes a
-  leaf feeds and gradcheck can recompute only those.
+- each op takes Tensor operands only; labels and indices are integer
+  arrays (``int_array``), targets a float array and offsets an int tuple.
+  It is a checking front (shape, label, index and offset checks, the scene
+  cuts) and an array kernel holding its forward arithmetic. The op calls
+  the kernel, and its node records ``(kernel, static)``:
+  ``kernel(*static, *[t.data for t in node.parents])`` recomputes the
+  node's value from its parents' current arrays with the forward's bits,
+  making no node. So ``downstream`` can list the nodes a leaf feeds and
+  gradcheck can recompute only those.
 - the tape keeps only the ops that the model and its losses call.
 - a batch of scenes is one graph, its scenes stacked by rows. Row-wise ops
   run once over the stack; the ops that mix rows within a scene take the
   scenes' row offsets (``None``: one scene) and keep them apart:
   ``attention`` is block diagonal, ``mask_logits`` and ``matmul`` pair each
   scene's rows with its own block of stacked class rows, and the two losses
-  are the mean of the scenes' means. Offsets are checked and cut into row
-  slices once per distinct tuple; one scene takes the single-scene path with
-  the same bits.
+  are the mean of the scenes' means. Offsets are a tuple of Python ints
+  (0, o_1, ..., rows), the form a hierarchy holds, checked and cut into row
+  slices on each call; one scene takes the single-scene path with the same bits.
 
 A tensor graph is single-threaded during one forward/backward pass; distinct
 graphs (one per SGD batch, evaluated scene or gradcheck worker) share no
@@ -51,12 +52,11 @@ mutable state.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, ShapeError, int_array
 
 _NODE_IDS = itertools.count()
 
@@ -124,41 +124,16 @@ def _result(data, parents: tuple, op: str, backward_fn, kernel, static: tuple = 
     return out
 
 
-# The cache stays: the forward and loss of a default batch-4 step cut offsets
-# 42 times over 5 distinct tuples, at about 3.6 us a call uncached against
-# 0.4 us cached (medians, one core of a 2-vCPU Xeon).
-@functools.lru_cache(maxsize=256)
-def _cut(bounds: tuple, rows: int):
-    """The row slices of the scenes that ``bounds`` = (0, o_1, ..., rows)
-    cut ``rows`` rows into, or None unless the bounds are whole numbers and
-    each scene is non-empty. (Equal keys, such as (0, 5) and (0.0, 5.0),
-    share a cache entry, so the answer depends on the values alone.)"""
-    try:
-        ints = [int(b) for b in bounds]
-    except (TypeError, ValueError, OverflowError):
-        return None
-    scenes = tuple(slice(lo, hi) for lo, hi in zip(ints, ints[1:]) if lo < hi)
-    if ints != list(bounds) or not scenes or len(scenes) != len(ints) - 1 or ints[0] != 0 or ints[-1] != rows:
-        return None
-    return scenes
-
-
 def _scene_rows(offsets, rows: int, what: str) -> tuple[slice, ...]:
-    """Each scene's row range from row ``offsets`` [0, o_1, ..., rows];
-    ``None`` is one scene of all ``rows`` rows. A hierarchy's offsets are
-    tuples, so the cut is looked up once per distinct batch."""
+    """Each scene's row range from row ``offsets``, a tuple of ints
+    (0, o_1, ..., rows) that cuts the rows into non-empty scenes, the form a
+    hierarchy holds; ``None`` is one scene of all ``rows`` rows."""
     if offsets is None:
         return (slice(0, rows),)
-    if offsets.__class__ is tuple:
-        bounds = offsets
-    else:
-        array = np.asarray(offsets)
-        bounds = tuple(array.tolist()) if array.ndim == 1 else ()
-    scenes = _cut(bounds, rows)
-    if scenes is None:
-        raise ContractError(f"{what}: scene offsets {np.asarray(offsets).tolist()} do not cut {rows} rows "
-                            "into non-empty scenes")
-    return scenes
+    if (offsets.__class__ is not tuple or set(map(type, offsets)) != {int} or len(offsets) < 2 or offsets[0] != 0
+            or offsets[-1] != rows or not all(map(int.__lt__, offsets, offsets[1:]))):
+        raise ContractError(f"{what}: scene offsets {offsets!r} do not cut {rows} rows into non-empty scenes")
+    return tuple(map(slice, offsets, offsets[1:]))
 
 
 def _with_blocks(scenes: tuple[slice, ...], k: int) -> list[tuple[slice, slice]]:
@@ -490,11 +465,9 @@ def cross_entropy(logits, labels, offsets=None) -> Tensor:
     """Mean over rows of -log softmax(logits)[row, label], as one node.
 
     With the row ``offsets`` of B scenes, the mean of the B scenes' means."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.data.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise ContractError(f"cross_entropy: label out of range [0, {logits.shape[1]})")
+    if logits.data.ndim != 2:
+        raise ShapeError(f"cross_entropy: expects (n, C) logits, got {logits.shape}")
+    labels = int_array(labels, logits.shape[1], "cross_entropy labels", logits.shape[0])
     scenes = _scene_rows(offsets, labels.size, "cross_entropy")
     rows = np.arange(labels.size)
     keep = []
@@ -617,11 +590,9 @@ def _gather_rows(index, a):
 
 def gather_rows(a, index: np.ndarray) -> Tensor:
     """out[j] = a[index[j]]; gradient scatter-adds back onto the source rows."""
-    index = np.asarray(index, dtype=np.int64)
     if a.data.ndim != 2:
         raise ShapeError(f"gather_rows: expects (n, d) input, got {a.shape}")
-    if index.size and (index.min() < 0 or index.max() >= a.shape[0]):
-        raise ContractError(f"gather_rows: index out of range for {a.shape[0]} rows")
+    index = int_array(index, a.shape[0], "gather_rows index")
     in_shape = a.shape
 
     def backward_fn(g):
@@ -636,9 +607,9 @@ def _pool_rows_mean(parent, n_parents, inv_counts, a):
 
 def pool_rows_mean(a, parent: np.ndarray, n_parents: int) -> Tensor:
     """Group rows by parent index and average each group."""
-    parent = np.asarray(parent, dtype=np.int64)
-    if a.data.ndim != 2 or parent.shape != (a.shape[0],):
-        raise ShapeError(f"pool_rows_mean: parent map {parent.shape} does not match input {a.shape}")
+    if a.data.ndim != 2:
+        raise ShapeError(f"pool_rows_mean: expects (n, d) input, got {a.shape}")
+    parent = int_array(parent, n_parents, "pool_rows_mean parent map", a.shape[0])
     counts = np.bincount(parent, minlength=n_parents).astype(np.float64)
     if (counts == 0).any():
         raise ContractError("pool_rows_mean: some parents have no children")

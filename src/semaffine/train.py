@@ -1,4 +1,4 @@
-"""Training and evaluation loops over scene corpora, plus the ablation driver.
+"""Training and evaluation loops over scene corpora (the ablation driver is ``ablate``).
 
 Everything downstream of (config, seed) is deterministic: scene order comes
 from seeded per-epoch permutations, initialization from per-component seed

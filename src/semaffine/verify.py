@@ -93,7 +93,7 @@ def _tensor_checks(rng):
 
 def _scene_offset_checks(rng):
     """Each op that keeps scenes apart, on rows cut into two ragged scenes."""
-    q_offsets, kv_offsets = [0, 2, 5], [0, 4, 6]  # 2 + 3 query rows, 4 + 2 key rows
+    q_offsets, kv_offsets = (0, 2, 5), (0, 4, 6)  # 2 + 3 query rows, 4 + 2 key rows
 
     def leaf(*shape):
         return Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -181,7 +181,7 @@ def _loss_checks(rng):
 
     # per-scene means over two ragged scenes, drawn from a stream of their own
     scenes = np.random.default_rng(9)
-    offsets = [0, 2, 5]
+    offsets = (0, 2, 5)
     logits_s = Tensor(scenes.standard_normal((5, 3)), requires_grad=True)
     labels_s = scenes.integers(0, 3, 5)
     yield Check("cross_entropy_scenes",

@@ -168,3 +168,23 @@ def test_every_tensor_function_is_on_the_model_path():
     # downstream is gradcheck's walk of the tape, so unreferenced_public_functions leaves it out
     referencing = [(PACKAGE / f"{name}.py").read_text(encoding="utf-8") for name in MODEL_PATH]
     assert unreferenced_public_functions((PACKAGE / "tensor.py").read_text(encoding="utf-8"), referencing) == []
+
+
+def truncating_int_conversions(source: str) -> list[str]:
+    """The ``np.asarray(..., dtype=np.int64)`` calls, which truncate float
+    entries and read bools as 0/1; integer arguments go through
+    ``errors.int_array`` instead."""
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.asarray"
+            and any(k.arg == "dtype" and ast.unparse(k.value) == "np.int64" for k in node.keywords)]
+
+
+def test_scanner_finds_a_truncating_int_conversion():
+    source = ("a = np.asarray(x, dtype=np.int64)\nb = np.asarray(y, dtype=np.float64)\n"
+              "c = np.array(z, dtype=np.int64)\nd = np.asarray(w)\n")
+    assert truncating_int_conversions(source) == ["line 1: np.asarray(x, dtype=np.int64)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_truncating_int_conversion(path):
+    assert truncating_int_conversions(path.read_text(encoding="utf-8")) == []

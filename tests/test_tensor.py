@@ -397,6 +397,15 @@ class TestIndexingOps:
         expect = np.stack([a[parent == p].mean(axis=0) for p in range(3)])
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
+    def test_gather_rows_rejects_a_2d_index(self):
+        with pytest.raises(ShapeError, match="gather_rows index"):
+            T.gather_rows(Tensor(np.zeros((3, 2))), [[0, 1]])
+
+    @pytest.mark.parametrize("parent", [[0, 1, 2], [0, -1, 1]], ids=["n_parents", "negative"])
+    def test_pool_rows_mean_rejects_parents_out_of_range(self, parent):
+        with pytest.raises(ContractError, match=r"pool_rows_mean parent map: entry out of range \[0, 2\)"):
+            T.pool_rows_mean(Tensor(np.zeros((3, 2))), parent, 2)
+
     @pytest.mark.parametrize("index, n, d", [
         ([3, 0, 3, 1, 0, 3], 5, 4),  # duplicates, unsorted, empty groups 2 and 4
         ([2], 3, 3),  # one row
@@ -730,11 +739,12 @@ class TestSceneOffsets:
         rng = np.random.default_rng(34)
         a, b = self.leaves(rng, (5, 3), (3, 4))
         labels = rng.integers(0, 3, 5)
-        for offsets in ((0, 5), np.array([0, 5]), [0, 5]):
-            assert T.matmul(a, b, offsets).data.tobytes() == T.matmul(a, b).data.tobytes()
-            assert T.cross_entropy(a, labels, offsets).item() == T.cross_entropy(a, labels).item()
+        offsets = (0, 5)
+        assert T.matmul(a, b, offsets).data.tobytes() == T.matmul(a, b).data.tobytes()
+        assert T.cross_entropy(a, labels, offsets).item() == T.cross_entropy(a, labels).item()
 
-    @pytest.mark.parametrize("offsets", [(0, 3, 3, 5), (0, 4), (1, 5), (0, 6, 5), (0,), (), (0, 2.5, 5), [[0, 5]]])
+    @pytest.mark.parametrize("offsets", [(0, 3, 3, 5), (0, 4), (1, 5), (0, 6, 5), (0,), (), (0, 2.5, 5), [[0, 5]],
+                                         [0, 5], np.array([0, 5]), (0, np.int64(5)), (False, 5), (0.0, 5)])
     def test_bad_offsets_rejected(self, offsets):
         a = Tensor(np.zeros((5, 3)))
         with pytest.raises(ContractError, match="do not cut 5 rows into non-empty scenes"):
