@@ -81,7 +81,6 @@ def semantic_affine_transform(
     f: Tensor,
     conf: ConfidenceMatrix,
     p: AffineParams,
-    eps: float = T.LAYER_NORM_EPS,
     offsets=None,
 ) -> Tensor:
     """Replace each feature row with S_j * normalize(f_j) + B_j, where S_j and
@@ -89,4 +88,4 @@ def semantic_affine_transform(
     scene's bank (row ``offsets``; None for one scene)."""
     s = T.matmul(conf.probs, p.scales, offsets)
     b = T.matmul(conf.probs, p.biases, offsets)
-    return T.layer_norm(f, s, b, eps)
+    return T.layer_norm(f, s, b)

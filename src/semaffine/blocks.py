@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, ShapeError
-from .tensor import LAYER_NORM_EPS, Tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -92,8 +92,8 @@ def mlp_forward(layers: Sequence[LinearParams], x: Tensor) -> Tensor:
     return T.mlp(x, [(layer.weight, layer.bias) for layer in layers])
 
 
-def layer_norm(p: LayerNormParams, x: Tensor, eps: float = LAYER_NORM_EPS, residual=None) -> Tensor:
-    return T.layer_norm(x, p.gain, p.bias, eps, residual)
+def layer_norm(p: LayerNormParams, x: Tensor, residual=None) -> Tensor:
+    return T.layer_norm(x, p.gain, p.bias, residual)
 
 
 def multi_head_attention(p: AttentionParams, q_in: Tensor, kv_in: Tensor, q_offsets=None, kv_offsets=None) -> Tensor:
@@ -107,19 +107,18 @@ def multi_head_attention(p: AttentionParams, q_in: Tensor, kv_in: Tensor, q_offs
     return linear_forward(p.out_proj, heads_out)
 
 
-def encoder_block(p: EncoderBlockParams, x: Tensor, eps: float = LAYER_NORM_EPS, offsets=None) -> Tensor:
+def encoder_block(p: EncoderBlockParams, x: Tensor, offsets=None) -> Tensor:
     """Post-norm residual order: x' = LN(x + SelfAttn(x)); out = LN(x' + FF(x')),
     each LN taking x as its residual. Self-attention stays within each scene
     of the row ``offsets``."""
-    x = layer_norm(p.ln1, multi_head_attention(p.self_attn, x, x, offsets, offsets), eps, x)
-    return layer_norm(p.ln2, mlp_forward((p.ff1, p.ff2), x), eps, x)
+    x = layer_norm(p.ln1, multi_head_attention(p.self_attn, x, x, offsets, offsets), x)
+    return layer_norm(p.ln2, mlp_forward((p.ff1, p.ff2), x), x)
 
 
 def decoder_block(
     p: DecoderBlockParams,
     queries: Tensor,
     memory: Tensor,
-    eps: float = LAYER_NORM_EPS,
     query_offsets=None,
     memory_offsets=None,
 ) -> Tensor:
@@ -127,9 +126,9 @@ def decoder_block(
     then feed-forward; each sub-layer wrapped in a post-norm residual. With
     row offsets, scene s's queries attend to scene s's queries and memory."""
     q = layer_norm(p.ln1, multi_head_attention(p.self_attn, queries, queries, query_offsets, query_offsets),
-                   eps, queries)
-    q = layer_norm(p.ln2, multi_head_attention(p.cross_attn, q, memory, query_offsets, memory_offsets), eps, q)
-    return layer_norm(p.ln3, mlp_forward((p.ff1, p.ff2), q), eps, q)
+                   queries)
+    q = layer_norm(p.ln2, multi_head_attention(p.cross_attn, q, memory, query_offsets, memory_offsets), q)
+    return layer_norm(p.ln3, mlp_forward((p.ff1, p.ff2), q), q)
 
 
 # -- initialization ----------------------------------------------------------

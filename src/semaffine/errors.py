@@ -49,12 +49,20 @@ def require_finite(config) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
+def as_array(values, what: str) -> np.ndarray:
+    """``np.asarray(values)``; a ragged nest of sequences is a ShapeError, not numpy's ValueError."""
+    try:
+        return np.asarray(values)
+    except ValueError as e:  # "... inhomogeneous shape after 1 dimensions ..."
+        raise ShapeError(f"{what}: ragged sequences ({e})") from None
+
+
 def int_array(values, high: int, what: str, n: int | None = None) -> np.ndarray:
     """``values`` as a 1-d int64 array (of ``n`` entries unless None) with
     every entry in [0, high): ShapeError for another shape, ContractError for
     a non-integer dtype (float, bool) or an entry out of range, so no value
     is truncated. An empty array of any dtype has no value to truncate."""
-    array = np.asarray(values)
+    array = as_array(values, what)
     if array.ndim != 1 or n is not None and array.size != n:
         raise ShapeError(f"{what}: shape {array.shape}, expected ({'n' if n is None else n},)")
     if array.size and array.dtype.kind not in "iu":

@@ -1,11 +1,11 @@
 """Losses, SGD with schedule, and segmentation metrics.
 
-The training objective is a weighted sum of a final-level cross entropy over
+The training objective is the sum of a final-level cross entropy over
 integer point labels and, per supervised mid level, a binary cross entropy of
 the raw class scores against the multi-hot labels that shadow the pooling
 hierarchy. Each term is one tape node (``tensor.cross_entropy``,
 ``tensor.bce_with_logits``, which validate labels and targets);
-``total_loss`` creates, weights and sums them.
+``total_loss`` creates and sums them.
 
 The learning rate is ``base * group_factor * warm(t) * (1 - t/T)^2`` with a
 linear warmup over the first 5% of steps; ``sgd_step`` gives the parameters
@@ -33,8 +33,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 4
     warmup_fraction: float = 0.05
-    w_final: float = 1.0
-    w_mid: float = 1.0
     seed: int = 0
 
     def validate(self):
@@ -45,8 +43,6 @@ class TrainConfig:
             raise ConfigError("invalid optimizer settings")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if self.w_final < 0 or self.w_mid < 0:
-            raise ConfigError("loss weights must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -54,24 +50,17 @@ class TrainConfig:
 # -- losses --------------------------------------------------------------------
 
 
-def total_loss(
-    fwd: ForwardOutput,
-    labels,
-    shadows: dict[int, np.ndarray],
-    w_final: float = 1.0,
-    w_mid: float = 1.0,
-) -> Tensor:
-    """w_final * CE(final logits, labels) + w_mid * the sum over mid levels of
-    each level's mean entrywise BCE against ``shadows[level]``, that level's
-    multi-hot targets. Over a batch of scenes (row ``fwd.offsets``) each term
-    is the mean of the scenes' terms, so the loss is the mean of the scenes'
-    losses."""
+def total_loss(fwd: ForwardOutput, labels, shadows: dict[int, np.ndarray]) -> Tensor:
+    """CE(final logits, labels) plus, summed over the mid levels, each level's
+    mean entrywise BCE against its multi-hot targets ``shadows[level]``. Over a
+    batch of scenes (row ``fwd.offsets``) each term is the mean of the scenes'
+    terms, so the loss is the mean of the scenes' losses."""
     ce = T.cross_entropy(fwd.final_logits, labels, fwd.offsets[0])
     bce = None
     for mid in fwd.mids:  # level by level: bce_0 + bce_1 + ...
         level_bce = T.bce_with_logits(mid.conf.logits, shadows[mid.level], fwd.offsets[mid.level])
         bce = level_bce if bce is None else bce + level_bce
-    return T.scale(ce, w_final) + T.scale(bce, w_mid)
+    return ce + bce
 
 
 # -- optimizer -----------------------------------------------------------------

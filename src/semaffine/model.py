@@ -9,9 +9,9 @@ the masks, re-scales the features with the confidence-blended affine bank,
 and unpools to the next finer level with a skip connection. The finest level
 is classified the same way to produce the output logits.
 
-Decoder layer u supplies the affine bank for mid stage i via u = i + offset
-(deeper query-decoder layers feed finer mid stages); the final layer feeds
-the mask head.
+Decoder layer u supplies the affine bank for mid stage i via
+u = i + ``LEVEL_OFFSET`` (deeper query-decoder layers feed finer mid stages);
+the final layer feeds the mask head.
 
 Every parameter exists in every configuration; the ``classifier`` and
 ``affine`` switches only select which forward path consumes them, so
@@ -68,6 +68,7 @@ AFFINE_MODES = ("bn", "adain", "sa")
 ATTENTION_PREFIXES = ("pos_mlp.", "token_encoder.", "query_decoder.")
 
 _SOFTPLUS_INV_1 = math.log(math.e - 1.0)  # softplus of this is 1: the identity scale
+LEVEL_OFFSET = 2  # mid stage i reads query-decoder layer i + LEVEL_OFFSET
 
 # size bounds checked before any draw; at both, a model holds 36.5 M float64
 # parameters (290 MB, three times that with gradients and momentum)
@@ -85,9 +86,7 @@ class ModelConfig:
     encoder_depth: int = 4  # self-attention blocks over top tokens
     decoder_depth: int = 5  # class-query decoder blocks
     heads: int = 4
-    level_offset: int = 2  # mid stage i reads query-decoder layer i + offset
     base_voxel: float = 0.4
-    norm_eps: float = T.LAYER_NORM_EPS
     classifier: str = "mask"
     affine: str = "sa"
 
@@ -99,9 +98,6 @@ class ModelConfig:
     def mid_levels(self) -> list[int]:
         """Hierarchy level of each mid stage, coarsest first."""
         return [self.levels - i for i in range(1, self.n_mid + 1)]
-
-    def layer_for_stage(self, i: int) -> int:
-        return i + self.level_offset
 
     def validate(self):
         require_finite(self)
@@ -121,14 +117,13 @@ class ModelConfig:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d_h % self.heads != 0 or self.level_dims[-1] % self.heads != 0:
             raise ConfigError(f"{self.heads} heads must divide d_h={self.d_h} and top dim={self.level_dims[-1]}")
-        if self.decoder_depth < self.n_mid + self.level_offset:
-            raise ConfigError(
-                f"decoder_depth={self.decoder_depth} too shallow: {self.n_mid} mid stages with "
-                f"offset {self.level_offset} need depth >= {self.n_mid + self.level_offset}")
-        if self.encoder_depth < 0 or self.level_offset < 1:
-            raise ConfigError("encoder_depth must be >= 0 and level_offset >= 1")
-        if self.base_voxel <= 0 or self.norm_eps <= 0:
-            raise ConfigError(f"base_voxel and norm_eps must be positive, got {self.base_voxel} and {self.norm_eps}")
+        if self.decoder_depth < self.n_mid + LEVEL_OFFSET:
+            raise ConfigError(f"decoder_depth={self.decoder_depth} too shallow: {self.n_mid} mid stages "
+                              f"need depth >= {self.n_mid + LEVEL_OFFSET}")
+        if self.encoder_depth < 0:
+            raise ConfigError(f"encoder_depth must be >= 0, got {self.encoder_depth}")
+        if self.base_voxel <= 0:
+            raise ConfigError(f"base_voxel must be positive, got {self.base_voxel}")
         if self.classifier not in CLASSIFIERS:
             raise ConfigError(f"classifier must be one of {CLASSIFIERS}, got {self.classifier!r}")
         if self.affine not in AFFINE_MODES:
@@ -255,7 +250,7 @@ def encode_tokens(params: ModelParams, top_feats: Tensor, top_coords: np.ndarray
     pos = mlp_forward(params.pos_mlp, Tensor(top_coords))
     x = top_feats + pos
     for block in params.token_encoder:
-        x = encoder_block(block, x, params.cfg.norm_eps, offsets)
+        x = encoder_block(block, x, offsets)
     return x
 
 
@@ -270,7 +265,7 @@ def decode_queries(params: ModelParams, memory: Tensor, offsets):
     query_offsets = tuple(range(0, n_classes * scenes + 1, n_classes))
     h_layers = []
     for block in params.query_decoder:
-        h = decoder_block(block, h, memory, params.cfg.norm_eps, query_offsets, offsets)
+        h = decoder_block(block, h, memory, query_offsets, offsets)
         h_layers.append(h)
     return h_layers, h_layers[-1]
 
@@ -309,16 +304,15 @@ def model_forward(params: ModelParams, hier: Hierarchy) -> ForwardOutput:
             conf = _site_confidences(params, level, feats, masks, hier.offsets[level])
             affine = None
             if cfg.affine == "sa":
-                h_u = h_layers[cfg.layer_for_stage(i) - 1]
+                h_u = h_layers[i + LEVEL_OFFSET - 1]
                 affine = predict_affine_params(h_u, params.scale_heads[i], params.bias_heads[i])
-                transformed = semantic_affine_transform(feats, conf, affine, cfg.norm_eps, hier.offsets[level])
+                transformed = semantic_affine_transform(feats, conf, affine, hier.offsets[level])
             elif cfg.affine == "adain":  # one shared (scale, bias) row for every point
                 site = params.sites[level]
-                transformed = T.layer_norm(
-                    feats, T.softplus(site.adain.pre_scale), site.adain.bias, cfg.norm_eps)
+                transformed = T.layer_norm(feats, T.softplus(site.adain.pre_scale), site.adain.bias)
             else:  # bn: plain normalization with a learned class-agnostic pair
                 site = params.sites[level]
-                transformed = T.layer_norm(feats, site.norm.gain, site.norm.bias, cfg.norm_eps)
+                transformed = T.layer_norm(feats, site.norm.gain, site.norm.bias)
             mids.append(MidLevelOutput(level=level, conf=conf, affine=affine))
             down = linear_forward(params.down_proj[i], transformed)
             feats = unpool_features(hier, level - 1, down, enc[level - 1])

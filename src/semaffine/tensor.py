@@ -22,12 +22,12 @@ Design constraints:
   masks, so the thousands of finest-level points are never projected.
   Transformer norms, the AdaIN and bn controls (a learned (d,) row) and the
   semantic-affine transform (an (n, d) per-point blend) are all
-  ``layer_norm``.
+  ``layer_norm``, with the one variance floor ``LAYER_NORM_EPS``.
 - scatter-adds of rows onto groups (``pool_rows_mean``, the ``gather_rows``
   backward) are one ``np.bincount`` segment sum, not ``np.add.at``.
 - a backward computes a gradient only for operands that require grad.
 - each op takes Tensor operands only; labels and indices are integer
-  arrays (``int_array``), targets a float array and offsets an int tuple.
+  arrays (``int_array``), targets a 0/1 numeric array and offsets an int tuple.
   It is a checking front (shape, label, index and offset checks, the scene
   cuts) and an array kernel holding its forward arithmetic. The op calls
   the kernel, and its node records ``(kernel, static)``:
@@ -56,11 +56,11 @@ import itertools
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, int_array
+from .errors import ContractError, ShapeError, as_array, int_array
 
 _NODE_IDS = itertools.count()
 
-LAYER_NORM_EPS = 1e-5  # the default variance floor of every layer_norm
+LAYER_NORM_EPS = 1e-5  # the variance floor of every layer_norm
 
 
 class Tensor:
@@ -177,15 +177,6 @@ def add(a, b) -> Tensor:
             _accumulate(b, g, shared=True)
 
     return _result(np.add(a.data, b.data), (a, b), "add", backward_fn, np.add)
-
-
-def scale(a, c: float) -> Tensor:
-    c = float(c)
-
-    def backward_fn(g):
-        _accumulate(a, c * g)
-
-    return _result(np.multiply(c, a.data), (a,), "scale", backward_fn, np.multiply, (c,))
 
 
 # -- matrix ops ----------------------------------------------------------
@@ -492,11 +483,11 @@ def bce_with_logits(logits, targets, offsets=None) -> Tensor:
     """Mean over the entries of (n, N) logits of BCE(sigmoid(x), t) = softplus(x) - t * x, as one node.
 
     With the row ``offsets`` of B scenes, the mean of the B scenes' means."""
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = as_array(targets, "bce targets")
     if logits.data.ndim != 2 or targets.shape != logits.shape:
         raise ShapeError(f"bce: logits {logits.shape} vs targets {targets.shape}")
-    if not ((targets == 0) | (targets == 1)).all():
-        raise ContractError("bce: targets must be binary")
+    if targets.dtype.kind not in "biuf" or not ((targets == 0) | (targets == 1)).all():
+        raise ContractError(f"bce: targets must be binary numbers, got dtype {targets.dtype}")
     scenes = _scene_rows(offsets, logits.shape[0], "bce")
     x = logits.data
 
@@ -516,26 +507,26 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def _layer_norm(eps, x, gain, bias, residual=None, keep=None):
-    """``keep`` (a list) collects the normalized rows y and their 1/sqrt(var + eps)."""
+def _layer_norm(x, gain, bias, residual=None, keep=None):
+    """``keep`` (a list) collects the normalized rows y and their 1/sqrt(var + LAYER_NORM_EPS)."""
     total = x if residual is None else x + residual
     centered = total - _row_mean(total)
-    inv = 1.0 / np.sqrt(_row_mean(centered ** 2) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(centered ** 2) + LAYER_NORM_EPS)
     y = centered * inv
     if keep is not None:
         keep += (y, inv)
     return y * gain + bias
 
 
-def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS, residual=None) -> Tensor:
+def layer_norm(x, gain, bias, residual=None) -> Tensor:
     """normalize(x + residual) * gain + bias as one node.
 
     Each row of the input (n, d) goes to zero mean and (population) unit
-    variance, with denominator sqrt(var + eps), so constant rows map to zeros
-    (then to ``bias``). ``gain`` and ``bias`` are each a (d,) row shared by
-    all points or an (n, d) per-point array. An (n, d) ``residual`` (a
-    post-norm sublayer's skip input) is added to x first; both get the input
-    gradient.
+    variance, with denominator sqrt(var + ``LAYER_NORM_EPS``), so constant
+    rows map to zeros (then to ``bias``). ``gain`` and ``bias`` are each a
+    (d,) row shared by all points or an (n, d) per-point array. An (n, d)
+    ``residual`` (a post-norm sublayer's skip input) is added to x first;
+    both get the input gradient.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"layer_norm: expects (n, d) input, got {x.shape}")
@@ -549,7 +540,7 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS, residual=None) -> Ten
     gain_row, bias_row = gain.data.ndim == 1, bias.data.ndim == 1
     operands = (x, gain, bias, *summands[1:])
     keep = []
-    out = _layer_norm(eps, *(t.data for t in operands), keep=keep)
+    out = _layer_norm(*(t.data for t in operands), keep=keep)
     y, inv = keep
     gain_data = gain.data
 
@@ -565,7 +556,7 @@ def layer_norm(x, gain, bias, eps: float = LAYER_NORM_EPS, residual=None) -> Ten
             for k, t in enumerate(wanting):  # the first takes g_in itself, a second a copy
                 _accumulate(t, g_in, shared=k > 0)
 
-    return _result(out, operands, "layer_norm", backward_fn, _layer_norm, (eps,))
+    return _result(out, operands, "layer_norm", backward_fn, _layer_norm)
 
 
 # -- reductions and indexing ----------------------------------------------

@@ -135,8 +135,7 @@ def train_model(
             for _, p in named:
                 p.zero_grad()
             hier, labels, shadows = stack_scenes([train_scenes[idx] for idx in batch])
-            loss = total_loss(model_forward(params, hier), labels, shadows,
-                              w_final=train_cfg.w_final, w_mid=train_cfg.w_mid)
+            loss = total_loss(model_forward(params, hier), labels, shadows)
             batch_loss = loss.item()  # the mean of the batch's scene losses
             if not np.isfinite(batch_loss):
                 raise NumericError(f"non-finite loss at epoch {epoch} step {s}")

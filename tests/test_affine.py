@@ -26,20 +26,21 @@ def blend(conf, p):
     ``layer_norm`` node as gain and bias."""
     with mock.patch.object(T, "layer_norm", wraps=T.layer_norm) as spy:
         A.semantic_affine_transform(Tensor(np.zeros((conf.probs.shape[0], p.scales.shape[1]))), conf, p)
-    _, s, b, _ = spy.call_args.args
+    _, s, b = spy.call_args.args
     return s, b
 
 
-def normalize_oracle(x, eps=1e-5):
+def normalize_oracle(x):
+    """Rows to zero mean and unit variance, with the variance floor 1e-5."""
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    return (x - mu) / np.sqrt(var + 1e-5)
 
 
-def transform_oracle(f, probs, scales, biases, eps=1e-5):
+def transform_oracle(f, probs, scales, biases):
     """Entrywise loops over points, classes, channels."""
     n, d = f.shape
-    f_hat = normalize_oracle(f, eps)
+    f_hat = normalize_oracle(f)
     out = np.zeros((n, d))
     for j in range(n):
         s = np.zeros(d)

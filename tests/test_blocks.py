@@ -45,10 +45,11 @@ def attention_oracle(p, q_in, kv_in):
     return concat @ p.out_proj.weight.data.T + p.out_proj.bias.data
 
 
-def layer_norm_oracle(p, x, eps=B.LAYER_NORM_EPS):
+def layer_norm_oracle(p, x):
+    """Rows normalized with the variance floor 1e-5, then modulated by ``p``."""
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * p.gain.data + p.bias.data
+    return (x - mu) / np.sqrt(var + 1e-5) * p.gain.data + p.bias.data
 
 
 class TestLinear:

@@ -1,4 +1,5 @@
-"""The integer-argument check and the op arguments that pass through it."""
+"""The integer-argument check and the op arguments that pass through it,
+and the checks on the binary targets of ``bce_with_logits``."""
 
 import numpy as np
 import pytest
@@ -26,6 +27,10 @@ class TestIntArray:
     def test_huge_unsigned_entries_do_not_wrap(self):
         with pytest.raises(ContractError, match=r"x: entry out of range \[0, 3\)"):
             int_array(np.array([0, 2 ** 64 - 1], dtype=np.uint64), 3, "x")
+
+    def test_a_ragged_list_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="x: ragged sequences"):
+            int_array([[0, 1], [2]], 3, "x")
 
     def test_a_scalar_is_not_an_array(self):
         with pytest.raises(ShapeError, match=r"x: shape \(\), expected \(n,\)"):
@@ -58,3 +63,28 @@ def test_integer_sites_reject_float_and_bool_values(site, values):
 def test_cloud_label_count_must_match_the_points():
     with pytest.raises(ShapeError, match=r"cloud labels: shape \(3,\), expected \(2,\)"):
         LabeledCloud(coords=np.zeros((2, 3)), labels=[0, 1, 2], n_classes=3)
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_integer_sites_reject_ragged_values(site):
+    with pytest.raises(ShapeError, match="ragged sequences"):
+        INTEGER_SITES[site]([[0, 1], [2]])
+
+
+class TestBceTargets:
+    LOGITS = Tensor(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("targets", [[["1", "0"]], [[b"1", b"0"]], np.array([[1, 0]], dtype=object)],
+                             ids=["str", "bytes", "object"])
+    def test_non_numeric_dtypes_rejected(self, targets):
+        with pytest.raises(ContractError, match="bce: targets must be binary numbers, got dtype"):
+            T.bce_with_logits(self.LOGITS, targets)
+
+    def test_ragged_list_rejected(self):
+        with pytest.raises(ShapeError, match="bce targets: ragged sequences"):
+            T.bce_with_logits(Tensor(np.zeros((2, 2))), [[1, 0], [1]])
+
+    @pytest.mark.parametrize("targets", [[[1, 0]], [[True, False]], np.array([[1, 0]], dtype=np.uint8), [[1.0, 0.0]]],
+                             ids=["int", "bool", "uint8", "float"])
+    def test_numeric_dtypes_give_the_same_bits(self, targets):
+        assert T.bce_with_logits(self.LOGITS, targets).data.tobytes() == np.float64(np.log(2.0)).tobytes()

@@ -59,7 +59,7 @@ class TestFiniteDiffCheck:
         x = Tensor([1e308], requires_grad=True)
 
         def f():
-            return weighted_sum(T.scale(x, 10.0), [1.0])
+            return weighted_sum(x, [10.0])
 
         with np.errstate(over="ignore"):  # 10 * x overflows
             report = finite_diff_check(f, [("x", x)])
@@ -126,8 +126,8 @@ def _non_finite_case():
     x = Tensor([1.7976931], requires_grad=True)  # x * 1e308 is finite, (x + 1e-6) * 1e308 is not
 
     def f():
-        edge = T.add(T.scale(x, 1e308), Tensor([-1.7976931e308]))
-        return T.add(_mix_loss(T.softplus(y)), weighted_sum(edge, [1.0]))
+        edge = T.add(weighted_sum(x, [1e308]), Tensor(-1.7976931e308))
+        return T.add(_mix_loss(T.softplus(y)), edge)
 
     return f, [("y", y), ("x", x)], {}
 
@@ -474,8 +474,8 @@ class TestPerOpGradients:
         points = [Tensor(rng.standard_normal((5, 7)), requires_grad=True) for _ in range(2)]
 
         def f():
-            return T.add(_mix_loss(T.layer_norm(x, *rows, eps=1e-5)),
-                         _mix_loss(T.layer_norm(x, *points, eps=1e-5), seed=1))
+            return T.add(_mix_loss(T.layer_norm(x, *rows)),
+                         _mix_loss(T.layer_norm(x, *points), seed=1))
 
         named = [("x", x), ("gain_row", rows[0]), ("bias_row", rows[1]),
                  ("gain_points", points[0]), ("bias_points", points[1])]

@@ -81,8 +81,9 @@ class TestMidlevelBce:
         mids = [MidLevelOutput(level=level, conf=ConfidenceMatrix(Tensor(b), T.softmax(Tensor(b))), affine=None)
                 for level, b in ((1, logits[0]), (2, logits[1]))]
         fwd = ForwardOutput(final_logits=Tensor(np.zeros((5, 3))), mids=mids, offsets=[(0, 5), (0, 4), (0, 2)])
-        loss = Hx.total_loss(fwd, np.zeros(5, dtype=int), [None] + targets, w_final=0.0)
-        np.testing.assert_allclose(loss.item(), expect, atol=1e-10)
+        loss = Hx.total_loss(fwd, np.zeros(5, dtype=int), [None] + targets)
+        # zero final logits over 3 classes: the CE term is ln 3
+        np.testing.assert_allclose(loss.item(), math.log(3.0) + expect, atol=1e-10)
 
     def test_non_binary_target_rejected(self):
         with pytest.raises(ContractError):
@@ -111,14 +112,21 @@ class TestTotalLoss:
         fwd = ForwardOutput(final_logits=final, mids=[mid], offsets=[(0, 6), (0, 2)])
         return fwd, labels, shadows
 
-    def test_degenerate_weights(self):
+    def test_is_the_sum_of_the_terms(self):
+        """CE plus BCE, each term reached by the unit gradient."""
         rng = np.random.default_rng(3)
         fwd, labels, shadows = self._forward_stub(rng)
-        ce = T.cross_entropy(fwd.final_logits, labels).item()
-        bce = T.bce_with_logits(fwd.mids[0].conf.logits, shadows[1]).item()
-        np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows, w_mid=0.0).item(), ce, atol=1e-12)
-        np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows, w_final=0.0).item(), bce, atol=1e-12)
-        np.testing.assert_allclose(Hx.total_loss(fwd, labels, shadows).item(), ce + bce, atol=1e-12)
+        final, mid = fwd.final_logits, fwd.mids[0].conf.logits
+        ce, bce = T.cross_entropy(final, labels), T.bce_with_logits(mid, shadows[1])
+        ce.backward()
+        bce.backward()
+        alone = [final.grad, mid.grad]
+        final.zero_grad()
+        mid.zero_grad()
+        loss = Hx.total_loss(fwd, labels, shadows)
+        assert loss.item() == ce.item() + bce.item()
+        loss.backward()
+        assert final.grad.tobytes() == alone[0].tobytes() and mid.grad.tobytes() == alone[1].tobytes()
 
 
 class TestSchedule:
@@ -355,20 +363,33 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_default_model_checkpoint_bytes_are_pinned(self, tmp_path):
-        """Every parameter name, their order and every init stream of the
-        default-sized model, and the config snapshot, pinned as one crc32.
-        The configs are spelled out as the defaults stood when the pin was
-        taken, so that a later change of a default leaves the pin alone."""
+        """Every init stream of the default-sized model (the payload) and every
+        parameter name, shape and offset in order (the ``param`` lines), each
+        pinned as one crc32; the ``cfg.`` lines are the config snapshot, one per
+        model and training key, so a key added or removed moves no pin. The
+        configs are spelled out as the defaults stood when the pin was taken,
+        so that a later change of a default leaves the pin alone."""
         from semaffine.model import build_model
         model_cfg = ModelConfig(n_classes=4, levels=4, level_dims=(32, 64, 96, 128), d_h=64, d_m=64,
-                                encoder_depth=4, decoder_depth=5, heads=4, level_offset=2, base_voxel=0.4,
-                                norm_eps=1e-5, classifier="mask", affine="sa")
+                                encoder_depth=4, decoder_depth=5, heads=4, base_voxel=0.4,
+                                classifier="mask", affine="sa")
         train_cfg = Hx.TrainConfig(base_lr=2e-2, attention_lr_factor=0.1, weight_decay=1e-4, momentum=0.9,
-                                   epochs=20, batch_size=4, warmup_fraction=0.05, w_final=1.0, w_mid=1.0, seed=0)
+                                   epochs=20, batch_size=4, warmup_fraction=0.05, seed=0)
         path = tmp_path / "default.ckpt"
         named = build_model(model_cfg, seed=3).named_parameters()
-        save_checkpoint(path, named, snapshot(model_cfg, train_cfg), step=0)
-        assert zlib.crc32(path.read_bytes()) == 1361651085
+        snap = snapshot(model_cfg, train_cfg)
+        save_checkpoint(path, named, snap, step=0)
+        raw = path.read_bytes()
+        header_end = raw.index(b"\n", raw.index(b"\npayload ") + 1)
+        lines = raw[:header_end].decode().splitlines()
+        params = [line for line in lines if line.startswith("param ")]
+        assert zlib.crc32(raw[header_end + 1:]) == 971737574
+        assert zlib.crc32("\n".join(params).encode()) == 1270794778
+        keys = [key for cls in (ModelConfig, Hx.TrainConfig) for key in KEYS[cls]]
+        assert list(snap) == keys
+        text = {k: ",".join(map(str, v)) if isinstance(v, tuple) else str(v) for k, v in snap.items()}
+        assert lines == ([MAGIC.decode(), "step=0"] + [f"cfg.{k}={text[k]}" for k in sorted(keys)] + params
+                         + [f"payload {len(raw) - header_end - 1}"])
 
 
 class TestConfigFile:
@@ -450,16 +471,14 @@ class TestConfigFile:
             ("classes", "n_classes", "_to_int"), ("levels", "levels", "_to_int"),
             ("level_dims", "level_dims", "_to_int_tuple"), ("d_h", "d_h", "_to_int"), ("d_m", "d_m", "_to_int"),
             ("encoder_depth", "encoder_depth", "_to_int"), ("decoder_depth", "decoder_depth", "_to_int"),
-            ("heads", "heads", "_to_int"), ("level_offset", "level_offset", "_to_int"),
-            ("base_voxel", "base_voxel", "ascii_float"), ("norm_eps", "norm_eps", "ascii_float"),
+            ("heads", "heads", "_to_int"), ("base_voxel", "base_voxel", "ascii_float"),
             ("classifier", "classifier", "str"), ("affine", "affine", "str"),
         ]
         assert table(Hx.TrainConfig) == [
             ("base_lr", "base_lr", "ascii_float"), ("attention_lr_factor", "attention_lr_factor", "ascii_float"),
             ("weight_decay", "weight_decay", "ascii_float"), ("momentum", "momentum", "ascii_float"),
             ("epochs", "epochs", "_to_int"), ("batch_size", "batch_size", "_to_int"),
-            ("warmup_fraction", "warmup_fraction", "ascii_float"), ("w_final", "w_final", "ascii_float"),
-            ("w_mid", "w_mid", "ascii_float"), ("seed", "seed", "_to_int"),
+            ("warmup_fraction", "warmup_fraction", "ascii_float"), ("seed", "seed", "_to_int"),
         ]
         assert table(SceneSpec) == [
             ("scene_objects", "objects_per_scene", "_to_int"),

@@ -28,7 +28,6 @@ def tiny_config(**overrides):
         encoder_depth=1,
         decoder_depth=5,
         heads=2,
-        level_offset=2,
         base_voxel=0.5,
     )
     base.update(overrides)
@@ -91,9 +90,15 @@ class TestConfigValidation:
             tiny_config(affine="layernorm").validate()
 
     def test_stage_to_layer_mapping(self):
-        cfg = M.ModelConfig(decoder_depth=6)
-        assert [cfg.layer_for_stage(i) for i in (1, 2, 3)] == [3, 4, 5]
-        assert cfg.mid_levels == [3, 2, 1]
+        """Mid stage i (coarsest first) regresses its bank from query-decoder layer u = i + 2."""
+        params = M.build_model(tiny_config(decoder_depth=6), seed=14)
+        _, _, h_layers, _, out = upstream_stages(params, tiny_scene(20, seed=14))
+        assert params.cfg.mid_levels == [3, 2, 1] and M.LEVEL_OFFSET == 2
+        for i, mid in enumerate(out.mids, start=1):
+            u = i + 2
+            bank = A.predict_affine_params(h_layers[u - 1], params.scale_heads[i], params.bias_heads[i])
+            assert mid.affine.scales.data.tobytes() == bank.scales.data.tobytes()
+            assert mid.affine.biases.data.tobytes() == bank.biases.data.tobytes()
 
     @pytest.mark.parametrize("heads", [0, -4])
     def test_heads_must_be_positive(self, heads):
@@ -118,9 +123,12 @@ class TestConfigValidation:
 
     def test_models_at_the_bounds_are_accepted(self):
         widest = tiny_config(n_classes=256, level_dims=(256,) * 4, d_h=256, d_m=256)
-        deepest = tiny_config(levels=16, level_dims=(8,) * 16, encoder_depth=16, decoder_depth=16, level_offset=1)
+        # 14 mid stages read decoder layers 3..16
+        deepest = tiny_config(levels=15, level_dims=(8,) * 15, encoder_depth=16, decoder_depth=16)
         for cfg in (widest, deepest):
             cfg.validate()
+        with pytest.raises(ConfigError, match="15 mid stages need depth >= 17"):
+            tiny_config(levels=16, level_dims=(8,) * 16, encoder_depth=16, decoder_depth=16).validate()
 
 
 def _oracle_draws(rng, record):
@@ -159,7 +167,7 @@ class TestInitDraws:
     @pytest.mark.parametrize("cfg", [
         M.ModelConfig(),
         M.ModelConfig(n_classes=3, levels=3, level_dims=(4, 6, 8), d_h=4, d_m=4, encoder_depth=1,
-                      decoder_depth=4, heads=2, level_offset=2, base_voxel=0.6),  # the gradient suite's model
+                      decoder_depth=4, heads=2, base_voxel=0.6),  # the gradient suite's model
         tiny_config(heads=1),
     ], ids=["default", "gradcheck", "one-head"])
     def test_every_record_matches_the_uniform_sampler(self, cfg):
@@ -225,7 +233,7 @@ class TestTokenEncoder:
         out = M.encode_tokens(params, feats[-1], hier.coords[-1], hier.offsets[-1])
         x = feats[-1] + B.mlp_forward(params.pos_mlp, Tensor(hier.coords[-1]))
         for block in params.token_encoder:
-            x = B.encoder_block(block, x, params.cfg.norm_eps)
+            x = B.encoder_block(block, x)
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
 
@@ -235,7 +243,7 @@ class TestQueryDecoder:
         memory = Tensor(np.random.default_rng(3).standard_normal((6, 12)))
         h_layers, h_final = M.decode_queries(params, memory, (0, memory.shape[0]))
         assert len(h_layers) == 5
-        x = B.decoder_block(params.query_decoder[0], params.queries, memory, params.cfg.norm_eps)
+        x = B.decoder_block(params.query_decoder[0], params.queries, memory)
         np.testing.assert_allclose(h_layers[0].data, x.data, atol=1e-12)
         assert h_final is h_layers[-1]
 
@@ -248,14 +256,14 @@ class TestQueryDecoder:
             np.testing.assert_allclose(h.data, np.tile(h.data[0], (3, 1)), atol=1e-9)
 
     def test_layer_list_length_matches_depth_and_mapping(self):
-        cfg = tiny_config(decoder_depth=6, level_offset=2)
+        cfg = tiny_config(decoder_depth=6)
         params = M.build_model(cfg, seed=5)
         memory = Tensor(np.random.default_rng(5).standard_normal((4, 12)))
         h_layers, h_final = M.decode_queries(params, memory, (0, memory.shape[0]))
         assert len(h_layers) == 6
         # stage i consumes layer u = i + 2 for the three mid stages
         for i, level in enumerate(cfg.mid_levels, start=1):
-            u = cfg.layer_for_stage(i)
+            u = i + M.LEVEL_OFFSET
             assert 1 <= u <= 6
             assert h_layers[u - 1].shape == (3, 8)
         assert h_final is h_layers[-1]
@@ -337,11 +345,11 @@ class TestAblationLattice:
             enc, tokens, h_layers, masks, out = upstream_stages(params, coords)
             traces[affine] = {"enc0": enc[0].data, "enc3": enc[3].data, "tokens": tokens.data,
                               "h1": h_layers[0].data, "masks": masks.data, "mid3.logits": out.mids[0].conf.logits.data}
-            eps, site = params.cfg.norm_eps, params.sites[3]
+            site = params.sites[3]
             if affine == "sa":
-                transformed[affine] = A.semantic_affine_transform(tokens, out.mids[0].conf, out.mids[0].affine, eps)
+                transformed[affine] = A.semantic_affine_transform(tokens, out.mids[0].conf, out.mids[0].affine)
             elif affine == "bn":
-                transformed[affine] = T.layer_norm(tokens, site.norm.gain, site.norm.bias, eps)
+                transformed[affine] = T.layer_norm(tokens, site.norm.gain, site.norm.bias)
         # encoder, tokens, query decoder, masks, and coarsest-stage logits agree
         for key in ["enc0", "enc3", "tokens", "h1", "masks", "mid3.logits"]:
             np.testing.assert_array_equal(traces["sa"][key], traces["bn"][key])
@@ -406,15 +414,15 @@ class TestTapeSize:
         # projections; 23 Transformer-block norms, each taking its residual, and 3
         # semantic-affine transforms, one node each; one mask_logits node per site (3 mid,
         # 1 final) with its projection folded in; one node per loss term (final CE, 3
-        # mid-level BCEs), then 2 weights and 3 sums; adds: the positional embedding,
+        # mid-level BCEs), then 3 sums; adds: the positional embedding,
         # 3 unpool skips and the 3 sums; gather_rows: 3 unpools and one copy of the class
         # queries per scene
         assert tallies[-1] == {
             "leaf": 297, "mlp": 38, "layer_norm": 26, "attention": 14, "add": 7,
             "matmul": 6, "mask_logits": 4, "bce_with_logits": 3, "gather_rows": 4, "pool_rows_mean": 3,
-            "softmax": 3, "softplus": 3, "scale": 2, "cross_entropy": 1,
+            "softmax": 3, "softplus": 3, "cross_entropy": 1,
         }
-        assert sum(tallies[-1].values()) == 411
+        assert sum(tallies[-1].values()) == 409
 
     def test_default_scene_node_budget_and_dead_gradients(self):
         from semaffine.harness import total_loss
@@ -429,8 +437,8 @@ class TestTapeSize:
         loss = total_loss(M.model_forward(params, scene.hier),
                           scene.cloud.labels, scene.shadows)
         created = Tensor(0.0).node_id - first - 1
-        # the tape's 114 op nodes and two constant leaves, the finest and the top coordinates
-        assert created == 116, created
+        # the tape's 112 op nodes and two constant leaves, the finest and the top coordinates
+        assert created == 114, created
         loss.backward()
 
         graph, stack = {loss.node_id: loss}, [loss]

@@ -1,11 +1,13 @@
-"""Static checks on the package sources."""
+"""Static checks on the package sources and the README."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import semaffine
+from semaffine.config import KNOWN_KEYS
 
 PACKAGE = Path(semaffine.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
@@ -188,3 +190,19 @@ def test_scanner_finds_a_truncating_int_conversion():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_truncating_int_conversion(path):
     assert truncating_int_conversions(path.read_text(encoding="utf-8")) == []
+
+
+def readme_keys(text: str) -> list[str]:
+    """The backticked names of the README's "Useful keys:" sentence, in order."""
+    start = text.index("Useful keys:")
+    return re.findall(r"`([^`]+)`", text[start:text.index(". ", start)])
+
+
+def test_scanner_reads_the_useful_keys_sentence():
+    text = "Intro `x`. Useful keys: model (`classes`, `levels`),\ntraining (`seed`). Other `y`."
+    assert readme_keys(text) == ["classes", "levels", "seed"]
+
+
+def test_readme_lists_exactly_the_config_keys():
+    keys = readme_keys((PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8"))
+    assert sorted(keys) == sorted(KNOWN_KEYS)

@@ -78,10 +78,6 @@ class TestElementwise:
         expect = np.array([[a[i, j] + b[i, j] for j in range(4)] for i in range(3)])
         np.testing.assert_array_equal(out.data, expect)
 
-    def test_scale_by_constant(self):
-        out = T.scale(Tensor([1.0, -2.0]), 2.5)
-        np.testing.assert_array_equal(out.data, [2.5, -5.0])
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
@@ -162,7 +158,7 @@ class TestFusedLosses:
         labels = np.array([1, 0, 3, 3, 2, 1, 0])
         logits = Tensor(x, requires_grad=True)
         ce = T.cross_entropy(logits, labels)
-        T.scale(ce, 0.37).backward()
+        weighted_sum(ce, 0.37).backward()
         loss, grad = unfused_cross_entropy(x, labels, 0.37 * np.ones(()))
         assert ce.op == "cross_entropy" and ce.parents == (logits,) and ce.shape == ()
         assert ce.data.tobytes() == np.float64(loss).tobytes()
@@ -175,7 +171,7 @@ class TestFusedLosses:
         t = (rng.random((5, 4)) < 0.4).astype(np.float64)
         logits = Tensor(x, requires_grad=True)
         bce = T.bce_with_logits(logits, t)
-        T.scale(bce, 0.37).backward()
+        weighted_sum(bce, 0.37).backward()
         loss, grad = unfused_bce(x, t, 0.37 * np.ones(()))
         assert bce.op == "bce_with_logits" and bce.parents == (logits,) and bce.shape == ()
         assert bce.data.tobytes() == np.float64(loss).tobytes()
@@ -205,10 +201,10 @@ class TestFusedLosses:
         assert T.bce_with_logits(logits, targets).data == T.bce_with_logits(logits, np.abs(targets)).data
 
 
-def unit_norm(x, eps):
+def unit_norm(x):
     """layer_norm with a unit gain row and a zero bias row: the bare row normalization."""
     d = x.shape[1]
-    return T.layer_norm(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d)), eps)
+    return T.layer_norm(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d)))
 
 
 def layer_norm_oracle(x, gain, bias, eps):
@@ -229,17 +225,18 @@ class TestChannelNormalize:
     """The normalization inside ``layer_norm``, seen through a unit gain and zero bias."""
 
     def test_two_entry_row(self):
-        out = unit_norm(np.array([[1.0, 3.0]]), eps=0.0)
-        np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-12)
+        # mean 2, variance 1, and the variance floor eps = 1e-5
+        out = unit_norm(np.array([[1.0, 3.0]]))
+        np.testing.assert_allclose(out.data, [[-1.0, 1.0]] / np.sqrt(1.0 + 1e-5), rtol=0, atol=1e-15)
 
     def test_constant_row_guard(self):
-        out = unit_norm(np.array([[5.0, 5.0, 5.0]]), eps=1e-5)
+        out = unit_norm(np.array([[5.0, 5.0, 5.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0, 0.0]])
 
     def test_random_row_moments(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 32)) * 4.0 + 1.0
-        out = unit_norm(x, eps=1e-5).data
+        out = unit_norm(x).data
         # recompute moments independently
         for row in out:
             mean = sum(row) / len(row)
@@ -256,21 +253,22 @@ class TestLayerNorm:
         rng = np.random.default_rng(30)
         x = rng.standard_normal((4, 5)) * 3.0 - 1.0
         gain, bias = rng.standard_normal(gain_shape), rng.standard_normal(bias_shape)
-        out = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias), 1e-5)
+        out = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
         np.testing.assert_allclose(out.data, layer_norm_oracle(x, gain, bias, 1e-5), rtol=0, atol=1e-12)
 
     def test_oracle_cases_with_gain_and_bias(self):
-        # the two-entry row with eps=0 and the constant row, then modulated
-        out = T.layer_norm(Tensor([[1.0, 3.0]]), Tensor([2.0, 0.5]), Tensor([[0.25, -1.0]]), 0.0)
-        np.testing.assert_allclose(out.data, [[-1.75, -0.5]], atol=1e-12)
-        out = T.layer_norm(Tensor([[5.0, 5.0, 5.0]]), Tensor([[2.0, 3.0, 4.0]]), Tensor([1.0, 2.0, 3.0]), 1e-5)
+        # the two-entry row and the constant row, then modulated
+        out = T.layer_norm(Tensor([[1.0, 3.0]]), Tensor([2.0, 0.5]), Tensor([[0.25, -1.0]]))
+        s = math.sqrt(1.0 + 1e-5)
+        np.testing.assert_allclose(out.data, [[-2.0 / s + 0.25, 0.5 / s - 1.0]], rtol=0, atol=1e-15)
+        out = T.layer_norm(Tensor([[5.0, 5.0, 5.0]]), Tensor([[2.0, 3.0, 4.0]]), Tensor([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
 
     def test_one_node_and_gradients_only_where_required(self):
         rng = np.random.default_rng(31)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         gain, bias = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        out = T.layer_norm(x, gain, bias, 1e-5)
+        out = T.layer_norm(x, gain, bias)
         assert out.op == "layer_norm" and out.parents == (x, gain, bias)
         weighted_sum(out, rng.standard_normal((3, 4))).backward()
         assert x.grad.shape == (3, 4) and bias.grad.shape == (3, 4) and gain.grad is None
@@ -285,12 +283,12 @@ class TestLayerNorm:
         gain, bias = (Tensor(rng.standard_normal(4), requires_grad=True) for _ in range(2))
         mix = rng.standard_normal((3, 4))
 
-        fused = T.layer_norm(x, gain, bias, 1e-5, residual=r)
+        fused = T.layer_norm(x, gain, bias, residual=r)
         assert fused.op == "layer_norm" and fused.parents == (x, gain, bias, r)
         weighted_sum(fused, mix).backward()
         got = _grads([x, r, gain, bias])
         total = Tensor(x.data + r.data, requires_grad=True)
-        unfused = T.layer_norm(total, gain, bias, 1e-5)
+        unfused = T.layer_norm(total, gain, bias)
         weighted_sum(unfused, mix).backward()
         expect = _grads([total, gain, bias])
 
@@ -310,9 +308,9 @@ class TestLayerNorm:
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
         mix = rng.standard_normal((3, 4))
-        weighted_sum(T.layer_norm(x, gain, bias, 1e-5, residual=x), mix).backward()
+        weighted_sum(T.layer_norm(x, gain, bias, residual=x), mix).backward()
         total = Tensor(2.0 * x.data, requires_grad=True)
-        weighted_sum(T.layer_norm(total, gain, bias, 1e-5), mix).backward()
+        weighted_sum(T.layer_norm(total, gain, bias), mix).backward()
         np.testing.assert_array_equal(x.grad, 2.0 * total.grad)
 
     def test_residual_shape_mismatch(self):
@@ -343,7 +341,7 @@ class TestBackward:
 
     def test_constant_loss_leaves_no_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = T.scale(Tensor([5.0]), 2.0)
+        loss = weighted_sum(Tensor([5.0]), [2.0])
         loss.backward()
         assert x.grad is None
 
@@ -354,7 +352,7 @@ class TestBackward:
 
     def test_gradient_accumulates_on_reuse(self):
         x = Tensor([2.0], requires_grad=True)
-        loss = T.add(T.scale(x, 2.0), x)
+        loss = T.add(T.add(x, x), x)
         loss.backward()
         np.testing.assert_allclose(x.grad, [3.0])
 
@@ -437,7 +435,8 @@ def add_row(x, row):
 def unfused_attention_loss(q_in, kv_in, projs, heads, mix):
     """sum(attention(...) * mix) from per-head matmul/add/softmax nodes, each
     head against its own column block of ``mix``; the scores q @ k.T are a
-    zero-bias one-layer ``mlp``. Head h runs on copies of row block h of each stacked
+    zero-bias one-layer ``mlp``, scaled by a matmul with the diagonal
+    1/sqrt(d_k) * I. Head h runs on copies of row block h of each stacked
     (weight, bias) in ``projs`` (q, k, v) as leaves of its own, the weight
     copies transposed to (in, d_k) and the bias copies (1, d_k) rows; returns
     the loss and those leaves, [proj][h]."""
@@ -453,7 +452,7 @@ def unfused_attention_loss(q_in, kv_in, projs, heads, mix):
         k = add_row(T.matmul(kv_in, wk_t), bk)
         v = add_row(T.matmul(kv_in, wv_t), bv)
         scores = T.mlp(q, [(k, Tensor(np.zeros(kv_in.shape[0])))])
-        attn = T.softmax(T.scale(scores, inv_sqrt_dk))
+        attn = T.softmax(T.matmul(scores, Tensor(np.eye(kv_in.shape[0]) * inv_sqrt_dk)))
         part = weighted_sum(T.matmul(attn, v), mix[:, h * d_k:(h + 1) * d_k])
         total = part if total is None else total + part
     return total, blocks
@@ -681,7 +680,7 @@ class TestSceneOffsets:
             part = per_scene(s)
             parts.append(part.data)
             rows = slice(mix_rows[s], mix_rows[s + 1])
-            loss = T.scale(part, 1.0 / n) if scalar else weighted_sum(part, mix[rows])
+            loss = weighted_sum(part, 1.0 / n) if scalar else weighted_sum(part, mix[rows])
             loss.backward()
         want = [np.mean(parts) if scalar else np.concatenate(parts)] + _grads(leaves)
         for g, w in zip(got, want):
@@ -767,7 +766,6 @@ _TARGETS = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0], [0, 1, 0], [1, 0, 0], [0, 
                      [1, 0, 1]], dtype=float)
 KERNEL_CASES = [
     ("add", "add", [(3, 2), (3, 2)], T.add),
-    ("scale", "scale", [(3, 2)], lambda a: T.scale(a, -0.3)),
     ("matmul", "matmul", [(4, 3), (3, 2)], T.matmul),
     ("matmul", "matmul_offsets", [(9, 2), (6, 5)], lambda a, b: T.matmul(a, b, _Q)),
     ("mlp", "mlp_one_layer", [(5, 3), (4, 3), (4,)], lambda x, w, b: T.mlp(x, [(w, b)])),
@@ -788,7 +786,7 @@ KERNEL_CASES = [
     ("bce_with_logits", "bce_with_logits_offsets", [(9, 3)], lambda x: T.bce_with_logits(x, _TARGETS, _Q)),
     ("layer_norm", "layer_norm_rows", [(4, 3), (3,), (3,)], T.layer_norm),
     ("layer_norm", "layer_norm_per_point_residual", [(4, 3), (4, 3), (4, 3), (4, 3)],
-     lambda x, gain, bias, res: T.layer_norm(x, gain, bias, 1e-3, res)),
+     lambda x, gain, bias, res: T.layer_norm(x, gain, bias, res)),
     ("gather_rows", "gather_rows", [(4, 2)], lambda a: T.gather_rows(a, [3, 0, 0, 2])),
     ("pool_rows_mean", "pool_rows_mean", [(5, 2)], lambda a: T.pool_rows_mean(a, [1, 0, 1, 1, 0], 2)),
 ]

@@ -198,7 +198,7 @@ class TestCli:
         ("base_lr = nan", "base_lr must be finite"),
         ("weight_decay = nan", "weight_decay must be finite"),
         ("momentum = inf", "momentum must be finite"),
-        ("norm_eps = -1", "norm_eps must be positive"),
+        ("base_voxel = -1", "base_voxel must be positive"),
         ("base_voxel = inf", "base_voxel must be finite"),
     ])
     def test_non_finite_config_floats_exit_code(self, tmp_path, capsys, line, message):
@@ -427,6 +427,22 @@ class TestCli:
         proc = self._cli_subprocess(argv, timeout=30)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.splitlines() == [f"error: {message}"], proc.stderr
+
+    def test_checkpoint_with_retired_keys_exit_code(self, tmp_path, capsys):
+        """A checkpoint written while the loss weights, the norm floor and the
+        level offset were config keys names them in its snapshot; ``eval``
+        rejects it as it rejects any unknown key."""
+        argv = self._edited_checkpoint_argv(tmp_path, lambda params: None)
+        assert main(argv) == 0
+        capsys.readouterr()
+        ckpt = Path(argv[2])
+        raw = ckpt.read_bytes()
+        old = b"cfg.level_offset=2\ncfg.norm_eps=1e-05\ncfg.w_final=1.0\ncfg.w_mid=1.0\n"
+        ckpt.write_bytes(raw.replace(b"step=0\n", b"step=0\n" + old, 1))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "error: snapshot has unknown keys: ['level_offset', 'norm_eps', 'w_final', 'w_mid']"], err
 
     # an empty tuple entry once loaded as (6, 8, 10), and a checkpoint so
     # edited re-saved as other bytes
