@@ -8,30 +8,30 @@ so a gradient corrupted by a factor of 2 reports ~1/3. The floor ``DELTA``
 absorbs central-difference roundoff (about eps*|f|/H) on entries whose true
 gradient is zero or tiny; a genuinely wrong gradient lands far above it.
 
-A perturbed loss replays only the op nodes downstream of the parameter
-(``tensor.downstream``, the parameter's cone): each node's recorded array
-kernel runs again on its parents' current arrays, making no node. A replay
-skips the op's front: the shape, label, index and offset checks and the
-scene cuts, whose results the node recorded. Those checks and cuts depend
-only on shapes and non-tensor arguments, and a perturbation changes neither,
-so they would pass and resolve the same again. One joint audit checks every
-replay: it moves every chosen entry of every parameter at once, each by its
-own step of about H, and compares a full ``f()`` bit for bit with the replay
-of the union of all cones. So ``f`` runs twice in a check whose replays are
-exact: once for the analytic gradients and once for the joint audit. If the
-audit finds other bits, some parameter reaches the loss outside the recorded
-kernels, and every entry of every parameter takes full forwards instead.
+A parameter's perturbed losses replay only the op nodes downstream of it
+(``tensor.downstream``, its cone), once for all its chosen entries: its data
+becomes a stack of copies on a leading batch axis, copy 2j with entry j moved
+up by H and copy 2j + 1 moved down, and each node's recorded array kernel
+runs again on its parents' current arrays, making no node, and gives each
+slot its plain call's bits: the loss comes out as the (B,) perturbed losses
+(at most ``MAX_SLOTS``). A replay skips the op's front (the checks and scene
+cuts), which depends only on shapes and non-tensor arguments. One joint audit
+checks every replay: it moves every chosen entry of every parameter at once,
+each by its own step of about H, and compares a full ``f()`` bit for bit with
+the replay of the union of all cones on one-slot stacks. So ``f`` runs twice
+in a check whose replays are exact: for the analytic gradients and for the
+audit. If the audit finds other bits, some parameter reaches the loss outside
+the recorded kernels (or a kernel drops the batch axis), and every entry of
+every parameter takes two full forwards instead.
 
-The perturbed forwards do not depend on each other, so they may run in
-parallel: the chosen entries are split into contiguous blocks of about
-equal numbers of replayed ops, and each block after the first runs in a
-forked child. A check gets at most one block per CPU in the process's
-affinity mask, and at most one per ``MIN_OPS_PER_WORKER`` replayed ops,
-because a fork costs more than a few thousand replayed ops save. So a small
-check runs wholly in the calling process (of ``verify``'s suite, every check
-but the 16-point model does), and under ``taskset -c 0`` every check does.
-Each forward sees the same parameter values either way, so the reports are
-bit-identical for any number of CPUs.
+The replays (or full forwards) do not depend on each other, so they may run
+in parallel: they are split into contiguous blocks of about equal numbers of
+kernel calls, and each block after the first runs in a forked child. A check
+gets at most one block per CPU in the process's affinity mask, and at most
+one per ``MIN_OPS_PER_WORKER`` kernel calls, because a fork costs as much as
+a few hundred of them. So a small check runs wholly in the calling process
+(of ``verify``'s suite, every check but the 16-point model does), and under
+``taskset -c 0`` every check does. The reports are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -46,12 +46,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .tensor import Tensor, downstream
 
 H = 1e-6  # central-difference step
 DELTA = 1e-3  # floor of the relative error's denominator
 TOL = 1e-5  # default largest relative error that passes
-MIN_OPS_PER_WORKER = 8000  # replayed ops that repay forking one more worker
+# a fork, its pipe and its reaping take ~2.5 ms, 190 replayed kernel calls (2 vCPUs, 1 BLAS thread)
+MIN_OPS_PER_WORKER = 1500  # kernel calls that repay forking one more worker
+MAX_SLOTS = 128  # perturbed copies of a parameter in one replay: at most that many copies of its cone
 
 
 @dataclass
@@ -119,7 +122,7 @@ def _ordered_map(fn: Callable, items: Sequence, costs: Sequence[int]) -> list:
     """``[fn(x) for x in items]``, split over ``w`` processes.
 
     ``w`` is ``_worker_count()``, but at most one per item and one per
-    ``MIN_OPS_PER_WORKER`` of the items' total cost (their replayed ops),
+    ``MIN_OPS_PER_WORKER`` of the items' total cost (their kernel calls),
     and at least 1. The items are cut into ``w`` contiguous, non-empty blocks
     of about equal total cost: with ``costs`` laid end to end, an item goes
     to block ``b`` when the middle of its span lies in the ``b``-th
@@ -170,6 +173,20 @@ def _ordered_map(fn: Callable, items: Sequence, costs: Sequence[int]) -> list:
     return results
 
 
+def _slots(data: np.ndarray, n: int) -> np.ndarray:
+    """``n`` copies of ``data`` stacked on a new leading axis; a (d,) row becomes (n, 1, d)."""
+    return np.repeat(data[None, None] if data.ndim == 1 else data[None], n, axis=0)
+
+
+def _replay(nodes: list[Tensor], loss: Tensor, slots: int) -> np.ndarray:
+    """The (slots,) losses after recomputing ``nodes`` in order with their recorded kernels on
+    their parents' current arrays; a loss that no node recomputes is the same in every slot."""
+    for node in nodes:
+        kernel, static = node.call
+        node.data = kernel(*static, *[t.data for t in node.parents])
+    return loss.data if nodes else np.broadcast_to(loss.data, (slots,))
+
+
 def finite_diff_check(
     f: Callable[[], Tensor],
     params: Sequence[tuple[str, Tensor]],
@@ -181,9 +198,11 @@ def finite_diff_check(
 
     ``f`` must be deterministic and rebuild its graph from the live ``params``
     tensors on every call; it runs twice when every replay is exact (module
-    docstring). When ``max_entries`` is set, a seeded subsample of
-    entries per parameter is perturbed instead of every entry.
+    docstring). When ``max_entries`` (None or an int >= 1) is set, a seeded
+    subsample of entries per parameter is perturbed instead of every entry.
     """
+    if max_entries is not None and (type(max_entries) is not int or max_entries < 1):
+        raise ConfigError(f"max_entries must be None or an int >= 1, got {max_entries!r}")
     report = GradCheckReport()
 
     for _, p in params:
@@ -203,53 +222,69 @@ def finite_diff_check(
         else:
             idx = np.arange(n)
         chosen.append(idx)
-    flats = [p.data.reshape(-1) for _, p in params]
     cones = downstream(loss, [p for _, p in params])
     joint = [node for _, node in sorted({node.node_id: node for cone in cones for node in cone}.items())]
 
-    def replay(nodes: list[Tensor]) -> float:
-        for node in nodes:
-            kernel, static = node.call
-            node.data = kernel(*static, *[t.data for t in node.parents])
-        return float(loss.data)
-
     def audit() -> bool:
         """Whether a full f() and the replay of ``joint`` (every cone's ops,
-        in creation order) give the same bits (every NaN hexes to "nan") with
-        every chosen entry of every parameter moved at once, each by its own
-        step in [H/2, 3H/2) from ``default_rng(k)`` for parameter ``k``: a
-        uniform step can vanish, as in a layer_norm."""
-        origs, saved = [flat[idx] for flat, idx in zip(flats, chosen)], [node.data for node in joint]
+        in creation order) on one-slot stacks of the parameters give the same
+        bits (every NaN hexes to "nan") with every chosen entry of every
+        parameter moved at once, each by its own step in [H/2, 3H/2) from
+        ``default_rng(k)`` for parameter ``k``: a uniform step can vanish, as
+        in a layer_norm."""
+        datas, saved = [p.data for _, p in params], [node.data for node in joint]
         try:
-            for k, orig in enumerate(origs):
-                flats[k][chosen[k]] = orig + H * np.random.default_rng(k).uniform(0.5, 1.5, orig.size)
-            return float(f().data).hex() == replay(joint).hex()
+            for k, (_, p) in enumerate(params):
+                p.data = p.data.copy()
+                p.data.reshape(-1)[chosen[k]] += H * np.random.default_rng(k).uniform(0.5, 1.5, chosen[k].size)
+            full = float(f().data).hex()
+            for _, p in params:
+                p.data = _slots(p.data, 1)
+            batched = _replay(joint, loss, 1)  # a kernel that drops the batch axis gives another shape
+            return batched.shape == (1,) and float(batched[0]).hex() == full
         finally:
-            for k, orig in enumerate(origs):
-                flats[k][chosen[k]] = orig
+            for (_, p), data in zip(params, datas):
+                p.data = data
             for node, data in zip(joint, saved):
                 node.data = data
 
     exact = audit()  # False: the loss depends on a parameter by a path that no recorded kernel shows
-    loss_of = replay if exact else (lambda _: float(f().data))
 
-    def forward_pair(entry: tuple[int, int]) -> tuple[float, float]:
-        """``(f(p+H), f(p-H))`` for entry ``i`` of parameter ``k``."""
-        k, i = entry
-        flat, orig, saved = flats[k], flats[k][i], [node.data for node in cones[k]]
+    def replayed_pairs(item: tuple[int, np.ndarray]) -> list[tuple[float, float]]:
+        """``(f(p+H), f(p-H))`` for each entry ``idx[j]`` of parameter ``k``,
+        from one replay of its cone: slot 2j holds the entry moved up, 2j + 1 down."""
+        k, idx = item
+        p, j, slots = params[k][1], np.arange(len(idx)), 2 * len(idx)
+        data, saved = p.data, [node.data for node in cones[k]]
+        p.data = _slots(data, slots)
+        rows = p.data.reshape(slots, -1)
+        rows[2 * j, idx], rows[2 * j + 1, idx] = data.reshape(-1)[idx] + H, data.reshape(-1)[idx] - H
         try:
-            flat[i] = orig + H
-            f_plus = loss_of(cones[k])
-            flat[i] = orig - H
-            return f_plus, loss_of(cones[k])
+            values = _replay(cones[k], loss, slots).tolist()
         finally:
-            flat[i] = orig
-            for node, data in zip(cones[k], saved):
-                node.data = data
+            p.data = data
+            for node, node_data in zip(cones[k], saved):
+                node.data = node_data
+        return list(zip(values[0::2], values[1::2]))
 
-    items = [(k, i) for k, idx in enumerate(chosen) for i in idx]
-    # a full forward recomputes every op of the joint replay
-    pairs = _ordered_map(forward_pair, items, [len(cones[k]) if exact else len(joint) for k, _ in items])
+    def full_pairs(item: tuple[int, np.ndarray]) -> list[tuple[float, float]]:
+        """``[(f(p+H), f(p-H))]`` by full forwards for the one entry ``i`` of parameter ``k``."""
+        k, [i] = item
+        p, data, pair = params[k][1], params[k][1].data, []
+        try:
+            for step in (H, -H):
+                p.data = data.copy()  # a moved copy, as the audit and the replays use: data may be a view
+                p.data.reshape(-1)[i] += step
+                pair.append(float(f().data))
+        finally:
+            p.data = data
+        return [tuple(pair)]
+
+    # costs in kernel calls: a replay makes its cone's, a full forward at least the joint replay's
+    per_item = MAX_SLOTS // 2 if exact else 1
+    items = [(k, idx[j:j + per_item]) for k, idx in enumerate(chosen) for j in range(0, len(idx), per_item)]
+    costs = [len(cones[k]) if exact else 2 * len(joint) for k, _ in items]
+    pairs = [pair for chunk in _ordered_map(replayed_pairs if exact else full_pairs, items, costs) for pair in chunk]
     start = 0
     for (name, _), idx, grad in zip(params, chosen, analytic):
         a_flat = grad.reshape(-1)

@@ -34,7 +34,9 @@ Design constraints:
   ``kernel(*static, *[t.data for t in node.parents])`` recomputes the
   node's value from its parents' current arrays with the forward's bits,
   making no node. So ``downstream`` can list the nodes a leaf feeds and
-  gradcheck can recompute only those.
+  gradcheck can recompute only those. A kernel also takes operands with a
+  leading batch axis (a (d,) row as (B, 1, d); a loss comes out as (B,)) and
+  gives each slot its plain call's bits, so one replay moves B copies of a leaf.
 - the tape keeps only the ops that the model and its losses call.
 - a batch of scenes is one graph, its scenes stacked by rows. Row-wise ops
   run once over the stack; the ops that mix rows within a scene take the
@@ -53,6 +55,7 @@ mutable state.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -141,8 +144,8 @@ def _with_blocks(scenes: tuple[slice, ...], k: int) -> list[tuple[slice, slice]]
     return [(rows, slice(s * k, (s + 1) * k)) for s, rows in enumerate(scenes)]
 
 
-def _stack(parts: list, axis: int = 0) -> np.ndarray:
-    """Per-scene parts joined along ``axis``; a single scene's part as it is."""
+def _stack(parts: list, axis: int = -2) -> np.ndarray:
+    """Per-scene parts joined along ``axis`` (the rows); a single scene's part as it is."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
@@ -183,7 +186,7 @@ def add(a, b) -> Tensor:
 
 
 def _matmul(pairs, a, b):
-    return _stack([a[rows] @ b[block] for rows, block in pairs])
+    return _stack([a[..., rows, :] @ b[..., block, :] for rows, block in pairs])
 
 
 def matmul(a, b, offsets=None) -> Tensor:
@@ -208,6 +211,11 @@ def matmul(a, b, offsets=None) -> Tensor:
     return _result(_matmul(pairs, a_data, b_data), (a, b), "matmul", backward_fn, _matmul, (pairs,))
 
 
+def _add_into(h, row):
+    """h + row, in place in the fresh array h unless a batched row meets plain rows."""
+    return h + row if row.ndim > h.ndim else np.add(h, row, out=h)
+
+
 def _mlp(x, *weights_and_biases, keep=None):
     """``keep`` (a list) collects each layer's input and, after each hidden
     layer, its ReLU's live mask, in that order."""
@@ -215,8 +223,7 @@ def _mlp(x, *weights_and_biases, keep=None):
     for i in range(0, len(weights_and_biases), 2):
         if keep is not None:
             keep.append(h)
-        h = h @ weights_and_biases[i].T
-        h += weights_and_biases[i + 1]  # in place: no second (n, out) array
+        h = _add_into(h @ weights_and_biases[i].mT, weights_and_biases[i + 1])
         if i + 2 < len(weights_and_biases):
             live = ~(h <= 0)  # NaN stays live, so NaN in gives NaN out
             if keep is not None:
@@ -260,14 +267,10 @@ def mlp(x, layers) -> Tensor:
 def _mask_logits(pairs, f, masks, w, b, keep=None):
     """``keep`` (a list) collects A = masks @ w."""
     a = masks @ w  # (B*N, in)
-    c = masks @ b
+    c = (masks @ np.atleast_2d(b).mT).mT  # the row c = masks @ b, each product a matrix-vector one
     if keep is not None:
         keep.append(a)
-    out = []
-    for rows, block in pairs:
-        out.append(f[rows] @ a[block].T)
-        out[-1] += c[block]
-    return _stack(out)
+    return _stack([_add_into(f[..., rows, :] @ a[..., block, :].mT, c[..., block]) for rows, block in pairs])
 
 
 def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
@@ -298,7 +301,7 @@ def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
         if masks.requires_grad or w.requires_grad:
             g_a = _stack([g[rows].T @ f_data[rows] for rows, _ in pairs])
         if masks.requires_grad or b.requires_grad:
-            g_c = _stack([g[rows].sum(axis=0) for rows, _ in pairs])
+            g_c = _stack([g[rows].sum(axis=0) for rows, _ in pairs], 0)
         if masks.requires_grad:
             _accumulate(masks, g_a @ w_data.T + np.outer(g_c, b_data))
         if w.requires_grad:
@@ -309,31 +312,31 @@ def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
     return _result(out, (f, masks, w, b), "mask_logits", backward_fn, _mask_logits, (pairs,))
 
 
-def _split_heads(a, heads, d_k):  # (rows, heads*d_k) -> (heads, rows, d_k)
-    return a.reshape(a.shape[0], heads, d_k).transpose(1, 0, 2)
+def _split_heads(a, heads, d_k):  # (..., rows, heads*d_k) -> (..., heads, rows, d_k)
+    return a.reshape(*a.shape[:-1], heads, d_k).swapaxes(-3, -2)
 
 
-def _merge_heads(a):  # (heads, rows, d_k) -> (rows, heads*d_k)
-    return a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2])
+def _merge_heads(a):  # (..., heads, rows, d_k) -> (..., rows, heads*d_k)
+    return a.swapaxes(-3, -2).reshape(*a.shape[:-3], a.shape[-2], a.shape[-3] * a.shape[-1])
 
 
 def _attention(heads, d_k, scenes, inv_sqrt_dk, q_in, kv_in, wq, bq, wk, bk, wv, bv, keep=None):
     """``keep`` (a list) collects q, k and v as (heads, rows, d_k) arrays,
     then each scene's (heads, n_s, m_s) attention weights."""
-    q = _split_heads(q_in @ wq.T + bq, heads, d_k)
-    k = _split_heads(kv_in @ wk.T + bk, heads, d_k)
-    v = _split_heads(kv_in @ wv.T + bv, heads, d_k)
+    q = _split_heads(q_in @ wq.mT + bq, heads, d_k)
+    k = _split_heads(kv_in @ wk.mT + bk, heads, d_k)
+    v = _split_heads(kv_in @ wv.mT + bv, heads, d_k)
     if keep is not None:
         keep += (q, k, v)
     outs = []  # per scene, (heads, n_s, d_k)
     for q_rows, kv_rows in scenes:
-        scores = (q[:, q_rows] @ k[:, kv_rows].transpose(0, 2, 1)) * inv_sqrt_dk
-        e = np.exp(scores - scores.max(axis=2, keepdims=True))
-        probs = e / e.sum(axis=2, keepdims=True)
+        scores = (q[..., q_rows, :] @ k[..., kv_rows, :].mT) * inv_sqrt_dk
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
         if keep is not None:
             keep.append(probs)
-        outs.append(probs @ v[:, kv_rows])
-    return _merge_heads(_stack(outs, 1))
+        outs.append(probs @ v[..., kv_rows, :])
+    return _merge_heads(_stack(outs))
 
 
 def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int, q_offsets=None, kv_offsets=None) -> Tensor:
@@ -386,7 +389,7 @@ def attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, heads: int, q_offsets=None, k
             g_q.append(g_s @ k[:, kv_rows])
             g_k.append(g_s.transpose(0, 2, 1) @ q[:, q_rows])
             g_v.append(p.transpose(0, 2, 1) @ g_o[:, q_rows])
-        g_q, g_k, g_v = (_merge_heads(_stack(parts, 1)) for parts in (g_q, g_k, g_v))
+        g_q, g_k, g_v = (_merge_heads(_stack(parts)) for parts in (g_q, g_k, g_v))
         if q_in.requires_grad:
             _accumulate(q_in, g_q @ wq.data)
         if kv_in.requires_grad:
@@ -426,8 +429,8 @@ def softplus(a) -> Tensor:
 
 
 def _softmax(a):
-    e = np.exp(a - a.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(a) -> Tensor:
@@ -444,12 +447,12 @@ def softmax(a) -> Tensor:
 
 def _cross_entropy(labels, rows, scenes, logits, keep=None):
     """``keep`` (a list) collects the log-softmax rows."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     if keep is not None:
         keep.append(log_probs)
-    picked = log_probs[rows, labels]
-    return -sum(picked[scene].mean() for scene in scenes) / len(scenes)
+    picked = np.ascontiguousarray(log_probs[..., rows, labels])  # a batch's fancy index is not row-major
+    return -sum(picked[..., scene].mean(axis=-1) for scene in scenes) / len(scenes)
 
 
 def cross_entropy(logits, labels, offsets=None) -> Tensor:
@@ -476,7 +479,7 @@ def cross_entropy(logits, labels, offsets=None) -> Tensor:
 
 def _bce_with_logits(targets, scenes, x):
     entries = np.logaddexp(0.0, x) - x * targets
-    return sum(entries[scene].mean() for scene in scenes) / len(scenes)
+    return sum(entries[..., scene, :].mean(axis=(-2, -1)) for scene in scenes) / len(scenes)
 
 
 def bce_with_logits(logits, targets, offsets=None) -> Tensor:
@@ -503,8 +506,8 @@ def bce_with_logits(logits, targets, offsets=None) -> Tensor:
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
-    """a.mean(axis=1, keepdims=True), bit for bit, without numpy's Python-level wrapper."""
-    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+    """a.mean(axis=-1, keepdims=True), bit for bit, without numpy's Python-level wrapper."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
 def _layer_norm(x, gain, bias, residual=None, keep=None):
@@ -563,20 +566,22 @@ def layer_norm(x, gain, bias, residual=None) -> Tensor:
 
 
 def _segment_sum(rows: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """out (n, d) with out[index[j]] += rows[j] for every row j, in row order.
+    """out (..., n, d) with out[..., index[j], :] += rows[..., j, :] for every row j, in row order.
 
-    One ``np.bincount`` over the keys index[j] * d + column; it adds in input
-    order, as ``np.add.at(out, index, rows)`` does, so the sums are the same
-    bits. (``np.bincount`` of no keys gives integer zeros, hence the cast.)
+    One ``np.bincount`` over the keys index[j] * d + column (+ n * d per batch
+    slot); it adds in input order, as ``np.add.at(out, index, rows)`` does, so
+    the sums are the same bits. (``np.bincount`` of no keys gives integer zeros.)
     """
-    d = rows.shape[1]
+    lead, d = rows.shape[:-2], rows.shape[-1]
     keys = (index[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(keys, weights=rows.ravel(), minlength=n * d)
-    return sums.astype(np.float64, copy=False).reshape(n, d)
+    if lead:
+        keys = (np.arange(0, math.prod(lead) * n * d, n * d)[:, None] + keys).ravel()
+    sums = np.bincount(keys, weights=rows.ravel(), minlength=math.prod(lead) * n * d)
+    return sums.astype(np.float64, copy=False).reshape(*lead, n, d)
 
 
 def _gather_rows(index, a):
-    return a[index]
+    return np.take(a, index, axis=-2)  # row-major, as a[index] is; a[..., index, :] on a batch is not
 
 
 def gather_rows(a, index: np.ndarray) -> Tensor:

@@ -8,17 +8,18 @@ import pytest
 
 from semaffine import gradcheck, verify
 from semaffine import tensor as T
-from semaffine.errors import NumericError
+from semaffine.errors import ConfigError, NumericError
 from semaffine.gradcheck import finite_diff_check
 from semaffine.tensor import Tensor
-from upstream import weighted_sum
+from upstream import _weighted_sum, weighted_sum
 
 
 def _wrong_sum(x, factor):
     """sum(x) as one recorded op node with a deliberately wrong backward:
     ``factor`` times the true gradient."""
-    return T._result(x.data.sum(), (x,), "bad_sum",
-                     lambda g: T._accumulate(x, factor * np.full_like(x.data, float(g))), np.sum)
+    ones = np.ones(x.shape)
+    return T._result(_weighted_sum(ones, x.data), (x,), "bad_sum",
+                     lambda g: T._accumulate(x, factor * np.full_like(x.data, float(g))), _weighted_sum, (ones,))
 
 
 class TestFiniteDiffCheck:
@@ -90,6 +91,36 @@ class TestFiniteDiffCheck:
         assert r1.params[0].n_checked == 10
         assert r1.params[0].max_rel_err == r2.params[0].max_rel_err
 
+    @pytest.mark.parametrize("max_entries", [0, -1, 2.0, True, "3", np.int64(3)])
+    def test_max_entries_must_be_none_or_a_positive_int(self, max_entries):
+        # 0 used to report every parameter PASS with entries=0, and -1 to raise numpy's ValueError
+        x = Tensor([1.0, 2.0], requires_grad=True)
+
+        def f():
+            pytest.fail("ran a forward before checking max_entries")
+
+        with pytest.raises(ConfigError, match="max_entries must be None or an int >= 1"):
+            finite_diff_check(f, [("x", x)], max_entries=max_entries)
+
+    @pytest.mark.parametrize("hidden", [False, True], ids=["replayed", "full_forwards"])
+    def test_a_parameter_that_is_a_view_is_moved(self, hidden):
+        # w's data is a transposed view, so a flat copy of it is no view: moving entries of
+        # that copy never reached the forward, and w failed with max_rel_err 1
+        rng = np.random.default_rng(18)
+        w = Tensor(rng.standard_normal((4, 3)).T, requires_grad=True)
+        x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        targets = rng.random((5, 3)) < 0.5
+
+        def f():
+            loss = T.bce_with_logits(T.mlp(x, [(w, Tensor(np.zeros(3)))]), targets)
+            # x read outside the ops fails the joint audit, so every entry takes full forwards
+            return T.add(loss, T.bce_with_logits(Tensor(x.data.copy()), np.zeros((5, 4)))) if hidden else loss
+
+        report = finite_diff_check(f, [("w", w), ("x", x)])
+        statuses = [line.split()[0] for line in report.lines()]
+        assert statuses == ["PASS", "FAIL" if hidden else "PASS"], report.lines()
+        assert not w.data.flags.c_contiguous
+
     @pytest.mark.parametrize("names", [("w", "w2"), ("w", "w")], ids=["distinct", "shared"])
     def test_parameters_sharing_a_name_keep_their_own_gradients(self, names):
         rng = np.random.default_rng(17)
@@ -134,7 +165,7 @@ def _non_finite_case():
 
 def _fork_for(monkeypatch, workers, ops_per_worker=1):
     """Let ``_ordered_map`` use ``workers`` workers, one per ``ops_per_worker``
-    replayed ops (None: the module's threshold)."""
+    kernel calls (None: the module's threshold)."""
     monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
     if ops_per_worker is not None:
         monkeypatch.setattr(gradcheck, "MIN_OPS_PER_WORKER", ops_per_worker)
@@ -206,8 +237,9 @@ class TestParallelForwards:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for an empty item list"))
         assert gradcheck._ordered_map(lambda x: 2 * x, [], []) == []
 
-    # each entry replays 2 ops (softplus, weighted_sum), so 9 entries replay 18: with 9 ops
-    # per worker they are worth 2 workers, with 10 or the module's threshold (None) only 1
+    # with two slots per replay each entry is one replay of 2 ops (softplus, weighted_sum), so 9
+    # entries replay 18: with 9 ops per worker they are worth 2 workers, with 10 or the
+    # module's threshold (None) only 1
     @pytest.mark.parametrize("workers, entries, forks, ops_per_worker", [
         pytest.param(1, 9, 0, 1, id="1-9-0"), pytest.param(2, 9, 1, 1, id="2-9-1"),
         pytest.param(3, 9, 2, 1, id="3-9-2"), pytest.param(3, 2, 1, 1, id="3-2-1"),
@@ -217,6 +249,7 @@ class TestParallelForwards:
     ])
     def test_forks_at_most_one_child_per_other_worker(self, monkeypatch, workers, entries, forks, ops_per_worker):
         _fork_for(monkeypatch, workers, ops_per_worker)
+        monkeypatch.setattr(gradcheck, "MAX_SLOTS", 2)
         started = _count_forks(monkeypatch)
         x = Tensor(np.linspace(0.5, 1.5, entries), requires_grad=True)
         assert finite_diff_check(lambda: weighted_sum(T.softplus(x), np.ones(entries)), [("x", x)]).passed
@@ -318,10 +351,12 @@ class TestReplay:
                 os.close(write_fd)
             with os.fdopen(read_fd, "rb") as calls:
                 assert len(calls.read()) == 2, name  # the first forward and the joint audit
-            items, pairs = maps[0]  # the replay pass
+            items, chunks = maps[0]  # the replay pass: one item per chunk of a parameter's entries
+            entries = [(k, i) for k, idx in items for i in idx]
+            pairs = [pair for chunk in chunks for pair in chunk]
 
-            def full_pair(n):  # f at p+H and at p-H for items[n], by full forwards
-                k, i = items[n]
+            def full_pair(n):  # f at p+H and at p-H for entries[n], by full forwards
+                k, i = entries[n]
                 flat = params[k][1].data.reshape(-1)
                 orig, out = flat[i], []
                 for step in (gradcheck.H, -gradcheck.H):
@@ -330,9 +365,39 @@ class TestReplay:
                 flat[i] = orig
                 return out
 
-            first = [n for n, (k, _) in enumerate(items) if n == 0 or items[n - 1][0] != k]  # k's first entry
-            assert [items[n][0] for n in first] == list(range(len(params))), name
+            first = [n for n, (k, _) in enumerate(entries) if n == 0 or entries[n - 1][0] != k]  # k's first entry
+            assert [entries[n][0] for n in first] == list(range(len(params))), name
             assert [[p.hex() for p in pairs[n]] for n in first] == [full_pair(n) for n in first], name
+
+    def test_suite_replays_each_parameter_once(self, monkeypatch):
+        # after each check's joint audit, one replay per parameter: 334 replays making
+        # 8,236 kernel calls per round, where one replay per entry and step made 91,178
+        monkeypatch.setattr(gradcheck, "_worker_count", lambda: 1)  # count every replay in this process
+        replays, real_replay = [], gradcheck._replay
+
+        def counted(nodes, *args):
+            replays[-1].append(len(nodes))
+            return real_replay(nodes, *args)
+
+        monkeypatch.setattr(gradcheck, "_replay", counted)
+        for _, name, loss, params, tol, max_entries in verify.iter_checks():
+            replays.append([])
+            assert finite_diff_check(loss, params, tol=tol, max_entries=max_entries).passed, name
+        per_parameter = [calls for check in replays for calls in check[1:]]  # each check's first is its audit
+        assert (len(replays), len(per_parameter), sum(per_parameter)) == (23, 334, 8236)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_suite_forks_no_more_than_one_replay_per_entry_did(self, monkeypatch, workers):
+        # with per-entry replays, only end_to_end_16pt forked: min(workers, 5) - 1 children
+        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
+        started = _count_forks(monkeypatch)
+        forks = {}
+        for module, name, loss, params, tol, max_entries in verify.iter_checks():
+            before = len(started)
+            assert finite_diff_check(loss, params, tol=tol, max_entries=max_entries).passed, name
+            forks[f"{module}.{name}"] = len(started) - before
+        _assert_no_children()
+        assert {check: n for check, n in forks.items() if n} == {"model.end_to_end_16pt": min(workers, 5) - 1}
 
     def test_unrecorded_softmax_takes_full_forwards(self, monkeypatch):
         # softmax nodes without a record hide the paths through them from

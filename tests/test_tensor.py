@@ -766,6 +766,7 @@ _TARGETS = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0], [0, 1, 0], [1, 0, 0], [0, 
                      [1, 0, 1]], dtype=float)
 KERNEL_CASES = [
     ("add", "add", [(3, 2), (3, 2)], T.add),
+    ("add", "add_losses", [(), ()], T.add),
     ("matmul", "matmul", [(4, 3), (3, 2)], T.matmul),
     ("matmul", "matmul_offsets", [(9, 2), (6, 5)], lambda a, b: T.matmul(a, b, _Q)),
     ("mlp", "mlp_one_layer", [(5, 3), (4, 3), (4,)], lambda x, w, b: T.mlp(x, [(w, b)])),
@@ -779,6 +780,7 @@ KERNEL_CASES = [
     ("attention", "attention_offsets", [(9, 4), (8, 6), (4, 4), (4,), (4, 6), (4,), (4, 6), (4,)],
      lambda *ts: T.attention(*ts, 2, _Q, _KV)),
     ("softplus", "softplus", [(3, 2)], T.softplus),
+    ("softplus", "softplus_loss", [()], T.softplus),
     ("softmax", "softmax", [(4, 3)], T.softmax),
     ("cross_entropy", "cross_entropy", [(9, 3)], lambda x: T.cross_entropy(x, _LABELS)),
     ("cross_entropy", "cross_entropy_offsets", [(9, 3)], lambda x: T.cross_entropy(x, _LABELS, _Q)),
@@ -789,6 +791,19 @@ KERNEL_CASES = [
      lambda x, gain, bias, res: T.layer_norm(x, gain, bias, res)),
     ("gather_rows", "gather_rows", [(4, 2)], lambda a: T.gather_rows(a, [3, 0, 0, 2])),
     ("pool_rows_mean", "pool_rows_mean", [(5, 2)], lambda a: T.pool_rows_mean(a, [1, 0, 1, 1, 0], 2)),
+    # wide enough that numpy's sums take their 8-way unrolled path and BLAS its blocked one
+    ("matmul", "matmul_wide", [(30, 20), (20, 24)], T.matmul),
+    ("mlp", "mlp_wide", [(30, 20), (24, 20), (24,), (16, 24), (16,)],
+     lambda x, w0, b0, w1, b1: T.mlp(x, [(w0, b0), (w1, b1)])),
+    ("mask_logits", "mask_logits_wide", [(30, 20), (6, 16), (16, 20), (16,)], T.mask_logits),
+    ("attention", "attention_wide", [(10, 12), (20, 12), (12, 12), (12,), (12, 12), (12,), (12, 12), (12,)],
+     lambda *ts: T.attention(*ts, heads=2)),
+    ("softmax", "softmax_wide", [(3, 20)], T.softmax),
+    ("cross_entropy", "cross_entropy_wide", [(40, 20)], lambda x: T.cross_entropy(x, np.arange(40) % 20)),
+    ("bce_with_logits", "bce_with_logits_wide", [(40, 20)],
+     lambda x: T.bce_with_logits(x, np.arange(800).reshape(40, 20) % 3 == 0)),
+    ("layer_norm", "layer_norm_wide", [(4, 20), (20,), (20,)], T.layer_norm),
+    ("pool_rows_mean", "pool_rows_mean_wide", [(30, 3)], lambda a: T.pool_rows_mean(a, np.arange(30) % 2, 2)),
 ]
 OPS = {name for name, fn in vars(T).items() if callable(fn) and getattr(fn, "__module__", None) == T.__name__
        and not name.startswith("_") and name not in ("Tensor", "downstream", "backward")}
@@ -814,3 +829,65 @@ def test_recorded_kernel_replays_a_fresh_call_without_a_node(shapes, call):
     fresh = call(*operands).data
     assert (replayed.dtype, replayed.shape, replayed.tobytes()) == (fresh.dtype, fresh.shape, fresh.tobytes())
     assert fresh.tobytes() != out.data.tobytes()
+
+
+def _slots_of(value, slots, rng):
+    """``slots`` values near ``value`` and their stack, a (d,) row stacked as (slots, 1, d)."""
+    values = [value + rng.standard_normal(value.shape) for _ in range(slots)]
+    stack = np.stack(values)
+    return values, stack.reshape(slots, 1, -1) if value.ndim == 1 else stack
+
+
+@pytest.mark.parametrize("shapes, call", [(shapes, call) for _, _, shapes, call in KERNEL_CASES],
+                         ids=[case_id for _, case_id, _, _ in KERNEL_CASES])
+def test_batched_kernel_equals_its_per_slot_calls(shapes, call):
+    # a kernel takes each operand plain or with a leading batch axis, and each
+    # slot of its output is its plain call on that slot's operands, bit for bit
+    rng, slots = np.random.default_rng(41), 3
+    operands = [Tensor(rng.standard_normal(shape)) for shape in shapes]
+    kernel, static = call(*operands).call
+    plain = [t.data for t in operands]
+    for batched in range(1, 2 ** len(shapes)):  # every non-empty set of batched operands
+        per_slot, args = [plain] * slots, list(plain)
+        for n in range(len(shapes)):
+            if batched >> n & 1:
+                values, args[n] = _slots_of(plain[n], slots, rng)
+                per_slot = [[*slot[:n], v, *slot[n + 1:]] for slot, v in zip(per_slot, values)]
+        out = np.asarray(kernel(*static, *args))
+        assert out.flags.c_contiguous, batched  # so a later reduction sums each slot as its plain call does
+        for s, slot in enumerate(per_slot):
+            want = np.asarray(kernel(*static, *slot))
+            assert (out[s].shape, out[s].tobytes()) == (want.shape, want.tobytes()), (batched, s)
+
+
+def _kernel_names(loss) -> set:
+    """The kernels recorded on ``loss``'s graph."""
+    seen, stack, names = set(), [loss], set()
+    while stack:
+        node = stack.pop()
+        if node.call is not None and node.node_id not in seen:
+            seen.add(node.node_id)
+            names.add(node.call[0].__name__)
+            stack += node.parents
+    return names
+
+
+def test_batch_table_names_every_kernel_of_the_model_and_the_suite():
+    # a new kernel on the training tape or in a gradient check needs a case above, or
+    # gradcheck replays would take it with a leading batch axis untested
+    from semaffine import verify
+    from semaffine.harness import total_loss
+    from semaffine.model import ModelConfig, build_model, model_forward
+    from semaffine.scenes import SceneSpec, generate_scene
+    from semaffine.train import prepare_scene, stack_scenes
+
+    cfg = ModelConfig()
+    hier, labels, shadows = stack_scenes([prepare_scene(generate_scene(SceneSpec(points_per_object=24), seed=i), cfg)
+                                          for i in range(2)])
+    used = _kernel_names(total_loss(model_forward(build_model(cfg, seed=0), hier), labels, shadows))
+    for *_, loss, _, _, _ in verify.iter_checks():
+        used |= _kernel_names(loss())
+    table = set()
+    for _, _, shapes, call in KERNEL_CASES:
+        table.add(call(*[Tensor(np.ones(shape)) for shape in shapes]).call[0].__name__)
+    assert used == table

@@ -6,7 +6,10 @@ from semaffine import tensor as T
 
 
 def _weighted_sum(g, x):
-    return (x * g).sum()
+    """sum(x * g); for a batch of x (one leading axis more than g, a (d,)
+    row as (B, 1, d)), one sum per slot, with the bits of the slot's own sum."""
+    lead = x.shape[:1] if x.ndim > g.ndim else ()
+    return (x * g).reshape(*lead, -1).sum(axis=-1)
 
 
 def weighted_sum(out, g):
