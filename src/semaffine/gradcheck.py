@@ -8,53 +8,42 @@ so a gradient corrupted by a factor of 2 reports ~1/3. The floor ``DELTA``
 absorbs central-difference roundoff (about eps*|f|/H) on entries whose true
 gradient is zero or tiny; a genuinely wrong gradient lands far above it.
 
-A parameter's perturbed losses replay only the op nodes downstream of it
-(``tensor.downstream``, its cone), once for all its chosen entries: its data
-becomes a stack of copies on a leading batch axis, copy 2j with entry j moved
-up by H and copy 2j + 1 moved down, and each node's recorded array kernel
-runs again on its parents' current arrays, making no node, and gives each
-slot its plain call's bits: the loss comes out as the (B,) perturbed losses
-(at most ``MAX_SLOTS``). A replay skips the op's front (the checks and scene
-cuts), which depends only on shapes and non-tensor arguments. One joint audit
-checks every replay: it moves every chosen entry of every parameter at once,
-each by its own step of about H, and compares a full ``f()`` bit for bit with
-the replay of the union of all cones on one-slot stacks. So ``f`` runs twice
-in a check whose replays are exact: for the analytic gradients and for the
-audit. If the audit finds other bits, some parameter reaches the loss outside
-the recorded kernels (or a kernel drops the batch axis), and every entry of
-every parameter takes two full forwards instead.
-
-The replays (or full forwards) do not depend on each other, so they may run
-in parallel: they are split into contiguous blocks of about equal numbers of
-kernel calls, and each block after the first runs in a forked child. A check
-gets at most one block per CPU in the process's affinity mask, and at most
-one per ``MIN_OPS_PER_WORKER`` kernel calls, because a fork costs as much as
-a few hundred of them. So a small check runs wholly in the calling process
-(of ``verify``'s suite, every check but the 16-point model does), and under
-``taskset -c 0`` every check does. The reports are bit-identical either way.
+The perturbed losses replay only the op nodes downstream of the moved
+parameters (their cone), at most ``MAX_SLOTS`` losses per replay. The chosen
+entries, laid end to end in parameter order, are cut into consecutive groups
+of ``MAX_SLOTS // 2``, across parameter boundaries. In a group's replay the
+data of each of its parameters becomes a stack of copies on a leading batch
+axis: copy 2j has the group's entry j moved up by H and copy 2j + 1 moved
+down when entry j is the parameter's own, and is the parameter's data
+otherwise. Each node of the union of the parameters' cones, in creation
+order, runs its recorded array kernel again on its parents' current arrays,
+making no node, and gives each slot its plain call's bits: the loss comes
+out as the group's (B,) perturbed losses. A replay skips the op's front (the
+checks and scene cuts), which depends only on shapes and non-tensor
+arguments. One joint audit checks every replay: it moves every chosen entry
+of every parameter at once, each by its own step of about H, and compares a
+full ``f()`` bit for bit with the replay of the union of all cones on
+one-slot stacks. So ``f`` runs twice in a check whose replays are exact: for
+the analytic gradients and for the audit. If the audit finds other bits,
+some parameter reaches the loss outside the recorded kernels (or a kernel
+drops the batch axis), and every entry of every parameter takes two full
+forwards instead. Everything runs in the calling process.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
-import os
-import pickle
-import signal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, downstream
+from .tensor import Tensor
 
 H = 1e-6  # central-difference step
 DELTA = 1e-3  # floor of the relative error's denominator
 TOL = 1e-5  # default largest relative error that passes
-# a fork, its pipe and its reaping take ~2.5 ms, 190 replayed kernel calls (2 vCPUs, 1 BLAS thread)
-MIN_OPS_PER_WORKER = 1500  # kernel calls that repay forking one more worker
-MAX_SLOTS = 128  # perturbed copies of a parameter in one replay: at most that many copies of its cone
+MAX_SLOTS = 128  # perturbed losses of one replay: at most that many copies of its cone
 
 
 @dataclass
@@ -89,93 +78,40 @@ class GradCheckReport:
         return out
 
 
-def _worker_count() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork or ask."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _run_block(fn: Callable, block: Sequence, fd: int) -> None:
-    """In a forked child: write the pickled ``([fn(x) for x in block], None)``,
-    or ``(None, exc)`` for its first exception, to ``fd``; then exit without
-    running the parent's exit handlers or flushing its buffered output."""
-    status = 1
-    try:
-        try:
-            payload = ([fn(x) for x in block], None)
-        except BaseException as exc:  # sent to the parent, which re-raises it
-            payload = (None, exc)
-        try:
-            data = pickle.dumps(payload)
-            pickle.loads(data)
-        except Exception as exc:  # an exception that cannot cross, or its pickling error
-            data = pickle.dumps((None, RuntimeError(f"finite-difference worker: {exc!r}")))
-        with os.fdopen(fd, "wb") as out:
-            out.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _ordered_map(fn: Callable, items: Sequence, costs: Sequence[int]) -> list:
-    """``[fn(x) for x in items]``, split over ``w`` processes.
-
-    ``w`` is ``_worker_count()``, but at most one per item and one per
-    ``MIN_OPS_PER_WORKER`` of the items' total cost (their kernel calls),
-    and at least 1. The items are cut into ``w`` contiguous, non-empty blocks
-    of about equal total cost: with ``costs`` laid end to end, an item goes
-    to block ``b`` when the middle of its span lies in the ``b``-th
-    ``w``-th of the total (moved where a block would otherwise be empty). The
-    calling process runs the first block; a forked child runs each other
-    block on its own copy-on-write memory, so what ``fn`` mutates there
-    never reaches the caller. (``fn`` is a closure over live tensors, which a
-    spawned worker could not receive.) Every child is reaped before this
-    returns or raises, and the first exception in item order is re-raised."""
-    n, total = len(items), sum(costs)
-    w = max(1, min(_worker_count(), n, total // MIN_OPS_PER_WORKER))  # one worker forks nothing
-    middles = [2 * end - c for end, c in zip(itertools.accumulate(costs), costs)]  # twice each span's middle
-    bounds = [0]
-    for b in range(1, w):  # at least one item before the bound and one per later block
-        crossed = bisect.bisect_left(middles, 2 * b * total / w)
-        bounds.append(min(max(crossed, bounds[-1] + 1), n - w + b))
-    bounds.append(n)
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    payloads: list[bytes] = []
-    statuses: list[int] = []
-    try:
-        for b in range(1, w):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                _run_block(fn, items[bounds[b]:bounds[b + 1]], write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        results = [fn(x) for x in items[:bounds[1]]]
-        for _, read_fd in children:
-            with os.fdopen(read_fd, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-    finally:
-        # a child whose result was not read is not needed: the caller raises
-        for k, (pid, read_fd) in enumerate(children):
-            if k >= len(payloads):
-                os.kill(pid, signal.SIGKILL)
-            os.close(read_fd)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for data, status in zip(payloads, statuses):
-        if not data:
-            raise RuntimeError(f"a finite-difference worker exited without a result (wait status {status})")
-        values, error = pickle.loads(data)
-        if error is not None:
-            raise error
-        results.extend(values)
-    return results
-
-
 def _slots(data: np.ndarray, n: int) -> np.ndarray:
     """``n`` copies of ``data`` stacked on a new leading axis; a (d,) row becomes (n, 1, d)."""
     return np.repeat(data[None, None] if data.ndim == 1 else data[None], n, axis=0)
+
+
+def _cones(loss: Tensor, groups: Sequence[Sequence[Tensor]]) -> list[list[Tensor]]:
+    """For each group of leaves, the op nodes reachable from ``loss`` whose
+    parents depend on a leaf of the group, in creation order: recomputing
+    them in that order recomputes ``loss`` after those leaves' data change.
+    The walk stops at a node without a record (a leaf, or an op node whose
+    record was dropped). One pass in creation order gives each node the
+    bitmask of the groups its parents depend on."""
+    masks: dict[int, int] = {}  # node_id -> bit g set when the node depends on group g
+    for g, leaves in enumerate(groups):
+        for leaf in leaves:
+            masks[leaf.node_id] = masks.get(leaf.node_id, 0) | 1 << g
+    recorded, stack = {}, [loss]  # node_id -> node
+    while stack:
+        node = stack.pop()
+        if node.call is not None and node.node_id not in recorded:
+            recorded[node.node_id] = node
+            stack += node.parents
+    cones: list[list[Tensor]] = [[] for _ in groups]
+    for node_id in sorted(recorded):
+        node, mask = recorded[node_id], 0
+        for t in node.parents:
+            mask |= masks.get(t.node_id, 0)
+        if mask:
+            masks[node_id] = masks.get(node_id, 0) | mask
+            while mask:
+                bit = mask & -mask
+                cones[bit.bit_length() - 1].append(node)
+                mask ^= bit
+    return cones
 
 
 def _replay(nodes: list[Tensor], loss: Tensor, slots: int) -> np.ndarray:
@@ -222,54 +158,67 @@ def finite_diff_check(
         else:
             idx = np.arange(n)
         chosen.append(idx)
-    cones = downstream(loss, [p for _, p in params])
-    joint = [node for _, node in sorted({node.node_id: node for cone in cones for node in cone}.items())]
+    groups: list[list[tuple[int, np.ndarray]]] = []  # (k, entries of parameter k), MAX_SLOTS // 2 entries each
+    room = 0
+    for k, idx in enumerate(chosen):
+        while idx.size:
+            if not room:
+                groups.append([])
+                room = MAX_SLOTS // 2
+            take = min(room, idx.size)
+            groups[-1].append((k, idx[:take]))
+            idx, room = idx[take:], room - take
+    tensors = list(dict.fromkeys(p for _, p in params))  # by tensor, not position: a tensor may have two names
+    joint, *cones = _cones(loss, [tensors] + [[params[k][1] for k, _ in group] for group in groups])
 
     def audit() -> bool:
-        """Whether a full f() and the replay of ``joint`` (every cone's ops,
-        in creation order) on one-slot stacks of the parameters give the same
+        """Whether a full f() and the replay of ``joint`` (the cone of all the
+        parameters at once) on one-slot stacks of the parameters give the same
         bits (every NaN hexes to "nan") with every chosen entry of every
         parameter moved at once, each by its own step in [H/2, 3H/2) from
         ``default_rng(k)`` for parameter ``k``: a uniform step can vanish, as
         in a layer_norm."""
-        datas, saved = [p.data for _, p in params], [node.data for node in joint]
+        datas, saved = [p.data for p in tensors], [node.data for node in joint]
         try:
             for k, (_, p) in enumerate(params):
                 p.data = p.data.copy()
                 p.data.reshape(-1)[chosen[k]] += H * np.random.default_rng(k).uniform(0.5, 1.5, chosen[k].size)
             full = float(f().data).hex()
-            for _, p in params:
+            for p in tensors:
                 p.data = _slots(p.data, 1)
             batched = _replay(joint, loss, 1)  # a kernel that drops the batch axis gives another shape
             return batched.shape == (1,) and float(batched[0]).hex() == full
         finally:
-            for (_, p), data in zip(params, datas):
+            for p, data in zip(tensors, datas):
                 p.data = data
             for node, data in zip(joint, saved):
                 node.data = data
 
-    exact = audit()  # False: the loss depends on a parameter by a path that no recorded kernel shows
-
-    def replayed_pairs(item: tuple[int, np.ndarray]) -> list[tuple[float, float]]:
-        """``(f(p+H), f(p-H))`` for each entry ``idx[j]`` of parameter ``k``,
-        from one replay of its cone: slot 2j holds the entry moved up, 2j + 1 down."""
-        k, idx = item
-        p, j, slots = params[k][1], np.arange(len(idx)), 2 * len(idx)
-        data, saved = p.data, [node.data for node in cones[k]]
-        p.data = _slots(data, slots)
-        rows = p.data.reshape(slots, -1)
-        rows[2 * j, idx], rows[2 * j + 1, idx] = data.reshape(-1)[idx] + H, data.reshape(-1)[idx] - H
+    def replayed_pairs(group: list[tuple[int, np.ndarray]], cone: list[Tensor]) -> list[tuple[float, float]]:
+        """``(f(p+H), f(p-H))`` for each entry of ``group`` in order, from one
+        replay of ``cone``: slot 2j holds the group's entry j moved up, 2j + 1 down."""
+        slots = 2 * sum(idx.size for _, idx in group)
+        datas = {params[k][1]: params[k][1].data for k, _ in group}  # by tensor, as in the audit
+        saved = [node.data for node in cone]
         try:
-            values = _replay(cones[k], loss, slots).tolist()
+            for p, data in datas.items():
+                p.data = _slots(data, slots)
+            j = 0
+            for k, idx in group:
+                p = params[k][1]
+                rows, flat, up = p.data.reshape(slots, -1), datas[p].reshape(-1), 2 * np.arange(j, j + idx.size)
+                rows[up, idx], rows[up + 1, idx] = flat[idx] + H, flat[idx] - H
+                j += idx.size
+            values = _replay(cone, loss, slots).tolist()
         finally:
-            p.data = data
-            for node, node_data in zip(cones[k], saved):
-                node.data = node_data
+            for p, data in datas.items():
+                p.data = data
+            for node, data in zip(cone, saved):
+                node.data = data
         return list(zip(values[0::2], values[1::2]))
 
-    def full_pairs(item: tuple[int, np.ndarray]) -> list[tuple[float, float]]:
-        """``[(f(p+H), f(p-H))]`` by full forwards for the one entry ``i`` of parameter ``k``."""
-        k, [i] = item
+    def full_pair(k: int, i: int) -> tuple[float, float]:
+        """``(f(p+H), f(p-H))`` by full forwards for entry ``i`` of parameter ``k``."""
         p, data, pair = params[k][1], params[k][1].data, []
         try:
             for step in (H, -H):
@@ -278,13 +227,12 @@ def finite_diff_check(
                 pair.append(float(f().data))
         finally:
             p.data = data
-        return [tuple(pair)]
+        return pair[0], pair[1]
 
-    # costs in kernel calls: a replay makes its cone's, a full forward at least the joint replay's
-    per_item = MAX_SLOTS // 2 if exact else 1
-    items = [(k, idx[j:j + per_item]) for k, idx in enumerate(chosen) for j in range(0, len(idx), per_item)]
-    costs = [len(cones[k]) if exact else 2 * len(joint) for k, _ in items]
-    pairs = [pair for chunk in _ordered_map(replayed_pairs if exact else full_pairs, items, costs) for pair in chunk]
+    if audit():
+        pairs = [pair for group, cone in zip(groups, cones) for pair in replayed_pairs(group, cone)]
+    else:  # the loss depends on a parameter by a path that no recorded kernel shows
+        pairs = [full_pair(k, i) for k, idx in enumerate(chosen) for i in idx]
     start = 0
     for (name, _), idx, grad in zip(params, chosen, analytic):
         a_flat = grad.reshape(-1)

@@ -33,10 +33,10 @@ Design constraints:
   the kernel, and its node records ``(kernel, static)``:
   ``kernel(*static, *[t.data for t in node.parents])`` recomputes the
   node's value from its parents' current arrays with the forward's bits,
-  making no node. So ``downstream`` can list the nodes a leaf feeds and
-  gradcheck can recompute only those. A kernel also takes operands with a
-  leading batch axis (a (d,) row as (B, 1, d); a loss comes out as (B,)) and
-  gives each slot its plain call's bits, so one replay moves B copies of a leaf.
+  making no node. So gradcheck can walk the nodes a leaf feeds and
+  recompute only those. A kernel also takes operands with a leading batch
+  axis (a (d,) row as (B, 1, d); a loss comes out as (B,)) and gives each
+  slot its plain call's bits, so one replay moves B copies of its leaves.
 - the tape keeps only the ops that the model and its losses call.
 - a batch of scenes is one graph, its scenes stacked by rows. Row-wise ops
   run once over the stack; the ops that mix rows within a scene take the
@@ -48,7 +48,7 @@ Design constraints:
   slices on each call; one scene takes the single-scene path with the same bits.
 
 A tensor graph is single-threaded during one forward/backward pass; distinct
-graphs (one per SGD batch, evaluated scene or gradcheck worker) share no
+graphs (one per SGD batch, evaluated scene or gradient check) share no
 mutable state.
 """
 
@@ -632,29 +632,6 @@ def _topo_order(root: Tensor) -> list[Tensor]:
                 seen[p.node_id] = p
                 stack.append(p)
     return [seen[i] for i in sorted(seen)]
-
-
-def downstream(loss: Tensor, leaves) -> list[list[Tensor]]:
-    """For each of ``leaves``, the op nodes reachable from ``loss`` whose
-    parents depend on that leaf, in creation order: recomputing them in that
-    order recomputes ``loss`` after the leaf's data changes. The walk stops
-    at a node without a record (a leaf, or an op node whose record was
-    dropped)."""
-    recorded_nodes, stack = {}, [loss]  # node_id -> node
-    while stack:
-        node = stack.pop()
-        if node.call is not None and node.node_id not in recorded_nodes:
-            recorded_nodes[node.node_id] = node
-            stack += node.parents
-    order, cones = [recorded_nodes[i] for i in sorted(recorded_nodes)], []
-    for leaf in leaves:
-        hit, cone = {leaf.node_id}, []
-        for node in order:
-            if any(t.node_id in hit for t in node.parents):
-                hit.add(node.node_id)
-                cone.append(node)
-        cones.append(cone)
-    return cones
 
 
 def backward(loss: Tensor):

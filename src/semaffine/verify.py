@@ -207,7 +207,7 @@ def _model_check(rng):
     def loss():
         return total_loss(model_forward(params, hier), labels, shadows)
 
-    # 6 sampled entries per parameter: 209 replays (one per parameter) of 2150 losses, plus 2 full forwards
+    # 6 sampled entries per parameter: 2150 losses in 17 replays shared across parameters, plus 2 full forwards
     yield Check("end_to_end_16pt", loss, params.named_parameters(), tol=1e-4, max_entries=6)
 
 

@@ -1,7 +1,7 @@
 """Finite-difference checker behaviour, plus per-op gradient verification."""
 
 import inspect
-import os
+import itertools
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from semaffine import gradcheck, verify
 from semaffine import tensor as T
 from semaffine.errors import ConfigError, NumericError
-from semaffine.gradcheck import finite_diff_check
+from semaffine.gradcheck import ParamReport, finite_diff_check
 from semaffine.tensor import Tensor
 from upstream import _weighted_sum, weighted_sum
 
@@ -152,7 +152,7 @@ def _subsampled_case():
 def _non_finite_case():
     """A forward that overflows, as in ``test_nan_forward_names_parameter``,
     but only when ``x`` moves up, and after a finite parameter, so the
-    non-finite forward lands in a later block."""
+    non-finite forward lands in a later replay or in one shared with ``y``."""
     y = Tensor(np.linspace(-1, 1, 5), requires_grad=True)
     x = Tensor([1.7976931], requires_grad=True)  # x * 1e308 is finite, (x + 1e-6) * 1e308 is not
 
@@ -163,16 +163,8 @@ def _non_finite_case():
     return f, [("y", y), ("x", x)], {}
 
 
-def _fork_for(monkeypatch, workers, ops_per_worker=1):
-    """Let ``_ordered_map`` use ``workers`` workers, one per ``ops_per_worker``
-    kernel calls (None: the module's threshold)."""
-    monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
-    if ops_per_worker is not None:
-        monkeypatch.setattr(gradcheck, "MIN_OPS_PER_WORKER", ops_per_worker)
-
-
-def _check_with_workers(monkeypatch, workers, make_case):
-    _fork_for(monkeypatch, workers)
+def _checked(make_case):
+    """The report of ``make_case``'s check, which leaves its parameters' data untouched."""
     f, params, kwargs = make_case()
     before = [p.data.tobytes() for _, p in params]
     with np.errstate(over="ignore"):
@@ -181,114 +173,139 @@ def _check_with_workers(monkeypatch, workers, make_case):
     return report
 
 
-def _count_forks(monkeypatch) -> list:
-    """Patch ``os.fork`` to append to the returned list on every call."""
-    started, real_fork = [], os.fork
+class _Replays:
+    """Spies on ``gradcheck._replay``: for each replay after the joint audit,
+    the (parameter position, flat entry) that each pair of slots moves, read
+    off the stacked parameters, and the (B,) losses it gives."""
 
-    def counted_fork():
-        started.append(1)
-        return real_fork()
+    def __init__(self, monkeypatch, params):
+        self.params, self.calls = params, []
+        self.start = [p.data.copy() for _, p in params]
+        real = gradcheck._replay
 
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return started
+        def spied(nodes, loss, slots):
+            values = real(nodes, loss, slots)
+            audit = not self.calls  # the joint audit replays first, with every entry moved
+            self.calls.append((None if audit else self._moved(slots), values.tolist()))
+            return values
+
+        monkeypatch.setattr(gradcheck, "_replay", spied)
+
+    def _moved(self, slots):
+        changed = [(k, p.data.reshape(slots, -1) != data.reshape(-1))
+                   for k, ((_, p), data) in enumerate(zip(self.params, self.start)) if p.data.ndim > data.ndim]
+        moved = []
+        for s in range(slots):
+            [entry] = [(k, int(i)) for k, rows in changed for i in np.flatnonzero(rows[s])]
+            moved.append(entry)
+        return moved
+
+    def groups(self):
+        """The replays after the joint audit: for each, its entries in slot
+        order and their (f(p+H), f(p-H)) pairs."""
+        out = []
+        for moved, values in self.calls[1:]:
+            assert moved[0::2] == moved[1::2]  # slot 2j moves entry j up, 2j + 1 down
+            out.append((moved[0::2], list(zip(values[0::2], values[1::2]))))
+        return out
 
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _full_pair(loss, params, k, i):
+    """f at p+H and at p-H for entry i of parameter k, by full forwards, in hex."""
+    flat = params[k][1].data.reshape(-1)
+    orig, out = flat[i], []
+    for step in (gradcheck.H, -gradcheck.H):
+        flat[i] = orig + step
+        out.append(float(loss().data).hex())
+    flat[i] = orig
+    return out
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the forward pairs run inline without os.fork")
 class TestParallelForwards:
+    """Perturbed forwards run side by side, as the slots of one replay, all in the calling process."""
+
     @pytest.mark.parametrize("make_case", [_subsampled_case, _non_finite_case], ids=["subsampled", "non_finite"])
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_reports_equal_serial_and_parameters_untouched(self, monkeypatch, workers, make_case):
-        serial = _check_with_workers(monkeypatch, 1, make_case)
-        report = _check_with_workers(monkeypatch, workers, make_case)
-        _assert_no_children()
+    @pytest.mark.parametrize("per_replay", [2, 3])
+    def test_reports_equal_serial_and_parameters_untouched(self, monkeypatch, per_replay, make_case):
+        # serial: one entry per replay; groups of 2 or 3 entries straddle the parameters' boundaries
+        monkeypatch.setattr(gradcheck, "MAX_SLOTS", 2)
+        serial = _checked(make_case)
+        monkeypatch.setattr(gradcheck, "MAX_SLOTS", 2 * per_replay)
+        report = _checked(make_case)
         assert report == serial
         assert not report.passed and any(p.ok for p in report.params)
 
     @pytest.mark.parametrize("entry", [8, 0], ids=["last_block", "first_block"])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_exception_keeps_type_and_message(self, monkeypatch, workers, entry):
-        # entry 8 lies in a child's block, entry 0 in the caller's own; the
-        # joint audit moves both, so it raises first, in the caller
-        _fork_for(monkeypatch, workers)
+    @pytest.mark.parametrize("per_replay", [1, 2, 3])
+    def test_exception_keeps_type_and_message(self, monkeypatch, per_replay, entry):
+        # the joint audit moves every entry up, so only the replay that moves the
+        # entry down raises: the last or the first of the replays of per_replay entries
+        monkeypatch.setattr(gradcheck, "MAX_SLOTS", 2 * per_replay)
         x = Tensor(np.arange(9.0), requires_grad=True)
+        ones = np.ones(9)
 
         def checked_sum(a):  # a recorded kernel, so replaying the entry's perturbation raises
-            if a[entry] != entry:
-                raise NumericError(f"entry {entry} perturbed")
-            return a.sum()
+            if (a[..., entry] < entry).any():
+                raise NumericError(f"entry {entry} moved down")
+            return _weighted_sum(ones, a)
 
         def f():
             return T._result(checked_sum(x.data), (x,), "checked_sum",
                              lambda g: T._accumulate(x, np.full_like(x.data, float(g))), checked_sum)
 
-        with pytest.raises(NumericError, match=f"entry {entry} perturbed"):
+        with pytest.raises(NumericError, match=f"entry {entry} moved down"):
             finite_diff_check(f, [("x", x)])
-        _assert_no_children()
-        assert x.data.tolist() == list(np.arange(9.0))
+        assert x.data.shape == (9,) and x.data.tolist() == list(np.arange(9.0))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_no_items_fork_nothing(self, monkeypatch, workers):
-        _fork_for(monkeypatch, workers)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for an empty item list"))
-        assert gradcheck._ordered_map(lambda x: 2 * x, [], []) == []
+    def test_a_tensor_under_two_names_keeps_its_reports_and_data(self):
+        # keyed by position, the second name's stack would save the first name's as the original
+        rng = np.random.default_rng(19)
+        a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        targets = rng.random((3, 4)) < 0.5
 
-    # with two slots per replay each entry is one replay of 2 ops (softplus, weighted_sum), so 9
-    # entries replay 18: with 9 ops per worker they are worth 2 workers, with 10 or the
-    # module's threshold (None) only 1
-    @pytest.mark.parametrize("workers, entries, forks, ops_per_worker", [
-        pytest.param(1, 9, 0, 1, id="1-9-0"), pytest.param(2, 9, 1, 1, id="2-9-1"),
-        pytest.param(3, 9, 2, 1, id="3-9-2"), pytest.param(3, 2, 1, 1, id="3-2-1"),
-        pytest.param(3, 9, 1, 9, id="3-9-1-9_ops_per_worker"),
-        pytest.param(3, 9, 0, 10, id="3-9-0-10_ops_per_worker"),
-        pytest.param(3, 9, 0, None, id="3-9-0-module_threshold"),
-    ])
-    def test_forks_at_most_one_child_per_other_worker(self, monkeypatch, workers, entries, forks, ops_per_worker):
-        _fork_for(monkeypatch, workers, ops_per_worker)
-        monkeypatch.setattr(gradcheck, "MAX_SLOTS", 2)
-        started = _count_forks(monkeypatch)
-        x = Tensor(np.linspace(0.5, 1.5, entries), requires_grad=True)
-        assert finite_diff_check(lambda: weighted_sum(T.softplus(x), np.ones(entries)), [("x", x)]).passed
-        assert len(started) == forks
-        _assert_no_children()
+        def f():
+            return T.bce_with_logits(T.matmul(a, b), targets)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_costs_cut_contiguous_blocks_in_item_order(self, monkeypatch, workers):
-        # three heavy items and six light ones, as early backbone cones against affine heads
-        _fork_for(monkeypatch, workers)
-        started = _count_forks(monkeypatch)
-        items, costs = list(range(9)), [70] * 3 + [10] * 6
-        results = gradcheck._ordered_map(lambda x: (os.getpid(), x * x), items, costs)
-        _assert_no_children()
-        assert [r[1] for r in results] == [x * x for x in items]
-        pids = [r[0] for r in results]
-        runs = [pid for n, pid in enumerate(pids) if n == 0 or pids[n - 1] != pid]
-        assert runs[0] == os.getpid() and len(runs) == len(set(runs)) == workers  # contiguous, non-empty
-        assert len(started) == workers - 1
-        blocks = [sum(c for c, pid in zip(costs, pids) if pid == run) for run in runs]
-        assert blocks == {1: [270], 2: [140, 130], 3: [70, 140, 60]}[workers]
+        before = [a.data.tobytes(), b.data.tobytes()]
+        once = finite_diff_check(f, [("a", a), ("b", b)])
+        twice = finite_diff_check(f, [("a", a), ("b", b), ("b_again", b)])
+        assert [a.data.tobytes(), b.data.tobytes()] == before
+        again = ParamReport(**{**vars(once.params[1]), "name": "b_again"})
+        assert twice.params == once.params + [again]
+        assert twice.passed
 
-        def square_below_8(x):
-            if x == 8:
-                raise NumericError("item 8 raised")
-            return x * x
+    def test_one_replay_spans_a_parameter_boundary(self, monkeypatch):
+        # 4 entries per replay: a's 5 entries and b's 130 make 34 replays, and the second moves a and b
+        monkeypatch.setattr(gradcheck, "MAX_SLOTS", 8)
+        rng = np.random.default_rng(21)
+        a = Tensor(rng.standard_normal((1, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal((5, 26)), requires_grad=True)
+        targets = rng.random((1, 26)) < 0.5
 
-        with pytest.raises(NumericError, match="item 8 raised"):  # from the last block
-            gradcheck._ordered_map(square_below_8, items, costs)
-        _assert_no_children()
+        def f():
+            return T.bce_with_logits(T.softplus(T.matmul(a, b)), targets)
+
+        params = [("a", a), ("b", b)]
+        replays = _Replays(monkeypatch, params)
+        assert finite_diff_check(f, params).passed
+        groups = replays.groups()
+        assert [len(entries) for entries, _ in groups] == [4] * 33 + [3]
+        assert [sorted({k for k, _ in entries}) for entries, _ in groups][:3] == [[0], [0, 1], [1]]
+        entries = [entry for group, _ in groups for entry in group]
+        assert entries == [(0, i) for i in range(5)] + [(1, i) for i in range(130)]
+        pairs = [[v.hex() for v in pair] for _, group_pairs in groups for pair in group_pairs]
+        assert pairs == [_full_pair(f, params, k, i) for k, i in entries]
 
 
 class TestReplay:
     @pytest.mark.parametrize("read", [slice(None), slice(1, None)], ids=["whole", "tail"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_data_read_outside_the_ops_still_fails(self, monkeypatch, workers, read):
+    @pytest.mark.parametrize("per_replay", [1, 2])
+    def test_data_read_outside_the_ops_still_fails(self, monkeypatch, per_replay, read):
         # 2 * x.data[read] moves with x in a full forward but is no recorded
-        # argument, so the joint audit sees it, and the check falls back to full forwards
-        _fork_for(monkeypatch, workers)
+        # argument, so the joint audit sees it, and the check falls back to full
+        # forwards, with one entry or two per replay alike
+        monkeypatch.setattr(gradcheck, "MAX_SLOTS", 2 * per_replay)
         x = Tensor([0.5, -0.5, -1.5], requires_grad=True)
         y = Tensor([-1.0, 0.0, -0.5], requires_grad=True)
 
@@ -302,77 +319,53 @@ class TestReplay:
         np.testing.assert_allclose(report.params[0].max_rel_err, 1.0, rtol=1e-6)
         assert x.data.tolist() == [0.5, -0.5, -1.5]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failed_joint_audit_falls_back_the_whole_check(self, monkeypatch, workers):
+    @pytest.mark.parametrize("per_replay", [1, 2])
+    def test_failed_joint_audit_falls_back_the_whole_check(self, monkeypatch, per_replay):
         # the joint audit moves x and y at once and sees x's hidden read, so
-        # every entry of x and of y takes full forwards
-        _fork_for(monkeypatch, workers)
+        # every entry of x and of y takes full forwards, whatever the replays' size
+        monkeypatch.setattr(gradcheck, "MAX_SLOTS", 2 * per_replay)
         x = Tensor([0.5, -0.5, -1.5], requires_grad=True)
         y = Tensor([-1.0, 0.0, -0.5], requires_grad=True)
-        read_fd, write_fd = os.pipe()  # one byte per call of f, from the forked workers too
+        calls = []
 
         def f():
-            os.write(write_fd, b".")
+            calls.append(1)
             return T.add(_linear_loss(x, y), weighted_sum(Tensor(2 * x.data), np.ones(3)))
 
-        try:
-            report = finite_diff_check(f, [("x", x), ("y", y)])
-        finally:
-            os.close(write_fd)
-        with os.fdopen(read_fd, "rb") as calls:
-            assert len(calls.read()) == 1 + 1 + 2 * 6  # first, joint audit, every entry's pair
-        _assert_no_children()
+        report = finite_diff_check(f, [("x", x), ("y", y)])
+        assert len(calls) == 1 + 1 + 2 * 6  # first, joint audit, every entry's pair
         assert [line.split("max_rel_err")[0] for line in report.lines()] == ["FAIL  x  ", "PASS  y  "]
         assert x.data.tolist() == [0.5, -0.5, -1.5] and y.data.tolist() == [-1.0, 0.0, -0.5]
 
     @pytest.mark.parametrize("module", verify.MODULES)
     def test_suite_replays_exactly_with_two_forwards(self, monkeypatch, module):
-        # an op that forgot to record its call would fail the joint audit here
-        maps = []
-        real_map = gradcheck._ordered_map
-
-        def spied_map(fn, items, costs):
-            results = real_map(fn, items, costs)
-            maps.append((items, results))
-            return results
-
-        monkeypatch.setattr(gradcheck, "_ordered_map", spied_map)
+        # an op that forgot to record its call would fail the joint audit here; the
+        # replayed pairs checked against full forwards are each parameter's first and
+        # last entry and the entries on either side of each boundary between replays
         for _, name, loss, params, tol, max_entries in verify.iter_checks(module):
-            maps.clear()
-            read_fd, write_fd = os.pipe()  # one byte per call of f, from the forked workers too
+            calls = []
 
             def f():
-                os.write(write_fd, b".")
+                calls.append(1)
                 return loss()
 
-            try:
+            with monkeypatch.context() as patched:
+                replays = _Replays(patched, params)
                 assert finite_diff_check(f, params, tol=tol, max_entries=max_entries).passed, name
-            finally:
-                os.close(write_fd)
-            with os.fdopen(read_fd, "rb") as calls:
-                assert len(calls.read()) == 2, name  # the first forward and the joint audit
-            items, chunks = maps[0]  # the replay pass: one item per chunk of a parameter's entries
-            entries = [(k, i) for k, idx in items for i in idx]
-            pairs = [pair for chunk in chunks for pair in chunk]
+            assert len(calls) == 2, name  # the first forward and the joint audit
+            groups = replays.groups()
+            entries = [entry for group, _ in groups for entry in group]
+            pairs = [[v.hex() for v in pair] for _, group_pairs in groups for pair in group_pairs]
+            firsts = [n for n, (k, _) in enumerate(entries) if n == 0 or entries[n - 1][0] != k]
+            lasts = [n - 1 for n in firsts[1:]] + [len(entries) - 1]
+            assert [entries[n][0] for n in firsts] == list(range(len(params))), name
+            cuts = itertools.accumulate(len(group) for group, _ in groups[:-1])  # each later replay's first entry
+            picked = sorted(set(firsts + lasts) | {n for cut in cuts for n in (cut - 1, cut)})
+            assert [pairs[n] for n in picked] == [_full_pair(loss, params, *entries[n]) for n in picked], name
 
-            def full_pair(n):  # f at p+H and at p-H for entries[n], by full forwards
-                k, i = entries[n]
-                flat = params[k][1].data.reshape(-1)
-                orig, out = flat[i], []
-                for step in (gradcheck.H, -gradcheck.H):
-                    flat[i] = orig + step
-                    out.append(float(loss().data).hex())
-                flat[i] = orig
-                return out
-
-            first = [n for n, (k, _) in enumerate(entries) if n == 0 or entries[n - 1][0] != k]  # k's first entry
-            assert [entries[n][0] for n in first] == list(range(len(params))), name
-            assert [[p.hex() for p in pairs[n]] for n in first] == [full_pair(n) for n in first], name
-
-    def test_suite_replays_each_parameter_once(self, monkeypatch):
-        # after each check's joint audit, one replay per parameter: 334 replays making
-        # 8,236 kernel calls per round, where one replay per entry and step made 91,178
-        monkeypatch.setattr(gradcheck, "_worker_count", lambda: 1)  # count every replay in this process
+    def test_suite_shares_replays_across_parameters(self, monkeypatch):
+        # after each check's joint audit, one replay per MAX_SLOTS // 2 consecutive entries
+        # across parameters: 53 replays making 877 kernel calls per round
         replays, real_replay = [], gradcheck._replay
 
         def counted(nodes, *args):
@@ -383,21 +376,8 @@ class TestReplay:
         for _, name, loss, params, tol, max_entries in verify.iter_checks():
             replays.append([])
             assert finite_diff_check(loss, params, tol=tol, max_entries=max_entries).passed, name
-        per_parameter = [calls for check in replays for calls in check[1:]]  # each check's first is its audit
-        assert (len(replays), len(per_parameter), sum(per_parameter)) == (23, 334, 8236)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_suite_forks_no_more_than_one_replay_per_entry_did(self, monkeypatch, workers):
-        # with per-entry replays, only end_to_end_16pt forked: min(workers, 5) - 1 children
-        monkeypatch.setattr(gradcheck, "_worker_count", lambda: workers)
-        started = _count_forks(monkeypatch)
-        forks = {}
-        for module, name, loss, params, tol, max_entries in verify.iter_checks():
-            before = len(started)
-            assert finite_diff_check(loss, params, tol=tol, max_entries=max_entries).passed, name
-            forks[f"{module}.{name}"] = len(started) - before
-        _assert_no_children()
-        assert {check: n for check, n in forks.items() if n} == {"model.end_to_end_16pt": min(workers, 5) - 1}
+        shared = [calls for check in replays for calls in check[1:]]  # each check's first is its audit
+        assert (len(replays), len(shared), sum(shared)) == (23, 53, 877)
 
     def test_unrecorded_softmax_takes_full_forwards(self, monkeypatch):
         # softmax nodes without a record hide the paths through them from
@@ -411,25 +391,20 @@ class TestReplay:
 
         monkeypatch.setattr(T, "softmax", unrecorded_softmax)
         [(_, _, loss, params, tol, _)] = [c for c in verify.iter_checks("model") if c[1] == "end_to_end_16pt"]
-        read_fd, write_fd = os.pipe()  # one byte per call of f, from the forked workers too
+        calls = []
 
         def f():
-            os.write(write_fd, b".")
+            calls.append(1)
             return loss()
 
-        try:
-            assert finite_diff_check(f, params, tol=tol, max_entries=1).passed
-        finally:
-            os.close(write_fd)
-        with os.fdopen(read_fd, "rb") as calls:
-            assert len(calls.read()) == 1 + 1 + 2 * len(params)  # first, joint audit, every entry's pair
-        _assert_no_children()
+        assert finite_diff_check(f, params, tol=tol, max_entries=1).passed
+        assert len(calls) == 1 + 1 + 2 * len(params)  # first, joint audit, every entry's pair
 
 
-# the recorded ops: every public function of tensor.py but the two tape walks
+# the recorded ops: every public function of tensor.py but the tape walk
 RECORDED_OPS = sorted(name for name, fn in vars(T).items()
                       if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_")
-                      and name not in ("downstream", "backward"))
+                      and name != "backward")
 MUTATED_MODULES = ("tensor", "hierarchy", "losses")  # together they call every recorded op
 
 
@@ -466,7 +441,6 @@ def test_dropping_an_ops_record_falls_back_to_the_same_reports(monkeypatch, unmu
         return out
 
     monkeypatch.setattr(T, op, unrecorded)
-    monkeypatch.setattr(gradcheck, "_worker_count", lambda: 1)  # count every call of f in this process
     mutated = _mutated_suite()
     assert [(name, lines) for name, lines, _ in mutated] == [(name, lines) for name, lines, _ in unmutated_suite]
     assert all(calls == 2 for _, _, calls in unmutated_suite)

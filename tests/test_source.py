@@ -73,7 +73,7 @@ def test_every_private_name_is_used(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
-def ops_without_a_called_kernel(source: str, not_ops=("downstream", "backward")) -> list[str]:
+def ops_without_a_called_kernel(source: str, not_ops=("backward",)) -> list[str]:
     """The public module-level functions, other than ``not_ops``, that do not
     return ``_result(data, parents, op, backward_fn, kernel, ...)`` with a
     ``kernel`` that the function also calls itself."""
@@ -116,13 +116,12 @@ def referenced_names(source: str) -> set[str]:
             | {"add" for node in nodes if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)})
 
 
-def unreferenced_public_functions(source: str, referencing: list[str], not_ops=("downstream",)) -> list[str]:
-    """The public module-level functions of ``source``, other than ``not_ops``,
-    that none of the ``referencing`` sources names."""
+def unreferenced_public_functions(source: str, referencing: list[str]) -> list[str]:
+    """The public module-level functions of ``source`` that none of the
+    ``referencing`` sources names."""
     names = set().union(*(referenced_names(text) for text in referencing))
     return [fn.name for fn in ast.parse(source).body
-            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in not_ops
-            and fn.name not in names]
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in names]
 
 
 def test_scanner_finds_an_unreferenced_function():
@@ -167,7 +166,6 @@ def test_every_public_function_is_used_by_the_package_or_perfbench(path):
 
 
 def test_every_tensor_function_is_on_the_model_path():
-    # downstream is gradcheck's walk of the tape, so unreferenced_public_functions leaves it out
     referencing = [(PACKAGE / f"{name}.py").read_text(encoding="utf-8") for name in MODEL_PATH]
     assert unreferenced_public_functions((PACKAGE / "tensor.py").read_text(encoding="utf-8"), referencing) == []
 

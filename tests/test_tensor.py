@@ -806,7 +806,7 @@ KERNEL_CASES = [
     ("pool_rows_mean", "pool_rows_mean_wide", [(30, 3)], lambda a: T.pool_rows_mean(a, np.arange(30) % 2, 2)),
 ]
 OPS = {name for name, fn in vars(T).items() if callable(fn) and getattr(fn, "__module__", None) == T.__name__
-       and not name.startswith("_") and name not in ("Tensor", "downstream", "backward")}
+       and not name.startswith("_") and name not in ("Tensor", "backward")}
 
 
 def test_kernel_cases_cover_every_op():

@@ -330,8 +330,7 @@ class TestCli:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs a CPU affinity mask")
     def test_gradcheck_output_is_the_same_on_one_cpu(self):
-        # a piped stdout is block-buffered, so a forked worker that flushed it
-        # on exit would print the lines emitted before it again
+        # the suite's lines, each once, and the same bytes when the process may use only one CPU
         argv = ["gradcheck", "--module", "tensor"]
         proc = self._cli_subprocess(argv)
         assert proc.returncode == 0, proc.stderr
