@@ -45,14 +45,14 @@ class ConfidenceMatrix:
 
 
 def predict_masks(h_final: Tensor, head: Sequence[LinearParams]) -> Tensor:
-    """One mask row per class from the final class-feature rows: (N, d_m)."""
+    """One mask row per class from the final class-feature rows: (N, d_mask)."""
     return mlp_forward(head, h_final)
 
 
 def mask_confidences(masks: Tensor, f: Tensor, proj: LinearParams, offsets=None) -> ConfidenceMatrix:
     """logits[j, k] = masks_k . proj(f_j); probs = per-point softmax over classes.
 
-    With the row ``offsets`` of several scenes in f, masks stacks one (N, d_m)
+    With the row ``offsets`` of several scenes in f, masks stacks one (N, d_mask)
     block per scene and each point is scored against its scene's block."""
     return confidences_from_logits(T.mask_logits(f, masks, proj.weight, proj.bias, offsets))
 

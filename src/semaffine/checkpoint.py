@@ -13,10 +13,10 @@ Layout:
 The writer lays the parameters back to back, so each offset is the byte
 total of the parameters before it and the last one ends where the payload
 ends. The loader holds a file to that layout (save -> load -> save
-reproduces it byte for byte) and rejects NaN or infinite entries and
-integers that are not ASCII decimal digits. v2 stores each
-attention's q/k/v projections as one stacked (heads*d_k, in) tensor per
-projection (``...q_proj.weight``); v1 stored one tensor per head
+reproduces it byte for byte) and rejects NaN or infinite entries, empty
+shape entries and integers other than ASCII digits without a leading zero.
+v2 stores each attention's q/k/v projections as one stacked (heads*d_k, in)
+tensor per projection (``...q_proj.weight``); v1 stored one tensor per head
 (``...q_proj.0.weight``) and is rejected.
 """
 
@@ -62,11 +62,13 @@ def save_checkpoint(path, params: list[tuple[str, Tensor]], config: dict, step: 
 
 
 def _count(text: str, line_no: int, line: str) -> int:
-    """A non-negative ASCII decimal manifest integer; anything else is a ParseError."""
+    """A manifest integer as the writer writes it: ASCII digits, no leading zero; else a ParseError."""
     try:
-        return ascii_int(text)
+        if text == "0" or not text.startswith("0"):
+            return ascii_int(text)
     except ValueError:
-        raise ParseError(f"expected a non-negative integer in manifest line {line!r}", line=line_no) from None
+        pass
+    raise ParseError(f"expected a non-negative integer without leading zeros in manifest line {line!r}", line=line_no)
 
 
 def load_checkpoint(path):
@@ -112,7 +114,7 @@ def load_checkpoint(path):
             _, name, shape_s, offset_s = fields
             if name in params:
                 raise ParseError(f"duplicate parameter {name!r}", line=i)
-            shape = tuple(_count(d, i, line) for d in shape_s.split(",") if d)
+            shape = tuple(_count(d, i, line) for d in shape_s.split(",")) if shape_s else ()  # "" is a scalar
             offset = _count(offset_s, i, line)
             if offset != end:
                 raise ParseError(f"parameter {name} offset {offset}: the parameters before it end at {end}",

@@ -114,7 +114,9 @@ def snapshot(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
 
 
 def configs_from_snapshot(values: dict[str, str]) -> tuple[ModelConfig, TrainConfig]:
-    unknown = set(values) - KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"snapshot has unknown keys: {sorted(unknown)}")
+    expected = KEYS[ModelConfig].keys() | KEYS[TrainConfig].keys()
+    if values.keys() - expected:
+        raise ConfigError(f"snapshot has unknown keys: {sorted(values.keys() - expected)}")
+    if expected - values.keys():
+        raise ConfigError(f"snapshot is missing keys: {sorted(expected - values.keys())}")
     return config_from(values, ModelConfig), config_from(values, TrainConfig)

@@ -10,8 +10,8 @@ and unpools to the next finer level with a skip connection. The finest level
 is classified the same way to produce the output logits.
 
 Decoder layer u supplies the affine bank for mid stage i via
-u = i + ``LEVEL_OFFSET`` (deeper query-decoder layers feed finer mid stages);
-the final layer feeds the mask head.
+u = i + ``LEVEL_OFFSET``, so the decoder has ``len(level_dims) + 1`` layers
+and its final layer feeds both the finest mid stage and the d_h-wide masks.
 
 Every parameter exists in every configuration; the ``classifier`` and
 ``affine`` switches only select which forward path consumes them, so
@@ -72,23 +72,28 @@ LEVEL_OFFSET = 2  # mid stage i reads query-decoder layer i + LEVEL_OFFSET
 
 # size bounds checked before any draw; at both, a model holds 36.5 M float64
 # parameters (290 MB, three times that with gradients and momentum)
-MAX_WIDTH = 256  # n_classes, d_h, d_m and each level_dims entry; 4x the default d_h
-MAX_DEPTH = 16  # encoder_depth and decoder_depth (which bounds levels); 3-4x the defaults
+MAX_WIDTH = 256  # n_classes, d_h and each level_dims entry; 4x the default d_h
+MAX_DEPTH = 16  # encoder_depth and decoder_depth, so at most 15 levels; 3-4x the defaults
 
 
 @dataclass
 class ModelConfig:
     n_classes: int = 4
-    levels: int = 4
-    level_dims: tuple = (32, 64, 96, 128)
+    level_dims: tuple = (32, 64, 96, 128)  # feature width per hierarchy level, finest first
     d_h: int = 64
-    d_m: int = 64
     encoder_depth: int = 4  # self-attention blocks over top tokens
-    decoder_depth: int = 5  # class-query decoder blocks
     heads: int = 4
     base_voxel: float = 0.4
     classifier: str = "mask"
     affine: str = "sa"
+
+    @property
+    def levels(self) -> int:
+        return len(self.level_dims)
+
+    @property
+    def decoder_depth(self) -> int:  # class-query decoder blocks
+        return self.n_mid + LEVEL_OFFSET  # the finest mid stage reads the final one
 
     @property
     def n_mid(self) -> int:
@@ -103,23 +108,18 @@ class ModelConfig:
         require_finite(self)
         if self.n_classes < 1:
             raise ConfigError(f"n_classes must be >= 1, got {self.n_classes}")
-        if self.levels < 2:
-            raise ConfigError(f"levels must be >= 2, got {self.levels}")
-        if len(self.level_dims) != self.levels:
-            raise ConfigError(f"level_dims {self.level_dims} must have one entry per level ({self.levels})")
-        if any(d <= 0 for d in self.level_dims) or self.d_h <= 0 or self.d_m <= 0:
+        if not 2 <= self.levels <= MAX_DEPTH + 1 - LEVEL_OFFSET:  # so that decoder_depth <= MAX_DEPTH
+            raise ConfigError(f"level_dims must have 2 to {MAX_DEPTH + 1 - LEVEL_OFFSET} entries, got {self.levels}")
+        if any(d <= 0 for d in self.level_dims) or self.d_h <= 0:
             raise ConfigError("all dimensions must be positive")
-        if max(self.n_classes, self.d_h, self.d_m, *self.level_dims) > MAX_WIDTH:
-            raise ConfigError(f"n_classes, d_h, d_m and level_dims must be <= {MAX_WIDTH}")
-        if max(self.encoder_depth, self.decoder_depth) > MAX_DEPTH:
-            raise ConfigError(f"encoder_depth and decoder_depth must be <= {MAX_DEPTH}")
+        if max(self.n_classes, self.d_h, *self.level_dims) > MAX_WIDTH:
+            raise ConfigError(f"n_classes, d_h and level_dims must be <= {MAX_WIDTH}")
+        if self.encoder_depth > MAX_DEPTH:
+            raise ConfigError(f"encoder_depth must be <= {MAX_DEPTH}")
         if self.heads < 1:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d_h % self.heads != 0 or self.level_dims[-1] % self.heads != 0:
             raise ConfigError(f"{self.heads} heads must divide d_h={self.d_h} and top dim={self.level_dims[-1]}")
-        if self.decoder_depth < self.n_mid + LEVEL_OFFSET:
-            raise ConfigError(f"decoder_depth={self.decoder_depth} too shallow: {self.n_mid} mid stages "
-                              f"need depth >= {self.n_mid + LEVEL_OFFSET}")
         if self.encoder_depth < 0:
             raise ConfigError(f"encoder_depth must be >= 0, got {self.encoder_depth}")
         if self.base_voxel <= 0:
@@ -156,7 +156,7 @@ class ModelParams:
     token_encoder: list  # EncoderBlockParams
     queries: Tensor  # (N, d_h)
     query_decoder: list  # DecoderBlockParams
-    mask_head: list  # 3 linear layers, d_h -> d_m
+    mask_head: list  # 3 linear layers, d_h -> d_h
     scale_heads: dict  # mid stage -> 5 linear layers, d_h -> level dim
     bias_heads: dict
     down_proj: dict  # mid stage -> LinearParams level dim -> next finer dim
@@ -191,7 +191,7 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     sites = {}
     for level in cfg.mid_levels + [0]:
         prefix, d_level = f"backbone.site{level}", dims[level]
-        sites[level] = site = SiteParams(mask_proj=part(f"{prefix}.mask_proj", init_linear, cfg.d_m, d_level),
+        sites[level] = site = SiteParams(mask_proj=part(f"{prefix}.mask_proj", init_linear, cfg.d_h, d_level),
                                          fc=part(f"{prefix}.fc", init_linear, cfg.n_classes, d_level))
         if level > 0:
             site.norm = parts[f"{prefix}.norm"] = init_layer_norm(d_level)
@@ -206,7 +206,7 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
         fan_in_uniform(rng, cfg.n_classes, cfg.d_h, bias=False)[0], requires_grad=True))
     query_decoder = [part(f"query_decoder.block{b}", init_decoder_block, cfg.heads, cfg.d_h, top)
                      for b in range(cfg.decoder_depth)]
-    mask_head = part("query_decoder.mask_head", init_mlp, [cfg.d_h, cfg.d_h, cfg.d_h, cfg.d_m])
+    mask_head = part("query_decoder.mask_head", init_mlp, [cfg.d_h] * 4)
 
     scale_heads, bias_heads = {}, {}
     for i, level in enumerate(cfg.mid_levels, start=1):

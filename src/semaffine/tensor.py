@@ -274,12 +274,12 @@ def _mask_logits(pairs, f, masks, w, b, keep=None):
 
 
 def mask_logits(f, masks, w, b, offsets=None) -> Tensor:
-    """(f (n, in) @ w (d_m, in).T + b (d_m,)) @ masks (N, d_m).T, as one node.
+    """(f (n, in) @ w (d_mask, in).T + b (d_mask,)) @ masks (N, d_mask).T, as one node.
 
     The projection is folded into the masks: forward is f @ A.T + c with
     A = masks @ w and c = masks @ b, so the n points are dotted with N rows
-    instead of being projected to d_m first. With the row ``offsets`` of B
-    scenes in f, masks is their (N, d_m) blocks stacked and each scene's
+    instead of being projected to d_mask first. With the row ``offsets`` of B
+    scenes in f, masks is their (N, d_mask) blocks stacked and each scene's
     points are scored against its own block.
     """
     f_data, m_data, w_data, b_data = f.data, masks.data, w.data, b.data

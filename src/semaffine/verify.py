@@ -150,12 +150,12 @@ def _hierarchy_checks(rng):
 
 
 def _affine_checks(rng):
-    n, n_classes, d, d_m, d_h = 4, 3, 4, 5, 6
+    n, n_classes, d, d_mask, d_h = 4, 3, 4, 5, 6
     h_u = Tensor(rng.standard_normal((n_classes, d_h)), requires_grad=True)
-    mask_head = B.init_mlp(rng, [d_h, d_m])
+    mask_head = B.init_mlp(rng, [d_h, d_mask])
     scale_head = B.init_mlp(rng, [d_h, d])
     bias_head = B.init_mlp(rng, [d_h, d])
-    proj = B.init_linear(rng, d_m, d)
+    proj = B.init_linear(rng, d_mask, d)
     f = Tensor(rng.standard_normal((n, d)), requires_grad=True)
 
     def loss():
@@ -192,10 +192,7 @@ def _loss_checks(rng):
 
 
 def _model_check(rng):
-    cfg = ModelConfig(
-        n_classes=3, levels=3, level_dims=(4, 6, 8), d_h=4, d_m=4,
-        encoder_depth=1, decoder_depth=4, heads=2, base_voxel=0.6,
-    )
+    cfg = ModelConfig(n_classes=3, level_dims=(4, 6, 8), d_h=4, encoder_depth=1, heads=2, base_voxel=0.6)
     params = build_model(cfg, seed=5)
     for _, t in params.named_parameters():
         t.data += rng.uniform(-0.05, 0.05, t.shape)

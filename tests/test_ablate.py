@@ -8,13 +8,10 @@ from semaffine.ablate import AblationResult
 from semaffine.cli import main
 
 TINY_ABLATION = """\
-levels = 3
 level_dims = 6,8,10
 d_h = 8
-d_m = 8
 heads = 2
 encoder_depth = 1
-decoder_depth = 4
 base_voxel = 0.8
 epochs = 3
 batch_size = 1

@@ -133,8 +133,7 @@ class TestCriterion4HardSoftConsistency:
 
 class TestCriterion5SymmetryCollapse:
     def test_identical_queries_and_affine_rows(self):
-        cfg = ModelConfig(n_classes=4, levels=4, level_dims=(8, 12, 16, 24), d_h=8, d_m=8,
-                          encoder_depth=1, decoder_depth=5, heads=2)
+        cfg = ModelConfig(n_classes=4, level_dims=(8, 12, 16, 24), d_h=8, encoder_depth=1, heads=2)
         params = build_model(cfg, seed=5)
         params.queries.data[...] = params.queries.data[0]
         rng = np.random.default_rng(5001)
@@ -163,8 +162,8 @@ class TestCriterion5SymmetryCollapse:
 
 class TestCriterion7LossSanity:
     def test_untrained_ce_near_ln4(self):
-        cfg = ModelConfig(n_classes=4, levels=4, level_dims=(16, 32, 48, 64), d_h=32, d_m=32,
-                          encoder_depth=1, decoder_depth=5, heads=2, base_voxel=0.4)
+        cfg = ModelConfig(n_classes=4, level_dims=(16, 32, 48, 64), d_h=32, encoder_depth=1, heads=2,
+                          base_voxel=0.4)
         spec = SceneSpec(points_per_object=128)
         worst = 0.0
         for seed in range(3):
@@ -187,8 +186,7 @@ class TestCriterion8Determinism:
             write_scene(cloud, tmp_path / f"s{i}.txt")
             entries.append((f"s{i}.txt", "train" if i < 3 else "val"))
         write_manifest(entries, tmp_path / "manifest.txt")
-        cfg = ModelConfig(n_classes=4, levels=3, level_dims=(6, 8, 10), d_h=8, d_m=8,
-                          encoder_depth=1, decoder_depth=4, heads=2, base_voxel=0.8)
+        cfg = ModelConfig(n_classes=4, level_dims=(6, 8, 10), d_h=8, encoder_depth=1, heads=2, base_voxel=0.8)
         blobs = []
         for run in range(2):
             ckpt = tmp_path / f"run{run}.ckpt"
@@ -210,8 +208,7 @@ class TestCriterion9RoundTrips:
         scene_ok = p1.read_bytes() == p2.read_bytes()
 
         from semaffine.checkpoint import load_checkpoint, restore_parameters, save_checkpoint
-        cfg = ModelConfig(n_classes=3, levels=3, level_dims=(4, 6, 8), d_h=4, d_m=4,
-                          encoder_depth=1, decoder_depth=4, heads=2)
+        cfg = ModelConfig(n_classes=3, level_dims=(4, 6, 8), d_h=4, encoder_depth=1, heads=2)
         params = build_model(cfg, seed=2)
         named = params.named_parameters()
         c1, c2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

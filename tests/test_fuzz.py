@@ -45,7 +45,7 @@ def _mutate(rng, raw: bytes) -> bytes:
 
 
 def test_mutated_checkpoints_load_or_raise_package_errors(tmp_path):
-    cfg = ModelConfig(levels=3, level_dims=(6, 8, 10), d_h=8, d_m=8, encoder_depth=1, decoder_depth=4, heads=2)
+    cfg = ModelConfig(level_dims=(6, 8, 10), d_h=8, encoder_depth=1, heads=2)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, _params(0), snapshot(cfg, TrainConfig()), step=7)
     raw = path.read_bytes()
@@ -68,13 +68,10 @@ def test_mutated_checkpoints_load_or_raise_package_errors(tmp_path):
 
 BASE_CONFIG = """\
 classes = 4
-levels = 3
 level_dims = 6,8,10
 d_h = 8
-d_m = 8
 heads = 2
 encoder_depth = 1
-decoder_depth = 4
 classifier = mask
 affine = sa
 epochs = 2
@@ -91,7 +88,7 @@ VALUES = ["0", "-1", "-4", "1", "2", "3", "7", "64", "4000000000", "100000000", 
           "nan", "inf", "-inf", "", "abc", "0.5", "-0.0", "2,3", "8,16,24,32", "6,8,1000000", "0,0,0", "-8,16",
           "mask", "fc", "sa", "bn", "adain", "1,,2"]
 BOUNDARY_EDITS = [("heads", "0"), ("heads", "-4"), ("d_h", "4000000000"), ("encoder_depth", "100000000"),
-                  ("decoder_depth", "100000000"), ("level_dims", "6,8,4000000000")]
+                  ("level_dims", ",".join(["8"] * 16)), ("level_dims", "6,8,4000000000")]
 
 
 def _mutate_config(rng, lines: list[str]) -> list[str]:
@@ -159,7 +156,7 @@ def _small_corpus(tmp_path) -> Path:
     return manifest
 
 
-SMALL_MODEL = ModelConfig(levels=3, level_dims=(6, 8, 10), d_h=8, d_m=8, encoder_depth=1, decoder_depth=4, heads=2)
+SMALL_MODEL = ModelConfig(level_dims=(6, 8, 10), d_h=8, encoder_depth=1, heads=2)
 
 
 def test_mutated_scenes_load_or_raise_package_errors(tmp_path):

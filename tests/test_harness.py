@@ -292,8 +292,14 @@ class TestCheckpoint:
         (lambda raw: raw.replace(b"3,2 0\n", b"0,100000000000000000000 0\n"), 4),  # no entries, but no array either
         (lambda raw: raw.replace(b"3,2 0\n", b"100000000000000000000 0\n"), 4),  # more entries than an intp holds
         (lambda raw: raw.replace(b"3,2 0\n", b"10000000000,10000000000 0\n"), 4),
+        # each of these four once loaded and saved back as other bytes
+        (lambda raw: raw.replace(b"3,2 0\n", b"3,,2 0\n"), 4),
+        (lambda raw: raw.replace(b"  72\n", b" , 72\n"), 6),  # b's scalar shape is the empty string
+        (lambda raw: raw.replace(b"3,2 0\n", b"03,2 0\n"), 4),
+        (lambda raw: raw.replace(b"step=0", b"step=005"), 2),
     ], ids=["step", "repeated-step", "payload", "cut-after-payload-line", "negative-offset", "nan-entry",
-            "inf-entry", "nan-middle-entry", "odd-offset", "oversized-empty-shape", "huge-shape", "huge-2d-shape"])
+            "inf-entry", "nan-middle-entry", "odd-offset", "oversized-empty-shape", "huge-shape", "huge-2d-shape",
+            "empty-shape-entry", "comma-scalar-shape", "leading-zero-shape-entry", "leading-zero-step"])
     def test_malformed_manifest_is_parse_error(self, tmp_path, edit, line):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, self._params(np.random.default_rng(9)), {"seed": 3}, step=0)
@@ -370,9 +376,8 @@ class TestCheckpoint:
         configs are spelled out as the defaults stood when the pin was taken,
         so that a later change of a default leaves the pin alone."""
         from semaffine.model import build_model
-        model_cfg = ModelConfig(n_classes=4, levels=4, level_dims=(32, 64, 96, 128), d_h=64, d_m=64,
-                                encoder_depth=4, decoder_depth=5, heads=4, base_voxel=0.4,
-                                classifier="mask", affine="sa")
+        model_cfg = ModelConfig(n_classes=4, level_dims=(32, 64, 96, 128), d_h=64, encoder_depth=4, heads=4,
+                                base_voxel=0.4, classifier="mask", affine="sa")
         train_cfg = Hx.TrainConfig(base_lr=2e-2, attention_lr_factor=0.1, weight_decay=1e-4, momentum=0.9,
                                    epochs=20, batch_size=4, warmup_fraction=0.05, seed=0)
         path = tmp_path / "default.ckpt"
@@ -436,7 +441,8 @@ class TestConfigFile:
             config_from(parse_config_text("heads = -2"), ModelConfig)
 
     def test_unknown_key_is_error(self):
-        for text in ("learning_rate = 0.1", "w_final_aux = 0.1"):
+        # the level count, decoder depth and mask width are worked out, not set
+        for text in ("learning_rate = 0.1", "w_final_aux = 0.1", "levels = 4", "decoder_depth = 5", "d_m = 64"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config_text(text)
 
@@ -451,8 +457,7 @@ class TestConfigFile:
             parse_config_text("classes = 3\nclasses = 4")
 
     def test_snapshot_round_trip(self):
-        model_cfg = ModelConfig(n_classes=3, levels=3, level_dims=(4, 6, 8), d_h=8, d_m=8,
-                                heads=2, decoder_depth=4, base_voxel=0.7, affine="bn")
+        model_cfg = ModelConfig(n_classes=3, level_dims=(4, 6, 8), d_h=8, heads=2, base_voxel=0.7, affine="bn")
         train_cfg = Hx.TrainConfig(base_lr=0.005, epochs=2, seed=9)
         snap = snapshot(model_cfg, train_cfg)
         as_text = {k: str(v) if not isinstance(v, tuple) else ",".join(map(str, v))
@@ -461,6 +466,18 @@ class TestConfigFile:
         assert m2 == model_cfg
         assert t2 == train_cfg
 
+    def test_level_dims_alone_sets_the_levels_and_the_decoder_depth(self, tmp_path):
+        # two heads, since the default four do not divide the top width 10
+        path = tmp_path / "model.cfg"
+        path.write_text("level_dims = 6,8,10\nheads = 2\n")
+        cfg = config_from(parse_config_file(path), ModelConfig)
+        assert (cfg.levels, cfg.decoder_depth) == (3, 4)
+        from semaffine.model import build_model
+        params = build_model(cfg, seed=0)
+        assert len(params.enc_mlps) == 3 and len(params.query_decoder) == 4
+        assert [p for p in params.parts if p.startswith("query_decoder.block")] == [
+            f"query_decoder.block{b}" for b in range(4)]
+
     def test_key_tables(self):
         """Each config-file key, in order, with the field it sets and its converter."""
         def table(cls):
@@ -468,9 +485,8 @@ class TestConfigFile:
 
         assert list(KEYS) == [ModelConfig, Hx.TrainConfig, SceneSpec, ExtraConfig]
         assert table(ModelConfig) == [
-            ("classes", "n_classes", "_to_int"), ("levels", "levels", "_to_int"),
-            ("level_dims", "level_dims", "_to_int_tuple"), ("d_h", "d_h", "_to_int"), ("d_m", "d_m", "_to_int"),
-            ("encoder_depth", "encoder_depth", "_to_int"), ("decoder_depth", "decoder_depth", "_to_int"),
+            ("classes", "n_classes", "_to_int"), ("level_dims", "level_dims", "_to_int_tuple"),
+            ("d_h", "d_h", "_to_int"), ("encoder_depth", "encoder_depth", "_to_int"),
             ("heads", "heads", "_to_int"), ("base_voxel", "base_voxel", "ascii_float"),
             ("classifier", "classifier", "str"), ("affine", "affine", "str"),
         ]

@@ -21,12 +21,9 @@ from semaffine.tensor import Tensor
 def tiny_config(**overrides):
     base = dict(
         n_classes=3,
-        levels=4,
         level_dims=(6, 8, 10, 12),
         d_h=8,
-        d_m=8,
         encoder_depth=1,
-        decoder_depth=5,
         heads=2,
         base_voxel=0.5,
     )
@@ -71,13 +68,14 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         M.ModelConfig().validate()
 
-    def test_shallow_decoder_rejected(self):
-        with pytest.raises(ConfigError, match="decoder_depth"):
-            tiny_config(decoder_depth=4).validate()
-
     def test_level_dims_length(self):
-        with pytest.raises(ConfigError):
-            tiny_config(level_dims=(6, 8)).validate()
+        """The level count and the decoder depth are read off ``level_dims``."""
+        cfg = tiny_config(level_dims=(6, 8))
+        cfg.validate()
+        assert (cfg.levels, cfg.n_mid, cfg.decoder_depth) == (2, 1, 3)
+        for dims in [(), (8,), (8,) * 16]:
+            with pytest.raises(ConfigError, match=f"level_dims must have 2 to 15 entries, got {len(dims)}"):
+                tiny_config(level_dims=dims).validate()
 
     def test_heads_must_divide(self):
         with pytest.raises(ConfigError):
@@ -91,7 +89,7 @@ class TestConfigValidation:
 
     def test_stage_to_layer_mapping(self):
         """Mid stage i (coarsest first) regresses its bank from query-decoder layer u = i + 2."""
-        params = M.build_model(tiny_config(decoder_depth=6), seed=14)
+        params = M.build_model(tiny_config(), seed=14)
         _, _, h_layers, _, out = upstream_stages(params, tiny_scene(20, seed=14))
         assert params.cfg.mid_levels == [3, 2, 1] and M.LEVEL_OFFSET == 2
         for i, mid in enumerate(out.mids, start=1):
@@ -108,12 +106,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("overrides, message", [
         (dict(d_h=4_000_000_000), "must be <= 256"),
-        (dict(d_m=257), "must be <= 256"),
         (dict(n_classes=257), "must be <= 256"),
         (dict(level_dims=(6, 8, 10, 2_000)), "must be <= 256"),
         (dict(encoder_depth=100_000_000), "must be <= 16"),
-        (dict(decoder_depth=17), "must be <= 16"),
-    ], ids=["wide", "wide-mask-space", "many-classes", "wide-top", "deep", "deep-decoder"])
+    ], ids=["wide", "many-classes", "wide-top", "deep"])
     def test_oversized_model_rejected(self, overrides, message):
         cfg = tiny_config(**overrides)
         with pytest.raises(ConfigError, match=message):
@@ -122,13 +118,15 @@ class TestConfigValidation:
             M.build_model(cfg)
 
     def test_models_at_the_bounds_are_accepted(self):
-        widest = tiny_config(n_classes=256, level_dims=(256,) * 4, d_h=256, d_m=256)
+        widest = tiny_config(n_classes=256, level_dims=(256,) * 4, d_h=256)
         # 14 mid stages read decoder layers 3..16
-        deepest = tiny_config(levels=15, level_dims=(8,) * 15, encoder_depth=16, decoder_depth=16)
+        deepest = tiny_config(level_dims=(8,) * 15, encoder_depth=16)
         for cfg in (widest, deepest):
             cfg.validate()
-        with pytest.raises(ConfigError, match="15 mid stages need depth >= 17"):
-            tiny_config(levels=16, level_dims=(8,) * 16, encoder_depth=16, decoder_depth=16).validate()
+        assert deepest.decoder_depth == 16
+        # 15 mid stages would need 17 decoder layers
+        with pytest.raises(ConfigError, match="level_dims must have 2 to 15 entries, got 16"):
+            tiny_config(level_dims=(8,) * 16, encoder_depth=16).validate()
 
 
 def _oracle_draws(rng, record):
@@ -166,8 +164,8 @@ def _oracle_draws(rng, record):
 class TestInitDraws:
     @pytest.mark.parametrize("cfg", [
         M.ModelConfig(),
-        M.ModelConfig(n_classes=3, levels=3, level_dims=(4, 6, 8), d_h=4, d_m=4, encoder_depth=1,
-                      decoder_depth=4, heads=2, base_voxel=0.6),  # the gradient suite's model
+        M.ModelConfig(n_classes=3, level_dims=(4, 6, 8), d_h=4, encoder_depth=1, heads=2,
+                      base_voxel=0.6),  # the gradient suite's model
         tiny_config(heads=1),
     ], ids=["default", "gradcheck", "one-head"])
     def test_every_record_matches_the_uniform_sampler(self, cfg):
@@ -195,7 +193,7 @@ class TestBackboneEncode:
             assert f.shape == (1, params.cfg.level_dims[level])
 
     def test_two_distant_points(self):
-        params = M.build_model(tiny_config(levels=2, level_dims=(6, 8)), seed=0)
+        params = M.build_model(tiny_config(level_dims=(6, 8)), seed=0)
         hier = hierarchy(params, np.array([[0.0, 0.0, 0.0], [3.0, 3.0, 3.0]]))
         feats = M.backbone_encode(params, hier)
         assert hier.sizes[0] == 2
@@ -239,7 +237,7 @@ class TestTokenEncoder:
 
 class TestQueryDecoder:
     def test_single_block_oracle(self):
-        params = M.build_model(tiny_config(decoder_depth=5), seed=3)
+        params = M.build_model(tiny_config(), seed=3)
         memory = Tensor(np.random.default_rng(3).standard_normal((6, 12)))
         h_layers, h_final = M.decode_queries(params, memory, (0, memory.shape[0]))
         assert len(h_layers) == 5
@@ -256,15 +254,15 @@ class TestQueryDecoder:
             np.testing.assert_allclose(h.data, np.tile(h.data[0], (3, 1)), atol=1e-9)
 
     def test_layer_list_length_matches_depth_and_mapping(self):
-        cfg = tiny_config(decoder_depth=6)
+        cfg = tiny_config()
         params = M.build_model(cfg, seed=5)
         memory = Tensor(np.random.default_rng(5).standard_normal((4, 12)))
         h_layers, h_final = M.decode_queries(params, memory, (0, memory.shape[0]))
-        assert len(h_layers) == 6
-        # stage i consumes layer u = i + 2 for the three mid stages
+        assert len(h_layers) == cfg.decoder_depth == 5
+        # stage i consumes layer u = i + 2 for the three mid stages; the finest reads the final layer
         for i, level in enumerate(cfg.mid_levels, start=1):
             u = i + M.LEVEL_OFFSET
-            assert 1 <= u <= 6
+            assert 3 <= u <= 5
             assert h_layers[u - 1].shape == (3, 8)
         assert h_final is h_layers[-1]
 
@@ -277,12 +275,11 @@ class TestModelForward:
             dims = tuple(int(rng.integers(1, 4)) * 2 for _ in range(levels))
             cfg = tiny_config(
                 n_classes=int(rng.integers(1, 5)),
-                levels=levels,
                 level_dims=dims,
                 heads=2,
-                decoder_depth=levels - 1 + 2,
                 encoder_depth=int(rng.integers(0, 2)),
             )
+            assert (cfg.levels, cfg.decoder_depth) == (levels, levels + 1)
             params = M.build_model(cfg, seed=trial)
             n = int(rng.integers(1, 40))
             coords = rng.uniform(-2, 2, (n, 3))

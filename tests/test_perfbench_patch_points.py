@@ -20,8 +20,7 @@ from semaffine.train import prepare_scene, train_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PATCHED_MODULES = (model_mod, train_mod, tensor_mod, verify_mod)
-TINY = ModelConfig(levels=3, level_dims=(6, 8, 10), d_h=8, d_m=8, encoder_depth=1, decoder_depth=4,
-                   heads=2, base_voxel=0.8)
+TINY = ModelConfig(level_dims=(6, 8, 10), d_h=8, encoder_depth=1, heads=2, base_voxel=0.8)
 
 
 def test_traced_training_epoch_runs_and_restores_every_patch_point(monkeypatch):

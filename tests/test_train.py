@@ -26,15 +26,13 @@ from semaffine.verify import Check, iter_checks
 
 def small_model_cfg(**overrides):
     base = dict(
-        n_classes=4, levels=3, level_dims=(6, 8, 10), d_h=8, d_m=8,
-        encoder_depth=1, decoder_depth=4, heads=2, base_voxel=0.8,
+        n_classes=4, level_dims=(6, 8, 10), d_h=8, encoder_depth=1, heads=2, base_voxel=0.8,
     )
     base.update(overrides)
     return ModelConfig(**base)
 
 
-TINY_TRAIN_CFG = ("levels = 3\nlevel_dims = 6,8,10\nd_h = 8\nd_m = 8\nheads = 2\n"
-                  "encoder_depth = 1\ndecoder_depth = 4\nepochs = 1\n")
+TINY_TRAIN_CFG = "level_dims = 6,8,10\nd_h = 8\nheads = 2\nencoder_depth = 1\nepochs = 1\n"
 
 
 def small_corpus(tmp_path, n_train=2, n_val=1, points=24):
@@ -158,8 +156,7 @@ class TestCli:
 
         train_cfg_file = tmp_path / "train.cfg"
         train_cfg_file.write_text(
-            "levels = 3\nlevel_dims = 6,8,10\nd_h = 8\nd_m = 8\nheads = 2\n"
-            "encoder_depth = 1\ndecoder_depth = 4\nbase_voxel = 0.8\n"
+            "level_dims = 6,8,10\nd_h = 8\nheads = 2\nencoder_depth = 1\nbase_voxel = 0.8\n"
             "epochs = 1\nbatch_size = 1\nseed = 0\n")
         ckpt = tmp_path / "model.ckpt"
         assert main(["train", "--config", str(train_cfg_file),
@@ -396,8 +393,8 @@ class TestCli:
     @pytest.mark.parametrize("key, value, message", [
         ("heads", "0", "heads must be >= 1, got 0"),
         ("heads", "-4", "heads must be >= 1, got -4"),
-        ("d_h", "4000000000", "n_classes, d_h, d_m and level_dims must be <= 256"),
-        ("encoder_depth", "100000000", "encoder_depth and decoder_depth must be <= 16"),
+        ("d_h", "4000000000", "n_classes, d_h and level_dims must be <= 256"),
+        ("encoder_depth", "100000000", "encoder_depth must be <= 16"),
     ], ids=["zero-heads", "negative-heads", "huge-width", "huge-depth"])
     def test_bad_model_size_exit_code(self, tmp_path, key, value, message):
         # these ended in a ZeroDivisionError, a numpy concatenate or memory
@@ -414,8 +411,7 @@ class TestCli:
 
     @pytest.mark.parametrize("edit, message", [
         ((b"cfg.heads=2", b"cfg.heads=0"), "heads must be >= 1, got 0"),
-        ((b"cfg.encoder_depth=1", b"cfg.encoder_depth=100000000"),
-         "encoder_depth and decoder_depth must be <= 16"),
+        ((b"cfg.encoder_depth=1", b"cfg.encoder_depth=100000000"), "encoder_depth must be <= 16"),
     ], ids=["zero-heads", "huge-depth"])
     def test_bad_model_size_in_checkpoint_exit_code(self, tmp_path, edit, message):
         argv = self._edited_checkpoint_argv(tmp_path, lambda params: None)
@@ -428,20 +424,49 @@ class TestCli:
         assert proc.stderr.splitlines() == [f"error: {message}"], proc.stderr
 
     def test_checkpoint_with_retired_keys_exit_code(self, tmp_path, capsys):
-        """A checkpoint written while the loss weights, the norm floor and the
-        level offset were config keys names them in its snapshot; ``eval``
-        rejects it as it rejects any unknown key."""
+        """A checkpoint written while the loss weights, the norm floor, the
+        level offset, the level count, the decoder depth and the mask width
+        were config keys names them in its snapshot; ``eval`` rejects it as it
+        rejects any unknown key."""
         argv = self._edited_checkpoint_argv(tmp_path, lambda params: None)
         assert main(argv) == 0
         capsys.readouterr()
         ckpt = Path(argv[2])
         raw = ckpt.read_bytes()
-        old = b"cfg.level_offset=2\ncfg.norm_eps=1e-05\ncfg.w_final=1.0\ncfg.w_mid=1.0\n"
+        old = (b"cfg.d_m=8\ncfg.decoder_depth=4\ncfg.level_offset=2\ncfg.levels=3\n"
+               b"cfg.norm_eps=1e-05\ncfg.w_final=1.0\ncfg.w_mid=1.0\n")
         ckpt.write_bytes(raw.replace(b"step=0\n", b"step=0\n" + old, 1))
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [
-            "error: snapshot has unknown keys: ['level_offset', 'norm_eps', 'w_final', 'w_mid']"], err
+            "error: snapshot has unknown keys: ['d_m', 'decoder_depth', 'level_offset', 'levels', 'norm_eps', "
+            "'w_final', 'w_mid']"], err
+
+    def test_checkpoint_missing_a_key_exit_code(self, tmp_path, capsys):
+        """A ``bn`` checkpoint without its ``cfg.affine`` line once ran as ``sa``."""
+        argv = self._edited_checkpoint_argv(tmp_path, lambda params: None)
+        ckpt = Path(argv[2])
+        raw = ckpt.read_bytes()
+        assert raw.count(b"cfg.affine=sa\n") == 1
+        ckpt.write_bytes(raw.replace(b"cfg.affine=sa\n", b"cfg.affine=bn\n"))
+        assert main(argv) == 0
+        capsys.readouterr()
+        ckpt.write_bytes(raw.replace(b"cfg.affine=sa\n", b""))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: snapshot is missing keys: ['affine']"], err
+
+    def test_checkpoint_with_a_scene_key_exit_code(self, tmp_path, capsys):
+        """A snapshot holds the model and training keys alone; a scene or extra
+        key, which ``eval`` would ignore, is rejected."""
+        argv = self._edited_checkpoint_argv(tmp_path, lambda params: None)
+        ckpt = Path(argv[2])
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw.replace(b"step=0\n", b"step=0\ncfg.scene_objects=3\ncfg.val_fraction=0.5\n", 1))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "error: snapshot has unknown keys: ['scene_objects', 'val_fraction']"], err
 
     # an empty tuple entry once loaded as (6, 8, 10), and a checkpoint so
     # edited re-saved as other bytes
